@@ -53,6 +53,9 @@ class L1Cache:
         self._sets: List[Dict[int, CacheLine]] = [
             {} for _ in range(geometry.num_sets)
         ]
+        # ``geometry.set_index`` recomputes the set count per call;
+        # the set count is a power of two, so a stored mask suffices.
+        self._set_mask = geometry.num_sets - 1
         self._tick = 0
         #: Usable ways per set; fault injection lowers this below the
         #: geometry's associativity to create capacity pressure.
@@ -67,11 +70,11 @@ class L1Cache:
         return self._geometry
 
     def _set_for(self, block: int) -> Dict[int, CacheLine]:
-        return self._sets[self._geometry.set_index(block)]
+        return self._sets[block & self._set_mask]
 
     def lookup(self, block: int) -> Optional[CacheLine]:
         """Return the line for ``block`` if present and valid."""
-        line = self._set_for(block).get(block)
+        line = self._sets[block & self._set_mask].get(block)
         if line is not None and line.state is MESI.INVALID:
             return None
         return line

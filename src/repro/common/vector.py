@@ -1,7 +1,7 @@
 """Optional numpy gate + columnar helpers for vectorized backends.
 
 The batch simulation kernel (:mod:`repro.kernels.batch`) and the
-bulk-query helpers in ``signatures/``, ``mem/`` and ``coherence/``
+bulk-query helpers in ``mem/`` and ``coherence/``
 express their hot work as whole-column array operations.  When numpy
 is installed those columns are real ndarrays; when it is not, the
 same functions run over plain Python lists with identical results —
@@ -10,7 +10,7 @@ path is live (published as the ``kernels.batch.numpy`` metric).
 
 This module sits at the bottom of the layering (``repro.common``):
 it must import nothing from the simulator so every layer — kernels,
-signatures, metabit store, coherence — can reach it without cycles.
+metabit store, coherence — can reach it without cycles.
 """
 
 from __future__ import annotations

@@ -25,7 +25,10 @@ plus "sticky" ownership left behind by evictions, and falls back to
 broadcast with summary signatures after thread migration.  We check
 every directory-reaching request against all other live transactions'
 signatures, which is what sticky states + summaries conservatively
-amount to, and preserves the false-positive dynamics.
+amount to, and preserves the false-positive dynamics.  Bloom machines
+first test a machine-wide summary (the OR of every live signature):
+a summary miss proves that no live signature can hit, so most checks
+end there without probing any transaction.
 """
 
 from __future__ import annotations
@@ -45,8 +48,7 @@ from repro.htm.base import (
     HTM,
 )
 from repro.signatures import Signature, make_signature
-from repro.signatures.bloom import BloomSignature
-from repro.signatures.h3 import make_h3_family
+from repro.signatures.bloom import BloomSignature, mask_cache
 
 
 class _SigTxn:
@@ -63,6 +65,29 @@ class _SigTxn:
         self.write_sig = write_sig
         self.read_set: Set[int] = set()
         self.write_set: Set[int] = set()
+
+
+class SigCheckStats:
+    """Conflict-check work counters, deliberately *outside* ``HTMStats``.
+
+    They describe how the simulator computed a check, not what the
+    simulated machine did, so they stay out of ``RunStats`` and its
+    golden digests.  Publish them through
+    :func:`repro.obs.metrics.publish_sigcheck` as ``perf.sigcheck.*``.
+    """
+
+    __slots__ = ("checks", "summary_clears", "probes")
+
+    def __init__(self):
+        #: Directory-reaching requests checked against the signatures.
+        self.checks = 0
+        #: Checks the machine-wide summary cleared without a scan.
+        self.summary_clears = 0
+        #: Per-transaction ``Signature.test`` calls made by scans.
+        self.probes = 0
+
+    def snapshot(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 class LogTMSE(HTM):
@@ -86,33 +111,35 @@ class LogTMSE(HTM):
         # L1 hit never reaches the directory, so it is never
         # signature-checked and always granted at L1-hit latency.
         self._fast_outcome = AccessOutcome(True, mem.config.latency.l1_hit)
-        self._sig_seed = 0
+        self.sigcheck = SigCheckStats()
         # All transactions share one H3 family per set kind (as the
         # hardware does: the hash wiring is fixed at design time), so
-        # hash results can be cached per block across the whole run.
-        self._families = None
-        self._caches = None
+        # probe masks are cached per block across the whole run.  The
+        # summaries are the OR of every live read (write) signature;
+        # perfect signatures have neither.
+        self._read_masks = self._write_masks = None
+        self._read_summary = self._write_summary = 0
         if not self._sig_config.perfect:
-            import math as _math
+            self._read_masks = mask_cache(self._sig_config, seed=0)
+            self._write_masks = mask_cache(self._sig_config, seed=1)
 
-            bank_bits = self._sig_config.bits // self._sig_config.num_hashes
-            index_bits = int(_math.log2(bank_bits))
-            self._families = (
-                make_h3_family(self._sig_config.num_hashes, index_bits,
-                               seed=self._sig_seed),
-                make_h3_family(self._sig_config.num_hashes, index_bits,
-                               seed=self._sig_seed + 1),
-            )
-            self._caches = ({}, {})
-
-    def _new_signature(self, kind: int) -> Signature:
+    def _new_signature(self, masks) -> Signature:
         """Fresh signature over the machine-wide hash family."""
-        if self._sig_config.perfect or self._families is None:
-            return make_signature(self._sig_config,
-                                  seed=self._sig_seed + kind)
-        return BloomSignature(self._sig_config,
-                              hashes=self._families[kind],
-                              index_cache=self._caches[kind])
+        if masks is None:
+            return make_signature(self._sig_config)
+        return BloomSignature(self._sig_config, masks=masks)
+
+    def _live_summaries(self) -> Tuple[int, int]:
+        """(read, write) OR of the live transactions' packed signatures."""
+        read = write = 0
+        for txn in self._txns.values():
+            read |= txn.read_sig.packed
+            write |= txn.write_sig.packed
+        return read, write
+
+    def _rebuild_summaries(self) -> None:
+        if self._read_masks is not None:
+            self._read_summary, self._write_summary = self._live_summaries()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -123,8 +150,8 @@ class LogTMSE(HTM):
             raise TransactionError(f"thread {tid} already in a transaction")
         self._txns[tid] = _SigTxn(
             tid, core,
-            self._new_signature(0),
-            self._new_signature(1),
+            self._new_signature(self._read_masks),
+            self._new_signature(self._write_masks),
         )
         if tid not in self._logs:
             self._logs[tid] = TmLog(tid)
@@ -146,21 +173,47 @@ class LogTMSE(HTM):
 
         A load conflicts with remote write signatures; a store with
         remote read *and* write signatures.  Returns None when clear.
+
+        A summary that misses the block proves every signature of its
+        kind misses it too, so those probes are skipped, and the scan
+        itself when no kind remains.
         """
+        sigcheck = self.sigcheck
+        sigcheck.checks += 1
+        probe_writers = True
+        probe_readers = is_write
+        if self._write_masks is not None:
+            mask = self._write_masks[block]
+            probe_writers = self._write_summary & mask == mask
+            if is_write:
+                mask = self._read_masks[block]
+                probe_readers = self._read_summary & mask == mask
+            if not (probe_writers or probe_readers):
+                sigcheck.summary_clears += 1
+                return None
         writer_hits: List[int] = []
         reader_hits: List[int] = []
         any_real = False
-        for other_tid, other in self._txns.items():
+        txns = self._txns
+        for other_tid, other in txns.items():
             if other_tid == tid:
                 continue
-            if other.write_sig.test(block):
+            if probe_writers and other.write_sig.test(block):
                 writer_hits.append(other_tid)
                 if block in other.write_set:
                     any_real = True
-            elif is_write and other.read_sig.test(block):
+            elif probe_readers and other.read_sig.test(block):
                 reader_hits.append(other_tid)
                 if block in other.read_set:
                     any_real = True
+        # Count the probes made: a write probe per other transaction,
+        # then a read probe for each whose write probe missed.
+        others = len(txns) - (tid in txns)
+        if probe_writers:
+            sigcheck.probes += others
+            others -= len(writer_hits)
+        if probe_readers:
+            sigcheck.probes += others
         if not writer_hits and not reader_hits:
             return None
         self.stats.conflicts += 1
@@ -221,6 +274,8 @@ class LogTMSE(HTM):
                 )
         res = self.mem.access(core, block, False)
         txn.read_sig.insert(block)
+        if self._read_masks is not None:
+            self._read_summary |= txn.read_sig.packed
         txn.read_set.add(block)
         return AccessOutcome(True, res.latency)
 
@@ -246,6 +301,8 @@ class LogTMSE(HTM):
         res = self.mem.access(core, block, True)
         latency = res.latency
         txn.write_sig.insert(block)
+        if self._write_masks is not None:
+            self._write_summary |= txn.write_sig.packed
         if block not in txn.write_set:
             txn.write_set.add(block)
             latency += self._log_append(core, tid, block)
@@ -259,6 +316,7 @@ class LogTMSE(HTM):
         self._txn(tid)
         self._logs[tid].reset()
         del self._txns[tid]
+        self._rebuild_summaries()
         self.stats.commits += 1
         self.stats.fast_releases += 1  # signature flash-clear is O(1)
         return CommitOutcome(self.mem.config.latency.txn_commit,
@@ -278,6 +336,7 @@ class LogTMSE(HTM):
                 self.stats.undo_cycles += data.latency + lat.undo_write
         log.reset()
         del self._txns[tid]
+        self._rebuild_summaries()
         self.stats.aborts += 1
         return CommitOutcome(cycles)
 
@@ -323,12 +382,14 @@ class LogTMSE(HTM):
         return len(txn.write_set) if txn else 0
 
     def check_invariants(self) -> Dict[str, object]:
-        """Coherence audit plus signature-superset consistency.
+        """Coherence audit, signature-superset and summary consistency.
 
         A Bloom signature may report false positives but never false
         negatives: every block in a live transaction's exact read
         (write) set must test positive in its read (write) signature,
-        or conflict detection has silently lost isolation.
+        or conflict detection has silently lost isolation.  Each
+        summary must equal the OR of the live signatures of its kind:
+        one missing a bit would clear a check that a scan would NACK.
         """
         report = super().check_invariants()
         for tid, txn in self._txns.items():
@@ -344,7 +405,21 @@ class LogTMSE(HTM):
                         f"txn {tid} wrote block {block:#x} missing from "
                         f"its write signature (false negative)"
                     )
-        report["checks"] = list(report["checks"]) + ["signature_superset"]
+        checks = ["signature_superset"]
+        if self._read_masks is not None:
+            summaries = (self._read_summary, self._write_summary)
+            for kind, live, summary in zip(("read", "write"),
+                                           self._live_summaries(),
+                                           summaries):
+                if summary != live:
+                    raise TransactionError(
+                        f"{kind} summary misses "
+                        f"{(live & ~summary).bit_count()} bits of the live "
+                        f"{kind} signatures and holds "
+                        f"{(summary & ~live).bit_count()} stale bits"
+                    )
+            checks.append("signature_summary")
+        report["checks"] = list(report["checks"]) + checks
         report["live_txns"] = len(self._txns)
         return report
 

@@ -254,6 +254,30 @@ def publish_fastpath(snapshot: Dict[str, int],
     return reg
 
 
+#: LogTM-SE conflict-check work counters (``LogTMSE.sigcheck``),
+#: published as ``perf.sigcheck.*``: checks made, checks the summary
+#: signatures cleared without a scan, and per-transaction probes.
+SIGCHECK_COUNTERS: Tuple[str, ...] = ("checks", "summary_clears", "probes")
+
+
+def publish_sigcheck(snapshot: Dict[str, int],
+                     registry: Optional[MetricsRegistry] = None
+                     ) -> MetricsRegistry:
+    """Expose a :class:`~repro.htm.logtm_se.SigCheckStats` snapshot as
+    ``perf.sigcheck.*`` counters.
+
+    Like the fast-path counters they describe how the simulator
+    computed, not what the machine did, so they stay outside
+    ``RunStats``.  Every counter is registered, at zero when the
+    snapshot lacks it, so a run with no LogTM-SE machine (pass ``{}``)
+    has the same key set.
+    """
+    reg = registry if registry is not None else MetricsRegistry()
+    for name in SIGCHECK_COUNTERS:
+        reg.counter(f"perf.sigcheck.{name}").inc(int(snapshot.get(name, 0)))
+    return reg
+
+
 #: Canonical ``kernels.*`` counters published for the batch backend.
 #: Pre-registered at zero by :func:`publish_kernels` so an interp-only
 #: (or numpy-less) run's metrics snapshot has the same key set — and

@@ -41,18 +41,6 @@ class Signature(ABC):
     def inserted_count(self) -> int:
         """Number of *distinct* addresses inserted since last clear."""
 
-    def test_many(self, block_addrs) -> list:
-        """Vectorized membership: one bool per address, in order.
-
-        Behaviourally equal to ``[self.test(b) for b in block_addrs]``
-        (the default is exactly that); implementations override with a
-        whole-column probe — the Bloom signature folds its banks into
-        one packed bitset and answers every address with integer
-        AND/OR — for the batch kernel's bulk paths and diagnostics.
-        Must stay side-effect-free: no counters, no state.
-        """
-        return [self.test(b) for b in block_addrs]
-
     def test_exact(self, block_addr: int) -> bool:
         """Ground-truth membership, used to classify false positives.
 

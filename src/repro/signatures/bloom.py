@@ -9,107 +9,96 @@ Following Sanchez et al., the *parallel* organization partitions the
 bit vector into ``num_hashes`` equal banks, one per hash function —
 each hash indexes only its own bank.  This is cheaper in hardware
 than a true Bloom filter and performs as well or better.
+
+The whole vector is one packed Python int, bank ``b`` at bits
+``[b * bank_bits, (b + 1) * bank_bits)``.  A block's probe is likewise
+one packed mask with one bit per bank, so insert is an OR and test is
+an AND and compare: every bank at once, as the hardware probes them.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Set
+from typing import Optional, Sequence, Set
 
 from repro.common.config import SignatureConfig
 from repro.signatures.base import Signature
 from repro.signatures.h3 import H3Hash, make_h3_family
 
 
+class MaskCache(dict):
+    """Block address -> packed probe mask over one H3 family.
+
+    Masks are computed on first use and kept, so a machine whose
+    signatures share one family hashes each block once per run.
+    """
+
+    __slots__ = ("hashes", "bank_bits")
+
+    def __init__(self, hashes: Sequence[H3Hash], bank_bits: int):
+        super().__init__()
+        self.hashes = hashes
+        self.bank_bits = bank_bits
+
+    def __missing__(self, block_addr: int) -> int:
+        mask = 0
+        offset = 0
+        for h in self.hashes:
+            mask |= 1 << (offset + h(block_addr))
+            offset += self.bank_bits
+        self[block_addr] = mask
+        return mask
+
+
+def mask_cache(config: SignatureConfig, seed: int = 0) -> MaskCache:
+    """An empty mask cache over ``config``'s H3 family at ``seed``."""
+    if config.perfect:
+        raise ValueError(
+            "config requests a perfect signature; use PerfectSignature"
+        )
+    if config.bits % config.num_hashes != 0:
+        raise ValueError("signature bits must divide evenly into banks")
+    bank_bits = config.bits // config.num_hashes
+    index_bits = int(math.log2(bank_bits))
+    if (1 << index_bits) != bank_bits:
+        raise ValueError("per-bank size must be a power of two")
+    return MaskCache(make_h3_family(config.num_hashes, index_bits, seed),
+                     bank_bits)
+
+
 class BloomSignature(Signature):
-    """Parallel-banked Bloom filter over block addresses."""
+    """Parallel-banked Bloom filter over block addresses.
+
+    ``masks`` shares a machine-wide :class:`MaskCache` (it must have
+    been built for ``config``); without one the signature builds its
+    own over the family at ``seed``.
+    """
 
     def __init__(self, config: SignatureConfig, seed: int = 0,
-                 hashes: Optional[List[H3Hash]] = None,
-                 index_cache: Optional[dict] = None):
-        if config.perfect:
-            raise ValueError(
-                "config requests a perfect signature; use PerfectSignature"
-            )
-        if config.bits % config.num_hashes != 0:
-            raise ValueError("signature bits must divide evenly into banks")
+                 masks: Optional[MaskCache] = None):
         self._config = config
-        self._bank_bits = config.bits // config.num_hashes
-        bank_index_bits = int(math.log2(self._bank_bits))
-        if (1 << bank_index_bits) != self._bank_bits:
-            raise ValueError("per-bank size must be a power of two")
-        if hashes is not None:
-            if len(hashes) != config.num_hashes:
-                raise ValueError("hash family size mismatch")
-            self._hashes = hashes
-        else:
-            self._hashes = make_h3_family(
-                config.num_hashes, bank_index_bits, seed=seed
-            )
-        # Hash results per block are deterministic, so machines that
-        # build many signatures over one family share an index cache.
-        self._index_cache = index_cache if index_cache is not None else {}
-        # One Python int per bank as a bit vector: set/test are O(1)
-        # big-int ops and clear is a constant store, mirroring the
-        # hardware flash-clear.
-        self._banks: List[int] = [0] * config.num_hashes
+        if masks is None:
+            masks = mask_cache(config, seed)
+        self._masks = masks
+        #: The bit vector, every bank packed into one int; clearing it
+        #: is a constant store, mirroring the hardware flash-clear.
+        self.packed = 0
         self._exact: Set[int] = set()
 
     @property
     def config(self) -> SignatureConfig:
         return self._config
 
-    def _indices(self, block_addr: int):
-        indices = self._index_cache.get(block_addr)
-        if indices is None:
-            indices = tuple(h(block_addr) for h in self._hashes)
-            self._index_cache[block_addr] = indices
-        return indices
-
     def insert(self, block_addr: int) -> None:
-        banks = self._banks
-        for bank, index in enumerate(self._indices(block_addr)):
-            banks[bank] |= 1 << index
+        self.packed |= self._masks[block_addr]
         self._exact.add(block_addr)
 
     def test(self, block_addr: int) -> bool:
-        banks = self._banks
-        for bank, index in enumerate(self._indices(block_addr)):
-            if not (banks[bank] >> index) & 1:
-                return False
-        return True
-
-    def test_many(self, block_addrs) -> list:
-        """Packed-bitset membership over a whole address column.
-
-        The banks fold into one wide integer (bank ``b`` occupying
-        bits ``[b * bank_bits, (b + 1) * bank_bits)``); each address
-        folds its cached per-bank probe indices into a mask the same
-        way.  Membership is then a single AND/compare per address —
-        big-int ops instead of a Python loop over banks — with results
-        identical to :meth:`test` by construction.
-        """
-        bank_bits = self._bank_bits
-        packed = 0
-        for b, bank in enumerate(self._banks):
-            packed |= bank << (b * bank_bits)
-        out = []
-        append = out.append
-        cache_get = self._index_cache.get
-        indices_fn = self._indices
-        for addr in block_addrs:
-            indices = cache_get(addr)
-            if indices is None:
-                indices = indices_fn(addr)
-            mask = 0
-            for b, index in enumerate(indices):
-                mask |= 1 << (b * bank_bits + index)
-            append(packed & mask == mask)
-        return out
+        mask = self._masks[block_addr]
+        return self.packed & mask == mask
 
     def clear(self) -> None:
-        for bank in range(len(self._banks)):
-            self._banks[bank] = 0
+        self.packed = 0
         self._exact.clear()
 
     def is_empty(self) -> bool:
@@ -126,8 +115,7 @@ class BloomSignature(Signature):
     @property
     def fill_ratio(self) -> float:
         """Fraction of filter bits set (diagnostic for saturation)."""
-        set_bits = sum(bin(bank).count("1") for bank in self._banks)
-        return set_bits / self._config.bits
+        return self.packed.bit_count() / self._config.bits
 
     def expected_false_positive_rate(self) -> float:
         """Analytic FP probability for a uniformly random probe.

@@ -10,7 +10,8 @@ Bloom-filter false-positive analysis hold.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+import functools
+from typing import List, Sequence, Tuple
 
 from repro.common.rng import substream
 
@@ -76,9 +77,16 @@ class H3Hash:
         return f"H3Hash(out_bits={self.out_bits})"
 
 
-def make_h3_family(count: int, out_bits: int, seed: int = 0) -> List[H3Hash]:
-    """Build ``count`` independent H3 hash functions."""
-    return [H3Hash(out_bits, seed=seed, lane=i) for i in range(count)]
+@functools.lru_cache(maxsize=None)
+def make_h3_family(count: int, out_bits: int,
+                   seed: int = 0) -> Tuple[H3Hash, ...]:
+    """``count`` independent H3 hash functions, built once per process.
+
+    A family is a pure function of its arguments and is never mutated,
+    so every signature and machine asking for the same one shares it
+    instead of rebuilding its byte tables.
+    """
+    return tuple(H3Hash(out_bits, seed=seed, lane=i) for i in range(count))
 
 
 def hash_indices(family: Sequence[H3Hash], key: int) -> List[int]:

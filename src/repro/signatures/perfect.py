@@ -24,10 +24,6 @@ class PerfectSignature(Signature):
     def test(self, block_addr: int) -> bool:
         return block_addr in self._members
 
-    def test_many(self, block_addrs) -> list:
-        members = self._members
-        return [addr in members for addr in block_addrs]
-
     def clear(self) -> None:
         self._members.clear()
 

@@ -180,3 +180,72 @@ class TestInstrumentation:
         read_fill, write_fill = htm.signature_fill(0)
         assert read_fill > 0.0
         assert write_fill == 0.0
+
+
+class TestSummaries:
+    def test_summaries_track_live_signatures(self):
+        htm = build(k=2)
+        htm.begin(0, 0)
+        htm.read(0, 0, B)
+        htm.begin(1, 1)
+        htm.write(1, 1, B + 1)
+        txns = htm._txns
+        assert htm._read_summary == txns[0].read_sig.packed
+        assert htm._write_summary == txns[1].write_sig.packed
+        htm.commit(1, 1)
+        assert htm._write_summary == 0
+        htm.abort(0, 0)
+        assert htm._read_summary == 0
+
+    def test_oracle_rejects_a_stale_or_short_summary(self):
+        htm = build(k=2)
+        htm.begin(0, 0)
+        htm.write(0, 0, B)
+        assert "signature_summary" in htm.check_invariants()["checks"]
+        htm._write_summary = 0
+        with pytest.raises(TransactionError, match="write summary misses"):
+            htm.check_invariants()
+        htm._write_summary = htm._txns[0].write_sig.packed
+        htm._read_summary = 1
+        with pytest.raises(TransactionError, match="1 stale bits"):
+            htm.check_invariants()
+
+    def test_perfect_signatures_have_no_summary(self):
+        htm = build(perfect=True)
+        htm.begin(0, 0)
+        htm.write(0, 0, B)
+        htm.begin(1, 1)
+        assert not htm.write(1, 1, B).granted
+        # Txn 0's own write was checked against nobody; txn 1's write
+        # probe hit txn 0, so no read probe followed it.
+        assert htm.sigcheck.snapshot() == {
+            "checks": 2, "summary_clears": 0, "probes": 1}
+        assert "signature_summary" not in htm.check_invariants()["checks"]
+
+
+def _vacation_sigcheck(seed):
+    from repro.common.config import RunConfig, SystemConfig
+    from repro.htm import make_htm
+    from repro.runtime.executor import Executor
+    from repro.workloads import tm_workloads
+
+    trace = tm_workloads()["Vacation-High"].generate(
+        seed=seed, scale=0.001, threads=32)
+    system, cfg = SystemConfig(), HTMConfig()
+    htm = make_htm("LogTM-SE_2xH3", MemorySystem(system), cfg)
+    Executor(htm, trace, RunConfig(system=system, htm=cfg, seed=seed),
+             validate=False, track_history=False).run()
+    return htm.sigcheck.snapshot()
+
+
+def test_sigcheck_counters_are_deterministic_and_mostly_cleared():
+    from repro.obs.metrics import publish_sigcheck
+
+    first = _vacation_sigcheck(3)
+    assert _vacation_sigcheck(3) == first
+    assert first["summary_clears"] / first["checks"] >= 0.8
+    reg = publish_sigcheck(first)
+    assert reg["perf.sigcheck.probes"].value == first["probes"] > 0
+    empty = publish_sigcheck({})
+    assert list(empty.names()) == list(reg.names())
+    assert all(empty[name].value == 0 for name in empty.names())

@@ -1,6 +1,6 @@
 """Columnar helpers: numpy path vs pure-Python fallback, and the
-bulk-query methods (signatures, hit filter, metabit profile) vs
-their scalar reference implementations."""
+bulk-query methods (hit filter, metabit profile) vs their scalar
+reference implementations."""
 
 import random
 
@@ -95,61 +95,6 @@ def test_fallback_kernel_matches_numpy_kernel(monkeypatch):
     fallback = run_cell(cholesky(), "TokenTM", scale=0.004, seed=3,
                         kernel="batch").stats.snapshot()
     assert native == fallback
-
-
-def test_bloom_test_many_matches_test():
-    from repro.common.config import SignatureConfig
-    from repro.signatures.bloom import BloomSignature
-
-    rng = random.Random(11)
-    sig = BloomSignature(SignatureConfig(bits=2048, num_hashes=4),
-                         seed=5)
-    inserted = [rng.randrange(1 << 20) for _ in range(300)]
-    for addr in inserted:
-        sig.insert(addr)
-    probes = inserted[:50] + [rng.randrange(1 << 20) for _ in range(300)]
-    assert sig.test_many(probes) == [sig.test(a) for a in probes]
-    assert all(sig.test_many(inserted))  # no false negatives
-    sig.clear()
-    assert sig.test_many(probes) == [False] * len(probes)
-
-
-def test_perfect_test_many_matches_test():
-    from repro.signatures.perfect import PerfectSignature
-
-    sig = PerfectSignature()
-    for addr in (3, 5, 8):
-        sig.insert(addr)
-    assert sig.test_many([3, 4, 5, 6, 8]) == [True, False, True,
-                                              False, True]
-
-
-def test_signature_base_test_many_default():
-    from repro.signatures.base import Signature
-
-    class Oddball(Signature):
-        def insert(self, block_addr):
-            pass
-
-        def test(self, block_addr):
-            return block_addr % 2 == 1
-
-        def clear(self):
-            pass
-
-        def is_empty(self):
-            return True
-
-        @property
-        def inserted_count(self):
-            return 0
-
-        @property
-        def exact_set(self):
-            return frozenset()
-
-    assert Oddball().test_many([1, 2, 3, 4]) == [True, False, True,
-                                                 False]
 
 
 def test_fast_probe_many_matches_filter_state():

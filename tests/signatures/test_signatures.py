@@ -1,5 +1,7 @@
 """Unit tests for H3 hashing and Bloom/perfect signatures."""
 
+import random
+
 import pytest
 
 from repro.common.config import SignatureConfig
@@ -8,6 +10,7 @@ from repro.signatures import (
     PerfectSignature,
     make_signature,
 )
+from repro.signatures.bloom import mask_cache
 from repro.signatures.h3 import H3Hash, hash_indices, make_h3_family
 
 
@@ -152,3 +155,53 @@ class TestFactory:
     def test_bloom_selection(self):
         sig = make_signature(SignatureConfig(bits=2048, num_hashes=2))
         assert isinstance(sig, BloomSignature)
+
+
+class TestPacked:
+    """The packed vector against a per-bank reference built directly
+    from the H3 functions: bank ``b`` is probed at ``h_b(block)``."""
+
+    def test_packed_test_matches_per_bank_reference(self):
+        rng = random.Random(11)
+        for k in (2, 4):
+            cfg = SignatureConfig(bits=2048, num_hashes=k)
+            bank_bits = 2048 // k
+            family = make_h3_family(k, bank_bits.bit_length() - 1, seed=5)
+            sig = BloomSignature(cfg, seed=5)
+            banks = [0] * k
+            inserted = [rng.randrange(1 << 20) for _ in range(300)]
+            for addr in inserted:
+                sig.insert(addr)
+                for bank, index in enumerate(hash_indices(family, addr)):
+                    banks[bank] |= 1 << index
+
+            def reference(addr):
+                return all((banks[bank] >> index) & 1 for bank, index
+                           in enumerate(hash_indices(family, addr)))
+
+            probes = inserted[:50] + [rng.randrange(1 << 20)
+                                      for _ in range(300)]
+            assert [sig.test(a) for a in probes] == \
+                [reference(a) for a in probes]
+            assert all(sig.test(a) for a in inserted)  # no false negatives
+            assert sig.packed == sum(bank << (b * bank_bits)
+                                     for b, bank in enumerate(banks))
+            sig.clear()
+            assert not any(sig.test(a) for a in probes)
+
+    def test_signatures_share_a_mask_cache(self):
+        cfg = SignatureConfig(bits=2048, num_hashes=2)
+        masks = mask_cache(cfg, seed=1)
+        one = BloomSignature(cfg, masks=masks)
+        two = BloomSignature(cfg, masks=masks)
+        one.insert(42)
+        assert list(masks) == [42]
+        assert not two.test(42)
+        assert list(masks) == [42]  # the probe reused the cached mask
+        assert bin(masks[42]).count("1") == 2  # one bit per bank
+
+    def test_h3_family_built_once_per_arguments(self):
+        assert make_h3_family(4, 9, seed=2) is make_h3_family(4, 9, seed=2)
+        assert make_h3_family(4, 9, seed=2) is not make_h3_family(4, 9,
+                                                                  seed=3)
+        assert isinstance(make_h3_family(2, 10), tuple)
