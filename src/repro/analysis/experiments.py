@@ -99,8 +99,7 @@ def run_trace(trace: WorkloadTrace, variant: str,
               bus: Optional[EventBus] = None,
               fast_path: bool = True,
               faults: Optional[FaultPlan] = None,
-              monitor: Optional[InvariantMonitor] = None,
-              kernel: Optional[str] = None) -> RunStats:
+              monitor: Optional[InvariantMonitor] = None) -> RunStats:
     """Execute an already-generated trace on a fresh machine.
 
     Pass an enabled :class:`~repro.obs.events.EventBus` to trace the
@@ -113,17 +112,13 @@ def run_trace(trace: WorkloadTrace, variant: str,
     default to absent, keeping this path byte-identical to builds
     without the faults subsystem.  A monitor implies commit-history
     tracking (the serializability oracle needs it).
-
-    ``kernel`` picks the hot-loop backend (``repro.kernels``); every
-    backend is byte-identical, so it is purely a speed knob.
     """
     sys_cfg = system or SystemConfig()
     cfg = htm_config or HTMConfig()
     machine = make_htm(variant,
                        MemorySystem(sys_cfg, bus=bus, fast_path=fast_path),
                        cfg)
-    run_cfg = RunConfig(system=sys_cfg, htm=cfg, seed=seed, audit=audit,
-                        kernel=kernel)
+    run_cfg = RunConfig(system=sys_cfg, htm=cfg, seed=seed, audit=audit)
     injector = None
     if faults is not None and faults.specs:
         injector = FaultInjector(faults, seed=seed, bus=bus)
@@ -142,16 +137,14 @@ def run_cell(workload: SyntheticTxnWorkload, variant: str,
              bus: Optional[EventBus] = None,
              fast_path: bool = True,
              faults: Optional[FaultPlan] = None,
-             monitor: Optional[InvariantMonitor] = None,
-             kernel: Optional[str] = None) -> Cell:
+             monitor: Optional[InvariantMonitor] = None) -> Cell:
     """Generate the workload at ``scale`` and run it on ``variant``."""
     sys_cfg = system or SystemConfig()
     nthreads = threads if threads is not None else sys_cfg.num_cores
     trace = workload.generate(seed=seed, scale=scale, threads=nthreads)
     stats = run_trace(trace, variant, system=sys_cfg,
                       htm_config=htm_config, seed=seed, bus=bus,
-                      fast_path=fast_path, faults=faults, monitor=monitor,
-                      kernel=kernel)
+                      fast_path=fast_path, faults=faults, monitor=monitor)
     return Cell(trace.name, variant, seed, stats)
 
 
@@ -162,8 +155,7 @@ def run_variants(workload: SyntheticTxnWorkload,
                  system: Optional[SystemConfig] = None,
                  htm_config: Optional[HTMConfig] = None,
                  runner=None,
-                 fast_path: bool = True,
-                 kernel: Optional[str] = None) -> Dict[str, Cell]:
+                 fast_path: bool = True) -> Dict[str, Cell]:
     """Run one workload across several variants on identical traces.
 
     ``runner`` (a :class:`repro.perf.runner.ParallelRunner`) fans the
@@ -175,14 +167,13 @@ def run_variants(workload: SyntheticTxnWorkload,
 
         specs = grid_specs([workload], tuple(variants), seeds=(seed,),
                            scale=scale, threads=threads, system=system,
-                           htm=htm_config, fast_path=fast_path,
-                           kernel=kernel)
+                           htm=htm_config, fast_path=fast_path)
         cells = _require_complete(runner.run_cells(specs), specs)
         return dict(zip(variants, cells))
     return {
         v: run_cell(workload, v, scale=scale, seed=seed, threads=threads,
                     system=system, htm_config=htm_config,
-                    fast_path=fast_path, kernel=kernel)
+                    fast_path=fast_path)
         for v in variants
     }
 
@@ -207,8 +198,7 @@ def figure_speedups(workload: SyntheticTxnWorkload,
                     system: Optional[SystemConfig] = None,
                     htm_config: Optional[HTMConfig] = None,
                     runner=None,
-                    fast_path: bool = True,
-                    kernel: Optional[str] = None) -> SpeedupSeries:
+                    fast_path: bool = True) -> SpeedupSeries:
     """Speedup of each variant normalized to ``baseline``.
 
     ``runs`` > 1 produces 95% confidence intervals from perturbed
@@ -226,7 +216,7 @@ def figure_speedups(workload: SyntheticTxnWorkload,
         specs = grid_specs(
             [workload], tuple(variants), seeds=tuple(seeds), scale=scale,
             threads=threads, system=system, htm=htm_config,
-            fast_path=fast_path, kernel=kernel,
+            fast_path=fast_path,
         )
         flat = _require_complete(runner.run_cells(specs), specs)
         nv = len(variants)
@@ -238,7 +228,7 @@ def figure_speedups(workload: SyntheticTxnWorkload,
         cells = rounds[i] if rounds is not None else run_variants(
             workload, variants, scale=scale, seed=run_seed,
             threads=threads, system=system, htm_config=htm_config,
-            fast_path=fast_path, kernel=kernel)
+            fast_path=fast_path)
         series.cells.extend(cells.values())
         base = cells[baseline].stats.makespan
         for variant, cell in cells.items():

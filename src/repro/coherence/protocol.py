@@ -334,29 +334,6 @@ class MemorySystem:
             return entry
         return None
 
-    def fast_probe_many(self, core: int, blocks,
-                        is_write: bool = False) -> list:
-        """Gather the hit filter over a whole block column.
-
-        One bool per block: would :meth:`fast_entry` answer this
-        access from the filter right now?  Entirely side-effect-free —
-        no stats, no recency ticks, no E->M folds — so kernels and
-        diagnostics can probe footprints in bulk without perturbing
-        the byte-identical contract.  With the fast path disabled the
-        answer is uniformly False, like :meth:`fast_entry`.
-        """
-        if not self._fast_path:
-            return [False] * len(blocks)
-        filt = self._filters[core]
-        mask = _FILTER_MASK
-        out = []
-        append = out.append
-        for block in blocks:
-            entry = filt[block & mask]
-            append(entry is not None and entry[F_BLOCK] == block
-                   and (not is_write or entry[F_WRITABLE]))
-        return out
-
     def fast_hit(self, core: int, entry: list,
                  is_write: bool) -> AccessResult:
         """Commit a filtered access: bump stats, recency, fold E->M.

@@ -261,10 +261,6 @@ class RunConfig:
     #: Audit bookkeeping/coherence invariants during the run.  Slows
     #: simulation; enabled by default in tests, disabled in benchmarks.
     audit: bool = False
-    #: Hot-loop backend name (``repro.kernels`` registry).  ``None``
-    #: defers to ``$REPRO_KERNEL`` and then to ``interp``; every
-    #: backend is byte-identical, so this is purely a speed knob.
-    kernel: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.max_commits is not None:

@@ -47,10 +47,6 @@ class ReproBundle:
     mutant: Optional[str] = None
     #: Event-trace file the cell replayed (None = synthetic workload).
     trace_file: Optional[str] = None
-    #: Generated hot-loop source when the failing run used a
-    #: code-generating kernel (``spec``); None for hand-written loops.
-    #: Diagnostic only — replay regenerates from the config.
-    kernel_source: Optional[str] = None
 
     def fault_plan(self) -> FaultPlan:
         return FaultPlan.from_dict(self.plan)
@@ -67,7 +63,6 @@ class ReproBundle:
             "skew_tolerance": self.skew_tolerance,
             "mutant": self.mutant,
             "trace_file": self.trace_file,
-            "kernel_source": self.kernel_source,
             "plan": self.plan,
             "error": self.error,
             "faults": self.faults,
@@ -93,6 +88,8 @@ class ReproBundle:
         # Validate the embedded plan eagerly so a corrupt bundle fails
         # at load time, not mid-replay.
         FaultPlan.from_dict(data.get("plan", {}))
+        # Fields are read by name, so keys this version no longer
+        # writes (``kernel_source`` from older bundles) are ignored.
         return cls(
             workload=str(data["workload"]),
             variant=str(data["variant"]),
@@ -103,7 +100,6 @@ class ReproBundle:
             skew_tolerance=data.get("skew_tolerance"),
             mutant=data.get("mutant"),
             trace_file=data.get("trace_file"),
-            kernel_source=data.get("kernel_source"),
             plan=dict(data.get("plan", {})),
             error=dict(data.get("error", {})),
             faults=dict(data.get("faults", {})),

@@ -164,8 +164,7 @@ def _cell_record(cell: ChaosCell,
 
 
 def _work_provenance(cell: ChaosCell, plan: FaultPlan,
-                     trace_digest: Optional[str],
-                     kernel: Optional[str]) -> Dict[str, object]:
+                     trace_digest: Optional[str]) -> Dict[str, object]:
     """Ledger provenance columns for one chaos cell's work row."""
     return {
         "workload": cell.workload,
@@ -173,7 +172,6 @@ def _work_provenance(cell: ChaosCell, plan: FaultPlan,
         "seed": cell.seed,
         "fault_plan": plan.content_hash(),
         "trace_digest": trace_digest,
-        "kernel": kernel,
     }
 
 
@@ -213,8 +211,7 @@ def run_chaos_cell(workload: str = DEFAULT_WORKLOAD,
                    skew_tolerance: Optional[int] = None,
                    mutant: Optional[str] = None,
                    registry=None,
-                   trace_file: Optional[str] = None,
-                   kernel: Optional[str] = None) -> ChaosCell:
+                   trace_file: Optional[str] = None) -> ChaosCell:
     """One chaos run: fresh machine, injected plan, halting monitor.
 
     Deterministic in every input: the same ``(seed, plan)`` replays
@@ -258,8 +255,7 @@ def run_chaos_cell(workload: str = DEFAULT_WORKLOAD,
                                skew_tolerance=skew_tolerance,
                                halt=True, registry=registry, bus=bus)
     executor = Executor(machine, trace,
-                        RunConfig(system=sys_cfg, htm=htm_cfg, seed=seed,
-                                  kernel=kernel),
+                        RunConfig(system=sys_cfg, htm=htm_cfg, seed=seed),
                         quantum=quantum, validate=False,
                         track_history=True, bus=bus,
                         injector=injector, monitor=monitor)
@@ -279,7 +275,6 @@ def run_chaos_cell(workload: str = DEFAULT_WORKLOAD,
             quantum=quantum, cadence=cadence,
             skew_tolerance=skew_tolerance, mutant=mutant,
             trace_file=trace_file,
-            kernel_source=executor.kernel_source,
             plan=plan.to_dict(), error=dict(cell.error),
             faults=injector.snapshot(),
             trace_tail=[e.to_dict() for e in sink.events],
@@ -338,7 +333,6 @@ def run_campaign(workload: str = DEFAULT_WORKLOAD,
                  journal=None,
                  max_cells: Optional[int] = None,
                  trace_file: Optional[str] = None,
-                 kernel: Optional[str] = None,
                  recorder=None,
                  ) -> CampaignResult:
     """Sweep ``seeds`` x ``variants`` under one fault plan.
@@ -354,11 +348,6 @@ def run_campaign(workload: str = DEFAULT_WORKLOAD,
     invocation simulates — the campaign stops there with
     ``interrupted=True`` (useful for sharding a long campaign across
     invocations, and for deterministic interruption tests).
-
-    ``kernel`` picks the hot-loop backend for every cell.  Backends
-    are byte-identical, so journal keys deliberately ignore it: a
-    campaign interrupted under one kernel can resume under another
-    and the merged cells still agree.
 
     ``recorder`` (a :class:`~repro.landscape.store.RunRecorder`)
     mirrors the campaign into the result landscape: each cell's work
@@ -403,7 +392,7 @@ def run_campaign(workload: str = DEFAULT_WORKLOAD,
                         "chaos_cell", key,
                         "ok" if cell.ok else "failed",
                         detail="resumed from journal",
-                        **_work_provenance(cell, plan, digest, kernel))
+                        **_work_provenance(cell, plan, digest))
                 if progress is not None:
                     progress(cell)
                 continue
@@ -415,19 +404,18 @@ def run_campaign(workload: str = DEFAULT_WORKLOAD,
                     "chaos_cell", key,
                     workload=workload, variant=resolve_variant(variant),
                     seed=seed, fault_plan=plan.content_hash(),
-                    trace_digest=digest, kernel=kernel)
+                    trace_digest=digest)
             cell = run_chaos_cell(
                 workload=workload, variant=variant, seed=seed, plan=plan,
                 scale=scale, quantum=quantum, cadence=cadence,
                 skew_tolerance=skew_tolerance, mutant=mutant,
-                trace_file=trace_file, kernel=kernel,
+                trace_file=trace_file,
             )
             if not cell.ok and shrink:
                 cell = _shrink_failure(cell, plan, workload, variant,
                                        seed, scale, quantum, cadence,
                                        skew_tolerance, mutant,
-                                       trace_file=trace_file,
-                                       kernel=kernel)
+                                       trace_file=trace_file)
             result.cells.append(cell)
             bundle_path = None
             if (not cell.ok and out_dir is not None
@@ -458,8 +446,7 @@ def _shrink_failure(cell: ChaosCell, plan: FaultPlan, workload: str,
                     variant: str, seed: int, scale: float, quantum: int,
                     cadence: int, skew_tolerance: Optional[int],
                     mutant: Optional[str],
-                    trace_file: Optional[str] = None,
-                    kernel: Optional[str] = None) -> ChaosCell:
+                    trace_file: Optional[str] = None) -> ChaosCell:
     """Replace a failing cell with one reproduced on a minimal plan."""
 
     def still_fails(candidate: FaultPlan) -> bool:
@@ -467,7 +454,7 @@ def _shrink_failure(cell: ChaosCell, plan: FaultPlan, workload: str,
             workload=workload, variant=variant, seed=seed, plan=candidate,
             scale=scale, quantum=quantum, cadence=cadence,
             skew_tolerance=skew_tolerance, mutant=mutant,
-            trace_file=trace_file, kernel=kernel,
+            trace_file=trace_file,
         ).ok
 
     minimal = shrink_plan(plan, still_fails)
@@ -477,7 +464,7 @@ def _shrink_failure(cell: ChaosCell, plan: FaultPlan, workload: str,
         workload=workload, variant=variant, seed=seed, plan=minimal,
         scale=scale, quantum=quantum, cadence=cadence,
         skew_tolerance=skew_tolerance, mutant=mutant,
-        trace_file=trace_file, kernel=kernel,
+        trace_file=trace_file,
     )
     # Shrinking must preserve the failure; fall back to the original
     # cell if a flaky interaction made the minimal plan pass.

@@ -3,7 +3,7 @@
 Everything the simulator produces — grid cells, chaos campaign
 cells, bench sections — can be recorded into one sqlite-backed,
 crash-safe store with full provenance (content hashes, fault-plan
-hashes, trace digests, kernel, seed, schema versions, git rev).  The
+hashes, trace digests, seed, schema versions, git rev).  The
 store is a double-entry outcome ledger: work is *opened* when
 dispatched and must reach exactly one terminal outcome; ``repro
 audit`` enforces the invariant after the fact, ``repro query`` reads

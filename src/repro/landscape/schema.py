@@ -8,7 +8,7 @@ the provenance needed to trust them later:
     One row per producing invocation — a grid run, a chaos campaign,
     or a bench run.  Carries the provenance common to everything the
     invocation produced: git revision, ``CACHE_SCHEMA`` /
-    ``BENCH_SCHEMA`` versions, kernel backend, seed, wall-clock
+    ``BENCH_SCHEMA`` versions, seed, wall-clock
     timestamps, the end-of-run metrics snapshot, and (for bench runs)
     the full payload JSON that ``repro query`` and
     ``repro bench --baseline`` read back.
@@ -19,7 +19,10 @@ the provenance needed to trust them later:
     content hash for grid cells, the
     :func:`~repro.faults.campaign.campaign_cell_key` for chaos cells,
     the section name for bench sections — plus per-unit provenance
-    (workload, variant, seed, fault-plan hash, trace digest, kernel).
+    (workload, variant, seed, fault-plan hash, trace digest).  Both
+    tables keep a historical ``kernel`` column: rows written while the
+    simulator had selectable hot-loop backends name the backend, and
+    newer rows leave it NULL.
 ``outcomes``
     One row per *terminal* outcome (the credit side): ``ok`` /
     ``failed`` / ``quarantined`` / ``interrupted``.  The ledger

@@ -288,7 +288,6 @@ class LandscapeStore:
                   git_rev: Optional[str] = None,
                   cache_schema: Optional[int] = None,
                   bench_schema: Optional[str] = None,
-                  kernel: Optional[str] = None,
                   seed: Optional[int] = None,
                   provenance: Optional[Dict] = None) -> "RunRecorder":
         """Open a run row (status ``open``) and return its recorder."""
@@ -296,10 +295,10 @@ class LandscapeStore:
             raise LedgerError(f"unknown run kind {kind!r}")
         run_id = self._write(
             "INSERT INTO runs (kind, label, status, started_unix, "
-            "git_rev, cache_schema, bench_schema, kernel, seed, "
-            "provenance) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+            "git_rev, cache_schema, bench_schema, seed, "
+            "provenance) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
             (kind, label, RUN_OPEN, time.time(), git_rev, cache_schema,
-             bench_schema, kernel, seed,
+             bench_schema, seed,
              json.dumps(provenance, sort_keys=True) if provenance else None),
         )
         if self.metrics is not None:
@@ -329,17 +328,16 @@ class LandscapeStore:
                   seed: Optional[int] = None,
                   fault_plan: Optional[str] = None,
                   trace_digest: Optional[str] = None,
-                  kernel: Optional[str] = None,
                   provenance: Optional[Dict] = None) -> int:
         """Record the debit: a unit of work was dispatched."""
         if kind not in WORK_KINDS:
             raise LedgerError(f"unknown work kind {kind!r}")
         work_id = self._write(
             "INSERT INTO work (run_id, kind, key, workload, variant, "
-            "seed, fault_plan, trace_digest, kernel, opened_unix, "
-            "provenance) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+            "seed, fault_plan, trace_digest, opened_unix, "
+            "provenance) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
             (run_id, kind, key, workload, variant, seed, fault_plan,
-             trace_digest, kernel, time.time(),
+             trace_digest, time.time(),
              json.dumps(provenance, sort_keys=True) if provenance else None),
         )
         if self.metrics is not None:

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from repro.common.errors import MetastateError
-from repro.common.vector import histogram_dict, state_counts
 from repro.core.metastate import META_ZERO, Meta
 
 #: 2-bit State encodings from Table 4(a).
@@ -142,23 +141,6 @@ class MetabitStore:
     def active_blocks(self) -> Tuple[int, ...]:
         """Blocks whose home metastate is not (0, -)."""
         return tuple(self._bits.keys())
-
-    def state_counts(self) -> Dict[str, int]:
-        """Columnar fission/fusion profile of the whole store.
-
-        One vectorized pass over the raw 16-bit words (numpy when
-        installed, a plain loop otherwise) histograms the 2-bit State
-        field: how many blocks sit fissioned across readers
-        (``count``/``reader``), fused at a writer (``writer``), or
-        overflowed into software (``overflow``).  Diagnostic only —
-        never consulted by the simulation itself.
-        """
-        counts = state_counts(self._bits.values(), ATTR_BITS, 0b11, 4)
-        profile = histogram_dict(
-            ("count", "reader", "writer", "overflow"), counts
-        )
-        profile["active_blocks"] = len(self._bits)
-        return profile
 
     def page_out(self, blocks) -> Dict[int, int]:
         """Save and clear metabits for a page's blocks (paging support).

@@ -276,63 +276,3 @@ def publish_sigcheck(snapshot: Dict[str, int],
     for name in SIGCHECK_COUNTERS:
         reg.counter(f"perf.sigcheck.{name}").inc(int(snapshot.get(name, 0)))
     return reg
-
-
-#: Canonical ``kernels.*`` counters published for the batch backend.
-#: Pre-registered at zero by :func:`publish_kernels` so an interp-only
-#: (or numpy-less) run's metrics snapshot has the same key set — and
-#: untraced runs stay byte-identical across backends.  In particular
-#: ``kernels.batch.numpy`` stays 0 when the pure-Python fallback ran.
-KERNEL_COUNTERS: Tuple[str, ...] = (
-    "kernels.batch.numpy",
-    "kernels.batch.quanta",
-    "kernels.batch.compute_batches",
-    "kernels.batch.compute_ops_vectorized",
-    "kernels.batch.compute_max_batch",
-    "kernels.batch.mem_runs",
-    "kernels.batch.mem_ops_batched",
-    "kernels.batch.mem_run_flushes",
-    "kernels.batch.columns_built",
-    "kernels.spec.quanta",
-    "kernels.spec.source_bytes",
-    "kernels.spec.columns_built",
-)
-
-#: Spec-kernel telemetry that is a *last-written value*, not a count:
-#: the native gauge (1 = a compiled extension ran, 0 = the pure-Python
-#: exec fallback) and the codegen/compile wall milliseconds.  Kept as
-#: gauges so the fractional milliseconds survive and a re-publish
-#: overwrites rather than accumulates.
-KERNEL_GAUGES: Tuple[str, ...] = (
-    "kernels.spec.native",
-    "kernels.spec.codegen_ms",
-    "kernels.spec.compile_ms",
-)
-
-
-def publish_kernels(kernel: str, snapshot: Dict[str, int],
-                    registry: Optional[MetricsRegistry] = None,
-                    prefix: str = "kernels") -> MetricsRegistry:
-    """Expose a kernel's telemetry snapshot as ``kernels.<name>.*``.
-
-    Like the fast-path counters, kernel telemetry describes how the
-    simulator computed, not what the simulated machine did — it lives
-    outside ``RunStats`` and reaches the observability namespace here.
-    The canonical :data:`KERNEL_COUNTERS` and :data:`KERNEL_GAUGES`
-    are pre-registered at zero first, so dashboards can tell "interp
-    ran" (all zeros) apart from "not instrumented" (keys absent).
-    In particular ``kernels.batch.numpy`` and ``kernels.spec.native``
-    stay 0 when the respective fallback path ran.
-    """
-    reg = registry if registry is not None else MetricsRegistry()
-    for name in KERNEL_COUNTERS:
-        reg.counter(name)
-    for name in KERNEL_GAUGES:
-        reg.gauge(name)
-    for name, value in sorted(snapshot.items()):
-        full = f"{prefix}.{kernel}.{name}"
-        if full in KERNEL_GAUGES:
-            reg.gauge(full).set(value)
-        else:
-            reg.counter(full).inc(int(value))
-    return reg

@@ -53,7 +53,9 @@ from typing import Any, Dict, Optional
 #:    contract, but they must never share entries: a cross-kernel
 #:    verification run answered from the other backend's cache would
 #:    silently prove nothing.
-CACHE_SCHEMA = 5
+#: 6: the ``kernel`` field is gone again: the executor has one hot
+#:    loop, so there is no backend left to key on.
+CACHE_SCHEMA = 6
 
 #: Default cache directory (overridable via the environment).
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"

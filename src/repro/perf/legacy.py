@@ -18,7 +18,10 @@ as it was before quantum-boundary fault hooks existed, which the
 ``faultbench`` section times against the shipped NULL-injector path
 to prove the disabled subsystem costs nothing.
 
-Nothing outside the benchmark harness should use this module.
+Because it is written independently of ``Executor._run_quantum``,
+:class:`LegacyExecutor` is also the reference that tests hold the
+executor's hot loop to (identical statistics).  Nothing outside the
+benchmark harness and those tests should use this module.
 """
 
 from __future__ import annotations

@@ -56,7 +56,6 @@ from repro.common.config import HTMConfig, SystemConfig
 from repro.common.errors import IncompleteGridError
 from repro.faults.monitor import InvariantMonitor
 from repro.faults.plan import FaultPlan
-from repro.kernels import resolve_kernel_name
 from repro.obs.metrics import PERF_RESILIENCE_COUNTERS, MetricsRegistry
 from repro.perf.cache import ResultCache, cell_key
 from repro.perf.supervise import (
@@ -109,13 +108,6 @@ class CellSpec:
     #: Run the invariant monitor (adds a ``monitor`` stats section,
     #: hence also key material).
     monitor: bool = False
-    #: Hot-loop backend (``repro.kernels``).  Always a concrete
-    #: registry name — :func:`grid_specs` resolves the env fallback so
-    #: specs hash stably.  Backends are byte-identical, but the name
-    #: stays key material (CACHE_SCHEMA 5) so a cross-kernel
-    #: verification run never gets answered from the other backend's
-    #: cache entry.
-    kernel: str = "interp"
 
     def payload(self) -> Dict[str, object]:
         """Key material for :func:`repro.perf.cache.cell_key`."""
@@ -130,7 +122,6 @@ class CellSpec:
             "fast_path": self.fast_path,
             "faults": self.faults,
             "monitor": self.monitor,
-            "kernel": self.kernel,
         }
 
     def fault_plan(self) -> Optional[FaultPlan]:
@@ -150,18 +141,16 @@ def grid_specs(workloads: Iterable[Union[SyntheticTxnWorkload,
                htm: Optional[HTMConfig] = None,
                fast_path: bool = True,
                faults: Optional[FaultPlan] = None,
-               monitor: bool = False,
-               kernel: Optional[str] = None) -> List[CellSpec]:
+               monitor: bool = False) -> List[CellSpec]:
     """The full cross product, in deterministic (wl, seed, variant) order."""
     sys_cfg = system or SystemConfig()
     htm_cfg = htm or HTMConfig()
     plan_json = faults.canonical_json() if faults is not None \
         and faults.specs else None
-    kernel_name = resolve_kernel_name(kernel)
     return [
         CellSpec(wl.spec, variant, seed=seed, scale=scale, threads=threads,
                  system=sys_cfg, htm=htm_cfg, fast_path=fast_path,
-                 faults=plan_json, monitor=monitor, kernel=kernel_name)
+                 faults=plan_json, monitor=monitor)
         for wl in workloads
         for seed in seeds
         for variant in variants
@@ -187,7 +176,6 @@ def _work_provenance(spec: CellSpec) -> Dict[str, object]:
         "seed": spec.seed,
         "fault_plan": plan_hash,
         "trace_digest": digest,
-        "kernel": spec.kernel,
     }
 
 
@@ -203,8 +191,7 @@ def _simulate(spec: CellSpec) -> Tuple[Cell, float]:
                     system=spec.system, htm_config=spec.htm,
                     fast_path=spec.fast_path,
                     faults=spec.fault_plan(),
-                    monitor=InvariantMonitor() if spec.monitor else None,
-                    kernel=spec.kernel)
+                    monitor=InvariantMonitor() if spec.monitor else None)
     return cell, perf_counter() - start
 
 

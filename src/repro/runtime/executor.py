@@ -24,7 +24,6 @@ from repro.common.errors import SimulationError
 from repro.faults.injector import NULL_INJECTOR
 from repro.faults.monitor import NULL_MONITOR
 from repro.htm.base import HTM, ConflictKind
-from repro.kernels import SimulationKernel, make_kernel
 from repro.obs.events import AbortCause, EventBus, EventKind
 from repro.runtime.contention import Resolution, TimestampManager
 from repro.runtime.history import HistoryValidator
@@ -126,8 +125,7 @@ class Executor:
                  policy: Optional[TimestampManager] = None,
                  bus: Optional[EventBus] = None,
                  injector=None,
-                 monitor=None,
-                 kernel=None):
+                 monitor=None):
         if validate:
             validate_trace(trace)
         ncores = htm.mem.config.num_cores
@@ -197,26 +195,6 @@ class Executor:
         table[OP_SIGNAL] = self._signal
         table[OP_WAIT] = self._wait
         self._dispatch = table
-        # Hot-loop backend (repro.kernels).  ``kernel`` accepts a
-        # SimulationKernel instance or a registry name; None defers to
-        # RunConfig.kernel, then $REPRO_KERNEL, then "interp".  The
-        # kernel attaches last: it hoists the dispatch table and
-        # thread list built above.
-        if isinstance(kernel, SimulationKernel):
-            self._kernel = kernel
-        else:
-            self._kernel = make_kernel(
-                kernel if kernel is not None else config.kernel
-            )
-        self._kernel.attach(self)
-        # The scheduler loops dispatch through this bound method: the
-        # kernel's directly when possible (saves a delegation frame on
-        # every quantum), the overriding ``_run_quantum`` when a
-        # subclass (perf/legacy.py A/B executors) replaced the loop.
-        if type(self)._run_quantum is Executor._run_quantum:
-            self._quantum_fn = self._kernel.run_quantum
-        else:
-            self._quantum_fn = self._run_quantum
 
     # ------------------------------------------------------------------
 
@@ -245,7 +223,7 @@ class Executor:
     def _run_dedicated(self) -> None:
         """One thread per core: min-clock quantum interleaving."""
         faults_on = self._injector.enabled or self._monitor.enabled
-        run_quantum = self._quantum_fn
+        run_quantum = self._run_quantum
         by_tid = self._by_tid
         heappop = heapq.heappop
         heappush = heapq.heappush
@@ -283,6 +261,7 @@ class Executor:
         # lazily popped when they surface.  Ties break on the lower
         # core id, exactly like min() over range(ncores).
         free_heap: List[tuple] = [(0, c) for c in range(ncores)]
+        run_quantum = self._run_quantum
         heap = [(t.clock, t.tid) for t in self._threads if not t.done]
         heapq.heapify(heap)
         while heap:
@@ -317,7 +296,6 @@ class Executor:
             thread.clock = start
             thread.core = core
             deadline = thread.clock + self._timeslice
-            run_quantum = self._quantum_fn
             while not thread.done and thread.clock < deadline:
                 run_quantum(thread)
                 if faults_on:
@@ -330,15 +308,76 @@ class Executor:
     # ------------------------------------------------------------------
 
     def _run_quantum(self, thread: _Thread) -> None:
-        """Advance ``thread`` by at most one scheduler quantum.
+        """Interpret ops until the quantum expires or the thread yields.
 
-        The loop itself lives in the selected
-        :class:`~repro.kernels.base.SimulationKernel` backend
-        (``interp`` is the former inline body, verbatim).  Kept as a
-        plain method — not an attribute bound at init — so the A/B
-        subclasses in :mod:`repro.perf.legacy` can still override it.
+        This is the simulator's innermost loop; it is written for the
+        CPython interpreter, not for elegance.  Loop-invariant lookups
+        (bus enablement, the op list and its length, the dispatch
+        table) are hoisted into locals, the doom check is inlined
+        instead of going through the ``_Thread.doomed`` property, the
+        dominant COMPUTE opcode short-circuits before the table, and
+        runs of consecutive COMPUTEs retire in an inner loop that
+        skips the doom check (nothing can doom this thread while only
+        it advances time).
         """
-        self._kernel.run_quantum(thread)
+        deadline = thread.clock + self._quantum
+        bus = self._bus
+        bus_enabled = bus.enabled
+        ops = thread.ops
+        nops = len(ops)
+        dispatch = self._dispatch
+        op_compute = OP_COMPUTE
+        # clock and pc live in locals; they sync to the thread object
+        # only around handler calls (handlers read and mutate them).
+        # COMPUTE — the single most common opcode — never leaves this
+        # frame: it touches only locals plus the doom-check reads.
+        clock = thread.clock
+        pc = thread.pc
+        while clock < deadline:
+            if thread.in_txn and thread.doomed_epoch == thread.txn_epoch:
+                thread.clock = clock
+                thread.pc = pc
+                if bus_enabled:
+                    bus.now = clock
+                self._abort(thread, AbortCause.CM_KILL)
+                clock = thread.clock
+                pc = thread.pc
+                continue
+            if pc >= nops:
+                thread.clock = clock
+                thread.pc = pc
+                thread.done = True
+                return
+            opcode, arg = ops[pc]
+            if opcode == op_compute:
+                # Consume the whole run of consecutive COMPUTE ops in
+                # one tight loop: no other thread executes while this
+                # one advances its clock, so the doom state checked
+                # above cannot change until the next handler call.
+                clock += arg
+                pc += 1
+                while clock < deadline and pc < nops:
+                    opcode, arg = ops[pc]
+                    if opcode != op_compute:
+                        break
+                    clock += arg
+                    pc += 1
+                continue
+            thread.clock = clock
+            thread.pc = pc
+            if bus_enabled:
+                # Machine-level emissions (tokens, conflicts,
+                # coherence) have no clock of their own: give the bus
+                # the running thread's clock as the default stamp.
+                bus.now = clock
+            if dispatch[opcode](thread, arg) is False:
+                return  # blocked on a lock; re-queued with a later clock
+            clock = thread.clock
+            pc = thread.pc
+            if thread.done:
+                return
+        thread.clock = clock
+        thread.pc = pc
 
     # ------------------------------------------------------------------
     # Fault injection & invariant monitoring (repro.faults)
@@ -358,25 +397,6 @@ class Executor:
     def quantum(self) -> int:
         """Scheduler quantum (the natural cross-thread clock skew)."""
         return self._quantum
-
-    @property
-    def kernel(self) -> str:
-        """Name of the active hot-loop backend."""
-        return self._kernel.name
-
-    @property
-    def kernel_source(self) -> Optional[str]:
-        """Generated source of a code-generating backend (``spec``),
-        ``None`` for the hand-written loops.  Embedded in chaos repro
-        bundles so a violation under a specialized kernel ships the
-        exact loop that ran."""
-        return getattr(self._kernel, "source", None)
-
-    def kernel_stats(self) -> Dict[str, int]:
-        """The backend's own telemetry (published as ``kernels.*``
-        metrics); strictly outside RunStats so every backend reports
-        byte-identical simulation results."""
-        return self._kernel.snapshot()
 
     def _quantum_boundary(self, thread: _Thread) -> None:
         """Drive the injector and monitor after one thread's quantum.

@@ -41,26 +41,22 @@ class TestReplay:
         assert not again.ok
         assert again.error == cell.error
 
-    def test_bundle_embeds_spec_kernel_source(self):
+    def test_bundle_from_older_version_with_kernel_source(self):
+        """Bundles written while the hot loop had selectable backends
+        carry a ``kernel_source`` field: they still load and replay,
+        and re-saving drops the field."""
         from repro.faults.bundle import ReproBundle
 
-        cell = run_chaos_cell(seed=0, scale=0.002, mutant="token_leak",
-                              kernel="spec")
+        cell = run_chaos_cell(seed=0, scale=0.002, mutant="token_leak")
         assert not cell.ok
-        bundle = cell.bundle
-        # The exact generated loop that ran ships with the failure.
-        assert bundle.kernel_source is not None
-        assert "def run_quantum" in bundle.kernel_source
-        again = ReproBundle.from_dict(bundle.to_dict())
-        assert again.kernel_source == bundle.kernel_source
-        # Hand-written loops have nothing to embed; older bundles
-        # without the key still load.
-        interp_cell = run_chaos_cell(seed=0, scale=0.002,
-                                     mutant="token_leak")
-        assert interp_cell.bundle.kernel_source is None
-        legacy = bundle.to_dict()
-        del legacy["kernel_source"]
-        assert ReproBundle.from_dict(legacy).kernel_source is None
+        current = cell.bundle.to_dict()
+        assert "kernel_source" not in current
+        older = dict(current, kernel_source="def run_quantum(thread): ...")
+        loaded = ReproBundle.from_dict(older)
+        assert loaded.to_dict() == current
+        assert not hasattr(loaded, "kernel_source")
+        again = replay_bundle(loaded)
+        assert again.error == cell.error
 
     def test_bundle_file_round_trip(self, tmp_path):
         result = run_campaign(variants=("tokentm",), seeds=range(1),

@@ -25,8 +25,8 @@ def test_run_work_outcome_roundtrip(tmp_path):
     registry = MetricsRegistry()
     with LandscapeStore(_db(tmp_path), metrics=registry) as store:
         rec = store.begin_run(
-            "grid", label="test", git_rev="abc123", cache_schema=5,
-            kernel="interp", seed=7, provenance={"note": "roundtrip"})
+            "grid", label="test", git_rev="abc123", cache_schema=6,
+            seed=7, provenance={"note": "roundtrip"})
         rec.open("cell", "deadbeef", workload="Tiny", variant="TokenTM",
                  seed=7)
         rec.event("retry", "attempt 2", key=("cell", "deadbeef"))
@@ -38,14 +38,17 @@ def test_run_work_outcome_roundtrip(tmp_path):
         assert run["kind"] == "grid"
         assert run["status"] == "ok"
         assert run["git_rev"] == "abc123"
-        assert run["cache_schema"] == 5
-        assert run["kernel"] == "interp"
+        assert run["cache_schema"] == 6
+        # Historical column: only rows from older versions name a
+        # hot-loop backend.
+        assert run["kernel"] is None
         assert run["seed"] == 7
         assert run["healed"] == 0
         assert run["finished_unix"] >= run["started_unix"]
         work, = store.work_rows()
         assert (work["kind"], work["key"]) == ("cell", "deadbeef")
         assert work["workload"] == "Tiny"
+        assert work["kernel"] is None
         outcome, = store.outcome_rows()
         assert outcome["work_id"] == work["id"]
         assert outcome["outcome"] == "ok"

@@ -38,7 +38,7 @@ def test_runner_records_cells_with_provenance(tmp_path):
         assert work["workload"] == "Tiny"
         assert work["variant"] == "TokenTM"
         assert work["seed"] == 1
-        assert work["kernel"]  # resolved backend name, never null
+        assert work["kernel"] is None  # historical column
         outcome, = store.outcome_rows()
         assert outcome["outcome"] == "ok"
         assert outcome["detail"] == "simulated"

@@ -27,30 +27,6 @@ class TestParser:
         from repro.workloads import tm_workloads
         assert set(DEFAULT_SCALES) == set(tm_workloads())
 
-    def test_kernels_listed(self, capsys, monkeypatch):
-        from repro.kernels import ENV_KERNEL, KERNEL_NAMES
-
-        monkeypatch.delenv(ENV_KERNEL, raising=False)
-        assert main(["kernels"]) == 0
-        out = capsys.readouterr().out
-        for name in KERNEL_NAMES:
-            assert name in out
-        assert "default: interp" in out
-        assert "selected: interp" in out
-        assert "native=" in out
-
-    def test_kernels_json(self, capsys, monkeypatch):
-        from repro.kernels import ENV_KERNEL, KERNEL_NAMES
-
-        monkeypatch.setenv(ENV_KERNEL, "spec")
-        assert main(["kernels", "--json"]) == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["env"] == "spec"
-        assert data["selected"] == "spec"
-        assert [r["name"] for r in data["kernels"]] == list(KERNEL_NAMES)
-        spec_row = data["kernels"][-1]
-        assert "native" in spec_row and "numpy" in spec_row
-
     def test_bench_only_choices_enforced(self):
         parser = build_parser()
         args = parser.parse_args(["bench", "--only", "membench",
