@@ -45,21 +45,26 @@ class L1Cache:
     Evictions are *chosen* here but *performed* by the protocol layer
     (which must notify the directory — the paper requires non-silent
     evictions so TokenTM's metastate can follow the data home).
+
+    ``sets``, ``set_mask`` and ``ways`` are read directly by the
+    protocol engine's access path; only this class mutates them.
     """
 
     def __init__(self, geometry: CacheGeometry, core: int):
         self._geometry = geometry
         self._core = core
-        self._sets: List[Dict[int, CacheLine]] = [
+        #: One block -> line dict per set.  Sets hold valid lines only:
+        #: invalidation and eviction remove a line outright.
+        self.sets: List[Dict[int, CacheLine]] = [
             {} for _ in range(geometry.num_sets)
         ]
         # ``geometry.set_index`` recomputes the set count per call;
         # the set count is a power of two, so a stored mask suffices.
-        self._set_mask = geometry.num_sets - 1
+        self.set_mask = geometry.num_sets - 1
         self._tick = 0
-        #: Usable ways per set; fault injection lowers this below the
-        #: geometry's associativity to create capacity pressure.
-        self._ways = geometry.associativity
+        #: Usable ways per set (<= geometry associativity); fault
+        #: injection lowers this to create capacity pressure.
+        self.ways = geometry.associativity
 
     @property
     def core(self) -> int:
@@ -69,15 +74,9 @@ class L1Cache:
     def geometry(self) -> CacheGeometry:
         return self._geometry
 
-    def _set_for(self, block: int) -> Dict[int, CacheLine]:
-        return self._sets[block & self._set_mask]
-
     def lookup(self, block: int) -> Optional[CacheLine]:
-        """Return the line for ``block`` if present and valid."""
-        line = self._sets[block & self._set_mask].get(block)
-        if line is not None and line.state is MESI.INVALID:
-            return None
-        return line
+        """Return the line for ``block`` if present (always valid)."""
+        return self.sets[block & self.set_mask].get(block)
 
     def touch(self, block: int) -> None:
         """Refresh LRU recency of a resident block."""
@@ -103,21 +102,21 @@ class L1Cache:
         Returns None when the set has a free way (or the block is
         already resident).  The LRU-minimal valid line is chosen.
         """
-        cache_set = self._set_for(block)
+        cache_set = self.sets[block & self.set_mask]
         if block in cache_set:
             return None
-        if len(cache_set) < self._ways:
+        if len(cache_set) < self.ways:
             return None
         return min(cache_set.values(), key=lambda ln: ln.lru)
 
     def install(self, block: int, state: MESI) -> CacheLine:
         """Place a block (caller must have evicted a victim first)."""
-        cache_set = self._set_for(block)
+        cache_set = self.sets[block & self.set_mask]
         if block in cache_set:
             raise CoherenceError(
                 f"block {block:#x} already resident in core {self._core} L1"
             )
-        if len(cache_set) >= self._ways:
+        if len(cache_set) >= self.ways:
             raise CoherenceError(
                 f"set full installing block {block:#x} in core {self._core} L1"
             )
@@ -128,18 +127,13 @@ class L1Cache:
 
     def remove(self, block: int) -> CacheLine:
         """Drop a block (eviction or invalidation)."""
-        cache_set = self._set_for(block)
+        cache_set = self.sets[block & self.set_mask]
         line = cache_set.pop(block, None)
         if line is None:
             raise CoherenceError(
                 f"block {block:#x} not resident in core {self._core} L1"
             )
         return line
-
-    @property
-    def ways(self) -> int:
-        """Ways per set currently usable (<= geometry associativity)."""
-        return self._ways
 
     def set_way_limit(self, ways: int) -> List[int]:
         """Restrict (or restore) the usable ways per set.
@@ -150,10 +144,10 @@ class L1Cache:
         directory is notified and metastate follows the data home —
         this method only *selects* overflow, it never drops lines.
         """
-        self._ways = max(1, min(ways, self._geometry.associativity))
+        self.ways = max(1, min(ways, self._geometry.associativity))
         overflow: List[int] = []
-        for cache_set in self._sets:
-            excess = len(cache_set) - self._ways
+        for cache_set in self.sets:
+            excess = len(cache_set) - self.ways
             if excess > 0:
                 victims = sorted(cache_set.values(), key=lambda ln: ln.lru)
                 overflow.extend(ln.block for ln in victims[:excess])
@@ -161,9 +155,9 @@ class L1Cache:
 
     def lines(self) -> Iterator[CacheLine]:
         """Iterate over all valid resident lines."""
-        for cache_set in self._sets:
+        for cache_set in self.sets:
             yield from cache_set.values()
 
     def resident_count(self) -> int:
         """Number of valid lines currently held."""
-        return sum(len(s) for s in self._sets)
+        return sum(len(s) for s in self.sets)

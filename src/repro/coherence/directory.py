@@ -44,19 +44,20 @@ class Directory:
     """Exact full-map directory over all blocks ever referenced."""
 
     def __init__(self) -> None:
-        self._entries: Dict[int, DirectoryEntry] = {}
+        #: Block -> entry.  The protocol engine's miss path indexes
+        #: this directly; :meth:`entry` is the same lookup-or-create.
+        self.entries: Dict[int, DirectoryEntry] = {}
 
     def entry(self, block: int) -> DirectoryEntry:
         """Fetch (creating on first touch) the entry for a block."""
-        entry = self._entries.get(block)
+        entry = self.entries.get(block)
         if entry is None:
-            entry = DirectoryEntry()
-            self._entries[block] = entry
+            entry = self.entries[block] = DirectoryEntry()
         return entry
 
     def peek(self, block: int) -> Optional[DirectoryEntry]:
         """Entry if the block has ever been referenced, else None."""
-        return self._entries.get(block)
+        return self.entries.get(block)
 
     def record_shared_fill(self, block: int, core: int) -> None:
         """A core received a shared copy."""
@@ -127,4 +128,4 @@ class Directory:
 
     def blocks(self):
         """Iterate over (block, entry) pairs with any history."""
-        return self._entries.items()
+        return self.entries.items()

@@ -26,12 +26,19 @@ from typing import List, Optional, Set, Tuple
 from repro.common.config import SystemConfig
 from repro.common.errors import CoherenceError
 from repro.coherence.cache import CacheLine, L1Cache, MESI
-from repro.coherence.directory import Directory, DirState
+from repro.coherence.directory import Directory, DirectoryEntry, DirState
 from repro.interconnect.topology import TiledTopology
 from repro.obs.events import NULL_BUS, EventBus, EventKind
 
 #: Pseudo-holder id for the memory/L2 home copy in listener callbacks.
 MEMORY_HOLDER = -1
+
+# The access path compares states several times per miss, and on
+# CPython 3.11 reading an enum member off its class costs several times
+# a module-global read, so the members it tests are bound here once.
+_MODIFIED, _EXCLUSIVE, _SHARED = MESI.MODIFIED, MESI.EXCLUSIVE, MESI.SHARED
+_DIR_UNCACHED, _DIR_SHARED, _DIR_EXCLUSIVE = (
+    DirState.UNCACHED, DirState.SHARED, DirState.EXCLUSIVE)
 
 
 class CoherenceListener:
@@ -127,8 +134,10 @@ FILTER_SLOTS = 512
 _FILTER_MASK = FILTER_SLOTS - 1
 
 # Filter entry layout: [block, line, writable, interned AccessResult].
-# Public so the HTM layer can peek at the line's metastate between
-# fast_entry() and fast_hit().
+# The result is interned on the entry's first filtered hit (None until
+# then): most entries a miss installs are never hit.  Public so the HTM
+# layer can peek at the line's metastate between fast_entry() and
+# fast_hit().
 F_BLOCK, F_LINE, F_WRITABLE, F_RESULT = 0, 1, 2, 3
 
 
@@ -181,6 +190,7 @@ class MemorySystem:
             L1Cache(config.l1, core) for core in range(config.num_cores)
         ]
         self._directory = Directory()
+        self._dir_entries = self._directory.entries
         self._l2_present: Set[int] = set()
         self._zero_filled: List[Tuple[int, int]] = []
         self.stats = ProtocolStats()
@@ -235,15 +245,15 @@ class MemorySystem:
         """Describe what ``access`` with these arguments would do."""
         line = self._caches[core].lookup(block)
         if line is not None:
-            if not is_write or line.state in (MESI.MODIFIED, MESI.EXCLUSIVE):
+            if not is_write or line.state in (_MODIFIED, _EXCLUSIVE):
                 return AccessPreview(True, False, (), None)
             # Write hit on a shared line: upgrade through the directory.
             others = tuple(sorted(self.holders(block) - {core}))
             return AccessPreview(True, True, others, None)
         entry = self._directory.peek(block)
-        if entry is None or entry.state is DirState.UNCACHED:
+        if entry is None or entry.state is _DIR_UNCACHED:
             return AccessPreview(False, True, (), None)
-        if entry.state is DirState.EXCLUSIVE:
+        if entry.state is _DIR_EXCLUSIVE:
             owner = entry.owner
             if is_write:
                 return AccessPreview(False, True, (owner,), None)
@@ -302,10 +312,11 @@ class MemorySystem:
             self.stats.reads += 1
 
         cache = self._caches[core]
-        line = cache.lookup(block)
+        cache_set = cache.sets[block & cache.set_mask]
+        line = cache_set.get(block)
         if line is not None:
             return self._access_hit(core, cache, line, block, is_write)
-        return self._access_miss(core, cache, block, is_write)
+        return self._access_miss(core, cache, cache_set, block, is_write)
 
     # ------------------------------------------------------------------
     # The hit filter
@@ -340,7 +351,8 @@ class MemorySystem:
 
         Performs exactly the bookkeeping the slow path's pure-hit
         branch would (counter bumps, one LRU tick, silent E->M on
-        write) and returns the entry's interned result.
+        write) and returns the entry's interned result, interning it
+        on first use.
         """
         stats = self.stats
         fp = self.fastpath
@@ -348,24 +360,26 @@ class MemorySystem:
         if is_write:
             stats.writes += 1
             fp.coherence_write_hits += 1
-            if line.state is not MESI.MODIFIED:
+            if line.state is not _MODIFIED:
                 # Silent E->M upgrade, same as the slow hit path.
-                line.state = MESI.MODIFIED
+                line.state = _MODIFIED
         else:
             stats.reads += 1
             fp.coherence_read_hits += 1
         stats.l1_hits += 1
         self._caches[core].touch_line(line)
-        return entry[F_RESULT]
+        result = entry[F_RESULT]
+        if result is None:
+            result = entry[F_RESULT] = AccessResult(self._lat.l1_hit,
+                                                    True, line)
+        return result
 
     def _filter_install(self, core: int, line: CacheLine,
                         result: Optional[AccessResult] = None) -> None:
         """Memoize a stable hit.  Callers guard on ``self._fast_path``."""
-        if result is None:
-            result = AccessResult(self._lat.l1_hit, True, line)
         block = line.block
         self._filters[core][block & _FILTER_MASK] = [
-            block, line, line.state is not MESI.SHARED, result,
+            block, line, line.state is not _SHARED, result,
         ]
         self.fastpath.installs += 1
 
@@ -382,15 +396,15 @@ class MemorySystem:
                     block: int, is_write: bool) -> AccessResult:
         lat = self._lat
         cache.touch_line(line)
-        if not is_write or line.state is MESI.MODIFIED:
+        if not is_write or line.state is _MODIFIED:
             self.stats.l1_hits += 1
             result = AccessResult(lat.l1_hit, True, line)
             if self._fast_path:
                 self._filter_install(core, line, result)
             return result
-        if line.state is MESI.EXCLUSIVE:
+        if line.state is _EXCLUSIVE:
             # Silent E->M upgrade; directory already records exclusivity.
-            line.state = MESI.MODIFIED
+            line.state = _MODIFIED
             self.stats.l1_hits += 1
             result = AccessResult(lat.l1_hit, True, line)
             if self._fast_path:
@@ -401,7 +415,7 @@ class MemorySystem:
         self.stats.upgrades += 1
         invalidated = self._invalidate_others(core, block)
         self._directory.record_upgrade(block, core)
-        line.state = MESI.MODIFIED
+        line.state = _MODIFIED
         latency = (lat.l1_hit + self._directory_round_trip(core, block)
                    + self._invalidation_latency(core, block, invalidated))
         if self._fast_path:
@@ -409,96 +423,98 @@ class MemorySystem:
         return AccessResult(latency, True, line, upgraded=True,
                             invalidated=invalidated)
 
-    def _access_miss(self, core: int, cache: L1Cache, block: int,
-                     is_write: bool) -> AccessResult:
-        self.stats.l1_misses += 1
-        evicted = self._make_room(core, cache, block)
-        entry = self._directory.entry(block)
+    def _access_miss(self, core: int, cache: L1Cache, cache_set: dict,
+                     block: int, is_write: bool) -> AccessResult:
+        """Fill ``block`` into ``core``'s L1; ``cache_set`` is its set.
+
+        Every transactional first touch lands here, and so does every
+        new log block, so the directory lookup-or-create and the round
+        trip are computed inline, and the victim search runs only when
+        the set is full.
+        """
+        stats = self.stats
+        stats.l1_misses += 1
+        if len(cache_set) >= cache.ways:
+            self.evict(core, cache.victim_for(block).block)
+            evicted = True
+        else:
+            evicted = False
+        entry = self._dir_entries.get(block)
+        if entry is None:
+            entry = self._dir_entries[block] = DirectoryEntry()
         lat = self._lat
         topo = self._topology
-        latency = self._directory_round_trip(core, block)
+        bank = block & self._bank_mask
+        latency = 2 * topo.core_bank_lat[core][bank] + lat.directory
         source = MEMORY_HOLDER
         invalidated: Tuple[int, ...] = ()
+        state = entry.state
 
-        if entry.state is DirState.EXCLUSIVE:
+        if state is _DIR_EXCLUSIVE:
             owner = entry.owner
             assert owner is not None
             source = owner
-            self.stats.cache_to_cache += 1
+            stats.cache_to_cache += 1
             # Forward request to owner, data comes core-to-core.
-            latency += (topo.core_to_bank_latency(
-                owner, block & self._bank_mask)
-                + topo.core_to_core_latency(owner, core))
+            latency += (topo.core_bank_lat[owner][bank]
+                        + topo.core_core_lat[owner][core])
             if is_write:
                 owner_line = self._caches[owner].remove(block)
                 self._filter_drop(owner, block)
                 self._listener.on_invalidate(owner, block, owner_line, core)
-                self.stats.invalidations += 1
-                entry.state = DirState.UNCACHED
+                stats.invalidations += 1
+                entry.state = _DIR_UNCACHED
                 entry.owner = None
                 invalidated = (owner,)
             else:
                 owner_line = self._caches[owner].lookup(block)
                 assert owner_line is not None
-                owner_line.state = MESI.SHARED
+                owner_line.state = _SHARED
                 self._filter_drop(owner, block)
                 self._directory.record_downgrade(block, core)
                 self._listener.on_downgrade(owner, block, owner_line, core)
-                self.stats.downgrades += 1
+                stats.downgrades += 1
             self._l2_present.add(block)
         else:
-            if entry.state is DirState.SHARED and is_write:
+            if is_write and state is _DIR_SHARED:
                 invalidated = self._invalidate_others(core, block)
                 latency += self._invalidation_latency(core, block, invalidated)
-            if block in self._l2_present or self._is_zero_filled(block):
+            l2_present = self._l2_present
+            if block in l2_present or self._is_zero_filled(block):
                 latency += lat.l2_hit
-                self._l2_present.add(block)
             else:
-                self.stats.memory_fetches += 1
-                bank = block & self._bank_mask
+                stats.memory_fetches += 1
                 latency += (lat.memory
                             + 2 * topo.bank_to_memory_latency(bank, block))
-                self._l2_present.add(block)
+            l2_present.add(block)
 
         if is_write:
-            new_line = cache.install(block, MESI.MODIFIED)
+            new_line = cache.install(block, _MODIFIED)
             # Entry may be freshly UNCACHED or drained of sharers.
-            entry.state = DirState.EXCLUSIVE
+            entry.state = _DIR_EXCLUSIVE
             entry.owner = core
             entry.sharers.clear()
+            shared = False
+        elif entry.state is _DIR_SHARED:
+            # Already shared, or the owner's downgrade just made it so.
+            new_line = cache.install(block, _SHARED)
+            entry.sharers.add(core)
+            shared = True
         else:
-            shared = entry.state is DirState.SHARED
-            new_state = MESI.SHARED if shared else MESI.EXCLUSIVE
-            new_line = cache.install(block, new_state)
-            if shared:
-                entry.sharers.add(core)
-            else:
-                entry.state = (DirState.SHARED if source != MEMORY_HOLDER
-                               else DirState.EXCLUSIVE)
-                if entry.state is DirState.EXCLUSIVE:
-                    entry.owner = core
-                else:  # downgrade path already set sharers
-                    pass
+            new_line = cache.install(block, _EXCLUSIVE)
+            entry.state = _DIR_EXCLUSIVE
+            entry.owner = core
+            shared = False
 
-        self._listener.on_fill(core, block, new_line,
-                               shared=new_line.state is MESI.SHARED,
-                               source=source)
+        self._listener.on_fill(core, block, new_line, shared, source)
         if self._fast_path:
             self._filter_install(core, new_line)
-        return AccessResult(latency, False, new_line, filled=True,
-                            source=source, invalidated=invalidated,
-                            evicted_victim=evicted)
+        return AccessResult(latency, False, new_line, False, True, source,
+                            invalidated, evicted)
 
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-
-    def _make_room(self, core: int, cache: L1Cache, block: int) -> bool:
-        victim = cache.victim_for(block)
-        if victim is None:
-            return False
-        self.evict(core, victim.block)
-        return True
 
     def evict(self, core: int, block: int) -> None:
         """Non-silent eviction of ``block`` from ``core``'s L1.
@@ -535,7 +551,7 @@ class MemorySystem:
 
     def _invalidate_others(self, core: int, block: int) -> Tuple[int, ...]:
         entry = self._directory.entry(block)
-        if entry.state is not DirState.SHARED:
+        if entry.state is not _DIR_SHARED:
             return ()
         others = sorted(entry.sharers - {core})
         for other in others:

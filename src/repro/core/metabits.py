@@ -66,8 +66,6 @@ class CacheMetabits:
         reader = self.r or self.rp or self.rplus
         if writer and reader:
             raise MetastateError("writer and reader metabits both set")
-        if self.w and self.wp:
-            raise MetastateError("two writers encoded")
 
     def is_clear(self) -> bool:
         """True for the inactive encoding of ``(0, -)``."""

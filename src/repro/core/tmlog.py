@@ -20,14 +20,15 @@ real coherence access for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, NamedTuple, Tuple
 
 from repro.common.config import BLOCK_SHIFT
 from repro.common.errors import TransactionError
 
 #: Words per cache block (64 bytes / 8-byte words).
 WORDS_PER_BLOCK = 8
+#: Word offset -> block offset: 8-byte words in 2**BLOCK_SHIFT-byte blocks.
+_WORD_TO_BLOCK_SHIFT = BLOCK_SHIFT - 3
 #: Words in a read record: address only.
 READ_RECORD_WORDS = 1
 #: Words in a write record: address + token count + old data image.
@@ -39,9 +40,13 @@ LOG_REGION_BASE_BLOCK = 1 << 40
 LOG_REGION_BLOCKS_PER_THREAD = 1 << 18
 
 
-@dataclass(frozen=True)
-class LogRecord:
-    """One log entry: a token credit and (for writes) the old value."""
+class LogRecord(NamedTuple):
+    """One log entry: a token credit and (for writes) the old value.
+
+    A named tuple: one is built per log append, i.e. per first touch
+    of a block, and a tuple is far cheaper to build than a frozen
+    dataclass while staying immutable and hashable.
+    """
 
     block: int
     tokens: int
@@ -91,7 +96,7 @@ class TmLog:
         return not self._records
 
     def _block_of_word(self, word_offset: int) -> int:
-        return self._base_block + (word_offset * 8 >> BLOCK_SHIFT)
+        return self._base_block + (word_offset >> _WORD_TO_BLOCK_SHIFT)
 
     def current_block(self) -> int:
         """Log block the next append will write to."""
@@ -106,12 +111,15 @@ class TmLog:
         """
         if tokens <= 0:
             raise TransactionError("log record must credit at least 1 token")
-        record = LogRecord(block, tokens, is_write)
-        first = self._block_of_word(self._pointer_words)
-        self._pointer_words += record.words
-        last = self._block_of_word(self._pointer_words - 1)
-        self._records.append(record)
-        self.max_words = max(self.max_words, self._pointer_words)
+        self._records.append(LogRecord(block, tokens, is_write))
+        start = self._pointer_words
+        end = start + (WRITE_RECORD_WORDS if is_write else READ_RECORD_WORDS)
+        self._pointer_words = end
+        if end > self.max_words:
+            self.max_words = end
+        # The record spans words [start, end): blocks first..last.
+        first = self._base_block + (start >> _WORD_TO_BLOCK_SHIFT)
+        last = self._base_block + ((end - 1) >> _WORD_TO_BLOCK_SHIFT)
         if first == last:
             return (first,)
         return tuple(range(first, last + 1))

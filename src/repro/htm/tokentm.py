@@ -110,7 +110,8 @@ class TokenTM(HTM, CoherenceListener):
         # repeat access to a block whose R/W metabit the transaction
         # already holds is always a granted L1 hit, so one immutable
         # outcome per machine covers every such access.
-        l1_hit = mem.config.latency.l1_hit
+        self._lat = mem.config.latency
+        l1_hit = self._lat.l1_hit
         self._fast_read_outcome = AccessOutcome(True, l1_hit)
         self._fast_write_outcome = AccessOutcome(True, l1_hit)
         mem.set_listener(self)
@@ -175,11 +176,9 @@ class TokenTM(HTM, CoherenceListener):
         self._merge_into_line(core, line, pend)
 
     def _absorb_home(self, core: int, block: int, line: CacheLine) -> None:
-        home = self._store.load(block)
-        if home.total == 0:
-            return
-        self._store.store(block, META_ZERO)
-        self._merge_into_line(core, line, home)
+        home = self._store.take(block)
+        if home.total:
+            self._merge_into_line(core, line, home)
 
     def _post_access(self, core: int, block: int,
                      result: AccessResult) -> CacheLine:
@@ -189,9 +188,11 @@ class TokenTM(HTM, CoherenceListener):
             # An S->M upgrade gets no fill event; absorb the home
             # shard and the invalidated sharers' shards here.
             self._absorb_home(core, block, line)
-        self._drain_pending(core, block, line)
+        if self._pending:
+            self._drain_pending(core, block, line)
         mb = line.meta
-        if mb is not None:
+        if mb is not None and mb.rp and mb.rplus:
+            # Only the post-switch R'+R+ transient needs fusing.
             mb.fuse_transient()
         return line
 
@@ -223,12 +224,14 @@ class TokenTM(HTM, CoherenceListener):
             return
         # Exclusive fill: the single coherent copy carries the whole
         # metastate — absorb the home shard and any invalidation acks.
-        meta = self._store.load(block)
-        self._store.store(block, META_ZERO)
-        pend = self._pending.pop((core, block), None)
-        if pend is not None:
-            meta = fuse(meta, pend, self._tpb)
-        self._write_meta(line, meta, core)
+        meta = self._store.take(block)
+        if self._pending:
+            pend = self._pending.pop((core, block), None)
+            if pend is not None:
+                meta = fuse(meta, pend, self._tpb)
+        if meta.total:
+            # A freshly installed line has no metabits to clear.
+            self._write_meta(line, meta, core)
 
     def on_invalidate(self, core: int, block: int, line: CacheLine,
                       requester: int) -> None:
@@ -287,7 +290,7 @@ class TokenTM(HTM, CoherenceListener):
         if tid not in self._logs:
             self._logs[tid] = TmLog(tid)
         self._units[core].begin(tid)
-        return self.mem.config.latency.txn_begin
+        return self._lat.txn_begin
 
     def _txn(self, tid: int) -> _Txn:
         txn = self._txns.get(tid)
@@ -298,16 +301,16 @@ class TokenTM(HTM, CoherenceListener):
     def _log_append(self, core: int, tid: int, block: int, tokens: int,
                     is_write: bool) -> int:
         """Write a log record; returns cycles including log stalls."""
-        lat = self.mem.config.latency
-        log = self._logs[tid]
+        lat = self._lat
+        access = self.mem.access
+        stats = self.stats
         cycles = 0
-        for log_block in log.append(block, tokens, is_write):
-            res = self.mem.access(core, log_block, True)
-            cycles += res.latency + lat.log_write
-            stall = res.latency - lat.l1_hit
-            if stall > 0:
-                self.stats.log_stall_cycles += stall
-        self.stats.log_write_cycles += cycles
+        for log_block in self._logs[tid].append(block, tokens, is_write):
+            latency = access(core, log_block, True).latency
+            cycles += latency + lat.log_write
+            if latency > lat.l1_hit:
+                stats.log_stall_cycles += latency - lat.l1_hit
+        stats.log_write_cycles += cycles
         return cycles
 
     def read(self, core: int, tid: int, block: int) -> AccessOutcome:
@@ -334,34 +337,38 @@ class TokenTM(HTM, CoherenceListener):
         line = self._post_access(core, block, result)
         latency = result.latency
         mb = line.meta
-        if mb is not None and (mb.r or mb.w):
+        if mb is None:
+            # (0, -): Table 2 grants the load and debits one token, so
+            # the R bit is set without decoding a metastate.
+            line.meta = CacheMetabits(r=True, attr=tid)
+        elif mb.r or mb.w:
             # Token already held by this transaction: pure hardware hit.
             txn.read_set.add(block)
             return AccessOutcome(True, latency)
-        meta = self._meta_of(line, core)
-        verdict = acquire_read(meta, tid, self._tpb)
-        if not verdict.granted:
-            self.stats.conflicts += 1
-            if self.bus.enabled:
-                self.bus.emit(EventKind.CONFLICT, tid=tid, core=core,
-                              block=block, conflict_kind="writer",
-                              access="read")
-            info = ConflictInfo(
-                block, ConflictKind.WRITER,
-                hints=(verdict.owner_hint,) if verdict.owner_hint is not None
-                else (), complete=verdict.owner_hint is not None,
-            )
-            return AccessOutcome(False, latency, info)
-        if verdict.acquired:
-            if mb is None:
-                mb = CacheMetabits()
-                line.meta = mb
+        else:
+            verdict = acquire_read(self._meta_of(line, core), tid, self._tpb)
+            if not verdict.granted:
+                self.stats.conflicts += 1
+                if self.bus.enabled:
+                    self.bus.emit(EventKind.CONFLICT, tid=tid, core=core,
+                                  block=block, conflict_kind="writer",
+                                  access="read")
+                hint = verdict.owner_hint
+                info = ConflictInfo(
+                    block, ConflictKind.WRITER,
+                    hints=(hint,) if hint is not None else (),
+                    complete=hint is not None,
+                )
+                return AccessOutcome(False, latency, info)
+            if not verdict.acquired:
+                txn.read_set.add(block)
+                return AccessOutcome(True, latency)
             mb.set_read(tid)
-            self._units[core].mark(block)
-            if self.bus.enabled:
-                self.bus.emit(EventKind.TOKEN_ACQUIRE, tid=tid, core=core,
-                              block=block, tokens=1, write=False)
-            latency += self._log_append(core, tid, block, 1, False)
+        self._units[core].mark(block)
+        if self.bus.enabled:
+            self.bus.emit(EventKind.TOKEN_ACQUIRE, tid=tid, core=core,
+                          block=block, tokens=1, write=False)
+        latency += self._log_append(core, tid, block, 1, False)
         txn.read_set.add(block)
         return AccessOutcome(True, latency)
 
@@ -380,36 +387,41 @@ class TokenTM(HTM, CoherenceListener):
                     self.mem.fast_hit(core, entry, True)
                     self.mem.fastpath.htm_write_hits += 1
                     return self._fast_write_outcome
-        hints_key = (core, block)
         result = self.mem.access(core, block, True)
         line = self._post_access(core, block, result)
-        ack_hints = tuple(self._pending_hints.pop(hints_key, ()))
+        ack_hints = (tuple(self._pending_hints.pop((core, block), ()))
+                     if self._pending_hints else ())
         latency = result.latency
         mb = line.meta
-        if mb is not None and mb.w:
+        if mb is None and self._core_tid[core] == tid:
+            # (0, -): Table 2 grants the store all T tokens, so the W
+            # bit is set without decoding a metastate.
+            line.meta = CacheMetabits(w=True, attr=tid)
+            acquired = self._tpb
+        elif mb is not None and mb.w:
             txn.write_set.add(block)
             return AccessOutcome(True, latency)
-        meta = self._meta_of(line, core)
-        verdict = acquire_write(meta, tid, self._tpb)
-        if not verdict.granted:
-            # The handler returns a complete outcome in every case —
-            # including the self-upgrade, whose log append may evict
-            # the very line we hold a reference to, so no code may
-            # touch ``line`` after it.
-            return self._handle_write_conflict(
-                core, tid, txn, block, line, meta, verdict.owner_hint,
-                ack_hints, latency,
-            )
-        if verdict.acquired:
-            self._write_meta(line, verdict.meta, core)
+        else:
+            meta = self._meta_of(line, core)
+            verdict = acquire_write(meta, tid, self._tpb)
+            if not verdict.granted:
+                # The handler returns a complete outcome in every case
+                # — including the self-upgrade, whose log append may
+                # evict the very line we hold a reference to, so no
+                # code may touch ``line`` after it.
+                return self._handle_write_conflict(
+                    core, tid, txn, block, line, meta, verdict.owner_hint,
+                    ack_hints, latency,
+                )
+            acquired = verdict.acquired
+            if acquired:
+                self._write_meta(line, verdict.meta, core)
+        if acquired:
             self._units[core].mark(block)
             if self.bus.enabled:
                 self.bus.emit(EventKind.TOKEN_ACQUIRE, tid=tid, core=core,
-                              block=block, tokens=verdict.acquired,
-                              write=True)
-            latency += self._log_append(
-                core, tid, block, verdict.acquired, True
-            )
+                              block=block, tokens=acquired, write=True)
+            latency += self._log_append(core, tid, block, acquired, True)
         txn.write_set.add(block)
         return AccessOutcome(True, latency)
 
@@ -457,7 +469,7 @@ class TokenTM(HTM, CoherenceListener):
             txn.write_set.add(block)
             return AccessOutcome(
                 True,
-                latency + cycles + self.mem.config.latency.conflict_trap,
+                latency + cycles + self._lat.conflict_trap,
             )
         if not complete:
             # Hardware hints insufficient: the contention manager must
@@ -465,7 +477,7 @@ class TokenTM(HTM, CoherenceListener):
             # conflict info handed out is complete.
             readers = self._readers_from_logs(block, exclude=tid)
             self.stats.log_walk_resolutions += 1
-            latency += self.mem.config.latency.conflict_trap
+            latency += self._lat.conflict_trap
             if not readers:
                 # Logs say every debit is ours after all.
                 cycles = self._self_upgrade(core, tid, block, line, meta)
@@ -511,7 +523,7 @@ class TokenTM(HTM, CoherenceListener):
 
     def commit(self, core: int, tid: int) -> CommitOutcome:
         txn = self._txn(tid)
-        lat = self.mem.config.latency
+        lat = self._lat
         unit = self._units[core]
         log = self._logs[tid]
         if unit.eligible:
@@ -547,7 +559,7 @@ class TokenTM(HTM, CoherenceListener):
 
     def abort(self, core: int, tid: int) -> CommitOutcome:
         txn = self._txn(tid)
-        lat = self.mem.config.latency
+        lat = self._lat
         log = self._logs[tid]
         cycles = lat.conflict_trap
         # Undo pass: newest-first, restore old values of written blocks.
@@ -569,7 +581,6 @@ class TokenTM(HTM, CoherenceListener):
 
     def _software_release(self, core: int, tid: int, log: TmLog) -> int:
         """Walk the log reading records, then return all tokens."""
-        lat = self.mem.config.latency
         cycles = 0
         for _record, log_block in log.walk_forward():
             res = self.mem.access(core, log_block, False)
@@ -586,20 +597,33 @@ class TokenTM(HTM, CoherenceListener):
         the release — the coherence cost the paper models with loads
         and stores.
         """
-        lat = self.mem.config.latency
-        cycles = len(log.records) * lat.token_release
+        cycles = log.entry_count * self._lat.token_release
+        tpb = self._tpb
+        cache = self.mem.cache(core)
         bus = self.bus
         for block, count in log.token_credits().items():
             if bus.enabled:
                 bus.emit(EventKind.TOKEN_RELEASE, tid=tid, core=core,
                          block=block, tokens=count)
-            line = self.mem.cache(core).lookup(block)
+            line = cache.lookup(block)
+            mb = line.meta if line is not None else None
+            if mb is not None:
+                # The common releases, decided on the metabits alone:
+                # (T, X) -> (0, -) from the exclusive copy, and
+                # (1, X) -> (0, -).  Both leave the line inactive.
+                if mb.w or mb.wp:
+                    if count == tpb and line.state is not MESI.SHARED:
+                        line.meta = None
+                        continue
+                elif count == 1 and (mb.r or mb.rp) and not mb.rplus:
+                    line.meta = None
+                    continue
             meta = self._meta_of(line, core) if line is not None else META_ZERO
             # Tokens are fungible (see core.metastate.release): any
             # local tokens may satisfy the release, whatever their
             # identity label says.
             covered = meta.total >= count
-            if covered and meta.total == self._tpb:
+            if covered and meta.total == tpb:
                 # Writer state replicates to shared copies (fission
                 # rule 3), so releasing it requires the exclusive
                 # copy — otherwise stale (T, X) replicas would
@@ -612,7 +636,7 @@ class TokenTM(HTM, CoherenceListener):
                 self._pending_hints.pop((core, block), None)
                 cycles += res.latency
                 meta = self._meta_of(line, core)
-            new_meta = release(meta, tid, count, self._tpb)
+            new_meta = release(meta, tid, count, tpb)
             assert line is not None
             self._write_meta(line, new_meta, core)
         return cycles
@@ -691,7 +715,7 @@ class TokenTM(HTM, CoherenceListener):
             self.bus.emit(EventKind.FLASH_OR, core=core,
                           tid=self._core_tid[core], lines=flashed)
         self._core_tid[core] = None
-        return self.mem.config.latency.fast_release
+        return self._lat.fast_release
 
     def schedule(self, core: int, tid: int) -> None:
         """Resume thread ``tid`` on ``core`` (after a context switch)."""

@@ -65,7 +65,10 @@ class TiledTopology:
         # The grid is static, so every hop distance the protocol can
         # ask for is precomputed here; the per-access cost becomes two
         # list indexes instead of TilePosition allocation/arithmetic.
-        # At the paper's scale these tables are tiny (32x32 ints).
+        # At the paper's scale these tables are tiny (32x32 ints).  The
+        # core-to-bank and core-to-core latency tables are public so the
+        # protocol's miss path can index them without a call; jitter
+        # replaces them whole, so readers fetch them from here each use.
         hop = config.latency.hop
         core_pos = [self._cluster_pos[core // config.cores_per_cluster]
                     for core in range(config.num_cores)]
@@ -82,10 +85,10 @@ class TiledTopology:
              for mc in range(nmc)]
             for bank in range(config.l2_banks)
         ]
-        self._core_bank_lat = [
+        self.core_bank_lat = [
             [hops * hop for hops in row] for row in self._core_bank_hops
         ]
-        self._core_core_lat = [
+        self.core_core_lat = [
             [hops * hop for hops in row] for row in self._core_core_hops
         ]
         self._bank_mc_lat = [
@@ -135,11 +138,11 @@ class TiledTopology:
 
     def core_to_bank_latency(self, core: int, bank: int) -> int:
         """One-way cycles from a core to an L2 bank (precomputed)."""
-        return self._core_bank_lat[core][bank]
+        return self.core_bank_lat[core][bank]
 
     def core_to_core_latency(self, a: int, b: int) -> int:
         """One-way cycles between two cores (precomputed)."""
-        return self._core_core_lat[a][b]
+        return self.core_core_lat[a][b]
 
     def bank_to_memory_latency(self, bank: int, block_addr: int) -> int:
         """One-way cycles from a bank to the block's controller."""
@@ -165,11 +168,11 @@ class TiledTopology:
         if amplitude < 0:
             raise ConfigError(f"jitter amplitude must be >= 0: {amplitude}")
         hop = self._config.latency.hop
-        self._core_bank_lat = [
+        self.core_bank_lat = [
             [hops * hop + rng.randint(0, amplitude) for hops in row]
             for row in self._core_bank_hops
         ]
-        self._core_core_lat = [
+        self.core_core_lat = [
             [hops * hop + rng.randint(0, amplitude) for hops in row]
             for row in self._core_core_hops
         ]
@@ -181,10 +184,10 @@ class TiledTopology:
     def clear_jitter(self) -> None:
         """Restore the noise-free latency tables."""
         hop = self._config.latency.hop
-        self._core_bank_lat = [
+        self.core_bank_lat = [
             [hops * hop for hops in row] for row in self._core_bank_hops
         ]
-        self._core_core_lat = [
+        self.core_core_lat = [
             [hops * hop for hops in row] for row in self._core_core_hops
         ]
         self._bank_mc_lat = [

@@ -134,6 +134,19 @@ class MetabitStore:
             meta, self._tokens_per_block
         )
 
+    def take(self, block: int) -> Meta:
+        """Move a block's home metastate out, leaving ``(0, -)``.
+
+        Exactly :meth:`load` followed by ``store(block, META_ZERO)``,
+        overflow excess included, in one step: an exclusive fill or
+        upgrade absorbs the whole home shard into the cached copy.
+        """
+        bits = self._bits.pop(block, None)
+        excess = self._overflow_excess.pop(block, 0)
+        if bits is None:
+            return META_ZERO
+        return decode_memory_metabits(bits, self._tokens_per_block, excess)
+
     def raw_bits(self, block: int) -> int:
         """The 16-bit in-memory representation (0 if never written)."""
         return self._bits.get(block, 0)

@@ -67,6 +67,25 @@ class TestIllegalCombinations:
         with pytest.raises(MetastateError):
             CacheMetabits(w=True, rplus=True)
 
+    @pytest.mark.parametrize("bits,message", [
+        ({"r": True, "rp": True}, "R and R' simultaneously set"),
+        ({"w": True, "wp": True}, "W and W' simultaneously set"),
+        ({"w": True, "r": True}, "writer and reader metabits both set"),
+        ({"w": True, "rp": True}, "writer and reader metabits both set"),
+        ({"wp": True, "rplus": True}, "writer and reader metabits both set"),
+    ])
+    def test_each_illegal_combination_has_its_own_message(self, bits,
+                                                          message):
+        with pytest.raises(MetastateError, match=f"^{message}$"):
+            CacheMetabits(**bits)
+        # check() rejects the same bits when they are set after
+        # construction, as the hardware update paths do.
+        mb = CacheMetabits()
+        for name, value in bits.items():
+            setattr(mb, name, value)
+        with pytest.raises(MetastateError, match=f"^{message}$"):
+            mb.check()
+
 
 class TestSetRead:
     def test_from_clear(self):

@@ -111,3 +111,35 @@ class TestTokenCredits:
 def test_log_record_words_property():
     assert LogRecord(0x1, 1, False).words == READ_RECORD_WORDS
     assert LogRecord(0x1, 8, True).words == WRITE_RECORD_WORDS
+
+
+class TestLogRecord:
+    def test_fields(self):
+        record = LogRecord(0x1, 8, True)
+        assert (record.block, record.tokens, record.is_write) == (0x1, 8, True)
+
+    def test_equality_and_hashing(self):
+        assert LogRecord(0x1, 1, False) == LogRecord(0x1, 1, False)
+        assert LogRecord(0x1, 1, False) != LogRecord(0x1, 1, True)
+        assert LogRecord(0x1, 1, False) != LogRecord(0x2, 1, False)
+        records = {LogRecord(0x1, 1, False), LogRecord(0x1, 1, False),
+                   LogRecord(0x1, 8, True)}
+        assert len(records) == 2
+
+    def test_immutable(self):
+        record = LogRecord(0x1, 1, False)
+        with pytest.raises(AttributeError):
+            record.block = 0x2
+
+    def test_exported_from_core(self):
+        import repro.core
+
+        assert repro.core.LogRecord is LogRecord
+        assert "LogRecord" in repro.core.__all__
+
+    def test_walks_yield_the_appended_records(self):
+        log = TmLog(0)
+        log.append(0xA, 1, False)
+        log.append(0xB, 8, True)
+        assert [rec for rec, _ in log.walk_forward()] == [
+            LogRecord(0xA, 1, False), LogRecord(0xB, 8, True)]

@@ -96,6 +96,54 @@ class TestStore:
         assert set(store.active_blocks()) == {0xA, 0xB}
 
 
+class TestTake:
+    """``take`` is exactly ``load`` followed by ``store(META_ZERO)``."""
+
+    @staticmethod
+    def _pair(tokens_per_block, block, meta):
+        taken, reference = (MetabitStore(tokens_per_block)
+                            for _ in range(2))
+        for store in (taken, reference):
+            store.store(block, meta)
+            store.store(block + 1, Meta(2, None))  # a bystander block
+        return taken, reference
+
+    @staticmethod
+    def _load_then_clear(store, block):
+        meta = store.load(block)
+        store.store(block, META_ZERO)
+        return meta
+
+    @pytest.mark.parametrize("meta", [
+        META_ZERO, Meta(1, 5), Meta(42, None), Meta(T, 7),
+    ])
+    def test_matches_load_then_clear(self, meta):
+        taken, reference = self._pair(T, 0xA, meta)
+        assert taken.take(0xA) == self._load_then_clear(reference, 0xA)
+        for store in (taken, reference):
+            assert store.load(0xA) == META_ZERO
+            assert store.raw_bits(0xA) == 0
+        assert taken.active_blocks() == reference.active_blocks()
+
+    def test_matches_load_then_clear_with_overflow_excess(self):
+        big_t = 1 << 16
+        meta = Meta(ATTR_MAX + 100, None)
+        taken, reference = self._pair(big_t, 0xA, meta)
+        overflow_bits = taken.raw_bits(0xA)
+        assert taken.take(0xA) == meta
+        assert self._load_then_clear(reference, 0xA) == meta
+        # The excess leaves with the bits: overflow bits restored later
+        # (a page-in) decode without the old excess in both stores.
+        for store in (taken, reference):
+            store.page_in({0xA: overflow_bits})
+        assert taken.load(0xA) == reference.load(0xA) == Meta(ATTR_MAX, None)
+
+    def test_untouched_block_takes_as_inactive(self):
+        store = MetabitStore(T)
+        assert store.take(0xA) == META_ZERO
+        assert store.active_blocks() == ()
+
+
 class TestPaging:
     def test_page_out_saves_and_clears(self):
         store = MetabitStore(T)
