@@ -41,13 +41,14 @@ out over processes, ``--cache-dir`` to reuse finished cells across
 invocations, and the supervision flags
 (``--cell-timeout``/``--max-retries``/``--failure-policy``) to
 survive hung or dying workers (``docs/robustness.md``, "Surviving
-the host").  ``chaos`` checkpoints campaigns with
-``--journal``/``--resume``/``--max-cells``; an interrupted campaign
-exits 3 and resumes from the last finished cell.
+the host").
 
 ``bench`` and ``chaos`` take ``--landscape DB`` to record every run
 (and every cell within it) into the durable result landscape
-(``docs/landscape.md``); ``audit`` and ``query`` read it back.  Each
+(``docs/landscape.md``); ``audit`` and ``query`` read it back.  The
+landscape is also a chaos campaign's checkpoint: ``--max-cells`` or a
+signal interrupts a campaign with exit 3, and ``--resume`` continues
+it from the last finished cell the store records.  Each
 command's exit-code contract is spelled out in its ``--help`` epilog
 and collected in ``docs/robustness.md``.
 """
@@ -567,7 +568,7 @@ def cmd_chaos(args) -> int:
     from repro.faults.bundle import ReproBundle
     from repro.faults.campaign import replay_bundle, run_campaign
     from repro.faults.plan import FaultPlan, default_plan
-    from repro.perf.supervise import CampaignJournal, flush_on_signals
+    from repro.perf.supervise import flush_on_signals
 
     if args.replay:
         bundle = ReproBundle.load(args.replay)
@@ -601,46 +602,40 @@ def cmd_chaos(args) -> int:
         print(f"  {cell.workload} / {cell.variant} seed {cell.seed}: "
               f"{status}")
 
-    journal_path = args.journal
-    if args.resume and not journal_path:
-        journal_path = "chaos-journal.jsonl"
-    journal = None
-    if journal_path:
-        try:
-            journal = CampaignJournal(journal_path, resume=args.resume)
-        except ConfigError as exc:
-            print(f"chaos: {exc}", file=sys.stderr)
-            return 2
-
     subject = (f"trace {args.trace_file}" if args.trace_file
                else args.workload)
-    if not args.json:
-        print(f"chaos campaign: {subject} x {variants} x "
-              f"{len(seeds)} seeds, plan {plan.content_hash()} "
-              f"({len(plan)} specs)"
-              + (f", mutant {args.mutant}" if args.mutant else ""))
+    db = args.landscape or ("landscape.db" if args.resume else None)
     store = recorder = None
-    if args.landscape:
+    if db:
         from repro.landscape.store import LandscapeStore, current_git_rev
         from repro.perf.cache import CACHE_SCHEMA
 
-        store = LandscapeStore(args.landscape)
+        try:
+            store = LandscapeStore(db)
+        except ConfigError as exc:
+            print(f"chaos: {exc}", file=sys.stderr)
+            return 2
         recorder = store.begin_run(
             "chaos", label=subject, git_rev=current_git_rev(),
             cache_schema=CACHE_SCHEMA, seed=args.seed_base,
             provenance={"variants": variants, "seeds": len(seeds),
                         "plan": plan.content_hash(),
                         "mutant": args.mutant})
+    if not args.json:
+        print(f"chaos campaign: {subject} x {variants} x "
+              f"{len(seeds)} seeds, plan {plan.content_hash()} "
+              f"({len(plan)} specs)"
+              + (f", mutant {args.mutant}" if args.mutant else ""))
     try:
-        with flush_on_signals(journal):
+        with flush_on_signals():
             result = run_campaign(
                 workload=args.workload, variants=variants, seeds=seeds,
                 plan=plan, scale=args.scale, quantum=args.quantum,
                 cadence=args.cadence, mutant=args.mutant,
                 shrink=not args.no_shrink, out_dir=args.out_dir,
                 progress=None if args.json else progress,
-                journal=journal, max_cells=args.max_cells,
-                trace_file=args.trace_file, recorder=recorder,
+                max_cells=args.max_cells, trace_file=args.trace_file,
+                recorder=recorder, resume=args.resume,
             )
         if recorder is not None:
             status = ("interrupted" if result.interrupted
@@ -655,8 +650,6 @@ def cmd_chaos(args) -> int:
             recorder.finish("failed")
         raise
     finally:
-        if journal is not None:
-            journal.close()
         if store is not None:
             store.close()
     summary = result.summary()
@@ -664,17 +657,15 @@ def cmd_chaos(args) -> int:
         print(json.dumps(summary, indent=2))
     else:
         if result.resumed_cells:
-            print(f"resumed {result.resumed_cells} cells from "
-                  f"{journal_path}")
+            print(f"resumed {result.resumed_cells} cells from {db}")
         print(f"{summary['cells']} cells, {summary['failures']} "
               f"failures")
         for path in summary["bundles"]:
             print(f"repro bundle: {path} "
                   f"(replay with `repro chaos --replay {path}`)")
     if result.interrupted:
-        hint = (f"resume with `repro chaos --resume "
-                f"--journal {journal_path}`" if journal_path
-                else "no journal was kept; rerun from scratch")
+        hint = (f"resume with `repro chaos --resume --landscape {db}`"
+                if db else "no landscape was kept; rerun from scratch")
         print(f"chaos: campaign interrupted after "
               f"{summary['cells']} cells; {hint}", file=sys.stderr)
         return 3
@@ -714,7 +705,11 @@ def cmd_audit(args) -> int:
             print(f"audit: no landscape store at {args.db}",
                   file=sys.stderr)
             return 2
-        store = LandscapeStore(args.db)
+        try:
+            store = LandscapeStore(args.db)
+        except ConfigError as exc:
+            print(f"audit: {exc}", file=sys.stderr)
+            return 2
         if store.quarantined:
             print(f"audit: {args.db} was unreadable and has been "
                   f"quarantined to {args.db}.corrupt", file=sys.stderr)
@@ -851,10 +846,10 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos", help="fault-injection campaign (seeds x variants)",
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog="exit codes: 0 all invariants held; 1 invariant "
-               "violations (or a --replay mismatch); 2 unusable "
-               "journal (stale/foreign; rerun without --resume or "
-               "point --journal elsewhere); 3 campaign interrupted "
-               "(--max-cells or signal) — resumable with --resume")
+               "violations (or a --replay mismatch); 2 landscape "
+               "store unusable (e.g. newer schema than this build); "
+               "3 campaign interrupted (--max-cells or signal) — "
+               "resumable with --resume")
     chaos_p.add_argument("--workload", default="Cholesky",
                          help="Table 5 workload name")
     chaos_p.add_argument("--variants", default="tokentm,logtm_se,onetm",
@@ -883,20 +878,19 @@ def build_parser() -> argparse.ArgumentParser:
                          help="skip shrinking failing plans to minimal")
     chaos_p.add_argument("--replay", metavar="BUNDLE.json", default=None,
                          help="replay a failure bundle and exit")
-    chaos_p.add_argument("--journal", metavar="FILE", default=None,
-                         help="checkpoint each finished cell to this "
-                              "crash-safe JSONL journal")
     chaos_p.add_argument("--resume", action="store_true",
-                         help="merge cells already in the journal "
-                              "instead of re-running them (default "
-                              "journal: chaos-journal.jsonl)")
+                         help="merge cells the landscape store already "
+                              "records as finished instead of "
+                              "re-running them (default store: "
+                              "landscape.db)")
     chaos_p.add_argument("--max-cells", type=int, default=None,
                          help="simulate at most N new cells, then "
                               "stop with exit code 3 (resumable)")
     chaos_p.add_argument("--landscape", metavar="DB", default=None,
                          help="record the campaign (one work row per "
                               "cell, incl. resumed ones) into this "
-                              "landscape store (docs/landscape.md)")
+                              "landscape store, the campaign's "
+                              "checkpoint (docs/landscape.md)")
     chaos_p.add_argument("--trace-file", metavar="EVENTS", default=None,
                          help="run the campaign over a replayed event "
                               "trace (transactified) instead of "

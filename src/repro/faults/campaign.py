@@ -14,11 +14,11 @@ On a clean build the acceptance campaign
 come back empty-handed; against the seeded bugs in
 :mod:`repro.faults.mutations` it must not.
 
-Campaigns are *checkpointed*: pass a
-:class:`~repro.perf.supervise.CampaignJournal` and every finished
-cell's outcome is durably journaled under a key derived from the full
+Campaigns are *checkpointed* in the result landscape: pass a
+:class:`~repro.landscape.store.RunRecorder` and every finished cell's
+outcome record is durably booked under a key derived from the full
 cell content (workload, variant, seed, plan hash, mutant, scale,
-quantum, cadence, skew).  A rerun with ``resume`` merges journaled
+quantum, cadence, skew).  A rerun with ``resume`` merges recorded
 outcomes instead of re-simulating, so a multi-hour campaign killed at
 cell 900/1000 restarts from cell 901 — and the merged
 :class:`CampaignResult` is identical to an uninterrupted run's
@@ -28,9 +28,10 @@ pure function of its key content.
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.common.config import HTMConfig, RunConfig, SystemConfig
 from repro.common.errors import ConfigError, ReproError
@@ -93,9 +94,9 @@ class CampaignResult:
     cells: List[ChaosCell] = field(default_factory=list)
     bundle_paths: List[str] = field(default_factory=list)
     #: True when the campaign stopped early (``max_cells`` budget);
-    #: the journal holds everything finished so far — resume to go on.
+    #: the landscape holds everything finished so far — resume to go on.
     interrupted: bool = False
-    #: Cells answered from the journal rather than re-simulated.
+    #: Cells answered from the landscape rather than re-simulated.
     resumed_cells: int = 0
 
     @property
@@ -123,14 +124,14 @@ def campaign_cell_key(workload: str, variant: str, seed: int,
                       cadence: int, skew_tolerance: Optional[int],
                       mutant: Optional[str],
                       trace_digest: Optional[str] = None) -> str:
-    """Journal key of one campaign cell: its full result-determining
-    content, human-readable so a journal can be audited by eye.
+    """Ledger key of one campaign cell: its full result-determining
+    content, human-readable so the landscape can be audited by eye.
 
     The plan rides as its content hash (name excluded, like the RNG
-    lane), so renaming a plan never invalidates a journal but any
+    lane), so renaming a plan never invalidates recorded cells but any
     behavioural change to it does.  Trace-backed cells carry the
     trace's content digest the same way: editing the trace file
-    invalidates its journal entries, moving it does not.
+    invalidates its recorded cells, moving it does not.
     """
     parts = [
         workload, resolve_variant(variant), f"s{seed}",
@@ -144,39 +145,44 @@ def campaign_cell_key(workload: str, variant: str, seed: int,
     return "/".join(parts)
 
 
-def _cell_record(cell: ChaosCell,
-                 bundle_path: Optional[str]) -> Dict[str, object]:
-    """The journaled outcome of one finished cell.
+def _cell_record(cell: ChaosCell, bundle_path: Optional[str]) -> str:
+    """The outcome record of one finished cell, as its ledger detail.
 
-    Stats snapshots stay out on purpose: the journal is a *ledger of
-    outcomes* (which cells are done, did they fail, where is the
-    bundle), not a result cache — a resumed cell that needs stats
-    re-runs by simply not being journaled.
+    Stats snapshots stay out on purpose: the ledger records *outcomes*
+    (which cells are done, did they fail, where is the bundle), not
+    results — a cell that needs stats re-runs without ``resume``.
     """
-    return {
+    return json.dumps({
         "workload": cell.workload,
         "variant": cell.variant,
         "seed": cell.seed,
         "ok": cell.ok,
         "error": dict(cell.error),
         "bundle_path": bundle_path,
-    }
+    }, sort_keys=True)
 
 
-def _work_provenance(cell: ChaosCell, plan: FaultPlan,
-                     trace_digest: Optional[str]) -> Dict[str, object]:
-    """Ledger provenance columns for one chaos cell's work row."""
-    return {
-        "workload": cell.workload,
-        "variant": cell.variant,
-        "seed": cell.seed,
-        "fault_plan": plan.content_hash(),
-        "trace_digest": trace_digest,
-    }
+def _finished_records(store) -> Dict[str, Dict[str, object]]:
+    """``key -> record`` for every chaos cell whose latest outcome in
+    ``store`` is ``ok`` or ``failed`` and carries a record this module
+    wrote.  Any other latest outcome (``interrupted``, healed) means
+    the cell simulates again."""
+    finished = {}
+    for key, (outcome, detail) in store.latest_outcomes(
+            "chaos_cell").items():
+        if outcome not in ("ok", "failed"):
+            continue
+        try:
+            record = json.loads(detail or "")
+        except ValueError:
+            continue
+        if isinstance(record, dict):
+            finished[key] = record
+    return finished
 
 
 def _cell_from_record(record: Dict[str, object]) -> ChaosCell:
-    """Reconstruct a journaled cell (outcome only, ``stats=None``)."""
+    """Reconstruct a recorded cell (outcome only, ``stats=None``)."""
     return ChaosCell(
         workload=record["workload"],
         variant=record["variant"],
@@ -330,10 +336,10 @@ def run_campaign(workload: str = DEFAULT_WORKLOAD,
                  out_dir: Optional[str] = None,
                  max_bundles: int = 4,
                  progress: Optional[Callable[[ChaosCell], None]] = None,
-                 journal=None,
                  max_cells: Optional[int] = None,
                  trace_file: Optional[str] = None,
                  recorder=None,
+                 resume: bool = False,
                  ) -> CampaignResult:
     """Sweep ``seeds`` x ``variants`` under one fault plan.
 
@@ -341,24 +347,25 @@ def run_campaign(workload: str = DEFAULT_WORKLOAD,
     a bundle carrying the *minimal* plan is written to ``out_dir``
     (at most ``max_bundles``; the rest stay in the cells).
 
-    ``journal`` (a :class:`~repro.perf.supervise.CampaignJournal`)
-    checkpoints every finished cell; cells already journaled are
-    merged back instead of re-simulated, which is how an interrupted
-    campaign resumes.  ``max_cells`` bounds how many *new* cells this
-    invocation simulates — the campaign stops there with
-    ``interrupted=True`` (useful for sharding a long campaign across
-    invocations, and for deterministic interruption tests).
-
     ``recorder`` (a :class:`~repro.landscape.store.RunRecorder`)
-    mirrors the campaign into the result landscape: each cell's work
-    row opens *before* it simulates and closes from the journal's own
-    write path (or directly when no journal is attached), so a
-    SIGKILL mid-cell leaves an open row for heal-on-reopen and the
-    landscape can never claim a cell the journal does not have.
+    records the campaign into the result landscape, the campaign's
+    one durable record of progress: each cell's work row opens
+    *before* it simulates and closes with the cell's outcome record
+    as its detail, so a SIGKILL mid-cell leaves an open row for
+    heal-on-reopen.  With ``resume``, cells whose latest outcome in
+    the recorder's store is ``ok`` or ``failed`` are merged back from
+    their record instead of re-simulated, and booked again as their
+    own closed rows; ``interrupted`` (or healed) cells simulate
+    again.  ``max_cells`` bounds how many *new* cells this invocation
+    simulates — the campaign stops there with ``interrupted=True``
+    (useful for sharding a long campaign across invocations, and for
+    deterministic interruption tests).
     """
     plan = plan if plan is not None else default_plan()
-    if recorder is not None and journal is not None:
-        journal.recorder = recorder
+    if resume and recorder is None:
+        raise ConfigError("resume needs a recorder to read finished "
+                          "cells from")
+    finished = _finished_records(recorder.store) if resume else {}
     digest = None
     if trace_file is not None:
         from repro.traces.workload import trace_digest as _trace_digest
@@ -379,64 +386,51 @@ def run_campaign(workload: str = DEFAULT_WORKLOAD,
                                     scale, quantum, cadence,
                                     skew_tolerance, mutant,
                                     trace_digest=digest)
-            record = journal.get(key) if journal is not None else None
+            provenance = dict(
+                workload=workload, variant=resolve_variant(variant),
+                seed=seed, fault_plan=plan.content_hash(),
+                trace_digest=digest)
+            record = finished.get(key)
             if record is not None:
                 cell = _cell_from_record(record)
-                result.cells.append(cell)
-                result.resumed_cells += 1
                 bundle_path = record.get("bundle_path")
-                if bundle_path:
-                    result.bundle_paths.append(bundle_path)
+                result.resumed_cells += 1
+            else:
+                if max_cells is not None and executed >= max_cells:
+                    result.interrupted = True
+                    return result
                 if recorder is not None:
-                    recorder.close_key(
-                        "chaos_cell", key,
-                        "ok" if cell.ok else "failed",
-                        detail="resumed from journal",
-                        **_work_provenance(cell, plan, digest))
-                if progress is not None:
-                    progress(cell)
-                continue
-            if max_cells is not None and executed >= max_cells:
-                result.interrupted = True
-                return result
-            if recorder is not None:
-                recorder.open(
-                    "chaos_cell", key,
-                    workload=workload, variant=resolve_variant(variant),
-                    seed=seed, fault_plan=plan.content_hash(),
-                    trace_digest=digest)
-            cell = run_chaos_cell(
-                workload=workload, variant=variant, seed=seed, plan=plan,
-                scale=scale, quantum=quantum, cadence=cadence,
-                skew_tolerance=skew_tolerance, mutant=mutant,
-                trace_file=trace_file,
-            )
-            if not cell.ok and shrink:
-                cell = _shrink_failure(cell, plan, workload, variant,
-                                       seed, scale, quantum, cadence,
-                                       skew_tolerance, mutant,
-                                       trace_file=trace_file)
-            result.cells.append(cell)
-            bundle_path = None
-            if (not cell.ok and out_dir is not None
-                    and cell.bundle is not None
-                    and len(result.bundle_paths) < max_bundles):
-                os.makedirs(out_dir, exist_ok=True)
-                bundle_path = os.path.join(
-                    out_dir,
-                    f"chaos-{cell.variant}-s{seed}"
-                    f"{'-' + mutant if mutant else ''}.json",
+                    recorder.open("chaos_cell", key, **provenance)
+                cell = run_chaos_cell(
+                    workload=workload, variant=variant, seed=seed,
+                    plan=plan, scale=scale, quantum=quantum,
+                    cadence=cadence, skew_tolerance=skew_tolerance,
+                    mutant=mutant, trace_file=trace_file,
                 )
-                cell.bundle.save(bundle_path)
+                if not cell.ok and shrink:
+                    cell = _shrink_failure(cell, plan, workload, variant,
+                                           seed, scale, quantum, cadence,
+                                           skew_tolerance, mutant,
+                                           trace_file=trace_file)
+                bundle_path = None
+                if (not cell.ok and out_dir is not None
+                        and cell.bundle is not None
+                        and len(result.bundle_paths) < max_bundles):
+                    os.makedirs(out_dir, exist_ok=True)
+                    bundle_path = os.path.join(
+                        out_dir,
+                        f"chaos-{cell.variant}-s{seed}"
+                        f"{'-' + mutant if mutant else ''}.json",
+                    )
+                    cell.bundle.save(bundle_path)
+                executed += 1
+            if bundle_path:
                 result.bundle_paths.append(bundle_path)
-            executed += 1
-            if journal is not None:
-                # The journal's write path mirrors the terminal
-                # outcome into the recorder (one source of truth).
-                journal.record(key, _cell_record(cell, bundle_path))
-            elif recorder is not None:
-                recorder.close_key("chaos_cell", key,
-                                   "ok" if cell.ok else "failed")
+            result.cells.append(cell)
+            if recorder is not None:
+                recorder.close_key(
+                    "chaos_cell", key, "ok" if cell.ok else "failed",
+                    detail=_cell_record(cell, bundle_path), **provenance)
             if progress is not None:
                 progress(cell)
     return result

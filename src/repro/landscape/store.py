@@ -390,6 +390,16 @@ class LandscapeStore:
     def outcome_rows(self) -> List[sqlite3.Row]:
         return self.query("SELECT * FROM outcomes ORDER BY id")
 
+    def latest_outcomes(
+            self, kind: str) -> Dict[str, Tuple[str, Optional[str]]]:
+        """``key -> (outcome, detail)`` of the newest outcome booked for
+        each ``kind`` work key, across every run in the store."""
+        rows = self.query(
+            "SELECT w.key, o.outcome, o.detail FROM work w "
+            "JOIN outcomes o ON o.work_id = w.id WHERE w.kind = ? "
+            "ORDER BY o.id", (kind,))
+        return {row["key"]: (row["outcome"], row["detail"]) for row in rows}
+
     def events_for(self, run_id: int) -> List[sqlite3.Row]:
         return self.query(
             "SELECT * FROM events WHERE run_id = ? ORDER BY id", (run_id,))
@@ -412,7 +422,7 @@ class RunRecorder:
     """Ledger pen bound to one run.
 
     Tracks in-process open work by ``(kind, key)`` so call sites can
-    close by key (the runner and the campaign journal know keys, not
+    close by key (the runner and the chaos campaign know keys, not
     row ids), and guards against in-process double closes — the
     cross-process variants stay representable on purpose, for the
     audit to find.
@@ -446,8 +456,8 @@ class RunRecorder:
                   detail: Optional[str] = None, **prov) -> int:
         """Close the tracked open row for ``(kind, key)`` — or, if
         none is tracked, open and close one atomically (a unit whose
-        dispatch this recorder never saw, e.g. a journal-resumed cell
-        replayed from a previous run)."""
+        dispatch this recorder never saw, e.g. a chaos cell resumed
+        from a previous run's outcome)."""
         work_id = self._open.pop((kind, key), None)
         if work_id is None:
             work_id = self.store.open_work(self.run_id, kind, key, **prov)

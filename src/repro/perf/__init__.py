@@ -12,9 +12,9 @@ scale).  See ``docs/performance.md``.
 * :mod:`repro.perf.runner` — :class:`ParallelRunner`, the grid engine;
 * :mod:`repro.perf.supervise` — the supervision layer: per-cell
   timeouts, retries with backoff, failure policies, pool rebuilding,
-  :class:`RunReport` failure records, the crash-safe
-  :class:`CampaignJournal`, and the SIGINT/SIGTERM flush handler
-  (``docs/robustness.md``, "Surviving the host");
+  :class:`RunReport` failure records, and the SIGINT/SIGTERM handler
+  that unwinds an interrupted campaign (``docs/robustness.md``,
+  "Surviving the host");
 * :mod:`repro.perf.bench` — the ``repro bench`` harness that writes
   ``BENCH_perf.json``;
 * :mod:`repro.perf.legacy` — the pre-optimization interpreter loop,
@@ -24,7 +24,6 @@ scale).  See ``docs/performance.md``.
 from repro.perf.cache import ResultCache, cell_key
 from repro.perf.runner import CellSpec, ParallelRunner, grid_specs
 from repro.perf.supervise import (
-    CampaignJournal,
     CellFailure,
     RunReport,
     SupervisorConfig,
@@ -32,7 +31,6 @@ from repro.perf.supervise import (
 )
 
 __all__ = [
-    "CampaignJournal",
     "CellFailure",
     "CellSpec",
     "ParallelRunner",

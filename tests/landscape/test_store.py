@@ -90,17 +90,36 @@ def test_finish_closes_leftover_work_as_interrupted(tmp_path):
 
 
 def test_close_key_untracked_opens_and_closes_atomically(tmp_path):
-    """A journal-resumed cell was dispatched by a *previous* process;
+    """A resumed chaos cell was dispatched by a *previous* process;
     this recorder still books both sides so the ledger balances."""
     with LandscapeStore(_db(tmp_path)) as store:
         rec = store.begin_run("chaos")
         rec.close_key("chaos_cell", "resumed", "ok",
-                      detail="resumed from journal", workload="Tiny")
+                      detail="resumed", workload="Tiny")
         rec.finish("ok")
         work, = store.work_rows()
         outcome, = store.outcome_rows()
         assert work["key"] == "resumed"
         assert outcome["outcome"] == "ok"
+
+
+def test_latest_outcomes_newest_per_key_across_runs(tmp_path):
+    store = LandscapeStore(_db(tmp_path))
+    rec = store.begin_run("chaos")
+    rec.close_key("chaos_cell", "a", "ok", detail="first")
+    rec.close_key("chaos_cell", "b", "failed", detail="boom")
+    rec.close_key("cell", "a", "ok", detail="other kind")
+    rec.finish("ok")
+    rec = store.begin_run("chaos")
+    rec.close_key("chaos_cell", "a", "ok", detail="second")
+    rec.open("chaos_cell", "b")
+    store.close()  # dead writer: b's second row heals to interrupted
+
+    with LandscapeStore(_db(tmp_path)) as store:
+        latest = store.latest_outcomes("chaos_cell")
+    assert latest["a"] == ("ok", "second")
+    assert latest["b"][0] == "interrupted"
+    assert set(latest) == {"a", "b"}
 
 
 def test_unknown_vocabulary_rejected_at_write(tmp_path):
@@ -197,6 +216,28 @@ def test_newer_schema_refused(tmp_path):
         LandscapeStore(db)
     with pytest.raises(ConfigError, match="newer than this build"):
         LandscapeStore(db, readonly=True)
+
+
+def test_newer_schema_refused_by_cli(tmp_path, capsys):
+    """Every command that opens the store prints one line and exits 2
+    (store unusable) rather than a traceback."""
+    from repro.cli import main
+
+    db = _db(tmp_path)
+    LandscapeStore(db).close()
+    conn = sqlite3.connect(db)
+    conn.execute(f"PRAGMA user_version = {LANDSCAPE_SCHEMA + 1}")
+    conn.close()
+    for argv in (["audit", str(db)], ["audit", "--readonly", str(db)],
+                 ["query", str(db)],
+                 ["chaos", "--seeds", "1", "--variants", "tokentm",
+                  "--scale", "0.002", "--landscape", str(db)]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and "newer than this build" in err[0]
+        assert err[0].startswith(f"{argv[0]}: ")
+        assert captured.out == ""
 
 
 def test_forward_migration_machinery(tmp_path, monkeypatch):

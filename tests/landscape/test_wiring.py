@@ -1,5 +1,5 @@
 """The three fronts record into the ledger: grid cells through the
-runner, chaos cells through the campaign (journal-mirrored), bench
+runner, chaos cells through the campaign (resume included), bench
 sections through run_bench."""
 
 from __future__ import annotations
@@ -51,53 +51,42 @@ def test_runner_records_cells_with_provenance(tmp_path):
         assert len(hits) == 1
 
 
-def test_campaign_resume_mirrors_journal(tmp_path):
-    """Journal and landscape never disagree: the interrupted leg books
-    its cells, and the resumed leg books the journal-replayed cells
-    as their own closed work rows."""
+def test_campaign_resume_books_resumed_cells(tmp_path):
+    """The landscape is the campaign's one record: the interrupted leg
+    books its cell with its outcome record, and the resumed leg books
+    the merged cell as its own closed work row carrying that same
+    record."""
     from repro.faults.campaign import run_campaign
     from repro.faults.plan import default_plan
-    from repro.perf.supervise import CampaignJournal
 
     db = tmp_path / "db"
-    journal_path = tmp_path / "journal.jsonl"
-    plan = default_plan(intensity=0.5)
+    args = dict(workload="Genome", variants=["tokentm"], seeds=range(2),
+                plan=default_plan(intensity=0.5), scale=0.002,
+                shrink=False, out_dir=str(tmp_path / "bundles"))
 
     with LandscapeStore(db) as store:
         rec = store.begin_run("chaos", label="leg-1")
-        journal = CampaignJournal(journal_path)
-        try:
-            result = run_campaign(
-                workload="Genome", variants=["tokentm"], seeds=range(2),
-                plan=plan, scale=0.002, shrink=False,
-                out_dir=str(tmp_path / "bundles"), journal=journal,
-                max_cells=1, recorder=rec)
-        finally:
-            journal.close()
+        result = run_campaign(max_cells=1, recorder=rec, **args)
         assert result.interrupted
         rec.finish("interrupted")
         assert audit_store(store) == []
+        first, = store.outcome_rows()
+        assert json.loads(first["detail"])["seed"] == 0
 
         rec2 = store.begin_run("chaos", label="leg-2")
-        journal = CampaignJournal(journal_path, resume=True)
-        try:
-            result = run_campaign(
-                workload="Genome", variants=["tokentm"], seeds=range(2),
-                plan=plan, scale=0.002, shrink=False,
-                out_dir=str(tmp_path / "bundles"), journal=journal,
-                recorder=rec2)
-        finally:
-            journal.close()
+        result = run_campaign(recorder=rec2, resume=True, **args)
         assert result.resumed_cells == 1
         assert not result.interrupted
         rec2.finish("ok" if result.ok else "failed")
 
         assert audit_store(store) == []
-        resumed = [o for o in store.outcome_rows()
-                   if o["detail"] == "resumed from journal"]
-        assert len(resumed) == 1
         # Two legs, three chaos-cell rows total: 1 + (1 resumed + 1).
-        assert len(store.work_rows()) == 3
+        work = store.work_rows()
+        assert [w["run_id"] for w in work] == [rec.run_id, rec2.run_id,
+                                                rec2.run_id]
+        assert work[0]["key"] == work[1]["key"]
+        details = [o["detail"] for o in store.outcome_rows()]
+        assert details[1] == details[0]
 
 
 def test_run_bench_records_sections_and_payload(tmp_path):
