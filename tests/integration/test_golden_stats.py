@@ -32,24 +32,31 @@ WORKLOADS = {"Vacation-High": vacation_high, "Delaunay": delaunay,
              "Genome": genome}
 
 #: (workload, variant, mode) -> digest.  ``mode`` is "plain" (the
-#: 32-core base system), "preempt" (8 threads time-shared on 4 cores)
-#: or "faults" (the default chaos plan plus the invariant monitor,
-#: which checks every 512th quantum boundary).
+#: 32-core base system), "nofast" (the same with the coherence hit
+#: filter off, ``MemorySystem(fast_path=False)``), "preempt" (8
+#: threads time-shared on 4 cores) or "faults" (the default chaos plan
+#: plus the invariant monitor, which checks every 512th quantum
+#: boundary).
 GOLDEN = {
+    ("Delaunay", "LogTM-SE_2xH3", "plain"): "5ab2dc9fac3886b3",
     ("Delaunay", "LogTM-SE_4xH3", "plain"): "64f0deb4a7f343c3",
     ("Delaunay", "LogTM-SE_Perf", "plain"): "0dd852c6d84d8980",
     ("Delaunay", "OneTM", "plain"): "02c0060cb38be349",
     ("Delaunay", "TokenTM", "plain"): "35e3568412d275fc",
     ("Delaunay", "TokenTM_NoFast", "plain"): "97b823a41051052c",
+    ("Genome", "LogTM-SE_2xH3", "plain"): "01b5c9347cda7f43",
     ("Genome", "LogTM-SE_4xH3", "plain"): "3c5a8c6288c775cb",
     ("Genome", "LogTM-SE_Perf", "plain"): "b3fa9286b90da636",
     ("Genome", "OneTM", "plain"): "d73cf6c3482dc3d0",
     ("Genome", "TokenTM", "plain"): "86bbc361f8d0151b",
     ("Genome", "TokenTM_NoFast", "plain"): "190de2c3b0726c42",
+    ("Vacation-High", "LogTM-SE_2xH3", "plain"): "79c6b50c37e90b73",
+    ("Vacation-High", "LogTM-SE_4xH3", "nofast"): "60ab9e7f78066f0e",
     ("Vacation-High", "LogTM-SE_4xH3", "plain"): "60ab9e7f78066f0e",
     ("Vacation-High", "LogTM-SE_Perf", "plain"): "9f434c1c9d4ce580",
     ("Vacation-High", "OneTM", "plain"): "a1a73bc37257198d",
     ("Vacation-High", "TokenTM", "faults"): "249fff14c1d61695",
+    ("Vacation-High", "TokenTM", "nofast"): "8a95fa8064566860",
     ("Vacation-High", "TokenTM", "plain"): "8a95fa8064566860",
     ("Vacation-High", "TokenTM", "preempt"): "5fa8a352c7eed1c8",
     ("Vacation-High", "TokenTM_NoFast", "plain"): "906572267f55018a",
@@ -63,7 +70,7 @@ def digest(workload: str, variant: str, mode: str) -> str:
     trace = WORKLOADS[workload]().generate(seed=SEED, scale=SCALE,
                                            threads=threads)
     htm_config = HTMConfig()
-    mem = MemorySystem(system)
+    mem = MemorySystem(system, fast_path=mode != "nofast")
     machine = make_htm(variant, mem, htm_config)
     injector: Optional[FaultInjector] = None
     monitor: Optional[InvariantMonitor] = None
