@@ -4,7 +4,6 @@ from repro.coherence.cache import CacheLine, L1Cache, MESI
 from repro.coherence.directory import Directory, DirectoryEntry, DirState
 from repro.coherence.protocol import (
     MEMORY_HOLDER,
-    AccessPreview,
     AccessResult,
     CoherenceListener,
     MemorySystem,
@@ -19,7 +18,6 @@ __all__ = [
     "DirectoryEntry",
     "DirState",
     "MEMORY_HOLDER",
-    "AccessPreview",
     "AccessResult",
     "CoherenceListener",
     "MemorySystem",

@@ -14,8 +14,8 @@ interconnect into a functional coherence model.  The engine
 The engine never blocks or NACKs a request: TokenTM explicitly makes
 no changes to coherence transitions — conflicts are detected from
 metastate *after* data moves.  HTMs that conceptually NACK (LogTM-SE)
-instead consult :meth:`MemorySystem.preview` and simply decline to
-call :meth:`MemorySystem.access`.
+instead ask :meth:`MemorySystem.needs_directory` and simply decline
+to call :meth:`MemorySystem.access`.
 """
 
 from __future__ import annotations
@@ -63,21 +63,6 @@ class CoherenceListener:
 
     def on_evict(self, core: int, block: int, line: CacheLine) -> None:
         """``core`` wrote the copy back to memory (capacity/conflict)."""
-
-
-@dataclass(frozen=True)
-class AccessPreview:
-    """What an access *would* do, without doing it.
-
-    Used by LogTM-SE to decide whether a request reaches the
-    directory (only such requests are signature-checked) and by
-    instrumentation.
-    """
-
-    hit: bool
-    needs_directory: bool
-    would_invalidate: Tuple[int, ...]
-    would_downgrade: Optional[int]
 
 
 class AccessResult:
@@ -241,27 +226,19 @@ class MemorySystem:
         entry = self._directory.peek(block)
         return entry.holders() if entry else set()
 
-    def preview(self, core: int, block: int, is_write: bool) -> AccessPreview:
-        """Describe what ``access`` with these arguments would do."""
-        line = self._caches[core].lookup(block)
-        if line is not None:
-            if not is_write or line.state in (_MODIFIED, _EXCLUSIVE):
-                return AccessPreview(True, False, (), None)
-            # Write hit on a shared line: upgrade through the directory.
-            others = tuple(sorted(self.holders(block) - {core}))
-            return AccessPreview(True, True, others, None)
-        entry = self._directory.peek(block)
-        if entry is None or entry.state is _DIR_UNCACHED:
-            return AccessPreview(False, True, (), None)
-        if entry.state is _DIR_EXCLUSIVE:
-            owner = entry.owner
-            if is_write:
-                return AccessPreview(False, True, (owner,), None)
-            return AccessPreview(False, True, (), owner)
-        others = tuple(sorted(entry.sharers - {core}))
-        if is_write:
-            return AccessPreview(False, True, others, None)
-        return AccessPreview(False, True, (), None)
+    def needs_directory(self, core: int, block: int,
+                        is_write: bool) -> bool:
+        """Whether ``access`` with these arguments would reach the directory.
+
+        True on an L1 miss, and on a write that finds its line SHARED
+        (an upgrade).  Every other access is a pure L1 hit.  LogTM-SE
+        signature-checks exactly the requests this answers True for.
+        """
+        cache = self._caches[core]
+        line = cache.sets[block & cache.set_mask].get(block)
+        if line is None:
+            return True
+        return is_write and line.state is _SHARED
 
     def mark_zero_filled(self, start: int, end: int) -> None:
         """Declare [start, end) as freshly zero-filled virtual memory.

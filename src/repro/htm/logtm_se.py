@@ -25,10 +25,12 @@ plus "sticky" ownership left behind by evictions, and falls back to
 broadcast with summary signatures after thread migration.  We check
 every directory-reaching request against all other live transactions'
 signatures, which is what sticky states + summaries conservatively
-amount to, and preserves the false-positive dynamics.  Bloom machines
-first test a machine-wide summary (the OR of every live signature):
-a summary miss proves that no live signature can hit, so most checks
-end there without probing any transaction.
+amount to, and preserves the false-positive dynamics.  Every machine
+first tests a machine-wide summary of each set kind: Bloom machines
+keep the OR of every live signature, and perfect machines a
+block -> holder-count map of the live exact sets.  A summary miss
+proves that no live signature can hit, so most checks end there
+without probing any transaction.
 """
 
 from __future__ import annotations
@@ -107,19 +109,21 @@ class LogTMSE(HTM):
             self.name = (f"LogTM-SE_{self._sig_config.num_hashes}xH3")
         self._txns: Dict[int, _SigTxn] = {}
         self._logs: Dict[int, TmLog] = {}
-        # Interned outcome for repeat set-resident accesses: a stable
-        # L1 hit never reaches the directory, so it is never
-        # signature-checked and always granted at L1-hit latency.
-        self._fast_outcome = AccessOutcome(True, mem.config.latency.l1_hit)
         self.sigcheck = SigCheckStats()
         # All transactions share one H3 family per set kind (as the
         # hardware does: the hash wiring is fixed at design time), so
         # probe masks are cached per block across the whole run.  The
-        # summaries are the OR of every live read (write) signature;
-        # perfect signatures have neither.
+        # Bloom summaries are the OR of every live read (write)
+        # signature.  Perfect machines instead count, per block, the
+        # live transactions whose exact read (write) set holds it.
         self._read_masks = self._write_masks = None
         self._read_summary = self._write_summary = 0
-        if not self._sig_config.perfect:
+        self._read_counts: Optional[Dict[int, int]] = None
+        self._write_counts: Optional[Dict[int, int]] = None
+        if self._sig_config.perfect:
+            self._read_counts = {}
+            self._write_counts = {}
+        else:
             self._read_masks = mask_cache(self._sig_config, seed=0)
             self._write_masks = mask_cache(self._sig_config, seed=1)
 
@@ -137,9 +141,31 @@ class LogTMSE(HTM):
             write |= txn.write_sig.packed
         return read, write
 
-    def _rebuild_summaries(self) -> None:
+    def _live_counts(self) -> Tuple[Dict[int, int], Dict[int, int]]:
+        """(read, write) block -> number of live txns whose set holds it."""
+        read: Dict[int, int] = {}
+        write: Dict[int, int] = {}
+        for txn in self._txns.values():
+            for block in txn.read_set:
+                read[block] = read.get(block, 0) + 1
+            for block in txn.write_set:
+                write[block] = write.get(block, 0) + 1
+        return read, write
+
+    def _end(self, tid: int) -> None:
+        """Retire ``tid``'s transaction from the live set and summaries."""
+        txn = self._txns.pop(tid)
         if self._read_masks is not None:
             self._read_summary, self._write_summary = self._live_summaries()
+            return
+        for counts, blocks in ((self._read_counts, txn.read_set),
+                               (self._write_counts, txn.write_set)):
+            for block in blocks:
+                n = counts[block]
+                if n == 1:
+                    del counts[block]
+                else:
+                    counts[block] = n - 1
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -180,17 +206,20 @@ class LogTMSE(HTM):
         """
         sigcheck = self.sigcheck
         sigcheck.checks += 1
-        probe_writers = True
-        probe_readers = is_write
-        if self._write_masks is not None:
+        write_counts = self._write_counts
+        if write_counts is not None:
+            probe_writers = block in write_counts
+            probe_readers = is_write and block in self._read_counts
+        else:
             mask = self._write_masks[block]
             probe_writers = self._write_summary & mask == mask
+            probe_readers = False
             if is_write:
                 mask = self._read_masks[block]
                 probe_readers = self._read_summary & mask == mask
-            if not (probe_writers or probe_readers):
-                sigcheck.summary_clears += 1
-                return None
+        if not (probe_writers or probe_readers):
+            sigcheck.summary_clears += 1
+            return None
         writer_hits: List[int] = []
         reader_hits: List[int] = []
         any_real = False
@@ -253,58 +282,58 @@ class LogTMSE(HTM):
     # ------------------------------------------------------------------
 
     def read(self, core: int, tid: int, block: int) -> AccessOutcome:
-        txn = self._txn(tid)
+        txn = self._txns.get(tid)
+        if txn is None:
+            raise TransactionError(f"thread {tid} has no live transaction")
         self.stats.txn_reads += 1
-        # Read-set short-circuit: a filtered hit cannot reach the
-        # directory, so the signature check cannot fire, and the
-        # re-insert the slow path would do is idempotent.
-        if block in txn.read_set:
-            entry = self.mem.fast_entry(core, block, False)
-            if entry is not None:
-                self.mem.fast_hit(core, entry, False)
-                self.mem.fastpath.htm_read_hits += 1
-                return self._fast_outcome
-        preview = self.mem.preview(core, block, False)
-        if preview.needs_directory:
-            conflict = self._check(tid, block, is_write=False)
+        mem = self.mem
+        if mem.needs_directory(core, block, False):
+            conflict = self._check(tid, block, False)
             if conflict is not None:
                 # NACKed at the directory: no data movement.
                 return AccessOutcome(
-                    False, self.mem.request_latency(core, block), conflict
+                    False, mem.request_latency(core, block), conflict
                 )
-        res = self.mem.access(core, block, False)
-        txn.read_sig.insert(block)
-        if self._read_masks is not None:
-            self._read_summary |= txn.read_sig.packed
-        txn.read_set.add(block)
+        res = mem.access(core, block, False)
+        read_set = txn.read_set
+        if block not in read_set:
+            # First read of the block: re-inserting would change
+            # neither the signature nor the summary.
+            read_set.add(block)
+            txn.read_sig.insert(block)
+            masks = self._read_masks
+            if masks is not None:
+                self._read_summary |= masks[block]
+            else:
+                counts = self._read_counts
+                counts[block] = counts.get(block, 0) + 1
         return AccessOutcome(True, res.latency)
 
     def write(self, core: int, tid: int, block: int) -> AccessOutcome:
-        txn = self._txn(tid)
+        txn = self._txns.get(tid)
+        if txn is None:
+            raise TransactionError(f"thread {tid} has no live transaction")
         self.stats.txn_writes += 1
-        # Write-set short-circuit: the block is already logged (first
-        # write did that) and a writable filtered hit needs neither
-        # the directory nor a fresh log record.
-        if block in txn.write_set:
-            entry = self.mem.fast_entry(core, block, True)
-            if entry is not None:
-                self.mem.fast_hit(core, entry, True)
-                self.mem.fastpath.htm_write_hits += 1
-                return self._fast_outcome
-        preview = self.mem.preview(core, block, True)
-        if preview.needs_directory:
-            conflict = self._check(tid, block, is_write=True)
+        mem = self.mem
+        if mem.needs_directory(core, block, True):
+            conflict = self._check(tid, block, True)
             if conflict is not None:
                 return AccessOutcome(
-                    False, self.mem.request_latency(core, block), conflict
+                    False, mem.request_latency(core, block), conflict
                 )
-        res = self.mem.access(core, block, True)
+        res = mem.access(core, block, True)
         latency = res.latency
-        txn.write_sig.insert(block)
-        if self._write_masks is not None:
-            self._write_summary |= txn.write_sig.packed
-        if block not in txn.write_set:
-            txn.write_set.add(block)
+        write_set = txn.write_set
+        if block not in write_set:
+            # First write of the block: log the old value once.
+            write_set.add(block)
+            txn.write_sig.insert(block)
+            masks = self._write_masks
+            if masks is not None:
+                self._write_summary |= masks[block]
+            else:
+                counts = self._write_counts
+                counts[block] = counts.get(block, 0) + 1
             latency += self._log_append(core, tid, block)
         return AccessOutcome(True, latency)
 
@@ -315,8 +344,7 @@ class LogTMSE(HTM):
     def commit(self, core: int, tid: int) -> CommitOutcome:
         self._txn(tid)
         self._logs[tid].reset()
-        del self._txns[tid]
-        self._rebuild_summaries()
+        self._end(tid)
         self.stats.commits += 1
         self.stats.fast_releases += 1  # signature flash-clear is O(1)
         return CommitOutcome(self.mem.config.latency.txn_commit,
@@ -335,8 +363,7 @@ class LogTMSE(HTM):
                 cycles += data.latency + lat.undo_write
                 self.stats.undo_cycles += data.latency + lat.undo_write
         log.reset()
-        del self._txns[tid]
-        self._rebuild_summaries()
+        self._end(tid)
         self.stats.aborts += 1
         return CommitOutcome(cycles)
 
@@ -345,9 +372,8 @@ class LogTMSE(HTM):
     # ------------------------------------------------------------------
 
     def nontxn_read(self, core: int, tid: int, block: int) -> AccessOutcome:
-        preview = self.mem.preview(core, block, False)
-        if preview.needs_directory:
-            conflict = self._check(tid, block, is_write=False)
+        if self.mem.needs_directory(core, block, False):
+            conflict = self._check(tid, block, False)
             if conflict is not None:
                 return AccessOutcome(
                     False, self.mem.request_latency(core, block), conflict
@@ -356,9 +382,8 @@ class LogTMSE(HTM):
         return AccessOutcome(True, res.latency)
 
     def nontxn_write(self, core: int, tid: int, block: int) -> AccessOutcome:
-        preview = self.mem.preview(core, block, True)
-        if preview.needs_directory:
-            conflict = self._check(tid, block, is_write=True)
+        if self.mem.needs_directory(core, block, True):
+            conflict = self._check(tid, block, True)
             if conflict is not None:
                 return AccessOutcome(
                     False, self.mem.request_latency(core, block), conflict
@@ -387,9 +412,11 @@ class LogTMSE(HTM):
         A Bloom signature may report false positives but never false
         negatives: every block in a live transaction's exact read
         (write) set must test positive in its read (write) signature,
-        or conflict detection has silently lost isolation.  Each
+        or conflict detection has silently lost isolation.  Each Bloom
         summary must equal the OR of the live signatures of its kind:
         one missing a bit would clear a check that a scan would NACK.
+        On a perfect machine each count must equal the number of live
+        transactions holding the block, for the same reason.
         """
         report = super().check_invariants()
         for tid, txn in self._txns.items():
@@ -419,6 +446,20 @@ class LogTMSE(HTM):
                         f"{(summary & ~live).bit_count()} stale bits"
                     )
             checks.append("signature_summary")
+        else:
+            summaries = (self._read_counts, self._write_counts)
+            for kind, live, counts in zip(("read", "write"),
+                                          self._live_counts(), summaries):
+                wrong = sorted(block for block in live.keys() | counts.keys()
+                               if counts.get(block) != live.get(block))
+                if wrong:
+                    block = wrong[0]
+                    raise TransactionError(
+                        f"{kind} summary counts {len(wrong)} blocks wrong: "
+                        f"block {block:#x} has {counts.get(block, 0)} "
+                        f"for {live.get(block, 0)} live {kind} sets"
+                    )
+            checks.append("exact_summary")
         report["checks"] = list(report["checks"]) + checks
         report["live_txns"] = len(self._txns)
         return report

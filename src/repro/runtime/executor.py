@@ -180,12 +180,11 @@ class Executor:
         # instead of walking an if/elif chain.  Every handler takes
         # (thread, arg) and returns None, except _lock and _wait,
         # which return False when the thread blocked and must yield
-        # its quantum.
+        # its quantum.  Transactional READ/WRITE never reach the
+        # table: the quantum loop handles them itself.
         table = [self._op_unknown] * (OP_WAIT + 1)
         table[OP_BEGIN] = self._begin
         table[OP_COMMIT] = self._commit
-        table[OP_READ] = self._txn_read
-        table[OP_WRITE] = self._txn_write
         table[OP_NT_READ] = self._nt_read
         table[OP_NT_WRITE] = self._nt_write
         table[OP_COMPUTE] = self._op_compute
@@ -313,12 +312,16 @@ class Executor:
         This is the simulator's innermost loop; it is written for the
         CPython interpreter, not for elegance.  Loop-invariant lookups
         (bus enablement, the op list and its length, the dispatch
-        table) are hoisted into locals, the doom check is inlined
-        instead of going through the ``_Thread.doomed`` property, the
-        dominant COMPUTE opcode short-circuits before the table, and
-        runs of consecutive COMPUTEs retire in an inner loop that
-        skips the doom check (nothing can doom this thread while only
-        it advances time).
+        table, the machine's read/write entry points, the thread's
+        core and tid) are hoisted into locals, the doom check is
+        inlined instead of going through the ``_Thread.doomed``
+        property, the dominant COMPUTE opcode short-circuits before
+        the table, and runs of consecutive COMPUTEs retire in an inner
+        loop that skips the doom check (nothing can doom this thread
+        while only it advances time).  Transactional READ/WRITE run
+        here too, with no handler frame; only a refused access leaves
+        the frame, for :meth:`_resolve_conflict`.  A thread changes
+        core only between quanta, so ``core`` is fixed for this one.
         """
         deadline = thread.clock + self._quantum
         bus = self._bus
@@ -327,6 +330,14 @@ class Executor:
         nops = len(ops)
         dispatch = self._dispatch
         op_compute = OP_COMPUTE
+        op_read = OP_READ
+        op_write = OP_WRITE
+        htm_read = self._htm.read
+        htm_write = self._htm.write
+        history_access = (self._history.access if self._record_history
+                          else None)
+        core = thread.core
+        tid = thread.tid
         # clock and pc live in locals; they sync to the thread object
         # only around handler calls (handlers read and mutate them).
         # COMPUTE — the single most common opcode — never leaves this
@@ -362,6 +373,28 @@ class Executor:
                         break
                     clock += arg
                     pc += 1
+                continue
+            if opcode == op_read or opcode == op_write:
+                if bus_enabled:
+                    bus.now = clock
+                is_write = opcode == op_write
+                if is_write:
+                    outcome = htm_write(core, tid, arg)
+                else:
+                    outcome = htm_read(core, tid, arg)
+                if outcome.granted:
+                    if history_access is not None:
+                        # Isolation starts at the grant.
+                        history_access(tid, arg, is_write, clock)
+                    clock += outcome.latency
+                    thread.stalls = 0
+                    pc += 1
+                    continue
+                thread.clock = clock + outcome.latency
+                thread.pc = pc
+                self._resolve_conflict(thread, outcome.conflict)
+                clock = thread.clock
+                pc = thread.pc
                 continue
             thread.clock = clock
             thread.pc = pc
@@ -598,30 +631,6 @@ class Executor:
                            cause=cause.value, attempt=thread.attempts,
                            backoff=backoff)
         thread.pc = thread.begin_pc
-
-    def _txn_read(self, thread: _Thread, block: int) -> None:
-        grant_point = thread.clock  # isolation starts at the grant
-        outcome = self._htm.read(thread.core, thread.tid, block)
-        thread.clock += outcome.latency
-        if outcome.granted:
-            thread.stalls = 0
-            if self._record_history:
-                self._history.access(thread.tid, block, False, grant_point)
-            thread.pc += 1
-            return
-        self._resolve_conflict(thread, outcome.conflict)
-
-    def _txn_write(self, thread: _Thread, block: int) -> None:
-        grant_point = thread.clock  # isolation starts at the grant
-        outcome = self._htm.write(thread.core, thread.tid, block)
-        thread.clock += outcome.latency
-        if outcome.granted:
-            thread.stalls = 0
-            if self._record_history:
-                self._history.access(thread.tid, block, True, grant_point)
-            thread.pc += 1
-            return
-        self._resolve_conflict(thread, outcome.conflict)
 
     def _resolve_conflict(self, thread: _Thread, info) -> None:
         assert info is not None

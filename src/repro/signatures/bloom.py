@@ -19,33 +19,47 @@ an AND and compare: every bank at once, as the hardware probes them.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Set
+from typing import Optional, Set
 
 from repro.common.config import SignatureConfig
 from repro.signatures.base import Signature
-from repro.signatures.h3 import H3Hash, make_h3_family
+from repro.signatures.h3 import fused_tables
 
 
 class MaskCache(dict):
     """Block address -> packed probe mask over one H3 family.
 
     Masks are computed on first use and kept, so a machine whose
-    signatures share one family hashes each block once per run.
+    signatures share one family hashes each block once per run.  A
+    miss XORs one :func:`fused_tables` entry per key byte, which hashes
+    the block under every function of the family at once, then sets
+    each function's output bit in its own bank.
     """
 
-    __slots__ = ("hashes", "bank_bits")
+    __slots__ = ("tables", "num_hashes", "index_bits")
 
-    def __init__(self, hashes: Sequence[H3Hash], bank_bits: int):
+    def __init__(self, num_hashes: int, index_bits: int, seed: int = 0):
         super().__init__()
-        self.hashes = hashes
-        self.bank_bits = bank_bits
+        self.tables = fused_tables(num_hashes, index_bits, seed)
+        self.num_hashes = num_hashes
+        self.index_bits = index_bits
 
     def __missing__(self, block_addr: int) -> int:
+        t0, t1, t2, t3, t4, t5 = self.tables
+        packed = (t0[block_addr & 0xFF] ^ t1[block_addr >> 8 & 0xFF]
+                  ^ t2[block_addr >> 16 & 0xFF]
+                  ^ t3[block_addr >> 24 & 0xFF]
+                  ^ t4[block_addr >> 32 & 0xFF]
+                  ^ t5[block_addr >> 40 & 0xFF])
+        index_bits = self.index_bits
+        index_mask = (1 << index_bits) - 1
+        # Bank b holds 2**index_bits bits starting at b << index_bits.
         mask = 0
-        offset = 0
-        for h in self.hashes:
-            mask |= 1 << (offset + h(block_addr))
-            offset += self.bank_bits
+        base = 0
+        for _ in range(self.num_hashes):
+            mask |= 1 << (base + (packed & index_mask))
+            packed >>= index_bits
+            base += index_mask + 1
         self[block_addr] = mask
         return mask
 
@@ -62,8 +76,7 @@ def mask_cache(config: SignatureConfig, seed: int = 0) -> MaskCache:
     index_bits = int(math.log2(bank_bits))
     if (1 << index_bits) != bank_bits:
         raise ValueError("per-bank size must be a power of two")
-    return MaskCache(make_h3_family(config.num_hashes, index_bits, seed),
-                     bank_bits)
+    return MaskCache(config.num_hashes, index_bits, seed)
 
 
 class BloomSignature(Signature):

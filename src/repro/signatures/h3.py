@@ -89,6 +89,26 @@ def make_h3_family(count: int, out_bits: int,
     return tuple(H3Hash(out_bits, seed=seed, lane=i) for i in range(count))
 
 
+@functools.lru_cache(maxsize=None)
+def fused_tables(count: int, out_bits: int,
+                 seed: int = 0) -> Tuple[Tuple[int, ...], ...]:
+    """One byte table per key byte for the whole ``make_h3_family``.
+
+    Entry ``v`` of table ``p`` packs every function's contribution of
+    key byte ``p`` equal to ``v``, function ``i`` in bits
+    ``[i * out_bits, (i + 1) * out_bits)``.  XOR never carries between
+    fields, so XOR-ing one entry per key byte hashes the key under all
+    ``count`` functions at once.
+    """
+    family = make_h3_family(count, out_bits, seed)
+    return tuple(
+        tuple(sum(h._tables[byte_pos][value] << (i * out_bits)
+                  for i, h in enumerate(family))
+              for value in range(256))
+        for byte_pos in range(KEY_BITS // 8)
+    )
+
+
 def hash_indices(family: Sequence[H3Hash], key: int) -> List[int]:
     """Apply every function in the family to one key."""
     return [h(key) for h in family]

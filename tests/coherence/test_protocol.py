@@ -152,31 +152,39 @@ class TestEvictions:
 
 
 class TestPreview:
+    """``needs_directory`` previews an access: would it reach the
+    directory (an L1 miss or an upgrade), or is it a pure L1 hit?"""
+
     def test_preview_hit(self, system):
         mem, _ = system
         mem.access(0, B, False)
-        preview = mem.preview(0, B, False)
-        assert preview.hit and not preview.needs_directory
+        assert not mem.needs_directory(0, B, False)
+        # Sole reader holds the line EXCLUSIVE: the write is silent.
+        assert not mem.needs_directory(0, B, True)
+        mem.access(0, B, True)
+        assert not mem.needs_directory(0, B, True)
 
-    def test_preview_upgrade_lists_sharers(self, system):
+    def test_preview_upgrade_needs_directory(self, system):
         mem, _ = system
         mem.access(0, B, False)
         mem.access(1, B, False)
-        preview = mem.preview(0, B, True)
-        assert preview.hit and preview.needs_directory
-        assert preview.would_invalidate == (1,)
+        assert not mem.needs_directory(0, B, False)
+        assert mem.needs_directory(0, B, True)
+        assert mem.access(0, B, True).invalidated == (1,)
 
     def test_preview_read_of_owned_block(self, system):
         mem, _ = system
         mem.access(0, B, True)
-        preview = mem.preview(1, B, False)
-        assert preview.would_downgrade == 0
+        assert mem.needs_directory(1, B, False)
+        assert mem.access(1, B, False).source == 0
 
     def test_preview_does_not_mutate(self, system):
         mem, rec = system
-        mem.preview(0, B, True)
+        assert mem.needs_directory(0, B, True)
         assert rec.events == []
         assert mem.holders(B) == set()
+        assert mem.stats.snapshot() == MemorySystem(small_system()) \
+            .stats.snapshot()
 
 
 class TestLatencies:

@@ -210,17 +210,49 @@ class TestSummaries:
         with pytest.raises(TransactionError, match="1 stale bits"):
             htm.check_invariants()
 
-    def test_perfect_signatures_have_no_summary(self):
+    def test_perfect_signatures_keep_an_exact_summary(self):
         htm = build(perfect=True)
         htm.begin(0, 0)
         htm.write(0, 0, B)
         htm.begin(1, 1)
-        assert not htm.write(1, 1, B).granted
-        # Txn 0's own write was checked against nobody; txn 1's write
-        # probe hit txn 0, so no read probe followed it.
+        assert htm.read(1, 1, B + 1).granted
+        # Txn 0's write and txn 1's read were cleared on the counts.
         assert htm.sigcheck.snapshot() == {
-            "checks": 2, "summary_clears": 0, "probes": 1}
-        assert "signature_summary" not in htm.check_invariants()["checks"]
+            "checks": 2, "summary_clears": 2, "probes": 0}
+        assert not htm.write(1, 1, B).granted
+        # The write count held B: the scan probed txn 0's write set,
+        # hit, and made no read probe.
+        assert htm.sigcheck.snapshot() == {
+            "checks": 3, "summary_clears": 2, "probes": 1}
+        assert htm._write_counts == {B: 1}
+        assert htm._read_counts == {B + 1: 1}
+        checks = htm.check_invariants()["checks"]
+        assert "exact_summary" in checks
+        assert "signature_summary" not in checks
+        htm.commit(0, 0)
+        htm.abort(1, 1)
+        assert htm._write_counts == htm._read_counts == {}
+
+    def test_oracle_rejects_a_stale_or_missing_count(self):
+        htm = build(perfect=True)
+        htm.begin(0, 0)
+        htm.write(0, 0, B)
+        htm.begin(1, 1)
+        htm.read(1, 1, B + 1)
+        assert "exact_summary" in htm.check_invariants()["checks"]
+        htm._read_counts[B + 1] = 2
+        with pytest.raises(TransactionError,
+                           match="read summary counts 1 blocks wrong"):
+            htm.check_invariants()
+        htm._read_counts[B + 1] = 1
+        htm._read_counts[B + 7] = 1
+        with pytest.raises(TransactionError, match="has 1 for 0 live"):
+            htm.check_invariants()
+        del htm._read_counts[B + 7]
+        del htm._write_counts[B]
+        with pytest.raises(TransactionError,
+                           match="write summary .* has 0 for 1 live"):
+            htm.check_invariants()
 
 
 def _vacation_sigcheck(seed):

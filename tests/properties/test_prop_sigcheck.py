@@ -1,9 +1,11 @@
 """Property tests: LogTM-SE's summary-first conflict check is exact.
 
 ``LogTMSE._check`` first tests the machine-wide read/write summaries
-and scans the live transactions only when a summary may hold the
-block.  Driven through random begin/read/write/commit/abort/nontxn
-sequences, it must return exactly what a reference scan calling
+(the OR of the live Bloom signatures, or on a perfect machine the
+block -> holder-count maps of the live exact sets) and scans the live
+transactions only when a summary may hold the block.  Driven through
+random begin/read/write/commit/abort/nontxn sequences, on Bloom and
+perfect machines, it must return exactly what a reference scan calling
 ``Signature.test`` on every live transaction returns — same kind,
 same hint order, same false-positive flag — and move the
 ``conflicts``/``false_positive_conflicts`` counters the same way.
@@ -20,6 +22,7 @@ from repro.coherence.protocol import MemorySystem
 from repro.htm.base import ConflictInfo, ConflictKind
 from repro.htm.logtm_se import LogTMSE
 from repro.signatures.bloom import BloomSignature
+from repro.signatures.perfect import PerfectSignature
 from tests.conftest import small_system
 
 CORES = 4
@@ -71,13 +74,17 @@ def checked(htm, tid, block, is_write):
     before = (htm.stats.conflicts, htm.stats.false_positive_conflicts)
     probes = htm.sigcheck.probes
     calls = []
-    real_test = BloomSignature.test
 
-    def counted_test(sig, addr):
-        calls.append(addr)
-        return real_test(sig, addr)
+    def counting(real_test):
+        def counted_test(sig, addr):
+            calls.append(addr)
+            return real_test(sig, addr)
+        return counted_test
 
-    with mock.patch.object(BloomSignature, "test", counted_test):
+    with mock.patch.object(BloomSignature, "test",
+                           counting(BloomSignature.test)), \
+            mock.patch.object(PerfectSignature, "test",
+                              counting(PerfectSignature.test)):
         got = htm._check(tid, block, is_write)
     assert got == expected
     assert htm.sigcheck.probes - probes == len(calls)
@@ -89,11 +96,8 @@ def checked(htm, tid, block, is_write):
                          before[1] + int(expected.false_positive))
 
 
-@given(ops_strategy, st.sampled_from([2, 4]),
-       st.sampled_from([16, 64, 2048]))
-@settings(max_examples=80, deadline=None)
-def test_summary_check_matches_reference_scan(ops, hashes, bits):
-    sig = SignatureConfig(bits=bits, num_hashes=hashes)
+def drive(sig, ops, summary_check):
+    """Run ``ops`` on a fresh machine, checking every conflict check."""
     htm = LogTMSE(MemorySystem(small_system(cores=CORES)),
                   HTMConfig(signature=sig), signature=sig)
     for tid in range(CORES):
@@ -118,4 +122,18 @@ def test_summary_check_matches_reference_scan(ops, hashes, bits):
             checked(htm, tid, block, is_write)
             getattr(htm, op)(core, tid, block)
         report = htm.check_invariants()
-        assert "signature_summary" in report["checks"]
+        assert summary_check in report["checks"]
+
+
+@given(ops_strategy, st.sampled_from([2, 4]),
+       st.sampled_from([16, 64, 2048]))
+@settings(max_examples=80, deadline=None)
+def test_summary_check_matches_reference_scan(ops, hashes, bits):
+    drive(SignatureConfig(bits=bits, num_hashes=hashes), ops,
+          "signature_summary")
+
+
+@given(ops_strategy)
+@settings(max_examples=80, deadline=None)
+def test_exact_summary_check_matches_reference_scan(ops):
+    drive(SignatureConfig(perfect=True), ops, "exact_summary")

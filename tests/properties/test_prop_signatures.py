@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from repro.common.config import SignatureConfig
 from repro.signatures import BloomSignature, PerfectSignature
+from repro.signatures.bloom import mask_cache
+from repro.signatures.h3 import make_h3_family
 
 blocks = st.integers(0, (1 << 40) - 1)
 
@@ -59,3 +61,24 @@ def test_fill_ratio_monotone(members):
         now = sig.fill_ratio
         assert now >= last
         last = now
+
+
+#: Keys up to 64 bits: H3 hashes the low 48 and ignores the rest.
+wide_keys = st.integers(0, (1 << 64) - 1)
+
+
+@given(st.lists(wide_keys, max_size=100), st.sampled_from([2, 4]),
+       st.sampled_from([0, 1]), st.sampled_from([64, 2048]))
+@settings(max_examples=100)
+def test_fused_masks_equal_per_hash_reference(keys, k, seed, bits):
+    """One fused table walk gives the OR of each H3 function's bit."""
+    config = SignatureConfig(bits=bits, num_hashes=k)
+    bank_bits = bits // k
+    family = make_h3_family(k, bank_bits.bit_length() - 1, seed)
+    masks = mask_cache(config, seed=seed)
+    for key in keys:
+        expected = 0
+        for bank, h in enumerate(family):
+            expected |= 1 << (bank * bank_bits + h(key))
+        assert masks[key] == expected
+        assert masks[key & ((1 << 48) - 1)] == expected
