@@ -54,6 +54,8 @@ GOLDEN = {
     ("Vacation-High", "LogTM-SE_4xH3", "nofast"): "60ab9e7f78066f0e",
     ("Vacation-High", "LogTM-SE_4xH3", "plain"): "60ab9e7f78066f0e",
     ("Vacation-High", "LogTM-SE_Perf", "plain"): "9f434c1c9d4ce580",
+    ("Vacation-High", "OneTM", "faults"): "8bc5be9a30ba6c14",
+    ("Vacation-High", "OneTM", "nofast"): "a1a73bc37257198d",
     ("Vacation-High", "OneTM", "plain"): "a1a73bc37257198d",
     ("Vacation-High", "TokenTM", "faults"): "249fff14c1d61695",
     ("Vacation-High", "TokenTM", "nofast"): "8a95fa8064566860",
