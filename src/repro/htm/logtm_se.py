@@ -25,7 +25,12 @@ plus "sticky" ownership left behind by evictions, and falls back to
 broadcast with summary signatures after thread migration.  We check
 every directory-reaching request against all other live transactions'
 signatures, which is what sticky states + summaries conservatively
-amount to, and preserves the false-positive dynamics.  Every machine
+amount to, and preserves the false-positive dynamics.  A transaction
+switched off its core leaves its lines in that core's L1, where the
+next occupant can hit them without reaching the directory; until it
+commits or aborts it is *displaced*, and every access that stays in
+the L1 is also checked against the displaced transactions' signatures
+(the summary-signature fallback).  Every machine
 first tests a machine-wide summary of each set kind: Bloom machines
 keep the OR of every live signature, and perfect machines a
 block -> holder-count map of the live exact sets.  A summary miss
@@ -108,6 +113,8 @@ class LogTMSE(HTM):
         else:
             self.name = (f"LogTM-SE_{self._sig_config.num_hashes}xH3")
         self._txns: Dict[int, _SigTxn] = {}
+        #: Live transactions switched off a core since they began.
+        self._displaced: Dict[int, _SigTxn] = {}
         self._logs: Dict[int, TmLog] = {}
         self.sigcheck = SigCheckStats()
         # All transactions share one H3 family per set kind (as the
@@ -155,6 +162,7 @@ class LogTMSE(HTM):
     def _end(self, tid: int) -> None:
         """Retire ``tid``'s transaction from the live set and summaries."""
         txn = self._txns.pop(tid)
+        self._displaced.pop(tid, None)
         if self._read_masks is not None:
             self._read_summary, self._write_summary = self._live_summaries()
             return
@@ -193,9 +201,10 @@ class LogTMSE(HTM):
     # Conflict checks
     # ------------------------------------------------------------------
 
-    def _check(self, tid: int, block: int,
-               is_write: bool) -> Optional[ConflictInfo]:
-        """Signature-check a directory-reaching request.
+    def _check(self, tid: int, block: int, is_write: bool,
+               txns: Optional[Dict[int, _SigTxn]] = None
+               ) -> Optional[ConflictInfo]:
+        """Signature-check a request against ``txns`` (default: all live).
 
         A load conflicts with remote write signatures; a store with
         remote read *and* write signatures.  Returns None when clear.
@@ -223,7 +232,8 @@ class LogTMSE(HTM):
         writer_hits: List[int] = []
         reader_hits: List[int] = []
         any_real = False
-        txns = self._txns
+        if txns is None:
+            txns = self._txns
         for other_tid, other in txns.items():
             if other_tid == tid:
                 continue
@@ -289,11 +299,15 @@ class LogTMSE(HTM):
         mem = self.mem
         if mem.needs_directory(core, block, False):
             conflict = self._check(tid, block, False)
-            if conflict is not None:
-                # NACKed at the directory: no data movement.
-                return AccessOutcome(
-                    False, mem.request_latency(core, block), conflict
-                )
+        elif self._displaced:
+            conflict = self._check(tid, block, False, self._displaced)
+        else:
+            conflict = None
+        if conflict is not None:
+            # NACKed at the directory: no data movement.
+            return AccessOutcome(
+                False, mem.request_latency(core, block), conflict
+            )
         res = mem.access(core, block, False)
         read_set = txn.read_set
         if block not in read_set:
@@ -317,10 +331,14 @@ class LogTMSE(HTM):
         mem = self.mem
         if mem.needs_directory(core, block, True):
             conflict = self._check(tid, block, True)
-            if conflict is not None:
-                return AccessOutcome(
-                    False, mem.request_latency(core, block), conflict
-                )
+        elif self._displaced:
+            conflict = self._check(tid, block, True, self._displaced)
+        else:
+            conflict = None
+        if conflict is not None:
+            return AccessOutcome(
+                False, mem.request_latency(core, block), conflict
+            )
         res = mem.access(core, block, True)
         latency = res.latency
         write_set = txn.write_set
@@ -372,24 +390,47 @@ class LogTMSE(HTM):
     # ------------------------------------------------------------------
 
     def nontxn_read(self, core: int, tid: int, block: int) -> AccessOutcome:
-        if self.mem.needs_directory(core, block, False):
-            conflict = self._check(tid, block, False)
-            if conflict is not None:
-                return AccessOutcome(
-                    False, self.mem.request_latency(core, block), conflict
-                )
-        res = self.mem.access(core, block, False)
-        return AccessOutcome(True, res.latency)
+        return self._nontxn_access(core, tid, block, False)
 
     def nontxn_write(self, core: int, tid: int, block: int) -> AccessOutcome:
-        if self.mem.needs_directory(core, block, True):
-            conflict = self._check(tid, block, True)
-            if conflict is not None:
-                return AccessOutcome(
-                    False, self.mem.request_latency(core, block), conflict
-                )
-        res = self.mem.access(core, block, True)
-        return AccessOutcome(True, res.latency)
+        return self._nontxn_access(core, tid, block, True)
+
+    def _nontxn_access(self, core: int, tid: int, block: int,
+                       is_write: bool) -> AccessOutcome:
+        mem = self.mem
+        if mem.needs_directory(core, block, is_write):
+            conflict = self._check(tid, block, is_write)
+        elif self._displaced:
+            conflict = self._check(tid, block, is_write, self._displaced)
+        else:
+            conflict = None
+        if conflict is not None:
+            return AccessOutcome(
+                False, mem.request_latency(core, block), conflict
+            )
+        return AccessOutcome(True, mem.access(core, block, is_write).latency)
+
+    # ------------------------------------------------------------------
+    # Context switching
+    # ------------------------------------------------------------------
+
+    def context_switch(self, core: int) -> int:
+        """Deschedule ``core``'s thread; its live transaction is displaced.
+
+        The transaction's lines stay in this core's L1, where the next
+        occupant can hit them without a directory request, so from now
+        until it commits or aborts every L1 hit is also checked against
+        its signatures.  Signatures need no save/restore: O(1).
+        """
+        for tid, txn in self._txns.items():
+            if txn.core == core:
+                self._displaced[tid] = txn
+        return 0
+
+    def schedule(self, core: int, tid: int) -> None:
+        txn = self._txns.get(tid)
+        if txn is not None:
+            txn.core = core
 
     # ------------------------------------------------------------------
     # Instrumentation

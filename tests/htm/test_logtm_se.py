@@ -116,6 +116,48 @@ class TestConflicts:
         assert htm.nontxn_read(1, 1, B + 1).granted
 
 
+class TestContextSwitch:
+    """A transaction switched off its core leaves its lines in that
+    core's L1; the next occupant's hits must still see its signatures."""
+
+    @pytest.mark.parametrize("perfect", [True, False])
+    @pytest.mark.parametrize("is_write", [False, True])
+    def test_l1_hit_on_displaced_write_conflicts(self, perfect, is_write):
+        htm = build(perfect=perfect)
+        htm.begin(0, 0)
+        assert htm.write(0, 0, B).granted
+        htm.context_switch(0)
+        htm.schedule(1, 0)
+        htm.begin(0, 1)
+        assert not htm.mem.needs_directory(0, B, is_write)  # an L1 hit
+        access = htm.write if is_write else htm.read
+        out = access(0, 1, B)
+        assert not out.granted
+        assert out.conflict.kind is ConflictKind.WRITER
+        assert out.conflict.hints == (0,)
+        assert not htm.nontxn_read(0, 2, B).granted
+
+    def test_displacement_ends_at_commit(self):
+        htm = build(perfect=True)
+        htm.begin(0, 0)
+        htm.write(0, 0, B)
+        htm.context_switch(0)
+        htm.schedule(1, 0)
+        htm.commit(1, 0)
+        htm.begin(0, 1)
+        assert htm.read(0, 1, B).granted
+        assert htm.stats.conflicts == 0
+
+    def test_displaced_reader_allows_reads(self):
+        htm = build(perfect=True)
+        htm.begin(0, 0)
+        htm.read(0, 0, B)
+        htm.context_switch(0)
+        htm.schedule(1, 0)
+        htm.begin(0, 1)
+        assert htm.read(0, 1, B).granted
+
+
 class TestFalsePositives:
     def test_perfect_never_false_positive(self):
         htm = build(perfect=True)

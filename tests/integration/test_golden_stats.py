@@ -51,6 +51,7 @@ GOLDEN = {
     ("Genome", "TokenTM", "plain"): "86bbc361f8d0151b",
     ("Genome", "TokenTM_NoFast", "plain"): "190de2c3b0726c42",
     ("Vacation-High", "LogTM-SE_2xH3", "plain"): "79c6b50c37e90b73",
+    ("Vacation-High", "LogTM-SE_4xH3", "faults"): "4741b8a0a3641c2f",
     ("Vacation-High", "LogTM-SE_4xH3", "nofast"): "60ab9e7f78066f0e",
     ("Vacation-High", "LogTM-SE_4xH3", "plain"): "60ab9e7f78066f0e",
     ("Vacation-High", "LogTM-SE_Perf", "plain"): "9f434c1c9d4ce580",
