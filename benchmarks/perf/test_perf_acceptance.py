@@ -1,10 +1,9 @@
 """Performance acceptance benchmarks for the perf subsystem.
 
 These measure the *harness*, not the simulated machine: that the
-parallel engine actually buys wall-clock on a multi-core host and
-that the optimized interpreter loop beats the pre-optimization copy.
-Both are wall-clock sensitive, so they carry the ``perf`` marker and
-are excluded from the tier-1 suite (``testpaths`` covers ``tests/``
+parallel engine actually buys wall-clock on a multi-core host.  That
+is wall-clock sensitive, so it carries the ``perf`` marker and is
+excluded from the tier-1 suite (``testpaths`` covers ``tests/``
 only); run them explicitly with::
 
     PYTHONPATH=src python -m pytest benchmarks/perf -m perf
@@ -19,7 +18,7 @@ import os
 
 import pytest
 
-from repro.perf.bench import bench_specs, compare_serial_parallel, microbench
+from repro.perf.bench import bench_specs, compare_serial_parallel
 
 pytestmark = pytest.mark.perf
 
@@ -37,12 +36,3 @@ def test_parallel_grid_speedup_with_four_workers():
         f"4-worker speedup {result['speedup']:.2f}x < 2x"
     )
 
-
-def test_interpreter_microbench_speedup():
-    """Optimized hot loop: >= 1.3x ops/sec over the pre-PR loop."""
-    result = microbench(rounds=5)
-    assert result["speedup"] >= 1.3, (
-        f"interpreter speedup {result['speedup']:.2f}x < 1.3x "
-        f"(legacy {result['legacy_ops_per_sec']:,.0f} vs optimized "
-        f"{result['optimized_ops_per_sec']:,.0f} ops/sec)"
-    )

@@ -523,9 +523,7 @@ def cmd_bench(args) -> int:
             workers=workers,
             workload_names=args.workloads, variants=args.variants,
             scale_factor=args.scale_factor, cache_dir=args.cache_dir,
-            compare_serial=args.compare_serial, micro=not args.no_micro,
-            micro_rounds=args.micro_rounds,
-            membench=not args.no_membench,
+            compare_serial=args.compare_serial,
             fast_path=not args.no_fastpath,
             traces=not args.no_traces,
             only=args.only,
@@ -535,6 +533,9 @@ def cmd_bench(args) -> int:
     except IncompleteGridError as exc:
         _print_incomplete(exc)
         return 1
+    except ConfigError as exc:
+        print(f"bench: {exc}", file=sys.stderr)
+        return 2
     print(format_bench_summary(payload))
     print(f"wrote {args.out}")
     # Under --failure-policy continue the grid completes with holes;
@@ -999,12 +1000,14 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog="exit codes: 0 bench complete (and within tolerance "
                "when --baseline is given); 1 grid cells failed or a "
-               "regression exceeded the tolerance.  A missing, "
+               "regression exceeded the tolerance; 2 unknown workload "
+               "or variant, or unusable --landscape store (nothing "
+               "ran).  A missing, "
                "truncated, or invalid baseline file warns and skips "
                "the comparison — it never fails the run.")
     bench_p.add_argument("--out", metavar="FILE", default="BENCH_perf.json")
     bench_p.add_argument("--quick", action="store_true",
-                         help="small CI-sized grid and microbenchmark")
+                         help="small CI-sized grid")
     bench_p.add_argument("--seed", type=int, default=2008)
     bench_p.add_argument("--workers", type=int, default=0,
                          help="worker processes (0 = inline, "
@@ -1019,11 +1022,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--compare-serial", action="store_true",
                          help="also time the grid serially and check "
                               "parallel results are identical")
-    bench_p.add_argument("--no-micro", action="store_true",
-                         help="skip the interpreter microbenchmark")
-    bench_p.add_argument("--micro-rounds", type=int, default=3)
-    bench_p.add_argument("--no-membench", action="store_true",
-                         help="skip the memory-stack microbenchmark")
     bench_p.add_argument("--no-fastpath", action="store_true",
                          help="run the grid with the access filters "
                               "disabled (results are identical)")

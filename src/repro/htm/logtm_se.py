@@ -420,7 +420,8 @@ class LogTMSE(HTM):
         The transaction's lines stay in this core's L1, where the next
         occupant can hit them without a directory request, so from now
         until it commits or aborts every L1 hit is also checked against
-        its signatures.  Signatures need no save/restore: O(1).
+        its signatures.  The signatures stay where they are, so the
+        switch costs no cycles.
         """
         for tid, txn in self._txns.items():
             if txn.core == core:

@@ -16,9 +16,7 @@ scale).  See ``docs/performance.md``.
   that unwinds an interrupted campaign (``docs/robustness.md``,
   "Surviving the host");
 * :mod:`repro.perf.bench` — the ``repro bench`` harness that writes
-  ``BENCH_perf.json``;
-* :mod:`repro.perf.legacy` — the pre-optimization interpreter loop,
-  kept as the microbenchmark baseline.
+  ``BENCH_perf.json`` (the grid and the memory-stack benchmark).
 """
 
 from repro.perf.cache import ResultCache, cell_key

@@ -2,25 +2,16 @@
 
 Measures these and writes them to ``BENCH_perf.json``:
 
-* **grid throughput** — wall-clock and simulated-ops/sec for every
-  cell of an evaluation grid, run through the
+* **grid throughput** (``grid``) — wall-clock and simulated-ops/sec
+  for every cell of an evaluation grid, run through the
   :class:`~repro.perf.runner.ParallelRunner`;
-* **interpreter microbenchmark** — the optimized executor hot loop
-  vs. the faithful pre-optimization copy in
-  :mod:`repro.perf.legacy`, on an identical conflict-free trace, so
-  the loop speedup is isolated from simulation content;
-* **memory-stack microbenchmark** — the access fast path (coherence
-  hit filter + HTM read/write-set short-circuit) vs. the unfiltered
-  machine (:func:`repro.perf.legacy.unfiltered_memory_system`) on an
-  identical repeat-access-heavy transaction mix, with an
-  identical-statistics cross-check;
-* **faults-path microbenchmark** — the shipped executor (NULL
-  injector/monitor defaults) vs. the frozen pre-faults scheduling
-  loop (:class:`repro.perf.legacy.PreFaultsExecutor`), proving the
-  disabled faults subsystem is zero-cost (CI asserts the overhead
-  stays under 2%).
+* **memory-stack benchmark** (``membench``) — the coherence hit
+  filter vs. the same machine with it off
+  (``MemorySystem(fast_path=False)``) on an identical
+  repeat-access-heavy transaction mix, with an identical-statistics
+  cross-check.
 
-Schema of ``BENCH_perf.json`` (``repro-bench-perf/9``, documented in
+Schema of ``BENCH_perf.json`` (``repro-bench-perf/10``, documented in
 ``docs/performance.md``):
 
 ``schema``        schema identifier string;
@@ -32,14 +23,9 @@ Schema of ``BENCH_perf.json`` (``repro-bench-perf/9``, documented in
                   answered), sim_ops_per_sec, makespan, commits,
                   aborts, cache_hit;
 ``totals``        summed trace_ops / wall and aggregate ops/sec;
-``microbench``    trace_ops, rounds, legacy/optimized ops-per-sec
-                  and their ratio (``speedup``);
 ``membench``      accesses, rounds, unfiltered/filtered ops-per-sec,
                   ``speedup``, ``identical_stats``, and the filtered
                   run's fast-path counter snapshot (``fastpath``);
-``faultbench``    trace_ops, rounds, prefaults/null ops-per-sec,
-                  ``overhead`` (null wall / pre-faults wall) and an
-                  identical-statistics cross-check;
 ``parallel``      optional serial-vs-parallel wall comparison
                   (``--compare-serial``) with a ``byte_identical``
                   stats check;
@@ -52,10 +38,10 @@ aborted-and-retried work is not double-counted, so the number is a
 throughput of useful simulation progress.
 
 ``--baseline FILE`` compares a fresh payload against a committed one
-via :func:`check_regression`: the *speedup ratios* (optimized/legacy,
-filtered/unfiltered) are compared rather than absolute ops/sec, so
-the check tolerates slow CI machines and only fails when an
-optimization itself eroded.
+via :func:`check_regression`: the membench *speedup ratio*
+(filtered/unfiltered) is compared rather than absolute ops/sec, so
+the check tolerates slow CI machines and only fails when the filter
+itself eroded.
 """
 
 from __future__ import annotations
@@ -67,36 +53,22 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.experiments import Cell
-from repro.common.config import HTMConfig, RunConfig, SystemConfig
+from repro.common.config import HTMConfig, SystemConfig
 from repro.common.errors import ConfigError, IncompleteGridError
 from repro.coherence.protocol import MemorySystem
-from repro.htm import make_htm
+from repro.htm import VARIANTS, make_htm
 from repro.obs.metrics import publish_fastpath
 from repro.perf.cache import ResultCache
-from repro.perf.legacy import (
-    LegacyExecutor,
-    PreFaultsExecutor,
-    unfiltered_memory_system,
-)
 from repro.perf.runner import CellSpec, ParallelRunner
 from repro.perf.supervise import FAIL_FAST, SupervisorConfig
-from repro.runtime.executor import Executor
 from repro.traces.workload import TraceWorkloadSpec, fixture_workloads
 from repro.workloads import tm_workloads
-from repro.workloads.trace import (
-    OP_BEGIN,
-    OP_COMMIT,
-    OP_COMPUTE,
-    OP_READ,
-    OP_WRITE,
-    ThreadTrace,
-    WorkloadTrace,
-)
 
 #: Identifier written into every BENCH_perf.json.
-#: /2: added the memory-stack microbenchmark (``membench``), the
+#: /2: added the memory-stack benchmark (``membench``), the
 #: ``config.fast_path`` flag, and ``perf.fastpath.*`` metrics.
-#: /3: added the faults-path microbenchmark (``faultbench``).
+#: /3: added the faults-path section (NULL injector vs. a frozen
+#: pre-faults scheduling loop).
 #: /4: ``grid`` grew a ``report`` (the runner's supervision
 #: RunReport: retries, timeouts, worker deaths, per-cell failures)
 #: and cell rows may carry ``failed: true`` with null stats when the
@@ -119,7 +91,10 @@ from repro.workloads.trace import (
 #: diffs only in measured timings, never in when it was measured.
 #: /9: dropped ``kernelbench``, ``config.kernel`` and the ``kernels.*``
 #: metrics with the alternate hot-loop backends they compared.
-BENCH_SCHEMA = "repro-bench-perf/9"
+#: /10: dropped the interpreter and faults-path sections with the
+#: frozen executor copies they timed; ``membench`` is the one ratio
+#: section left.
+BENCH_SCHEMA = "repro-bench-perf/10"
 
 #: Default output path, at the repo root like the other BENCH files.
 DEFAULT_OUT = "BENCH_perf.json"
@@ -147,42 +122,6 @@ QUICK_SCALE_FACTOR = 0.25
 #: Fixture event traces replayed as grid cells (``--quick`` keeps one).
 #: Traces run at their recorded size; ``scale`` is pinned to 1.0.
 QUICK_TRACE_FIXTURES = ("mutex_ring",)
-
-#: Microbenchmark trace shape (per thread): transactions of a few
-#: private accesses followed by a long COMPUTE run — the opcode mix
-#: that dominates real traces, weighted so the interpreter loop (not
-#: the HTM access path, which both executors share) is what's timed.
-MICRO_THREADS = 4
-MICRO_TXNS = 60
-MICRO_COMPUTES = 400
-MICRO_COMPUTE_CYCLES = 2
-
-
-def micro_trace(threads: int = MICRO_THREADS, txns: int = MICRO_TXNS,
-                computes: int = MICRO_COMPUTES,
-                compute_cycles: int = MICRO_COMPUTE_CYCLES) -> WorkloadTrace:
-    """Deterministic conflict-free trace for the loop microbenchmark.
-
-    Every thread touches only its own block range, so the run is
-    abort-free and both executors retire the identical op stream.
-    """
-    thread_traces = []
-    for tid in range(threads):
-        base = tid << 12  # disjoint per-thread block ranges
-        ops = []
-        for t in range(txns):
-            ops.append((OP_BEGIN, 0))
-            ops.append((OP_READ, base + (t % 64)))
-            ops.append((OP_READ, base + ((t + 7) % 64)))
-            ops.append((OP_WRITE, base + ((t + 3) % 64)))
-            ops.extend([(OP_COMPUTE, compute_cycles)] * computes)
-            ops.append((OP_COMMIT, 0))
-            ops.append((OP_COMPUTE, compute_cycles))
-        thread_traces.append(ThreadTrace(tid, ops))
-    return WorkloadTrace("Microbench", thread_traces,
-                         params={"threads": threads, "txns": txns,
-                                 "computes": computes})
-
 
 def _grid_cells_payload(specs: Sequence[CellSpec], cells: Sequence[Cell],
                         walls: Sequence[Optional[float]]) -> List[Dict]:
@@ -285,61 +224,7 @@ def compare_serial_parallel(specs: Sequence[CellSpec],
 
 
 # ----------------------------------------------------------------------
-# Interpreter microbenchmark
-# ----------------------------------------------------------------------
-
-def _micro_run(executor_cls, trace, seed: int):
-    system = SystemConfig()
-    htm_cfg = HTMConfig()
-    machine = make_htm("TokenTM", MemorySystem(system), htm_cfg)
-    executor = executor_cls(
-        machine, trace, RunConfig(system=system, htm=htm_cfg, seed=seed),
-        validate=False, track_history=False,
-    )
-    start = time.perf_counter()
-    result = executor.run()
-    return time.perf_counter() - start, result.stats
-
-
-def microbench(seed: int = 2008, rounds: int = 3,
-               scale: float = 1.0) -> Dict:
-    """Optimized vs. legacy hot loop on one conflict-free trace.
-
-    Fresh machines each round; best-of-``rounds`` wall time on both
-    sides.  The two loops must produce identical statistics (asserted
-    here), so the comparison times interpretation, not behaviour.
-    ``scale`` multiplies the per-thread transaction count.
-    """
-    trace = micro_trace(txns=max(1, int(MICRO_TXNS * scale)))
-    ops = trace.total_ops()
-    best_legacy = best_new = float("inf")
-    legacy_stats = new_stats = None
-    for _ in range(max(1, rounds)):
-        wall, stats = _micro_run(LegacyExecutor, trace, seed)
-        if wall < best_legacy:
-            best_legacy, legacy_stats = wall, stats
-        wall, stats = _micro_run(Executor, trace, seed)
-        if wall < best_new:
-            best_new, new_stats = wall, stats
-    if legacy_stats.snapshot() != new_stats.snapshot():
-        raise AssertionError(
-            "legacy and optimized loops diverged on the microbenchmark"
-        )
-    legacy_ops = ops / best_legacy
-    new_ops = ops / best_new
-    return {
-        "trace_ops": ops,
-        "rounds": rounds,
-        "legacy_wall_seconds": best_legacy,
-        "optimized_wall_seconds": best_new,
-        "legacy_ops_per_sec": legacy_ops,
-        "optimized_ops_per_sec": new_ops,
-        "speedup": new_ops / legacy_ops,
-    }
-
-
-# ----------------------------------------------------------------------
-# Memory-stack microbenchmark
+# Memory-stack benchmark
 # ----------------------------------------------------------------------
 
 #: Membench shape: a few concurrent large transactions, each looping
@@ -348,6 +233,8 @@ def microbench(seed: int = 2008, rounds: int = 3,
 MEM_CORES = 4
 MEM_BLOCKS = 48
 MEM_REPEATS = 40
+#: Best-of rounds on each side of the comparison.
+MEM_ROUNDS = 3
 
 
 def _membench_run(fast_path: bool, cores: int, blocks: int,
@@ -358,11 +245,7 @@ def _membench_run(fast_path: bool, cores: int, blocks: int,
     The access sequence is identical for both modes, so the protocol
     statistics must match exactly (asserted by :func:`membench`).
     """
-    system = SystemConfig()
-    if fast_path:
-        mem = MemorySystem(system)
-    else:
-        mem = unfiltered_memory_system(system)
+    mem = MemorySystem(SystemConfig(), fast_path=fast_path)
     machine = make_htm("TokenTM", mem, HTMConfig())
     accesses = 0
     start = time.perf_counter()
@@ -384,7 +267,7 @@ def _membench_run(fast_path: bool, cores: int, blocks: int,
     return wall, accesses, mem.stats.snapshot(), mem.fastpath.snapshot()
 
 
-def membench(rounds: int = 3, cores: int = MEM_CORES,
+def membench(rounds: int = MEM_ROUNDS, cores: int = MEM_CORES,
              blocks: int = MEM_BLOCKS, repeats: int = MEM_REPEATS) -> Dict:
     """Filtered vs. unfiltered memory stack on one access mix.
 
@@ -427,81 +310,11 @@ def membench(rounds: int = 3, cores: int = MEM_CORES,
 
 
 # ----------------------------------------------------------------------
-# Faults-path microbenchmark
-# ----------------------------------------------------------------------
-
-def faultbench(seed: int = 2008, rounds: int = 41,
-               scale: float = 0.35) -> Dict:
-    """Shipped NULL-injector path vs. the pre-faults scheduling loop.
-
-    Both arms run the identical conflict-free trace through the same
-    ``_run_quantum``; the only difference is the quantum-boundary
-    fault hook (one hoisted bool plus one branch per quantum) that
-    :class:`~repro.perf.legacy.PreFaultsExecutor` predates.  The two
-    runs must produce identical statistics (asserted), and CI asserts
-    ``overhead`` stays under 1.02 — the disabled faults subsystem
-    changes throughput by less than 2%.
-
-    ``overhead`` is the *median of paired per-round ratios*: the arms
-    run back-to-back within each round (alternating which goes
-    first), so a machine-load drift hits both sides of a pair roughly
-    equally and cancels in the ratio, where a best-of-each-arm
-    quotient would keep it.  Defaults favour *many short rounds* over
-    few long ones — with a true overhead near zero, what the median
-    needs is sample count, and the median of 41 paired ratios sits
-    within a fraction of a percent run to run where a handful of long
-    rounds can wander past the CI threshold on a loaded machine.
-    """
-    trace = micro_trace(txns=max(1, int(MICRO_TXNS * scale)))
-    ops = trace.total_ops()
-    _micro_run(Executor, trace, seed)  # warmup (allocator, caches)
-    best_pre = best_null = float("inf")
-    pre_stats = null_stats = None
-    ratios = []
-    for i in range(max(1, rounds)):
-        order = (PreFaultsExecutor, Executor) if i % 2 == 0 \
-            else (Executor, PreFaultsExecutor)
-        walls = {}
-        for cls in order:
-            walls[cls], stats = _micro_run(cls, trace, seed)
-            if cls is PreFaultsExecutor and walls[cls] < best_pre:
-                best_pre, pre_stats = walls[cls], stats
-            elif cls is Executor and walls[cls] < best_null:
-                best_null, null_stats = walls[cls], stats
-        ratios.append(walls[Executor] / walls[PreFaultsExecutor])
-    if pre_stats.snapshot() != null_stats.snapshot():
-        raise AssertionError(
-            "NULL-injector and pre-faults loops diverged on the "
-            "faultbench trace"
-        )
-    ratios.sort()
-    mid = len(ratios) // 2
-    overhead = ratios[mid] if len(ratios) % 2 else \
-        (ratios[mid - 1] + ratios[mid]) / 2
-    return {
-        "trace_ops": ops,
-        "rounds": rounds,
-        "prefaults_wall_seconds": best_pre,
-        "null_wall_seconds": best_null,
-        "prefaults_ops_per_sec": ops / best_pre,
-        "null_ops_per_sec": ops / best_null,
-        "overhead": overhead,
-        "identical_stats": True,
-    }
-
-
-#: Aliases for use inside :func:`run_bench`, whose ``membench`` /
-#: ``faultbench`` boolean parameters shadow the function names.
-_membench = membench
-_faultbench = faultbench
-
-
-# ----------------------------------------------------------------------
 # Baseline regression check
 # ----------------------------------------------------------------------
 
 #: Sections whose ``speedup`` ratio the regression check compares.
-REGRESSION_SECTIONS = ("microbench", "membench")
+REGRESSION_SECTIONS = ("membench",)
 
 
 def load_bench(path: str) -> Dict:
@@ -541,12 +354,12 @@ def load_baseline(path: str):
 
 def check_regression(fresh: Dict, baseline: Dict,
                      tolerance: float = 0.3) -> List[str]:
-    """Compare microbenchmark speedups against a committed baseline.
+    """Compare the :data:`REGRESSION_SECTIONS` speedups against a baseline.
 
-    Ratios (optimized/legacy, filtered/unfiltered) are
-    compared, not absolute ops/sec: both sides of each ratio ran on the same
-    machine in the same process, so wall-clock noise between the CI
-    runner and the machine that produced the baseline cancels out.
+    Ratios (filtered/unfiltered) are compared, not absolute ops/sec:
+    both sides of each ratio ran on the same machine in the same
+    process, so wall-clock noise between the CI runner and the
+    machine that produced the baseline cancels out.
     Returns a list of human-readable failures (empty = pass).
     """
     failures = []
@@ -609,9 +422,8 @@ def baseline_warnings(fresh: Dict, baseline: Dict) -> List[str]:
 # ----------------------------------------------------------------------
 
 #: ``--only`` section names.  ``grid`` covers the cell grid (and the
-#: totals/parallel blocks derived from it); the rest are the
-#: microbenchmark sections.
-BENCH_SECTIONS = ("grid", "microbench", "membench", "faultbench")
+#: totals/parallel blocks derived from it).
+BENCH_SECTIONS = ("grid", "membench")
 
 
 def bench_specs(quick: bool = False, seed: int = 2008,
@@ -626,18 +438,27 @@ def bench_specs(quick: bool = False, seed: int = 2008,
     are appended as replay cells — transactified, at their recorded
     size (``scale`` pinned to 1.0, which the trace workload ignores
     but the cache key records).  ``--quick`` keeps one fixture.
+
+    An unknown workload or variant raises
+    :class:`~repro.common.errors.ConfigError` before any cell runs.
     """
     registry = tm_workloads()
     if workload_names is None:
         workload_names = QUICK_WORKLOADS if quick else tuple(GRID_SCALES)
     if variants is None:
         variants = QUICK_VARIANTS if quick else GRID_VARIANTS
+    for kind, names, known in (("workload", workload_names, registry),
+                               ("variant", variants, VARIANTS)):
+        unknown = [name for name in names if name not in known]
+        if unknown:
+            raise ConfigError(
+                f"unknown {kind}(s) {', '.join(unknown)}; "
+                f"available: {', '.join(known)}"
+            )
     if quick:
         scale_factor *= QUICK_SCALE_FACTOR
     specs = []
     for name in workload_names:
-        if name not in registry:
-            raise SystemExit(f"unknown workload {name!r}")
         scale = GRID_SCALES.get(name, 0.02) * scale_factor
         for variant in variants:
             specs.append(CellSpec(registry[name].spec, variant,
@@ -661,10 +482,6 @@ def run_bench(out: str = DEFAULT_OUT, quick: bool = False,
               scale_factor: float = 1.0,
               cache_dir: Optional[str] = None,
               compare_serial: bool = False,
-              micro: bool = True,
-              micro_rounds: int = 3,
-              membench: bool = True,
-              faultbench: bool = True,
               fast_path: bool = True,
               traces: bool = True,
               only: Optional[Sequence[str]] = None,
@@ -675,7 +492,8 @@ def run_bench(out: str = DEFAULT_OUT, quick: bool = False,
     ``only`` restricts the run to the named :data:`BENCH_SECTIONS`
     (repeatable on the CLI as ``--only SECTION``); every other
     section lands as ``null`` in the payload, which the baseline
-    comparison reports as a warning, not an error.
+    comparison reports as a warning, not an error.  By default every
+    section runs.
 
     ``landscape`` (a database path) records the whole run into the
     result landscape: a ``bench`` run row carrying the full payload
@@ -684,20 +502,14 @@ def run_bench(out: str = DEFAULT_OUT, quick: bool = False,
     closed at its terminal outcome.  ``None`` (the default) keeps the
     run byte-identical to a landscape-free build.
     """
-    if only:
-        unknown = sorted(set(only) - set(BENCH_SECTIONS))
-        if unknown:
-            raise ConfigError(
-                f"unknown bench section(s) {', '.join(unknown)}; "
-                f"available: {', '.join(BENCH_SECTIONS)}"
-            )
-        selected = set(only)
-        micro = micro and "microbench" in selected
-        membench = membench and "membench" in selected
-        faultbench = faultbench and "faultbench" in selected
-        grid_on = "grid" in selected
-    else:
-        grid_on = True
+    selected = set(only or BENCH_SECTIONS)
+    unknown = sorted(selected - set(BENCH_SECTIONS))
+    if unknown:
+        raise ConfigError(
+            f"unknown bench section(s) {', '.join(unknown)}; "
+            f"available: {', '.join(BENCH_SECTIONS)}"
+        )
+    grid_on = "grid" in selected
     specs = bench_specs(quick=quick, seed=seed,
                         workload_names=workload_names, variants=variants,
                         scale_factor=scale_factor, fast_path=fast_path,
@@ -739,13 +551,12 @@ def run_bench(out: str = DEFAULT_OUT, quick: bool = False,
         else:
             grid, metrics = None, {}
         mem_payload = None
-        if membench:
+        if "membench" in selected:
             # Deliberately NOT scaled down under --quick: the whole run
             # takes well under a second, and the filtered/unfiltered ratio
             # grows with the repeat count, so a smaller quick-mode mix
             # would sit too close to the --baseline tolerance.
-            mem_payload = section(
-                "membench", lambda: _membench(rounds=micro_rounds))
+            mem_payload = section("membench", membench)
             metrics = dict(metrics)
             metrics.update(
                 publish_fastpath(mem_payload["fastpath"]).snapshot()
@@ -782,19 +593,7 @@ def run_bench(out: str = DEFAULT_OUT, quick: bool = False,
             },
             "grid": grid,
             "totals": totals,
-            "microbench": (section(
-                "microbench",
-                lambda: microbench(seed=seed, rounds=micro_rounds,
-                                   scale=0.5 if quick else 1.0))
-                if micro else None),
             "membench": mem_payload,
-            # Not scaled down under --quick either: best-of-rounds on the
-            # full trace is what keeps the 2% CI assertion noise-proof.
-            "faultbench": (section(
-                "faultbench",
-                lambda: _faultbench(seed=seed,
-                                    rounds=max(41, micro_rounds)))
-                if faultbench else None),
             "parallel": (compare_serial_parallel(specs, workers)
                          if compare_serial and workers > 1 and grid_on
                          else None),
@@ -841,13 +640,6 @@ def format_bench_summary(payload: Dict) -> str:
             f"{report.get('timeouts', 0)} timeouts, "
             f"{report.get('worker_deaths', 0)} worker deaths)"
         )
-    micro = payload.get("microbench")
-    if micro:
-        lines.append(
-            f"interpreter: optimized {micro['optimized_ops_per_sec']:,.0f} "
-            f"ops/sec vs legacy {micro['legacy_ops_per_sec']:,.0f} "
-            f"(speedup {micro['speedup']:.2f}x)"
-        )
     mem = payload.get("membench")
     if mem:
         lines.append(
@@ -856,14 +648,6 @@ def format_bench_summary(payload: Dict) -> str:
             f"{mem['unfiltered_ops_per_sec']:,.0f} "
             f"(speedup {mem['speedup']:.2f}x, "
             f"identical={mem['identical_stats']})"
-        )
-    fb = payload.get("faultbench")
-    if fb:
-        lines.append(
-            f"faults path: NULL {fb['null_ops_per_sec']:,.0f} ops/sec "
-            f"vs pre-faults {fb['prefaults_ops_per_sec']:,.0f} "
-            f"(overhead {100.0 * (fb['overhead'] - 1):+.2f}%, "
-            f"identical={fb['identical_stats']})"
         )
     par = payload.get("parallel")
     if par:

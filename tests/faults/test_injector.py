@@ -4,12 +4,16 @@ import random
 
 import pytest
 
-from repro.common.config import SystemConfig
+from repro.common.config import HTMConfig, RunConfig, SystemConfig
 from repro.common.errors import ConfigError, SimulationError
 from repro.faults.campaign import run_chaos_cell
 from repro.faults.injector import NULL_INJECTOR, FaultInjector
+from repro.faults.monitor import InvariantMonitor
 from repro.faults.plan import FaultPlan, FaultSpec, default_plan
 from repro.coherence.protocol import MemorySystem
+from repro.htm import make_htm
+from repro.runtime.executor import Executor
+from repro.workloads import vacation_low
 
 
 class TestNullInjector:
@@ -25,6 +29,45 @@ class TestNullInjector:
     def test_empty_plan_means_disabled(self):
         injector = FaultInjector(FaultPlan(), seed=1)
         assert injector.enabled is False
+
+
+def _count_quanta(threads, monitor=None):
+    """Run 4 cores, counting quanta and quantum-boundary hook calls."""
+    system = SystemConfig().scaled(4)
+    trace = vacation_low().generate(seed=3, scale=0.004, threads=threads)
+    htm_cfg = HTMConfig()
+    executor = Executor(
+        make_htm("TokenTM", MemorySystem(system), htm_cfg), trace,
+        RunConfig(system=system, htm=htm_cfg, seed=3), validate=False,
+        track_history=monitor is not None, monitor=monitor)
+    counts = {"quanta": 0, "boundaries": 0}
+    run_quantum = executor._run_quantum
+    boundary = executor._quantum_boundary
+
+    def counting_quantum(thread):
+        counts["quanta"] += 1
+        run_quantum(thread)
+
+    def counting_boundary(thread):
+        counts["boundaries"] += 1
+        boundary(thread)
+
+    executor._run_quantum = counting_quantum
+    executor._quantum_boundary = counting_boundary
+    return executor.run().stats, counts
+
+
+@pytest.mark.parametrize("threads", [4, 8], ids=["dedicated", "preemptive"])
+def test_null_faults_path_never_reaches_the_quantum_boundary(threads):
+    """With the NULL injector and monitor (the defaults) the scheduling
+    loops pay one hoisted branch per quantum and call nothing; with a
+    monitor on, the hook runs exactly once after every quantum."""
+    stats, null = _count_quanta(threads)
+    assert null["quanta"] > 0
+    assert null["boundaries"] == 0
+    assert (stats.preemptions > 0) == (threads > 4)
+    _, monitored = _count_quanta(threads, InvariantMonitor(cadence=64))
+    assert monitored["boundaries"] == monitored["quanta"] == null["quanta"]
 
 
 class TestDeterminism:

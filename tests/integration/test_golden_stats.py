@@ -93,8 +93,12 @@ def digest(workload: str, variant: str, mode: str) -> str:
     if monitor is not None:
         assert monitor.checks_run > 0
         assert monitor.ok, monitor.violations
-    blob = json.dumps([stats.snapshot(), mem.stats.snapshot()],
-                      sort_keys=True)
+    return stats_digest(stats, mem.stats.snapshot())
+
+
+def stats_digest(stats, protocol: dict) -> str:
+    """Hash a ``RunStats`` and a ``ProtocolStats`` snapshot."""
+    blob = json.dumps([stats.snapshot(), protocol], sort_keys=True)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 

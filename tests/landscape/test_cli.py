@@ -13,10 +13,10 @@ from repro.perf.bench import BENCH_SCHEMA
 def _bench_store(db, speedups):
     """A store holding one trusted bench run per speedups dict."""
     with LandscapeStore(db) as store:
-        for micro in speedups:
+        for speedup in speedups:
             rec = store.begin_run("bench", bench_schema=BENCH_SCHEMA)
             rec.finish("ok", payload={"schema": BENCH_SCHEMA,
-                                      "microbench": {"speedup": micro}})
+                                      "membench": {"speedup": speedup}})
 
 
 class TestAudit:
@@ -100,7 +100,7 @@ class TestQuery:
         assert main(["query", str(db), "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["points"]) == 2
-        assert doc["deltas"]["microbench"] == [2.0, 1.9]
+        assert doc["deltas"]["membench"] == [2.0, 1.9]
         assert doc["regressions"] == []
 
 

@@ -18,11 +18,8 @@ def _bench_run(store, status="ok", payload=None, **kwargs):
     rec.finish(status, payload=payload)
 
 
-def _payload(micro, mem=None, ops=None):
-    payload = {"schema": BENCH_SCHEMA,
-               "microbench": {"speedup": micro}}
-    if mem is not None:
-        payload["membench"] = {"speedup": mem}
+def _payload(mem, ops=None):
+    payload = {"schema": BENCH_SCHEMA, "membench": {"speedup": mem}}
     if ops is not None:
         payload["totals"] = {"sim_ops_per_sec": ops}
     return payload
@@ -33,19 +30,17 @@ def test_only_ok_runs_with_payloads_are_trusted(tmp_path):
         _bench_run(store, payload=_payload(2.0), git_rev="aaa")
         _bench_run(store, status="failed", payload=_payload(9.9))
         _bench_run(store, status="interrupted")
-        _bench_run(store, payload=_payload(1.9, mem=1.5, ops=30000.0),
+        _bench_run(store, payload=_payload(1.5, ops=30000.0),
                    git_rev="bbb")
         # A grid run never participates, whatever its payload.
         store.begin_run("grid").finish("ok")
 
         points = trusted_bench_runs(store)
         assert [p.git_rev for p in points] == ["aaa", "bbb"]
-        assert points[-1].speedups == {"microbench": 1.9,
-                                       "membench": 1.5}
+        assert points[-1].speedups == {"membench": 1.5}
         assert points[-1].grid_ops_per_sec == 30000.0
         # --baseline landscape means exactly the newest trusted run.
-        assert latest_baseline(store) == _payload(1.9, mem=1.5,
-                                                  ops=30000.0)
+        assert latest_baseline(store) == _payload(1.5, ops=30000.0)
 
 
 def test_latest_baseline_skips_untrusted_newest(tmp_path):
@@ -63,19 +58,18 @@ def test_latest_baseline_none_on_fresh_store(tmp_path):
 
 def test_trajectory_gates_on_latest_step(tmp_path):
     with LandscapeStore(tmp_path / "db") as store:
-        _bench_run(store, payload=_payload(1.0))   # ancient slump
-        _bench_run(store, payload=_payload(2.0, mem=1.6))
-        _bench_run(store, payload=_payload(1.9, mem=1.0))
+        _bench_run(store, payload=_payload(3.2))
+        _bench_run(store, payload=_payload(1.6))   # ancient slump
+        _bench_run(store, payload=_payload(1.0))
         points = trusted_bench_runs(store)
 
     # membench fell 37.5% — over a 30% tolerance, under 40%.
     failures = trajectory_regressions(points, tolerance=0.3)
     assert len(failures) == 1
     assert "membench" in failures[0]
+    # The ancient 50% slump never triggers: only the latest step is
+    # gated (history is for reading, not re-litigating).
     assert trajectory_regressions(points, tolerance=0.4) == []
-    # The ancient 1.0 -> 2.0 rise never triggers: only the latest
-    # step is gated (history is for reading, not re-litigating).
-    assert all("microbench" not in f for f in failures)
 
     deltas = section_deltas(points)
     assert deltas["membench"] == (1.6, 1.0)

@@ -93,7 +93,7 @@ def test_run_bench_records_sections_and_payload(tmp_path):
     db = tmp_path / "db"
     payload = run_bench(
         out=str(tmp_path / "b.json"), quick=True, only=["membench"],
-        micro_rounds=1, landscape=str(db))
+        landscape=str(db))
     assert "unix_time" not in payload
 
     with LandscapeStore(db, readonly=True) as store:

@@ -1,4 +1,5 @@
-"""The bench harness: legacy-loop fidelity and the JSON artifact."""
+"""The bench harness and its JSON artifact, plus the executor's
+fidelity to the pre-optimization interpreter loop."""
 
 from __future__ import annotations
 
@@ -17,30 +18,45 @@ from repro.perf.bench import (
     check_regression,
     load_bench,
     membench,
-    micro_trace,
     run_bench,
 )
 from repro.perf.cache import cell_key
-from repro.perf.legacy import LegacyExecutor
 from repro.runtime.executor import Executor
 from repro.workloads import cholesky, vacation_low
 from repro.workloads.base import SyntheticTxnWorkload
 
+from tests.integration.test_golden_stats import stats_digest
 from tests.perf.conftest import TINY_SPEC
 
 #: One variant per HTM family (TokenTM / LogTM-SE / OneTM).
 FAMILY_VARIANTS = ("TokenTM", "LogTM-SE_4xH3", "OneTM")
 
+#: Digests of the RunStats and ProtocolStats that the pre-optimization
+#: interpreter loop (an ``if``/``elif`` opcode chain written
+#: independently of ``Executor._run_quantum``) retired on each case
+#: below.  The loop itself is gone; the executor must keep matching
+#: what it recorded.
+LOOP_DIGESTS = {
+    "contended": "eea18a657c54b1c8",
+    "variant-TokenTM": "131627ab23b86ca2",
+    "variant-LogTM-SE_4xH3": "b88492641353e3cb",
+    "variant-OneTM": "37df4812f368beea",
+    "faults-TokenTM": "ea6ab620bc501113",
+    "faults-LogTM-SE_4xH3": "8bb102b03865e683",
+    "faults-OneTM": "30093756b407b4b0",
+    "preemptive": "d0b3b9680c84e91f",
+}
 
-def _run(executor_cls, trace, seed=0, variant="TokenTM", fast_path=True,
+
+def _run(trace, seed=0, variant="TokenTM", fast_path=True,
          system=None, quantum=200, faults=False):
-    """One full run: (RunStats, ProtocolStats snapshot)."""
+    """One full executor run: (RunStats, ProtocolStats snapshot)."""
     system = system or SystemConfig()
     htm_cfg = HTMConfig()
     mem = MemorySystem(system, fast_path=fast_path)
     machine = make_htm(variant, mem, htm_cfg)
     injector = FaultInjector(default_plan(), seed=seed) if faults else None
-    executor = executor_cls(
+    executor = Executor(
         machine, trace, RunConfig(system=system, htm=htm_cfg, seed=seed),
         quantum=quantum, validate=False, track_history=False,
         injector=injector,
@@ -48,30 +64,17 @@ def _run(executor_cls, trace, seed=0, variant="TokenTM", fast_path=True,
     return executor.run().stats, mem.stats.snapshot()
 
 
-def _assert_loops_agree(trace, **kwargs):
-    """The executor's loop and the independent legacy loop retire the
-    same RunStats and ProtocolStats."""
-    legacy_stats, legacy_protocol = _run(LegacyExecutor, trace, **kwargs)
-    stats, protocol = _run(Executor, trace, **kwargs)
-    assert stats.snapshot() == legacy_stats.snapshot()
-    assert protocol == legacy_protocol
+def _assert_loops_agree(case, trace, **kwargs):
+    """The executor retires the statistics the legacy loop recorded."""
+    stats, protocol = _run(trace, **kwargs)
+    assert stats_digest(stats, protocol) == LOOP_DIGESTS[case]
     return stats
 
 
-def test_micro_trace_is_conflict_free():
-    stats, _ = _run(Executor, micro_trace(txns=8))
-    assert stats.aborts == 0
-    assert stats.commits == 4 * 8
-
-
-def test_legacy_loop_matches_optimized_on_micro_trace():
-    _assert_loops_agree(micro_trace(txns=8))
-
-
 def test_legacy_loop_matches_optimized_on_contended_trace():
-    """The faithful pre-PR loop agrees even through aborts/retries."""
+    """The recorded results hold even through aborts/retries."""
     trace = SyntheticTxnWorkload(TINY_SPEC).generate(seed=11, scale=1.0)
-    _assert_loops_agree(trace, seed=11)
+    _assert_loops_agree("contended", trace, seed=11)
 
 
 @pytest.mark.parametrize("fast_path", [True, False],
@@ -79,16 +82,17 @@ def test_legacy_loop_matches_optimized_on_contended_trace():
 @pytest.mark.parametrize("variant", FAMILY_VARIANTS)
 def test_legacy_loop_matches_on_variant(variant, fast_path):
     trace = cholesky().generate(seed=7, scale=0.004, threads=4)
-    stats = _assert_loops_agree(trace, seed=7, variant=variant,
-                                fast_path=fast_path)
+    stats = _assert_loops_agree(f"variant-{variant}", trace, seed=7,
+                                variant=variant, fast_path=fast_path)
     assert stats.commits > 0
 
 
 @pytest.mark.parametrize("variant", FAMILY_VARIANTS)
 def test_legacy_loop_matches_under_faults(variant):
-    """A fault plan drives the abort and rewind paths of both loops."""
+    """A fault plan drives the abort and rewind paths."""
     trace = vacation_low().generate(seed=11, scale=0.008, threads=4)
-    _assert_loops_agree(trace, seed=11, variant=variant, faults=True)
+    _assert_loops_agree(f"faults-{variant}", trace, seed=11,
+                        variant=variant, faults=True)
 
 
 def test_legacy_loop_matches_preemptive():
@@ -96,7 +100,8 @@ def test_legacy_loop_matches_preemptive():
     every context switch."""
     system = SystemConfig().scaled(4)  # 8 threads on 4 cores
     trace = vacation_low().generate(seed=9, scale=0.008, threads=8)
-    stats = _assert_loops_agree(trace, seed=9, system=system, quantum=25)
+    stats = _assert_loops_agree("preemptive", trace, seed=9,
+                                system=system, quantum=25)
     assert stats.preemptions > 0
 
 
@@ -110,6 +115,29 @@ def test_bench_specs_quick_subset():
                if s.workload.name == "mutex_ring")
 
 
+@pytest.mark.parametrize("kwargs,choice", [
+    ({"workload_names": ("Cholesky", "Bogus")}, "Vacation-High"),
+    ({"variants": ("TokenTM", "Bogus")}, "LogTM-SE_Perf"),
+], ids=["workload", "variant"])
+def test_bench_specs_rejects_unknown_names(kwargs, choice):
+    """An unknown name is a ConfigError listing the choices, raised
+    before any cell runs (never a SystemExit from library code)."""
+    from repro.common.errors import ConfigError
+
+    with pytest.raises(ConfigError, match="Bogus") as err:
+        bench_specs(**kwargs)
+    assert choice in str(err.value)
+
+
+def test_run_bench_rejects_unknown_workload_before_running(tmp_path):
+    from repro.common.errors import ConfigError
+
+    out = tmp_path / "b.json"
+    with pytest.raises(ConfigError, match="unknown workload"):
+        run_bench(out=str(out), workload_names=["Bogus"])
+    assert not out.exists()
+
+
 def test_bench_specs_traces_off():
     specs = bench_specs(quick=True, traces=False)
     assert {s.workload.name for s in specs} == {"Cholesky", "Vacation-Low"}
@@ -120,7 +148,7 @@ def test_run_bench_writes_schema_documented_json(tmp_path):
     payload = run_bench(
         out=str(out), quick=True, workload_names=("Cholesky",),
         variants=("TokenTM",), scale_factor=0.5, traces=False,
-        cache_dir=str(tmp_path / "cache"), micro=False, membench=False,
+        cache_dir=str(tmp_path / "cache"), only=["grid"],
     )
     on_disk = json.loads(out.read_text())
     assert on_disk == payload
@@ -140,27 +168,13 @@ def test_run_bench_writes_schema_documented_json(tmp_path):
     rerun = run_bench(
         out=str(out), quick=True, workload_names=("Cholesky",),
         variants=("TokenTM",), scale_factor=0.5, traces=False,
-        cache_dir=str(tmp_path / "cache"), micro=False, membench=False,
+        cache_dir=str(tmp_path / "cache"), only=["grid"],
     )
     warm = rerun["grid"]["cells"][0]
     assert warm["cache_hit"] is True
     assert warm["wall_seconds"] is None
     assert warm["makespan"] == cell["makespan"]
     assert rerun["metrics"]["perf.cache_hits"]["value"] == 1
-
-
-def test_run_bench_micro_section(tmp_path):
-    out = tmp_path / "BENCH_perf.json"
-    payload = run_bench(
-        out=str(out), quick=True, workload_names=("Cholesky",),
-        variants=("TokenTM",), scale_factor=0.25, micro=True,
-        micro_rounds=1, membench=False,
-    )
-    micro = payload["microbench"]
-    assert micro["trace_ops"] > 0
-    assert micro["legacy_ops_per_sec"] > 0
-    assert micro["optimized_ops_per_sec"] > 0
-    assert micro["speedup"] > 0
 
 
 def test_bench_specs_fast_path_changes_cache_key():
@@ -189,8 +203,7 @@ def test_run_bench_membench_section(tmp_path):
     out = tmp_path / "BENCH_perf.json"
     payload = run_bench(
         out=str(out), quick=True, workload_names=("Cholesky",),
-        variants=("TokenTM",), scale_factor=0.25, micro=False,
-        micro_rounds=1, membench=True,
+        variants=("TokenTM",), scale_factor=0.25,
     )
     mem = payload["membench"]
     assert mem["identical_stats"] is True
@@ -204,28 +217,26 @@ def test_run_bench_membench_section(tmp_path):
 
 def test_run_bench_only_sections(tmp_path):
     out = tmp_path / "BENCH_perf.json"
-    payload = run_bench(
-        out=str(out), quick=True, only=["membench"], micro_rounds=1,
-    )
+    payload = run_bench(out=str(out), quick=True, only=["membench"])
     assert payload["grid"] is None
     assert payload["totals"] is None
     assert payload["config"]["scales"] is None
-    assert payload["microbench"] is None
-    assert payload["faultbench"] is None
     assert "kernelbench" not in payload
     assert payload["membench"]["identical_stats"] is True
     on_disk = json.loads(out.read_text())
     assert on_disk == payload
-    # The skipped sections warn (not fail) against a full baseline.
+    # A skipped section warns (not fails) against a full baseline.
     from repro.perf.bench import baseline_warnings
 
-    baseline = {"schema": BENCH_SCHEMA,
-                "microbench": {"speedup": 2.0},
-                "membench": {"speedup": 1.6}}
-    assert check_regression(payload, baseline) == []
-    warnings = baseline_warnings(payload, baseline)
-    assert any("microbench" in w for w in warnings)
-    assert not any("membench" in w for w in warnings)
+    grid_only = run_bench(
+        out=str(out), quick=True, workload_names=("Cholesky",),
+        variants=("TokenTM",), scale_factor=0.25, traces=False,
+        only=["grid"])
+    assert grid_only["membench"] is None
+    baseline = {"schema": BENCH_SCHEMA, "membench": {"speedup": 1.6}}
+    assert check_regression(grid_only, baseline) == []
+    warnings = baseline_warnings(grid_only, baseline)
+    assert any("membench" in w for w in warnings)
 
 
 def test_baseline_from_schema8_with_kernelbench(tmp_path):
@@ -236,16 +247,15 @@ def test_baseline_from_schema8_with_kernelbench(tmp_path):
 
     payload = run_bench(
         out=str(tmp_path / "b.json"), quick=True,
-        only=["microbench", "membench"], micro_rounds=1,
+        only=["membench"],
     )
     baseline = {"schema": "repro-bench-perf/8",
-                "microbench": {"speedup": payload["microbench"]["speedup"]},
                 "membench": {"speedup": payload["membench"]["speedup"]},
                 "kernelbench": {"speedup": 3.5}}
     warnings = baseline_warnings(payload, baseline)
     assert any("schema mismatch" in w and "/8" in w for w in warnings)
     assert any("kernelbench" in w for w in warnings)
-    assert not any("microbench" in w or "membench" in w for w in warnings)
+    assert not any("membench" in w for w in warnings)
     assert check_regression(payload, baseline) == []
     # The shared sections are really compared: an eroded ratio fails.
     baseline["membench"]["speedup"] = payload["membench"]["speedup"] * 10
@@ -260,7 +270,7 @@ def test_run_bench_only_rejects_unknown_section(tmp_path):
 
     with pytest.raises(ConfigError, match="grid"):
         run_bench(out=str(tmp_path / "b.json"), quick=True,
-                  only=["microbench", "gird"])
+                  only=["membench", "gird"])
 
 
 def test_format_bench_summary_handles_skipped_grid(tmp_path):
@@ -268,7 +278,6 @@ def test_format_bench_summary_handles_skipped_grid(tmp_path):
 
     payload = run_bench(
         out=str(tmp_path / "b.json"), quick=True, only=["membench"],
-        micro_rounds=1,
     )
     summary = format_bench_summary(payload)
     assert "grid: skipped" in summary
@@ -282,10 +291,9 @@ def test_bench_payload_has_no_wall_clock_identity(tmp_path):
     (docs/performance.md)."""
     payload = run_bench(
         out=str(tmp_path / "b.json"), quick=True, only=["membench"],
-        micro_rounds=1,
     )
     assert "unix_time" not in payload
-    assert payload["schema"] == BENCH_SCHEMA == "repro-bench-perf/9"
+    assert payload["schema"] == BENCH_SCHEMA == "repro-bench-perf/10"
 
 
 def test_load_baseline_missing_file_is_soft(tmp_path):
@@ -310,7 +318,7 @@ def test_load_baseline_invalid_json_is_soft(tmp_path):
     from repro.perf.bench import load_baseline
 
     path = tmp_path / "bad.json"
-    path.write_text('{"schema": "repro-bench-perf/8", "microbench"')
+    path.write_text('{"schema": "repro-bench-perf/8", "membench"')
     payload, problem = load_baseline(str(path))
     assert payload is None
     assert "not valid JSON" in problem
@@ -329,7 +337,7 @@ def test_load_baseline_non_object_is_soft(tmp_path):
 def test_load_baseline_good_file_round_trips(tmp_path):
     from repro.perf.bench import load_baseline
 
-    base = {"schema": BENCH_SCHEMA, "microbench": {"speedup": 2.0}}
+    base = {"schema": BENCH_SCHEMA, "membench": {"speedup": 2.0}}
     path = tmp_path / "BENCH_perf.json"
     path.write_text(json.dumps(base))
     payload, problem = load_baseline(str(path))
@@ -338,14 +346,14 @@ def test_load_baseline_good_file_round_trips(tmp_path):
 
 
 def test_check_regression_compares_ratios(tmp_path):
-    base = {"microbench": {"speedup": 2.0}, "membench": {"speedup": 1.6}}
-    ok = {"microbench": {"speedup": 1.8}, "membench": {"speedup": 1.5}}
-    bad = {"microbench": {"speedup": 2.1}, "membench": {"speedup": 1.0}}
+    base = {"membench": {"speedup": 1.6}}
+    ok = {"membench": {"speedup": 1.5}}
+    bad = {"membench": {"speedup": 1.0}}
     assert check_regression(ok, base, tolerance=0.3) == []
     failures = check_regression(bad, base, tolerance=0.3)
     assert len(failures) == 1 and "membench" in failures[0]
-    # Absent sections (e.g. --no-membench) are skipped, not failed.
-    assert check_regression({"microbench": None}, base) == []
+    # Absent sections (e.g. --only grid) are skipped, not failed.
+    assert check_regression({"membench": None}, base) == []
     path = tmp_path / "BENCH_perf.json"
     path.write_text(json.dumps(base))
     assert load_bench(str(path)) == base

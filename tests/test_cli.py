@@ -133,6 +133,21 @@ class TestTraceCommands:
             main(["trace"])
 
 
+class TestBenchNames:
+    @pytest.mark.parametrize("flag", ["--workloads", "--variants"])
+    def test_unknown_name_exits_2_before_running(self, tmp_path, capsys,
+                                                 flag):
+        out = tmp_path / "b.json"
+        assert main(["bench", "--quick", flag, "Bogus",
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("bench: unknown ") and "Bogus" in err[0]
+        assert captured.out == ""
+        assert not out.exists()
+
+
 class TestBenchBaseline:
     """``--baseline`` problems warn and skip — never traceback.
 
