@@ -49,6 +49,7 @@ GOLDEN = {
     ("Genome", "LogTM-SE_Perf", "plain"): "b3fa9286b90da636",
     ("Genome", "OneTM", "plain"): "d73cf6c3482dc3d0",
     ("Genome", "TokenTM", "plain"): "86bbc361f8d0151b",
+    ("Genome", "TokenTM_NoFast", "faults"): "6ce75a7afc18d17c",
     ("Genome", "TokenTM_NoFast", "plain"): "190de2c3b0726c42",
     ("Vacation-High", "LogTM-SE_2xH3", "plain"): "79c6b50c37e90b73",
     ("Vacation-High", "LogTM-SE_4xH3", "faults"): "4741b8a0a3641c2f",
@@ -62,7 +63,9 @@ GOLDEN = {
     ("Vacation-High", "TokenTM", "nofast"): "8a95fa8064566860",
     ("Vacation-High", "TokenTM", "plain"): "8a95fa8064566860",
     ("Vacation-High", "TokenTM", "preempt"): "5fa8a352c7eed1c8",
+    ("Vacation-High", "TokenTM_NoFast", "faults"): "7a0c2ab1961f631a",
     ("Vacation-High", "TokenTM_NoFast", "plain"): "906572267f55018a",
+    ("Vacation-High", "TokenTM_NoFast", "preempt"): "073fdb1c352c03f1",
 }
 
 
