@@ -48,6 +48,8 @@ class L1Cache:
 
     ``sets``, ``set_mask`` and ``ways`` are read directly by the
     protocol engine's access path; only this class mutates them.
+    ``tick`` is the LRU clock: the protocol's filtered hit advances it
+    in place of :meth:`touch_line`.
     """
 
     def __init__(self, geometry: CacheGeometry, core: int):
@@ -61,7 +63,7 @@ class L1Cache:
         # ``geometry.set_index`` recomputes the set count per call;
         # the set count is a power of two, so a stored mask suffices.
         self.set_mask = geometry.num_sets - 1
-        self._tick = 0
+        self.tick = 0
         #: Usable ways per set (<= geometry associativity); fault
         #: injection lowers this to create capacity pressure.
         self.ways = geometry.associativity
@@ -82,8 +84,8 @@ class L1Cache:
         """Refresh LRU recency of a resident block."""
         line = self.lookup(block)
         if line is not None:
-            self._tick += 1
-            line.lru = self._tick
+            self.tick += 1
+            line.lru = self.tick
 
     def touch_line(self, line: CacheLine) -> None:
         """Refresh LRU recency of a line the caller already holds.
@@ -93,8 +95,8 @@ class L1Cache:
         sequence is identical to :meth:`touch`, so replacement victims
         are unchanged.
         """
-        self._tick += 1
-        line.lru = self._tick
+        self.tick += 1
+        line.lru = self.tick
 
     def victim_for(self, block: int) -> Optional[CacheLine]:
         """Pick the line to evict to make room for ``block``.
@@ -120,8 +122,8 @@ class L1Cache:
             raise CoherenceError(
                 f"set full installing block {block:#x} in core {self._core} L1"
             )
-        self._tick += 1
-        line = CacheLine(block, state, self._tick)
+        self.tick += 1
+        line = CacheLine(block, state, self.tick)
         cache_set[block] = line
         return line
 

@@ -28,9 +28,10 @@ class DirectoryEntry:
 
     __slots__ = ("state", "owner", "sharers")
 
-    def __init__(self) -> None:
-        self.state = DirState.UNCACHED
-        self.owner: Optional[int] = None
+    def __init__(self, state: DirState = DirState.UNCACHED,
+                 owner: Optional[int] = None) -> None:
+        self.state = state
+        self.owner = owner
         self.sharers: Set[int] = set()
 
     def holders(self) -> Set[int]:

@@ -75,13 +75,12 @@ class AccessResult:
     """
 
     __slots__ = ("latency", "hit", "line", "upgraded", "filled",
-                 "source", "invalidated", "evicted_victim")
+                 "source", "invalidated")
 
     def __init__(self, latency: int, hit: bool, line: CacheLine,
                  upgraded: bool = False, filled: bool = False,
                  source: int = MEMORY_HOLDER,
-                 invalidated: Tuple[int, ...] = (),
-                 evicted_victim: bool = False):
+                 invalidated: Tuple[int, ...] = ()):
         self.latency = latency
         self.hit = hit
         self.line = line
@@ -89,7 +88,6 @@ class AccessResult:
         self.filled = filled
         self.source = source
         self.invalidated = invalidated
-        self.evicted_victim = evicted_victim
 
 
 @dataclass
@@ -166,6 +164,7 @@ class MemorySystem:
         # two attribute chains per lookup.
         self._lat = config.latency
         self._bank_mask = config.l2_banks - 1
+        self._num_mcs = config.memory_controllers
         self._listener = listener or CoherenceListener()
         #: Observability bus shared by the whole machine stack: the
         #: HTM and executor layers pick it up from here, so enabling
@@ -176,7 +175,6 @@ class MemorySystem:
         ]
         self._directory = Directory()
         self._dir_entries = self._directory.entries
-        self._l2_present: Set[int] = set()
         self._zero_filled: List[Tuple[int, int]] = []
         self.stats = ProtocolStats()
         #: The per-core direct-mapped hit filter.  Each entry memoizes
@@ -250,12 +248,6 @@ class MemorySystem:
         if end <= start:
             raise CoherenceError("empty zero-filled range")
         self._zero_filled.append((start, end))
-
-    def _is_zero_filled(self, block: int) -> bool:
-        for start, end in self._zero_filled:
-            if start <= block < end:
-                return True
-        return False
 
     def request_latency(self, core: int, block: int) -> int:
         """Cost of a directory request that gets NACKed (LogTM-SE).
@@ -344,7 +336,10 @@ class MemorySystem:
             stats.reads += 1
             fp.coherence_read_hits += 1
         stats.l1_hits += 1
-        self._caches[core].touch_line(line)
+        # touch_line, inlined: one LRU tick.
+        cache = self._caches[core]
+        tick = cache.tick = cache.tick + 1
+        line.lru = tick
         result = entry[F_RESULT]
         if result is None:
             result = entry[F_RESULT] = AccessResult(self._lat.l1_hit,
@@ -408,21 +403,42 @@ class MemorySystem:
         new log block, so the directory lookup-or-create and the round
         trip are computed inline, and the victim search runs only when
         the set is full.
+
+        A block gets its directory entry at its first miss and never
+        loses it, so a block with no entry has never been on chip: no
+        L1 holds it, and the L2 has it only if its page was zero-filled.
+        Such a fill takes its own short branch.  A block with an entry
+        has been on chip, so the L2 holds it (L2 capacity is not
+        modelled) and a fill not served by an owner costs an L2 hit.
         """
         stats = self.stats
         stats.l1_misses += 1
         if len(cache_set) >= cache.ways:
             self.evict(core, cache.victim_for(block).block)
-            evicted = True
-        else:
-            evicted = False
-        entry = self._dir_entries.get(block)
-        if entry is None:
-            entry = self._dir_entries[block] = DirectoryEntry()
         lat = self._lat
         topo = self._topology
         bank = block & self._bank_mask
         latency = 2 * topo.core_bank_lat[core][bank] + lat.directory
+        entry = self._dir_entries.get(block)
+
+        if entry is None:
+            self._dir_entries[block] = DirectoryEntry(_DIR_EXCLUSIVE, core)
+            for start, end in self._zero_filled:
+                if start <= block < end:
+                    latency += lat.l2_hit
+                    break
+            else:
+                stats.memory_fetches += 1
+                latency += lat.memory + 2 * topo.bank_mc_lat[bank][
+                    block % self._num_mcs]
+            new_line = cache.install(block,
+                                     _MODIFIED if is_write else _EXCLUSIVE)
+            self._listener.on_fill(core, block, new_line, False,
+                                   MEMORY_HOLDER)
+            if self._fast_path:
+                self._filter_install(core, new_line)
+            return AccessResult(latency, False, new_line, False, True)
+
         source = MEMORY_HOLDER
         invalidated: Tuple[int, ...] = ()
         state = entry.state
@@ -451,23 +467,15 @@ class MemorySystem:
                 self._directory.record_downgrade(block, core)
                 self._listener.on_downgrade(owner, block, owner_line, core)
                 stats.downgrades += 1
-            self._l2_present.add(block)
         else:
             if is_write and state is _DIR_SHARED:
                 invalidated = self._invalidate_others(core, block)
                 latency += self._invalidation_latency(core, block, invalidated)
-            l2_present = self._l2_present
-            if block in l2_present or self._is_zero_filled(block):
-                latency += lat.l2_hit
-            else:
-                stats.memory_fetches += 1
-                latency += (lat.memory
-                            + 2 * topo.bank_to_memory_latency(bank, block))
-            l2_present.add(block)
+            latency += lat.l2_hit
 
         if is_write:
             new_line = cache.install(block, _MODIFIED)
-            # Entry may be freshly UNCACHED or drained of sharers.
+            # Entry may be UNCACHED or drained of sharers.
             entry.state = _DIR_EXCLUSIVE
             entry.owner = core
             entry.sharers.clear()
@@ -487,7 +495,7 @@ class MemorySystem:
         if self._fast_path:
             self._filter_install(core, new_line)
         return AccessResult(latency, False, new_line, False, True, source,
-                            invalidated, evicted)
+                            invalidated)
 
     # ------------------------------------------------------------------
     # Helpers
@@ -504,7 +512,6 @@ class MemorySystem:
         line = cache.remove(block)
         self._filter_drop(core, block)
         self._directory.record_eviction(block, core)
-        self._l2_present.add(block)
         self.stats.evictions += 1
         if self.bus.enabled:
             self.bus.emit(EventKind.CACHE_EVICT, core=core, block=block,

@@ -66,9 +66,11 @@ class TiledTopology:
         # ask for is precomputed here; the per-access cost becomes two
         # list indexes instead of TilePosition allocation/arithmetic.
         # At the paper's scale these tables are tiny (32x32 ints).  The
-        # core-to-bank and core-to-core latency tables are public so the
-        # protocol's miss path can index them without a call; jitter
-        # replaces them whole, so readers fetch them from here each use.
+        # latency tables are public so the protocol's miss path can
+        # index them without a call (``bank_mc_lat`` is indexed by bank,
+        # then by the block's controller, ``block % memory_controllers``);
+        # jitter replaces them whole, so readers fetch them from here
+        # each use.
         hop = config.latency.hop
         core_pos = [self._cluster_pos[core // config.cores_per_cluster]
                     for core in range(config.num_cores)]
@@ -91,7 +93,7 @@ class TiledTopology:
         self.core_core_lat = [
             [hops * hop for hops in row] for row in self._core_core_hops
         ]
-        self._bank_mc_lat = [
+        self.bank_mc_lat = [
             [hops * hop for hops in row] for row in self._bank_mc_hops
         ]
 
@@ -144,11 +146,6 @@ class TiledTopology:
         """One-way cycles between two cores (precomputed)."""
         return self.core_core_lat[a][b]
 
-    def bank_to_memory_latency(self, bank: int, block_addr: int) -> int:
-        """One-way cycles from a bank to the block's controller."""
-        mc = block_addr % self._config.memory_controllers
-        return self._bank_mc_lat[bank][mc]
-
     def latency(self, hops: int) -> int:
         """Cycles for a one-way message crossing ``hops`` tiles."""
         return hops * self._config.latency.hop
@@ -176,7 +173,7 @@ class TiledTopology:
             [hops * hop + rng.randint(0, amplitude) for hops in row]
             for row in self._core_core_hops
         ]
-        self._bank_mc_lat = [
+        self.bank_mc_lat = [
             [hops * hop + rng.randint(0, amplitude) for hops in row]
             for row in self._bank_mc_hops
         ]
@@ -190,6 +187,6 @@ class TiledTopology:
         self.core_core_lat = [
             [hops * hop for hops in row] for row in self._core_core_hops
         ]
-        self._bank_mc_lat = [
+        self.bank_mc_lat = [
             [hops * hop for hops in row] for row in self._bank_mc_hops
         ]
