@@ -52,10 +52,10 @@ class LogRecord(NamedTuple):
     tokens: int
     is_write: bool
 
-    @property
-    def words(self) -> int:
-        """Log space the record occupies."""
-        return WRITE_RECORD_WORDS if self.is_write else READ_RECORD_WORDS
+
+#: ``LogRecord``'s generated ``__new__`` is a Python function that
+#: calls this; the append path calls it directly.
+_tuple_new = tuple.__new__
 
 
 class TmLog:
@@ -71,6 +71,8 @@ class TmLog:
         self._base_block = (LOG_REGION_BASE_BLOCK
                             + thread_id * LOG_REGION_BLOCKS_PER_THREAD)
         self._records: List[LogRecord] = []
+        #: The first log block of each record, parallel to _records.
+        self._starts: List[int] = []
         self._pointer_words = 0
         #: High-water mark across the thread's lifetime (diagnostics).
         self.max_words = 0
@@ -84,6 +86,15 @@ class TmLog:
         return tuple(self._records)
 
     @property
+    def record_starts(self) -> List[int]:
+        """First log block of each record, oldest first.
+
+        The live list, not a copy: the software release walk iterates
+        it once per commit.  Callers must not mutate it.
+        """
+        return self._starts
+
+    @property
     def entry_count(self) -> int:
         return len(self._records)
 
@@ -95,12 +106,10 @@ class TmLog:
     def is_empty(self) -> bool:
         return not self._records
 
-    def _block_of_word(self, word_offset: int) -> int:
-        return self._base_block + (word_offset >> _WORD_TO_BLOCK_SHIFT)
-
     def current_block(self) -> int:
         """Log block the next append will write to."""
-        return self._block_of_word(self._pointer_words)
+        return self._base_block + (self._pointer_words
+                                   >> _WORD_TO_BLOCK_SHIFT)
 
     def append(self, block: int, tokens: int,
                is_write: bool) -> Tuple[int, ...]:
@@ -111,7 +120,8 @@ class TmLog:
         """
         if tokens <= 0:
             raise TransactionError("log record must credit at least 1 token")
-        self._records.append(LogRecord(block, tokens, is_write))
+        self._records.append(_tuple_new(LogRecord,
+                                        (block, tokens, is_write)))
         start = self._pointer_words
         end = start + (WRITE_RECORD_WORDS if is_write else READ_RECORD_WORDS)
         self._pointer_words = end
@@ -119,6 +129,7 @@ class TmLog:
             self.max_words = end
         # The record spans words [start, end): blocks first..last.
         first = self._base_block + (start >> _WORD_TO_BLOCK_SHIFT)
+        self._starts.append(first)
         last = self._base_block + ((end - 1) >> _WORD_TO_BLOCK_SHIFT)
         if first == last:
             return (first,)
@@ -127,28 +138,20 @@ class TmLog:
     def reset(self) -> None:
         """Fast release: drop all records by resetting the pointer."""
         self._records.clear()
+        self._starts.clear()
         self._pointer_words = 0
 
     def walk_forward(self) -> Iterator[Tuple[LogRecord, int]]:
-        """Yield (record, log_block) oldest-first (token release order)."""
-        offset = 0
-        for record in self._records:
-            yield record, self._block_of_word(offset)
-            offset += record.words
+        """(record, first log block) pairs oldest-first (release order)."""
+        return zip(self._records, self._starts)
 
     def walk_backward(self) -> Iterator[Tuple[LogRecord, int]]:
-        """Yield (record, log_block) newest-first (abort/undo order).
+        """(record, first log block) pairs newest-first (undo order).
 
         LogTM-style undo must restore old values last-write-first so
         that a block written twice ends at its pre-transaction value.
         """
-        offsets = []
-        offset = 0
-        for record in self._records:
-            offsets.append(offset)
-            offset += record.words
-        for record, start in zip(reversed(self._records), reversed(offsets)):
-            yield record, self._block_of_word(start)
+        return zip(reversed(self._records), reversed(self._starts))
 
     def token_credits(self) -> dict:
         """Total tokens credited per block — the log side of the books."""

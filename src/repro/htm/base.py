@@ -61,9 +61,13 @@ class ConflictInfo:
     false_positive: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class AccessOutcome:
-    """Result of one transactional (or strong-atomicity) access."""
+    """Result of one transactional (or strong-atomicity) access.
+
+    Frozen: granted outcomes are interned per machine and shared by
+    every access with the same latency (see :meth:`HTM._grant`).
+    """
 
     granted: bool
     latency: int
@@ -115,6 +119,12 @@ class HTM(ABC):
     def __init__(self, mem: MemorySystem):
         self.mem = mem
         self.stats = HTMStats()
+        #: Latency -> the interned granted outcome with that latency.
+        #: A granted access carries nothing else, so one immutable
+        #: outcome per distinct latency serves every grant; access
+        #: paths return ``self._granted.get(latency) or
+        #: self._grant(latency)``.
+        self._granted: Dict[int, AccessOutcome] = {}
         #: Observability bus, shared with the memory system (see
         #: repro.obs): disabled by default, zero-cost when off.
         self.bus = mem.bus
@@ -125,6 +135,13 @@ class HTM(ABC):
             LOG_REGION_BASE_BLOCK
             + (1 << 14) * LOG_REGION_BLOCKS_PER_THREAD,
         )
+
+    def _grant(self, latency: int) -> AccessOutcome:
+        """The interned granted outcome for ``latency``."""
+        outcome = self._granted.get(latency)
+        if outcome is None:
+            outcome = self._granted[latency] = AccessOutcome(True, latency)
+        return outcome
 
     # -- transaction lifecycle -----------------------------------------
 

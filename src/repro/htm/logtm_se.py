@@ -308,7 +308,7 @@ class LogTMSE(HTM):
             return AccessOutcome(
                 False, mem.request_latency(core, block), conflict
             )
-        res = mem.access(core, block, False)
+        latency = mem.access(core, block, False).latency
         read_set = txn.read_set
         if block not in read_set:
             # First read of the block: re-inserting would change
@@ -321,7 +321,7 @@ class LogTMSE(HTM):
             else:
                 counts = self._read_counts
                 counts[block] = counts.get(block, 0) + 1
-        return AccessOutcome(True, res.latency)
+        return self._granted.get(latency) or self._grant(latency)
 
     def write(self, core: int, tid: int, block: int) -> AccessOutcome:
         txn = self._txns.get(tid)
@@ -353,7 +353,7 @@ class LogTMSE(HTM):
                 counts = self._write_counts
                 counts[block] = counts.get(block, 0) + 1
             latency += self._log_append(core, tid, block)
-        return AccessOutcome(True, latency)
+        return self._granted.get(latency) or self._grant(latency)
 
     # ------------------------------------------------------------------
     # Commit / abort
@@ -408,7 +408,7 @@ class LogTMSE(HTM):
             return AccessOutcome(
                 False, mem.request_latency(core, block), conflict
             )
-        return AccessOutcome(True, mem.access(core, block, is_write).latency)
+        return self._grant(mem.access(core, block, is_write).latency)
 
     # ------------------------------------------------------------------
     # Context switching

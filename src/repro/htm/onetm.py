@@ -73,8 +73,8 @@ class OneTM(HTM, CoherenceListener):
         self._core_tid: List[Optional[int]] = [None] * mem.config.num_cores
         #: TID currently holding the single overflow token, if any.
         self._overflow_holder: Optional[int] = None
-        # Interned outcome for repeat in-set accesses (see _fast_ok).
-        self._fast_outcome = AccessOutcome(True, mem.config.latency.l1_hit)
+        # The outcome of repeat in-set accesses (see _fast_ok).
+        self._fast_outcome = self._grant(mem.config.latency.l1_hit)
         mem.set_listener(self)
 
     # ------------------------------------------------------------------
@@ -229,9 +229,9 @@ class OneTM(HTM, CoherenceListener):
             return AccessOutcome(
                 False, self.mem.request_latency(core, block), conflict
             )
-        res = self.mem.access(core, block, False)
+        latency = self.mem.access(core, block, False).latency
         txn.read_set.add(block)
-        return AccessOutcome(True, res.latency)
+        return self._granted.get(latency) or self._grant(latency)
 
     def write(self, core: int, tid: int, block: int) -> AccessOutcome:
         txn = self._txn(tid)
@@ -255,7 +255,7 @@ class OneTM(HTM, CoherenceListener):
         if block not in txn.write_set:
             txn.write_set.add(block)
             latency += self._log_append(core, tid, block)
-        return AccessOutcome(True, latency)
+        return self._granted.get(latency) or self._grant(latency)
 
     def commit(self, core: int, tid: int) -> CommitOutcome:
         txn = self._txn(tid)
@@ -330,8 +330,7 @@ class OneTM(HTM, CoherenceListener):
             return AccessOutcome(
                 False, self.mem.request_latency(core, block), conflict
             )
-        res = self.mem.access(core, block, False)
-        return AccessOutcome(True, res.latency)
+        return self._grant(self.mem.access(core, block, False).latency)
 
     def nontxn_write(self, core: int, tid: int, block: int) -> AccessOutcome:
         conflict = self._check(tid, block, is_write=True)
@@ -339,8 +338,7 @@ class OneTM(HTM, CoherenceListener):
             return AccessOutcome(
                 False, self.mem.request_latency(core, block), conflict
             )
-        res = self.mem.access(core, block, True)
-        return AccessOutcome(True, res.latency)
+        return self._grant(self.mem.access(core, block, True).latency)
 
     # ------------------------------------------------------------------
     # Instrumentation

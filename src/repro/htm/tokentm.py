@@ -106,14 +106,11 @@ class TokenTM(HTM, CoherenceListener):
         # reader-TID hints those copies carried (Section 5.2).
         self._pending: Dict[Tuple[int, int], Meta] = {}
         self._pending_hints: Dict[Tuple[int, int], List[int]] = {}
-        # Interned outcomes for the read/write-set short-circuit: a
-        # repeat access to a block whose R/W metabit the transaction
-        # already holds is always a granted L1 hit, so one immutable
-        # outcome per machine covers every such access.
+        # The read/write-set short-circuit's outcome: a repeat access
+        # to a block whose R/W metabit the transaction already holds
+        # is always a granted L1 hit.
         self._lat = mem.config.latency
-        l1_hit = self._lat.l1_hit
-        self._fast_read_outcome = AccessOutcome(True, l1_hit)
-        self._fast_write_outcome = AccessOutcome(True, l1_hit)
+        self._fast_outcome = self._grant(self._lat.l1_hit)
         mem.set_listener(self)
 
     # ------------------------------------------------------------------
@@ -314,7 +311,9 @@ class TokenTM(HTM, CoherenceListener):
         return cycles
 
     def read(self, core: int, tid: int, block: int) -> AccessOutcome:
-        txn = self._txn(tid)
+        txn = self._txns.get(tid)
+        if txn is None:
+            raise TransactionError(f"thread {tid} has no live transaction")
         self.stats.txn_reads += 1
         # Read/write-set short-circuit: a repeat access to a block with
         # a resident stable-hit line whose R/W metabit names the
@@ -332,20 +331,26 @@ class TokenTM(HTM, CoherenceListener):
                     self.mem.fast_hit(core, entry, False)
                     self.mem.fastpath.htm_read_hits += 1
                     txn.read_set.add(block)
-                    return self._fast_read_outcome
+                    return self._fast_outcome
         result = self.mem.access(core, block, False)
-        line = self._post_access(core, block, result)
         latency = result.latency
+        # _post_access for a load, which never upgrades.
+        line = result.line
+        if self._pending:
+            self._drain_pending(core, block, line)
         mb = line.meta
         if mb is None:
             # (0, -): Table 2 grants the load and debits one token, so
             # the R bit is set without decoding a metastate.
-            line.meta = CacheMetabits(r=True, attr=tid)
+            line.meta = CacheMetabits(True, False, False, False, False, tid)
         elif mb.r or mb.w:
             # Token already held by this transaction: pure hardware hit.
             txn.read_set.add(block)
-            return AccessOutcome(True, latency)
+            return self._granted.get(latency) or self._grant(latency)
         else:
+            if mb.rp and mb.rplus:
+                # Only the post-switch R'+R+ transient needs fusing.
+                mb.fuse_transient()
             verdict = acquire_read(self._meta_of(line, core), tid, self._tpb)
             if not verdict.granted:
                 self.stats.conflicts += 1
@@ -362,7 +367,7 @@ class TokenTM(HTM, CoherenceListener):
                 return AccessOutcome(False, latency, info)
             if not verdict.acquired:
                 txn.read_set.add(block)
-                return AccessOutcome(True, latency)
+                return self._granted.get(latency) or self._grant(latency)
             mb.set_read(tid)
         self._units[core].mark(block)
         if self.bus.enabled:
@@ -370,7 +375,7 @@ class TokenTM(HTM, CoherenceListener):
                           block=block, tokens=1, write=False)
         latency += self._log_append(core, tid, block, 1, False)
         txn.read_set.add(block)
-        return AccessOutcome(True, latency)
+        return self._granted.get(latency) or self._grant(latency)
 
     def write(self, core: int, tid: int, block: int) -> AccessOutcome:
         txn = self._txn(tid)
@@ -386,7 +391,7 @@ class TokenTM(HTM, CoherenceListener):
                 if mb is not None and mb.w:
                     self.mem.fast_hit(core, entry, True)
                     self.mem.fastpath.htm_write_hits += 1
-                    return self._fast_write_outcome
+                    return self._fast_outcome
         result = self.mem.access(core, block, True)
         line = self._post_access(core, block, result)
         ack_hints = (tuple(self._pending_hints.pop((core, block), ()))
@@ -396,11 +401,11 @@ class TokenTM(HTM, CoherenceListener):
         if mb is None and self._core_tid[core] == tid:
             # (0, -): Table 2 grants the store all T tokens, so the W
             # bit is set without decoding a metastate.
-            line.meta = CacheMetabits(w=True, attr=tid)
+            line.meta = CacheMetabits(False, True, False, False, False, tid)
             acquired = self._tpb
         elif mb is not None and mb.w:
             txn.write_set.add(block)
-            return AccessOutcome(True, latency)
+            return self._granted.get(latency) or self._grant(latency)
         else:
             meta = self._meta_of(line, core)
             verdict = acquire_write(meta, tid, self._tpb)
@@ -423,7 +428,7 @@ class TokenTM(HTM, CoherenceListener):
                               block=block, tokens=acquired, write=True)
             latency += self._log_append(core, tid, block, acquired, True)
         txn.write_set.add(block)
-        return AccessOutcome(True, latency)
+        return self._granted.get(latency) or self._grant(latency)
 
     def _handle_write_conflict(self, core: int, tid: int, txn: _Txn,
                                block: int, line: CacheLine, meta: Meta,
@@ -467,10 +472,7 @@ class TokenTM(HTM, CoherenceListener):
             # read-to-write upgrade (all debits belong to tid).
             cycles = self._self_upgrade(core, tid, block, line, meta)
             txn.write_set.add(block)
-            return AccessOutcome(
-                True,
-                latency + cycles + self._lat.conflict_trap,
-            )
+            return self._grant(latency + cycles + self._lat.conflict_trap)
         if not complete:
             # Hardware hints insufficient: the contention manager must
             # walk logs (the paper's hardest case).  Do it now so the
@@ -482,7 +484,7 @@ class TokenTM(HTM, CoherenceListener):
                 # Logs say every debit is ours after all.
                 cycles = self._self_upgrade(core, tid, block, line, meta)
                 txn.write_set.add(block)
-                return AccessOutcome(True, latency + cycles)
+                return self._grant(latency + cycles)
             info = ConflictInfo(block, ConflictKind.READERS,
                                 hints=tuple(readers), complete=True)
             return AccessOutcome(False, latency, info)
@@ -528,8 +530,11 @@ class TokenTM(HTM, CoherenceListener):
         log = self._logs[tid]
         if unit.eligible:
             cleared = 0
+            cache = self.mem.cache(core)
+            sets = cache.sets
+            set_mask = cache.set_mask
             for block in unit.take_fast_release():
-                line = self.mem.cache(core).lookup(block)
+                line = sets[block & set_mask].get(block)
                 if line is None or line.meta is None:  # pragma: no cover
                     raise BookkeepingError(
                         f"fast release lost line {block:#x}"
@@ -582,9 +587,9 @@ class TokenTM(HTM, CoherenceListener):
     def _software_release(self, core: int, tid: int, log: TmLog) -> int:
         """Walk the log reading records, then return all tokens."""
         cycles = 0
-        for _record, log_block in log.walk_forward():
-            res = self.mem.access(core, log_block, False)
-            cycles += res.latency
+        access = self.mem.access
+        for log_block in log.record_starts:
+            cycles += access(core, log_block, False).latency
         cycles += self._release_tokens(core, tid, log)
         return cycles
 
@@ -600,12 +605,14 @@ class TokenTM(HTM, CoherenceListener):
         cycles = log.entry_count * self._lat.token_release
         tpb = self._tpb
         cache = self.mem.cache(core)
+        sets = cache.sets
+        set_mask = cache.set_mask
         bus = self.bus
         for block, count in log.token_credits().items():
             if bus.enabled:
                 bus.emit(EventKind.TOKEN_RELEASE, tid=tid, core=core,
                          block=block, tokens=count)
-            line = cache.lookup(block)
+            line = sets[block & set_mask].get(block)
             mb = line.meta if line is not None else None
             if mb is not None:
                 # The common releases, decided on the metabits alone:
@@ -664,7 +671,7 @@ class TokenTM(HTM, CoherenceListener):
                 complete=meta.tid is not None,
             )
             return AccessOutcome(False, result.latency, info)
-        return AccessOutcome(True, result.latency)
+        return self._grant(result.latency)
 
     def nontxn_write(self, core: int, tid: int, block: int) -> AccessOutcome:
         result = self.mem.access(core, block, True)
@@ -690,7 +697,7 @@ class TokenTM(HTM, CoherenceListener):
                                  ConflictInfo(block, kind,
                                               hints=tuple(hints),
                                               complete=True))
-        return AccessOutcome(True, result.latency)
+        return self._grant(result.latency)
 
     # ------------------------------------------------------------------
     # Context switching (Section 4.4) and instrumentation

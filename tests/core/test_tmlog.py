@@ -108,11 +108,6 @@ class TestTokenCredits:
         assert TmLog(0).token_credits() == {}
 
 
-def test_log_record_words_property():
-    assert LogRecord(0x1, 1, False).words == READ_RECORD_WORDS
-    assert LogRecord(0x1, 8, True).words == WRITE_RECORD_WORDS
-
-
 class TestLogRecord:
     def test_fields(self):
         record = LogRecord(0x1, 8, True)

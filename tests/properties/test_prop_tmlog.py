@@ -1,8 +1,9 @@
-"""Property tests: the log blocks an append touches.
+"""Property tests: the log blocks an append touches and the walks report.
 
 :meth:`TmLog.append` computes the blocks a record spans from its start
-and end word with shifts.  Here they are checked against a reference
-that converts every word the record occupies to its byte address.
+and end word with shifts, and records each record's first block for the
+walks.  Here they are checked against a reference that converts every
+word the record occupies to its byte address.
 """
 
 from hypothesis import given
@@ -15,6 +16,7 @@ from repro.core.tmlog import (
     READ_RECORD_WORDS,
     WORDS_PER_BLOCK,
     WRITE_RECORD_WORDS,
+    LogRecord,
     TmLog,
 )
 
@@ -68,3 +70,26 @@ def test_walks_match_append_start_blocks(writes):
               for i, w in enumerate(writes)]
     assert [blk for _rec, blk in log.walk_forward()] == firsts
     assert [blk for _rec, blk in log.walk_backward()] == firsts[::-1]
+
+
+@given(st.integers(0, 63),
+       st.lists(st.lists(st.booleans(), max_size=30), min_size=1,
+                max_size=4))
+def test_starts_and_walks_match_reference_across_resets(thread_id, rounds):
+    """Each round appends to a freshly reset log: the recorded start
+    blocks and both walks follow the word-by-word reference."""
+    log = TmLog(thread_id)
+    for writes in rounds:
+        log.reset()
+        records, starts = [], []
+        word = 0
+        for index, is_write in enumerate(writes):
+            record = LogRecord(0x100 + index, 8 if is_write else 1, is_write)
+            log.append(*record)
+            records.append(record)
+            starts.append(reference_blocks(thread_id, word, 1)[0])
+            word += WRITE_RECORD_WORDS if is_write else READ_RECORD_WORDS
+        assert log.record_starts == starts
+        pairs = list(zip(records, starts))
+        assert list(log.walk_forward()) == pairs
+        assert list(log.walk_backward()) == pairs[::-1]
