@@ -42,6 +42,7 @@ GOLDEN = {
     ("Delaunay", "LogTM-SE_4xH3", "plain"): "64f0deb4a7f343c3",
     ("Delaunay", "LogTM-SE_Perf", "plain"): "0dd852c6d84d8980",
     ("Delaunay", "OneTM", "plain"): "02c0060cb38be349",
+    ("Delaunay", "OneTM", "preempt"): "2d5069fcb821417b",
     ("Delaunay", "TokenTM", "plain"): "35e3568412d275fc",
     ("Delaunay", "TokenTM_NoFast", "plain"): "97b823a41051052c",
     ("Genome", "LogTM-SE_2xH3", "plain"): "01b5c9347cda7f43",
