@@ -97,15 +97,12 @@ def run_trace(trace: WorkloadTrace, variant: str,
               audit: bool = False,
               quantum: int = 200,
               bus: Optional[EventBus] = None,
-              fast_path: bool = True,
               faults: Optional[FaultPlan] = None,
               monitor: Optional[InvariantMonitor] = None) -> RunStats:
     """Execute an already-generated trace on a fresh machine.
 
     Pass an enabled :class:`~repro.obs.events.EventBus` to trace the
     run; the default null bus makes instrumentation free.
-    ``fast_path=False`` disables the memory-system access filters
-    (``--no-fastpath``); results are identical either way.
 
     ``faults`` injects the given plan (seeded from ``seed``) and
     ``monitor`` runs invariant checks at quantum boundaries; both
@@ -115,9 +112,7 @@ def run_trace(trace: WorkloadTrace, variant: str,
     """
     sys_cfg = system or SystemConfig()
     cfg = htm_config or HTMConfig()
-    machine = make_htm(variant,
-                       MemorySystem(sys_cfg, bus=bus, fast_path=fast_path),
-                       cfg)
+    machine = make_htm(variant, MemorySystem(sys_cfg, bus=bus), cfg)
     run_cfg = RunConfig(system=sys_cfg, htm=cfg, seed=seed, audit=audit)
     injector = None
     if faults is not None and faults.specs:
@@ -135,7 +130,6 @@ def run_cell(workload: SyntheticTxnWorkload, variant: str,
              system: Optional[SystemConfig] = None,
              htm_config: Optional[HTMConfig] = None,
              bus: Optional[EventBus] = None,
-             fast_path: bool = True,
              faults: Optional[FaultPlan] = None,
              monitor: Optional[InvariantMonitor] = None) -> Cell:
     """Generate the workload at ``scale`` and run it on ``variant``."""
@@ -144,7 +138,7 @@ def run_cell(workload: SyntheticTxnWorkload, variant: str,
     trace = workload.generate(seed=seed, scale=scale, threads=nthreads)
     stats = run_trace(trace, variant, system=sys_cfg,
                       htm_config=htm_config, seed=seed, bus=bus,
-                      fast_path=fast_path, faults=faults, monitor=monitor)
+                      faults=faults, monitor=monitor)
     return Cell(trace.name, variant, seed, stats)
 
 
@@ -154,8 +148,7 @@ def run_variants(workload: SyntheticTxnWorkload,
                  threads: Optional[int] = None,
                  system: Optional[SystemConfig] = None,
                  htm_config: Optional[HTMConfig] = None,
-                 runner=None,
-                 fast_path: bool = True) -> Dict[str, Cell]:
+                 runner=None) -> Dict[str, Cell]:
     """Run one workload across several variants on identical traces.
 
     ``runner`` (a :class:`repro.perf.runner.ParallelRunner`) fans the
@@ -167,13 +160,12 @@ def run_variants(workload: SyntheticTxnWorkload,
 
         specs = grid_specs([workload], tuple(variants), seeds=(seed,),
                            scale=scale, threads=threads, system=system,
-                           htm=htm_config, fast_path=fast_path)
+                           htm=htm_config)
         cells = _require_complete(runner.run_cells(specs), specs)
         return dict(zip(variants, cells))
     return {
         v: run_cell(workload, v, scale=scale, seed=seed, threads=threads,
-                    system=system, htm_config=htm_config,
-                    fast_path=fast_path)
+                    system=system, htm_config=htm_config)
         for v in variants
     }
 
@@ -197,8 +189,7 @@ def figure_speedups(workload: SyntheticTxnWorkload,
                     threads: Optional[int] = None,
                     system: Optional[SystemConfig] = None,
                     htm_config: Optional[HTMConfig] = None,
-                    runner=None,
-                    fast_path: bool = True) -> SpeedupSeries:
+                    runner=None) -> SpeedupSeries:
     """Speedup of each variant normalized to ``baseline``.
 
     ``runs`` > 1 produces 95% confidence intervals from perturbed
@@ -216,7 +207,6 @@ def figure_speedups(workload: SyntheticTxnWorkload,
         specs = grid_specs(
             [workload], tuple(variants), seeds=tuple(seeds), scale=scale,
             threads=threads, system=system, htm=htm_config,
-            fast_path=fast_path,
         )
         flat = _require_complete(runner.run_cells(specs), specs)
         nv = len(variants)
@@ -227,8 +217,7 @@ def figure_speedups(workload: SyntheticTxnWorkload,
     for i, run_seed in enumerate(seeds):
         cells = rounds[i] if rounds is not None else run_variants(
             workload, variants, scale=scale, seed=run_seed,
-            threads=threads, system=system, htm_config=htm_config,
-            fast_path=fast_path)
+            threads=threads, system=system, htm_config=htm_config)
         series.cells.extend(cells.values())
         base = cells[baseline].stats.makespan
         for variant, cell in cells.items():

@@ -182,8 +182,7 @@ def cmd_run(args) -> int:
 
         monitor = InvariantMonitor()
     cell = run_cell(workload, args.variant, scale=scale, seed=args.seed,
-                    bus=bus, fast_path=not args.no_fastpath,
-                    faults=faults, monitor=monitor)
+                    bus=bus, faults=faults, monitor=monitor)
     if bus is not None:
         _finish_trace(bus, jsonl, chrome, args)
     snapshot = cell.stats.snapshot()
@@ -442,9 +441,7 @@ def _figure(args, variants, title: str) -> int:
             scale = args.scale or DEFAULT_SCALES[name]
             series.append(figure_speedups(
                 wl, variants=variants, scale=scale, runs=args.runs,
-                seed=args.seed, runner=runner,
-                fast_path=not args.no_fastpath,
-            ))
+                seed=args.seed, runner=runner))
     except IncompleteGridError as exc:
         _print_incomplete(exc)
         return 1
@@ -524,7 +521,6 @@ def cmd_bench(args) -> int:
             workload_names=args.workloads, variants=args.variants,
             scale_factor=args.scale_factor, cache_dir=args.cache_dir,
             compare_serial=args.compare_serial,
-            fast_path=not args.no_fastpath,
             traces=not args.no_traces,
             only=args.only,
             supervisor=_supervisor_from_args(args),
@@ -832,9 +828,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--chrome-out", metavar="FILE", default=None,
                        help="write a Chrome trace_event JSON "
                             "(load in Perfetto / chrome://tracing)")
-    run_p.add_argument("--no-fastpath", action="store_true",
-                       help="disable the memory-system access filters "
-                            "(results are identical; for verification)")
     run_p.add_argument("--faults", metavar="PLAN.json", default=None,
                        help="inject the given fault plan "
                             "(see docs/robustness.md)")
@@ -987,9 +980,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "-1 = one per CPU)")
         p.add_argument("--cache-dir", metavar="DIR", default=None,
                        help="reuse finished cells from this cache")
-        p.add_argument("--no-fastpath", action="store_true",
-                       help="disable the memory-system access filters "
-                            "(results are identical; for verification)")
         _add_supervision_flags(p)
         p.set_defaults(func=func)
 
@@ -1022,9 +1012,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--compare-serial", action="store_true",
                          help="also time the grid serially and check "
                               "parallel results are identical")
-    bench_p.add_argument("--no-fastpath", action="store_true",
-                         help="run the grid with the access filters "
-                              "disabled (results are identical)")
     bench_p.add_argument("--no-traces", action="store_true",
                          help="skip the fixture event-trace grid cells")
     bench_p.add_argument("--only", action="append", metavar="SECTION",

@@ -118,9 +118,8 @@ _FILTER_MASK = FILTER_SLOTS - 1
 
 # Filter entry layout: [block, line, writable, interned AccessResult].
 # The result is interned on the entry's first filtered hit (None until
-# then): most entries a miss installs are never hit.  Public so the HTM
-# layer can peek at the line's metastate between fast_entry() and
-# fast_hit().
+# then): most entries a miss installs are never hit.  Only
+# ``MemorySystem`` reads entries; the HTM layers never see them.
 F_BLOCK, F_LINE, F_WRITABLE, F_RESULT = 0, 1, 2, 3
 
 
@@ -132,6 +131,10 @@ class FastPathStats:
     snapshots that the equivalence contract compares (fast path on vs
     off produces identical ``ProtocolStats``).  Publish them through
     :func:`repro.obs.metrics.publish_fastpath` as ``perf.fastpath.*``.
+
+    ``htm_read_hits`` and ``htm_write_hits`` always read 0: the HTM
+    layers no longer short-circuit repeat accesses, and the keys stay
+    because ``perfbench/run.py`` reads them.
     """
 
     __slots__ = ("coherence_read_hits", "coherence_write_hits",
@@ -184,6 +187,8 @@ class MemorySystem:
         #: every point a line mutates (install/remove/invalidate/
         #: downgrade/evict/upgrade), which keeps the filter a pure
         #: memoization: simulated outcomes are identical either way.
+        #: ``fast_path=False`` runs without it; tests use that as the
+        #: oracle for the filtered path.
         self._fast_path = fast_path
         self._filters: List[List[Optional[list]]] = [
             [None] * FILTER_SLOTS for _ in range(config.num_cores)
@@ -201,11 +206,6 @@ class MemorySystem:
     @property
     def topology(self) -> TiledTopology:
         return self._topology
-
-    @property
-    def fast_path_enabled(self) -> bool:
-        """Whether the hit filter is active (``--no-fastpath`` clears it)."""
-        return self._fast_path
 
     @property
     def directory(self) -> Directory:
@@ -298,22 +298,6 @@ class MemorySystem:
     # is proof the slow path would have produced exactly the interned
     # result.
 
-    def fast_entry(self, core: int, block: int,
-                   is_write: bool) -> Optional[list]:
-        """Look up the hit filter without side effects.
-
-        Returns the entry if the access is filterable, else None.  The
-        HTM layer uses this to *peek* (it must still check metastate
-        before committing), then calls :meth:`fast_hit` to commit.
-        """
-        if not self._fast_path:
-            return None
-        entry = self._filters[core][block & _FILTER_MASK]
-        if (entry is not None and entry[F_BLOCK] == block
-                and (not is_write or entry[F_WRITABLE])):
-            return entry
-        return None
-
     def fast_hit(self, core: int, entry: list,
                  is_write: bool) -> AccessResult:
         """Commit a filtered access: bump stats, recency, fold E->M.
@@ -321,7 +305,8 @@ class MemorySystem:
         Performs exactly the bookkeeping the slow path's pure-hit
         branch would (counter bumps, one LRU tick, silent E->M on
         write) and returns the entry's interned result, interning it
-        on first use.
+        on first use.  ``access`` is the only caller; the method stays
+        public because the perfbench tracer counts its calls.
         """
         stats = self.stats
         fp = self.fastpath

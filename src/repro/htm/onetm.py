@@ -41,7 +41,7 @@ from repro.htm.base import (
 
 class _OneTxn:
     __slots__ = ("tid", "core", "read_set", "write_set", "overflowed",
-                 "needs_token", "fast_unsafe")
+                 "needs_token")
 
     def __init__(self, tid: int, core: int):
         self.tid = tid
@@ -52,13 +52,6 @@ class _OneTxn:
         #: Set when a context switch destroyed the in-L1 tracking:
         #: the transaction must enter overflowed mode to continue.
         self.needs_token = False
-        #: Sticky marker that ``_needs_overflow``'s residency walk may
-        #: now find a lost block (a set line left L1, or the thread
-        #: migrated so residency must be re-judged on the new core).
-        #: While clear — and the transaction not overflowed or
-        #: switched — a repeat in-set access provably cannot trigger
-        #: the overflow machinery, so it may take the fast path.
-        self.fast_unsafe = False
 
 
 class OneTM(HTM, CoherenceListener):
@@ -73,8 +66,6 @@ class OneTM(HTM, CoherenceListener):
         self._core_tid: List[Optional[int]] = [None] * mem.config.num_cores
         #: TID currently holding the single overflow token, if any.
         self._overflow_holder: Optional[int] = None
-        # The outcome of repeat in-set accesses (see _fast_ok).
-        self._fast_outcome = self._grant(mem.config.latency.l1_hit)
         mem.set_listener(self)
 
     # ------------------------------------------------------------------
@@ -92,7 +83,6 @@ class OneTM(HTM, CoherenceListener):
         if txn is None or txn.overflowed:
             return
         if block in txn.read_set or block in txn.write_set:
-            txn.fast_unsafe = True
             self._request_overflow(txn)
 
     def _request_overflow(self, txn: _OneTxn) -> None:
@@ -198,29 +188,9 @@ class OneTM(HTM, CoherenceListener):
             cycles += res.latency + lat.log_write
         return cycles
 
-    def _fast_ok(self, txn: _OneTxn) -> bool:
-        """Whether a repeat in-set access may skip the slow path.
-
-        Overflowed transactions never consult the overflow machinery
-        again; otherwise the switch/loss/migration markers must all be
-        clear so ``_blocked_on_token`` provably returns False.  The
-        conflict check is covered by the hit filter itself: a foreign
-        transaction extending its sets over our block invalidates or
-        downgrades our copy first, dropping the filter entry.
-        """
-        return txn.overflowed or not (txn.needs_token or txn.fast_unsafe)
-
     def read(self, core: int, tid: int, block: int) -> AccessOutcome:
         txn = self._txn(tid)
         self.stats.txn_reads += 1
-        if ((block in txn.read_set or block in txn.write_set)
-                and self._fast_ok(txn)):
-            entry = self.mem.fast_entry(core, block, False)
-            if entry is not None:
-                self.mem.fast_hit(core, entry, False)
-                self.mem.fastpath.htm_read_hits += 1
-                txn.read_set.add(block)
-                return self._fast_outcome
         if self._blocked_on_token(txn):
             return AccessOutcome(False, self.mem.config.latency.l1_hit,
                                  self._serialization_stall(block, tid))
@@ -236,12 +206,6 @@ class OneTM(HTM, CoherenceListener):
     def write(self, core: int, tid: int, block: int) -> AccessOutcome:
         txn = self._txn(tid)
         self.stats.txn_writes += 1
-        if block in txn.write_set and self._fast_ok(txn):
-            entry = self.mem.fast_entry(core, block, True)
-            if entry is not None:
-                self.mem.fast_hit(core, entry, True)
-                self.mem.fastpath.htm_write_hits += 1
-                return self._fast_outcome
         if self._blocked_on_token(txn):
             return AccessOutcome(False, self.mem.config.latency.l1_hit,
                                  self._serialization_stall(block, tid))
@@ -314,10 +278,6 @@ class OneTM(HTM, CoherenceListener):
         self._core_tid[core] = tid
         txn = self._txns.get(tid)
         if txn is not None:
-            if txn.core != core:
-                # Migration: set residency must be re-judged against
-                # the new core's L1, so the fast path stands down.
-                txn.fast_unsafe = True
             txn.core = core
 
     # ------------------------------------------------------------------

@@ -106,11 +106,7 @@ class TokenTM(HTM, CoherenceListener):
         # reader-TID hints those copies carried (Section 5.2).
         self._pending: Dict[Tuple[int, int], Meta] = {}
         self._pending_hints: Dict[Tuple[int, int], List[int]] = {}
-        # The read/write-set short-circuit's outcome: a repeat access
-        # to a block whose R/W metabit the transaction already holds
-        # is always a granted L1 hit.
         self._lat = mem.config.latency
-        self._fast_outcome = self._grant(self._lat.l1_hit)
         mem.set_listener(self)
 
     # ------------------------------------------------------------------
@@ -315,23 +311,6 @@ class TokenTM(HTM, CoherenceListener):
         if txn is None:
             raise TransactionError(f"thread {tid} has no live transaction")
         self.stats.txn_reads += 1
-        # Read/write-set short-circuit: a repeat access to a block with
-        # a resident stable-hit line whose R/W metabit names the
-        # current thread is exactly the slow path's "pure hardware
-        # hit" — skip the protocol walk and metastate decode.  The
-        # pending-shard guard keeps _drain_pending's effect; the
-        # metabit check makes fuse_transient provably a no-op (R
-        # excludes R', W excludes every reader bit).
-        if not self._pending and (block in txn.read_set
-                                  or block in txn.write_set):
-            entry = self.mem.fast_entry(core, block, False)
-            if entry is not None:
-                mb = entry[F_LINE].meta
-                if mb is not None and (mb.r or mb.w):
-                    self.mem.fast_hit(core, entry, False)
-                    self.mem.fastpath.htm_read_hits += 1
-                    txn.read_set.add(block)
-                    return self._fast_outcome
         result = self.mem.access(core, block, False)
         latency = result.latency
         # _post_access for a load, which never upgrades.
@@ -380,18 +359,6 @@ class TokenTM(HTM, CoherenceListener):
     def write(self, core: int, tid: int, block: int) -> AccessOutcome:
         txn = self._txn(tid)
         self.stats.txn_writes += 1
-        # Short-circuit a repeat store: W metabit held, line writable
-        # in the hit filter, and no pending shards or ack hints whose
-        # draining the slow path would perform.
-        if (not self._pending and not self._pending_hints
-                and block in txn.write_set):
-            entry = self.mem.fast_entry(core, block, True)
-            if entry is not None:
-                mb = entry[F_LINE].meta
-                if mb is not None and mb.w:
-                    self.mem.fast_hit(core, entry, True)
-                    self.mem.fastpath.htm_write_hits += 1
-                    return self._fast_outcome
         result = self.mem.access(core, block, True)
         line = self._post_access(core, block, result)
         ack_hints = (tuple(self._pending_hints.pop((core, block), ()))

@@ -11,12 +11,12 @@ Measures these and writes them to ``BENCH_perf.json``:
   repeat-access-heavy transaction mix, with an identical-statistics
   cross-check.
 
-Schema of ``BENCH_perf.json`` (``repro-bench-perf/10``, documented in
+Schema of ``BENCH_perf.json`` (``repro-bench-perf/11``, documented in
 ``docs/performance.md``):
 
 ``schema``        schema identifier string;
-``config``        seed / workers / quick flag / fast_path /
-                  per-workload scales;
+``config``        seed / workers / quick flag / cache dir /
+                  per-workload scales / fixture traces;
 ``grid``          ``wall_seconds`` for the whole grid plus ``cells``,
                   each with workload, variant, seed, scale,
                   trace_ops, wall_seconds (null when the cache
@@ -65,8 +65,9 @@ from repro.traces.workload import TraceWorkloadSpec, fixture_workloads
 from repro.workloads import tm_workloads
 
 #: Identifier written into every BENCH_perf.json.
-#: /2: added the memory-stack benchmark (``membench``), the
-#: ``config.fast_path`` flag, and ``perf.fastpath.*`` metrics.
+#: /2: added the memory-stack benchmark (``membench``), a ``config``
+#: flag for running the grid with the hit filter off, and
+#: ``perf.fastpath.*`` metrics.
 #: /3: added the faults-path section (NULL injector vs. a frozen
 #: pre-faults scheduling loop).
 #: /4: ``grid`` grew a ``report`` (the runner's supervision
@@ -94,7 +95,9 @@ from repro.workloads import tm_workloads
 #: /10: dropped the interpreter and faults-path sections with the
 #: frozen executor copies they timed; ``membench`` is the one ratio
 #: section left.
-BENCH_SCHEMA = "repro-bench-perf/10"
+#: /11: dropped that ``config`` flag with the CLI option that set it:
+#: the grid always runs with the coherence hit filter on.
+BENCH_SCHEMA = "repro-bench-perf/11"
 
 #: Default output path, at the repo root like the other BENCH files.
 DEFAULT_OUT = "BENCH_perf.json"
@@ -237,7 +240,7 @@ MEM_REPEATS = 40
 MEM_ROUNDS = 3
 
 
-def _membench_run(fast_path: bool, cores: int, blocks: int,
+def _membench_run(filtered: bool, cores: int, blocks: int,
                   repeats: int):
     """Drive TokenTM directly with a repeat-access transaction mix.
 
@@ -245,7 +248,7 @@ def _membench_run(fast_path: bool, cores: int, blocks: int,
     The access sequence is identical for both modes, so the protocol
     statistics must match exactly (asserted by :func:`membench`).
     """
-    mem = MemorySystem(SystemConfig(), fast_path=fast_path)
+    mem = MemorySystem(SystemConfig(), fast_path=filtered)
     machine = make_htm("TokenTM", mem, HTMConfig())
     accesses = 0
     start = time.perf_counter()
@@ -430,7 +433,6 @@ def bench_specs(quick: bool = False, seed: int = 2008,
                 workload_names: Optional[Sequence[str]] = None,
                 variants: Optional[Sequence[str]] = None,
                 scale_factor: float = 1.0,
-                fast_path: bool = True,
                 traces: bool = True) -> List[CellSpec]:
     """The benchmark grid as cell specs (Figure 5 grid by default).
 
@@ -462,16 +464,14 @@ def bench_specs(quick: bool = False, seed: int = 2008,
         scale = GRID_SCALES.get(name, 0.02) * scale_factor
         for variant in variants:
             specs.append(CellSpec(registry[name].spec, variant,
-                                  seed=seed, scale=scale,
-                                  fast_path=fast_path))
+                                  seed=seed, scale=scale))
     if traces:
         fixtures = fixture_workloads()
         names = QUICK_TRACE_FIXTURES if quick else tuple(fixtures)
         for name in names:
             for variant in variants:
                 specs.append(CellSpec(fixtures[name].spec, variant,
-                                      seed=seed, scale=1.0,
-                                      fast_path=fast_path))
+                                      seed=seed, scale=1.0))
     return specs
 
 
@@ -482,7 +482,6 @@ def run_bench(out: str = DEFAULT_OUT, quick: bool = False,
               scale_factor: float = 1.0,
               cache_dir: Optional[str] = None,
               compare_serial: bool = False,
-              fast_path: bool = True,
               traces: bool = True,
               only: Optional[Sequence[str]] = None,
               supervisor: Optional[SupervisorConfig] = None,
@@ -512,8 +511,7 @@ def run_bench(out: str = DEFAULT_OUT, quick: bool = False,
     grid_on = "grid" in selected
     specs = bench_specs(quick=quick, seed=seed,
                         workload_names=workload_names, variants=variants,
-                        scale_factor=scale_factor, fast_path=fast_path,
-                        traces=traces)
+                        scale_factor=scale_factor, traces=traces)
     store = None
     recorder = None
     if landscape is not None:
@@ -584,7 +582,6 @@ def run_bench(out: str = DEFAULT_OUT, quick: bool = False,
                 "seed": seed,
                 "workers": workers,
                 "quick": quick,
-                "fast_path": fast_path,
                 "cache_dir": cache_dir,
                 "scales": scales,
                 "traces": sorted({s.workload.name for s in specs

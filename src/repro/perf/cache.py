@@ -41,7 +41,7 @@ from typing import Any, Dict, Optional
 
 #: Version folded into every key.  Bump on behavioural changes that
 #: the key payload itself does not capture (e.g. executor semantics).
-#: 2: CellSpec payload grew a ``fast_path`` field (access filters).
+#: 2: CellSpec payload grew a hit-filter on/off field.
 #: 3: CellSpec payload grew ``faults`` / ``monitor`` fields: chaos
 #:    runs must never share entries with clean runs (and pre-faults
 #:    entries never answer post-faults requests).
@@ -55,7 +55,9 @@ from typing import Any, Dict, Optional
 #:    silently prove nothing.
 #: 6: the ``kernel`` field is gone again: the executor has one hot
 #:    loop, so there is no backend left to key on.
-CACHE_SCHEMA = 6
+#: 7: the hit-filter field is gone: cells always run with the filter
+#:    on, so there is no unfiltered run left to key on.
+CACHE_SCHEMA = 7
 
 #: Default cache directory (overridable via the environment).
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"

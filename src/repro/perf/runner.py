@@ -96,10 +96,6 @@ class CellSpec:
     threads: Optional[int] = None
     system: SystemConfig = field(default_factory=SystemConfig)
     htm: HTMConfig = field(default_factory=HTMConfig)
-    #: Results are provably identical either way, but the flag stays
-    #: in the cache key so a --no-fastpath verification run never
-    #: gets answered from a fast-path cache entry (and vice versa).
-    fast_path: bool = True
     #: Canonical JSON of the injected fault plan (None = clean run).
     #: Faults perturb results, so this is cache-key material: a chaos
     #: cell can never be answered from a clean run's entry, nor a
@@ -119,7 +115,6 @@ class CellSpec:
             "threads": self.threads,
             "system": self.system,
             "htm": self.htm,
-            "fast_path": self.fast_path,
             "faults": self.faults,
             "monitor": self.monitor,
         }
@@ -139,7 +134,6 @@ def grid_specs(workloads: Iterable[Union[SyntheticTxnWorkload,
                threads: Optional[int] = None,
                system: Optional[SystemConfig] = None,
                htm: Optional[HTMConfig] = None,
-               fast_path: bool = True,
                faults: Optional[FaultPlan] = None,
                monitor: bool = False) -> List[CellSpec]:
     """The full cross product, in deterministic (wl, seed, variant) order."""
@@ -149,8 +143,8 @@ def grid_specs(workloads: Iterable[Union[SyntheticTxnWorkload,
         and faults.specs else None
     return [
         CellSpec(wl.spec, variant, seed=seed, scale=scale, threads=threads,
-                 system=sys_cfg, htm=htm_cfg, fast_path=fast_path,
-                 faults=plan_json, monitor=monitor)
+                 system=sys_cfg, htm=htm_cfg, faults=plan_json,
+                 monitor=monitor)
         for wl in workloads
         for seed in seeds
         for variant in variants
@@ -189,7 +183,6 @@ def _simulate(spec: CellSpec) -> Tuple[Cell, float]:
     cell = run_cell(workload, spec.variant, scale=spec.scale,
                     seed=spec.seed, threads=spec.threads,
                     system=spec.system, htm_config=spec.htm,
-                    fast_path=spec.fast_path,
                     faults=spec.fault_plan(),
                     monitor=InvariantMonitor() if spec.monitor else None)
     return cell, perf_counter() - start

@@ -30,7 +30,12 @@ def mem():
 
 
 def entry_for(mem, core, block, is_write=False):
-    return mem.fast_entry(core, block, is_write)
+    """The filter entry an access of this kind would hit, else None."""
+    entry = mem._filters[core][block % FILTER_SLOTS]
+    if (entry is not None and entry[F_BLOCK] == block
+            and (not is_write or entry[F_WRITABLE])):
+        return entry
+    return None
 
 
 class TestInstall:
@@ -58,15 +63,6 @@ class TestInstall:
         mem.access(1, B, False)
         mem.access(0, B, True)             # S -> M upgrade
         assert entry_for(mem, 0, B, is_write=True) is not None
-
-    def test_fast_entry_has_no_side_effects(self, mem):
-        mem.access(0, B, False)
-        before = mem.stats.snapshot()
-        fp_before = mem.fastpath.snapshot()
-        entry_for(mem, 0, B)
-        entry_for(mem, 0, B, is_write=True)
-        assert mem.stats.snapshot() == before
-        assert mem.fastpath.snapshot() == fp_before
 
 
 class TestDrop:
@@ -163,9 +159,8 @@ class TestFastHit:
 class TestDisabled:
     def test_no_fastpath_never_filters(self):
         mem = MemorySystem(small_system(), fast_path=False)
-        assert not mem.fast_path_enabled
         mem.access(0, B, False)
-        assert mem.fast_entry(0, B, False) is None
+        assert entry_for(mem, 0, B) is None
         mem.access(0, B, False)
         assert mem.fastpath.snapshot() == {
             name: 0 for name in mem.fastpath.snapshot()

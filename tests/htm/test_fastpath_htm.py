@@ -1,12 +1,11 @@
 """Repeat transactional accesses, per variant.
 
 A repeat access whose block is already in the transaction's set, with
-the line resident and permissions held, must return a hit outcome at
-L1-hit latency without re-running the token / signature / directory
-machinery — and must stand down whenever the needed preconditions
-(residency, metastate, no pending shards, no migration) fail.
-TokenTM and OneTM short-circuit such accesses in the HTM layer;
-LogTM-SE relies on the coherence hit filter alone.
+the line resident and permissions held, must return a granted outcome
+at L1-hit latency without re-acquiring tokens, re-logging or reaching
+the directory.  No variant short-circuits such accesses in the HTM
+layer: each runs its full access path, and the coherence hit filter
+serves the L1 hit.
 """
 
 import pytest
@@ -20,7 +19,7 @@ from tests.conftest import SMALL_T, small_system
 # The transaction-log region at ``1 << 40`` aliases filter slot 0 and
 # each log append advances one slot, so early log traffic churns the
 # low filter slots (a legal filter miss, but it would mask the
-# short-circuit these tests assert on).  Park the test block in a
+# filtered hits these tests assert on).  Park the test block in a
 # high slot (0x3190 & 511 == 400) the log march never reaches here.
 B = 0x3190
 
@@ -39,7 +38,6 @@ class TestTokenTM:
         out = htm.read(0, 0, B)
         assert out.granted
         assert out.latency == htm.mem.config.latency.l1_hit
-        assert htm.mem.fastpath.htm_read_hits == 1
         assert htm.log_entries(0) == entries
         htm.audit()
 
@@ -47,18 +45,22 @@ class TestTokenTM:
         htm = build("TokenTM")
         htm.begin(0, 0)
         htm.write(0, 0, B)
+        entries = htm.log_entries(0)
         out = htm.write(0, 0, B)
         assert out.granted
-        assert htm.mem.fastpath.htm_write_hits == 1
+        assert out.latency == htm.mem.config.latency.l1_hit
+        assert htm.log_entries(0) == entries
         htm.audit()
 
     def test_read_after_write_short_circuits(self):
         htm = build("TokenTM")
         htm.begin(0, 0)
         htm.write(0, 0, B)
+        entries = htm.log_entries(0)
         out = htm.read(0, 0, B)
         assert out.granted
-        assert htm.mem.fastpath.htm_read_hits == 1
+        assert out.latency == htm.mem.config.latency.l1_hit
+        assert htm.log_entries(0) == entries
         htm.audit()
 
     def test_interned_outcomes_are_reused(self):
@@ -73,16 +75,17 @@ class TestTokenTM:
         htm = build("TokenTM")
         htm.begin(0, 0)
         htm.read(0, 0, B)
-        assert htm.mem.fastpath.htm_read_hits == 0
+        assert htm.mem.fastpath.coherence_read_hits == 0
 
     def test_write_after_read_is_not_fast(self):
         """Read-set membership alone must not satisfy a write."""
         htm = build("TokenTM")
         htm.begin(0, 0)
         htm.read(0, 0, B)
+        entries = htm.log_entries(0)
         out = htm.write(0, 0, B)   # needs the full token grab
         assert out.granted
-        assert htm.mem.fastpath.htm_write_hits == 0
+        assert htm.log_entries(0) > entries
         htm.audit()
 
     def test_context_switch_spills_then_recovers(self):
@@ -103,7 +106,8 @@ class TestTokenTM:
         htm.read(0, 0, B)
         out = htm.read(0, 0, B)
         assert out.granted
-        assert mem.fastpath.htm_read_hits == 0
+        assert out.latency == mem.config.latency.l1_hit
+        assert mem.fastpath.coherence_read_hits == 0
         htm.audit()
 
 
@@ -180,49 +184,24 @@ class TestOneTM:
         htm.read(0, 0, B)
         out = htm.read(0, 0, B)
         assert out.granted
-        assert htm.mem.fastpath.htm_read_hits == 1
+        assert out.latency == htm.mem.config.latency.l1_hit
 
     def test_repeat_write_short_circuits(self):
         htm = self.build()
         htm.begin(0, 0)
         htm.write(0, 0, B)
+        entries = htm._logs[0].entry_count
         out = htm.write(0, 0, B)
         assert out.granted
-        assert htm.mem.fastpath.htm_write_hits == 1
-
-    def test_migration_disables_fast_path(self):
-        """A migrated bounded txn must re-walk residency checks."""
-        htm = self.build()
-        htm.begin(0, 0)
-        htm.read(0, 0, B)
-        htm.context_switch(0)
-        htm.schedule(1, 0)         # resume on a different core
-        hits = htm.mem.fastpath.htm_read_hits
-        out = htm.read(1, 0, B)
-        assert out.granted
-        assert htm.mem.fastpath.htm_read_hits == hits  # not filtered
-
-    def test_lost_line_disables_fast_path(self):
-        """After losing a txn line, the overflow walk must re-run."""
-        htm = self.build()
-        htm.begin(0, 0)
-        # Blocks B + i*4 share one L1 set (4 ways); the fifth access
-        # evicts a transactional line and triggers overflow mode.
-        for i in range(5):
-            htm.read(0, 0, B + i * 4)
-        assert htm.stats.overflow_serializations == 1
-        # Overflowed txns are conflict-immune; repeats may fast-hit.
-        out = htm.read(0, 0, B)
-        assert out.granted
+        assert out.latency == htm.mem.config.latency.l1_hit
+        assert htm._logs[0].entry_count == entries
 
 
 @pytest.mark.parametrize("variant",
                          ["TokenTM", "LogTM-SE_4xH3", "OneTM"])
 def test_counters_reach_metrics_registry(variant):
     """Every variant serves the repeat read from the coherence hit
-    filter; TokenTM and OneTM reach it through their HTM
-    short-circuit, while LogTM-SE has none and keeps
-    ``htm_read_hits`` only as an always-zero key."""
+    filter; ``htm_read_hits`` stays an always-zero key."""
     from repro.obs.metrics import publish_fastpath
 
     htm = build(variant)
@@ -230,6 +209,5 @@ def test_counters_reach_metrics_registry(variant):
     htm.read(0, 0, B)
     htm.read(0, 0, B)
     reg = publish_fastpath(htm.mem.fastpath.snapshot())
-    htm_hits = 0 if variant.startswith("LogTM-SE") else 1
-    assert reg["perf.fastpath.htm_read_hits"].value == htm_hits
+    assert reg["perf.fastpath.htm_read_hits"].value == 0
     assert reg["perf.fastpath.coherence_read_hits"].value == 1

@@ -1,7 +1,9 @@
 """Golden digests of exact simulated results.
 
 Each case runs one small cell and hashes its ``RunStats`` and
-``ProtocolStats`` snapshots.  The digests were recorded once and are
+``ProtocolStats`` snapshots.  :func:`run_case` builds each run; it is
+also the one place where other tests build a whole run with the
+coherence hit filter off.  The digests were recorded once and are
 regenerated only when a change *means* to alter simulated results: a
 performance change to the access, token or log paths must leave every
 one of them matching.  Print fresh digests with::
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Optional
+from typing import Optional, Tuple
 
 import pytest
 
@@ -21,10 +23,12 @@ from repro.common.config import HTMConfig, RunConfig, SystemConfig
 from repro.coherence.protocol import MemorySystem
 from repro.faults.injector import FaultInjector
 from repro.faults.monitor import InvariantMonitor
-from repro.faults.plan import default_plan
+from repro.faults.plan import FaultPlan, default_plan
 from repro.htm import make_htm
 from repro.runtime.executor import Executor
+from repro.runtime.stats import RunStats
 from repro.workloads import delaunay, genome, vacation_high
+from repro.workloads.trace import WorkloadTrace
 
 SCALE = 0.005
 SEED = 2008
@@ -70,28 +74,49 @@ GOLDEN = {
 }
 
 
+def run_case(trace: WorkloadTrace, variant: str,
+             system: Optional[SystemConfig] = None, *, seed: int = 0,
+             filtered: bool = True, quantum: int = 200,
+             audit: bool = False, faults: Optional[FaultPlan] = None,
+             monitor: Optional[InvariantMonitor] = None,
+             ) -> Tuple[RunStats, MemorySystem]:
+    """Run ``trace`` on a fresh machine, as ``run_trace`` does.
+
+    ``filtered=False`` builds the memory system with the coherence hit
+    filter off, the oracle that filtered results must match.  Returns
+    the run's stats and the memory system.
+    """
+    system = system or SystemConfig()
+    htm_config = HTMConfig()
+    mem = MemorySystem(system, fast_path=filtered)
+    machine = make_htm(variant, mem, htm_config)
+    injector = (FaultInjector(faults, seed=seed)
+                if faults is not None else None)
+    executor = Executor(machine, trace,
+                        RunConfig(system=system, htm=htm_config, seed=seed,
+                                  audit=audit),
+                        quantum=quantum, validate=False,
+                        track_history=monitor is not None,
+                        injector=injector, monitor=monitor)
+    return executor.run().stats, mem
+
+
 def digest(workload: str, variant: str, mode: str) -> str:
     """Run one case and hash its stats snapshots."""
     system = SystemConfig().scaled(4) if mode == "preempt" else SystemConfig()
     threads = 8 if mode == "preempt" else system.num_cores
     trace = WORKLOADS[workload]().generate(seed=SEED, scale=SCALE,
                                            threads=threads)
-    htm_config = HTMConfig()
-    mem = MemorySystem(system, fast_path=mode != "nofast")
-    machine = make_htm(variant, mem, htm_config)
-    injector: Optional[FaultInjector] = None
     monitor: Optional[InvariantMonitor] = None
     if mode == "faults":
-        injector = FaultInjector(default_plan(), seed=SEED)
         # Every check audits all 32 L1s; a sparse cadence keeps the
         # case to a few seconds while still checking mid-run.
         monitor = InvariantMonitor(cadence=512)
-    executor = Executor(machine, trace,
-                        RunConfig(system=system, htm=htm_config, seed=SEED),
-                        quantum=50 if mode == "preempt" else 200,
-                        validate=False, track_history=monitor is not None,
-                        injector=injector, monitor=monitor)
-    stats = executor.run().stats
+    stats, mem = run_case(
+        trace, variant, system, seed=SEED, filtered=mode != "nofast",
+        quantum=50 if mode == "preempt" else 200,
+        faults=default_plan() if mode == "faults" else None,
+        monitor=monitor)
     if mode == "preempt":
         assert stats.preemptions > 0
     if monitor is not None:

@@ -7,11 +7,8 @@ import json
 
 import pytest
 
-from repro.common.config import HTMConfig, RunConfig, SystemConfig
-from repro.coherence.protocol import MemorySystem
-from repro.faults.injector import FaultInjector
+from repro.common.config import SystemConfig
 from repro.faults.plan import default_plan
-from repro.htm import make_htm
 from repro.perf.bench import (
     BENCH_SCHEMA,
     bench_specs,
@@ -20,12 +17,10 @@ from repro.perf.bench import (
     membench,
     run_bench,
 )
-from repro.perf.cache import cell_key
-from repro.runtime.executor import Executor
 from repro.workloads import cholesky, vacation_low
 from repro.workloads.base import SyntheticTxnWorkload
 
-from tests.integration.test_golden_stats import stats_digest
+from tests.integration.test_golden_stats import run_case, stats_digest
 from tests.perf.conftest import TINY_SPEC
 
 #: One variant per HTM family (TokenTM / LogTM-SE / OneTM).
@@ -48,26 +43,13 @@ LOOP_DIGESTS = {
 }
 
 
-def _run(trace, seed=0, variant="TokenTM", fast_path=True,
-         system=None, quantum=200, faults=False):
-    """One full executor run: (RunStats, ProtocolStats snapshot)."""
-    system = system or SystemConfig()
-    htm_cfg = HTMConfig()
-    mem = MemorySystem(system, fast_path=fast_path)
-    machine = make_htm(variant, mem, htm_cfg)
-    injector = FaultInjector(default_plan(), seed=seed) if faults else None
-    executor = Executor(
-        machine, trace, RunConfig(system=system, htm=htm_cfg, seed=seed),
-        quantum=quantum, validate=False, track_history=False,
-        injector=injector,
-    )
-    return executor.run().stats, mem.stats.snapshot()
-
-
-def _assert_loops_agree(case, trace, **kwargs):
+def _assert_loops_agree(case, trace, variant="TokenTM", faults=False,
+                        **kwargs):
     """The executor retires the statistics the legacy loop recorded."""
-    stats, protocol = _run(trace, **kwargs)
-    assert stats_digest(stats, protocol) == LOOP_DIGESTS[case]
+    stats, mem = run_case(trace, variant,
+                          faults=default_plan() if faults else None,
+                          **kwargs)
+    assert stats_digest(stats, mem.stats.snapshot()) == LOOP_DIGESTS[case]
     return stats
 
 
@@ -83,7 +65,7 @@ def test_legacy_loop_matches_optimized_on_contended_trace():
 def test_legacy_loop_matches_on_variant(variant, fast_path):
     trace = cholesky().generate(seed=7, scale=0.004, threads=4)
     stats = _assert_loops_agree(f"variant-{variant}", trace, seed=7,
-                                variant=variant, fast_path=fast_path)
+                                variant=variant, filtered=fast_path)
     assert stats.commits > 0
 
 
@@ -177,25 +159,12 @@ def test_run_bench_writes_schema_documented_json(tmp_path):
     assert rerun["metrics"]["perf.cache_hits"]["value"] == 1
 
 
-def test_bench_specs_fast_path_changes_cache_key():
-    """A --no-fastpath verification run must never be answered from a
-    fast-path cache entry (and vice versa)."""
-    fast, = bench_specs(quick=True, workload_names=("Cholesky",),
-                        variants=("TokenTM",), traces=False)
-    slow, = bench_specs(quick=True, workload_names=("Cholesky",),
-                        variants=("TokenTM",), fast_path=False,
-                        traces=False)
-    assert fast.payload()["fast_path"] is True
-    assert slow.payload()["fast_path"] is False
-    assert cell_key(fast) != cell_key(slow)
-
-
 def test_membench_identical_stats_and_speedup():
     result = membench(rounds=1, blocks=16, repeats=6)
     assert result["identical_stats"] is True
     assert result["accesses"] > 0
     assert result["speedup"] > 0
-    assert result["fastpath"]["htm_read_hits"] > 0
+    assert result["fastpath"]["coherence_read_hits"] > 0
     assert result["fastpath"]["coherence_write_hits"] > 0
 
 
@@ -209,10 +178,10 @@ def test_run_bench_membench_section(tmp_path):
     assert mem["identical_stats"] is True
     assert mem["filtered_ops_per_sec"] > 0
     assert mem["unfiltered_ops_per_sec"] > 0
-    assert payload["config"]["fast_path"] is True
+    assert "fast_path" not in payload["config"]
     # The fast-path counters reach the artifact's metrics section.
     metrics = payload["metrics"]
-    assert metrics["perf.fastpath.htm_read_hits"]["value"] > 0
+    assert metrics["perf.fastpath.coherence_read_hits"]["value"] > 0
 
 
 def test_run_bench_only_sections(tmp_path):
@@ -293,7 +262,7 @@ def test_bench_payload_has_no_wall_clock_identity(tmp_path):
         out=str(tmp_path / "b.json"), quick=True, only=["membench"],
     )
     assert "unix_time" not in payload
-    assert payload["schema"] == BENCH_SCHEMA == "repro-bench-perf/10"
+    assert payload["schema"] == BENCH_SCHEMA == "repro-bench-perf/11"
 
 
 def test_load_baseline_missing_file_is_soft(tmp_path):

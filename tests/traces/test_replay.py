@@ -16,6 +16,8 @@ from repro.workloads.trace import (
     wait,
 )
 
+from tests.integration.test_golden_stats import run_case
+
 ORACLE_VARIANTS = ("TokenTM", "LogTM-SE_Perf", "OneTM")
 
 
@@ -60,14 +62,14 @@ class TestFixtureReplay:
     @pytest.mark.parametrize("fast_path", [True, False])
     def test_replay_is_deterministic(self, fast_path):
         trace = fixture_workloads()["barrier_storm"].generate()
-        a = run_trace(trace, "TokenTM", seed=0, fast_path=fast_path)
-        b = run_trace(trace, "TokenTM", seed=0, fast_path=fast_path)
+        a, _ = run_case(trace, "TokenTM", filtered=fast_path)
+        b, _ = run_case(trace, "TokenTM", filtered=fast_path)
         assert a.snapshot() == b.snapshot()
 
     def test_fastpath_does_not_change_results(self):
         trace = fixture_workloads()["mutex_ring"].generate()
-        on = run_trace(trace, "TokenTM", seed=0, fast_path=True)
-        off = run_trace(trace, "TokenTM", seed=0, fast_path=False)
+        on = run_trace(trace, "TokenTM", seed=0)
+        off, _ = run_case(trace, "TokenTM", filtered=False)
         assert on.snapshot() == off.snapshot()
 
     def test_gzip_fixture_loads(self):
@@ -94,8 +96,8 @@ class TestRecordReplayOracle:
         options = record_trace(original, path)
         replayed = convert_file(path, name=original.name,
                                 options=options)
-        a = run_trace(original, variant, seed=1, fast_path=fast_path)
-        b = run_trace(replayed, variant, seed=1, fast_path=fast_path)
+        a, _ = run_case(original, variant, seed=1, filtered=fast_path)
+        b, _ = run_case(replayed, variant, seed=1, filtered=fast_path)
         assert a.snapshot() == b.snapshot()
 
     def test_lock_application_round_trips(self, tmp_path):
