@@ -132,9 +132,9 @@ class FastPathStats:
     off produces identical ``ProtocolStats``).  Publish them through
     :func:`repro.obs.metrics.publish_fastpath` as ``perf.fastpath.*``.
 
-    ``htm_read_hits`` and ``htm_write_hits`` always read 0: the HTM
-    layers no longer short-circuit repeat accesses, and the keys stay
-    because ``perfbench/run.py`` reads them.
+    ``htm_read_hits`` and ``htm_write_hits`` always read 0, because no
+    HTM layer short-circuits repeat accesses.  The keys stay because
+    ``perfbench/run.py`` reads them.
     """
 
     __slots__ = ("coherence_read_hits", "coherence_write_hits",

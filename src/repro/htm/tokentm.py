@@ -42,7 +42,6 @@ from repro.common.errors import (
 )
 from repro.coherence.cache import CacheLine, MESI
 from repro.coherence.protocol import (
-    F_LINE,
     MEMORY_HOLDER,
     AccessResult,
     CoherenceListener,
