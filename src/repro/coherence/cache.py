@@ -49,7 +49,8 @@ class L1Cache:
     ``sets``, ``set_mask`` and ``ways`` are read directly by the
     protocol engine's access path; only this class mutates them.
     ``tick`` is the LRU clock: the protocol's filtered hit advances it
-    in place of :meth:`touch_line`.
+    in place of :meth:`touch_line`, and its miss path in place of
+    :meth:`install`.
     """
 
     def __init__(self, geometry: CacheGeometry, core: int):
@@ -112,7 +113,12 @@ class L1Cache:
         return min(cache_set.values(), key=lambda ln: ln.lru)
 
     def install(self, block: int, state: MESI) -> CacheLine:
-        """Place a block (caller must have evicted a victim first)."""
+        """Place a block (caller must have evicted a victim first).
+
+        The protocol engine's miss path does not call this: it fills
+        in place, storing a new line stamped with the next ``tick`` in
+        the set it already holds, after making the checks here hold.
+        """
         cache_set = self.sets[block & self.set_mask]
         if block in cache_set:
             raise CoherenceError(

@@ -5,14 +5,30 @@ bit vector of sharers or the single exclusive owner.  Because the
 paper's TokenTM prohibits silent evictions of clean data, the
 directory here is *exact*: the sharer list always equals the set of
 caches actually holding the block.
+
+Each block's state is one int, its *code*:
+
+* ``code >= 0``: EXCLUSIVE, and ``code`` is the owner core;
+* ``code < 0``: ``~code`` is the full-map sharer mask, bit ``c`` set
+  when core ``c`` holds a shared copy.  :data:`UNCACHED` (``-1``, the
+  empty mask) means no core holds the block.
+
+An int holds the full-map vector exactly, and a dict holding only ints
+is never tracked by the cyclic garbage collector, however many blocks
+it grows to.  The protocol engine's access path reads and writes codes
+in :attr:`Directory.entries` directly; :class:`DirectoryEntry` is a
+read-only view for everything else.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Dict, Optional, Set
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.common.errors import CoherenceError
+
+#: The code of a block no core holds.
+UNCACHED = -1
 
 
 class DirState(Enum):
@@ -23,110 +39,126 @@ class DirState(Enum):
     EXCLUSIVE = "X"  # one owner, possibly dirty (covers MESI M and E)
 
 
+def mask_cores(mask: int) -> List[int]:
+    """The cores whose bits are set in a sharer mask, lowest first."""
+    cores = []
+    while mask:
+        low = mask & -mask
+        cores.append(low.bit_length() - 1)
+        mask ^= low
+    return cores
+
+
 class DirectoryEntry:
-    """Sharer/owner bookkeeping for one block."""
+    """Read-only view of one block's directory code."""
 
-    __slots__ = ("state", "owner", "sharers")
+    __slots__ = ("_code",)
 
-    def __init__(self, state: DirState = DirState.UNCACHED,
-                 owner: Optional[int] = None) -> None:
-        self.state = state
-        self.owner = owner
-        self.sharers: Set[int] = set()
+    def __init__(self, code: int) -> None:
+        self._code = code
+
+    @property
+    def state(self) -> DirState:
+        code = self._code
+        if code >= 0:
+            return DirState.EXCLUSIVE
+        return DirState.UNCACHED if code == UNCACHED else DirState.SHARED
+
+    @property
+    def owner(self) -> Optional[int]:
+        """The exclusive owner, or None unless the state is EXCLUSIVE."""
+        return self._code if self._code >= 0 else None
+
+    @property
+    def sharers(self) -> FrozenSet[int]:
+        """The shared holders; empty unless the state is SHARED."""
+        code = self._code
+        return frozenset(mask_cores(~code)) if code < 0 else frozenset()
 
     def holders(self) -> Set[int]:
         """All cores the directory believes hold the block."""
-        if self.state is DirState.EXCLUSIVE:
-            return {self.owner} if self.owner is not None else set()
-        return set(self.sharers)
+        code = self._code
+        return {code} if code >= 0 else set(mask_cores(~code))
 
 
 class Directory:
-    """Exact full-map directory over all blocks ever referenced."""
+    """Exact full-map directory over all blocks ever referenced.
+
+    The ``record_*`` methods apply one protocol transition each and
+    raise :class:`CoherenceError` when the current state forbids it.
+    """
 
     def __init__(self) -> None:
-        #: Block -> entry.  The protocol engine's miss path indexes
-        #: this directly; :meth:`entry` is the same lookup-or-create.
-        self.entries: Dict[int, DirectoryEntry] = {}
+        #: Block -> code.  A block gets a code at its first fill and
+        #: keeps one for the machine's life.
+        self.entries: Dict[int, int] = {}
 
     def entry(self, block: int) -> DirectoryEntry:
-        """Fetch (creating on first touch) the entry for a block."""
-        entry = self.entries.get(block)
-        if entry is None:
-            entry = self.entries[block] = DirectoryEntry()
-        return entry
+        """View of a block's state (UNCACHED if never referenced)."""
+        return DirectoryEntry(self.entries.get(block, UNCACHED))
 
     def peek(self, block: int) -> Optional[DirectoryEntry]:
-        """Entry if the block has ever been referenced, else None."""
-        return self.entries.get(block)
+        """View if the block has ever been referenced, else None."""
+        code = self.entries.get(block)
+        return None if code is None else DirectoryEntry(code)
 
     def record_shared_fill(self, block: int, core: int) -> None:
         """A core received a shared copy."""
-        entry = self.entry(block)
-        if entry.state is DirState.EXCLUSIVE:
+        code = self.entries.get(block, UNCACHED)
+        if code >= 0:
             raise CoherenceError(
                 f"shared fill of {block:#x} while exclusively owned"
             )
-        entry.state = DirState.SHARED
-        entry.sharers.add(core)
+        self.entries[block] = code & ~(1 << core)
 
     def record_exclusive_fill(self, block: int, core: int) -> None:
         """A core received the exclusive copy."""
-        entry = self.entry(block)
-        if entry.holders() - {core}:
+        code = self.entries.get(block, UNCACHED)
+        if code != core if code >= 0 else ~code & ~(1 << core):
             raise CoherenceError(
                 f"exclusive fill of {block:#x} with live holders"
             )
-        entry.state = DirState.EXCLUSIVE
-        entry.owner = core
-        entry.sharers.clear()
+        self.entries[block] = core
 
     def record_eviction(self, block: int, core: int) -> None:
         """Non-silent eviction: remove a holder."""
-        entry = self.entry(block)
-        if entry.state is DirState.EXCLUSIVE:
-            if entry.owner != core:
+        code = self.entries.get(block, UNCACHED)
+        if code >= 0:
+            if code != core:
                 raise CoherenceError(
                     f"eviction of {block:#x} by non-owner core {core}"
                 )
-            entry.state = DirState.UNCACHED
-            entry.owner = None
-        elif entry.state is DirState.SHARED:
-            if core not in entry.sharers:
+            self.entries[block] = UNCACHED
+        elif code != UNCACHED:
+            if not ~code >> core & 1:
                 raise CoherenceError(
                     f"eviction of {block:#x} by non-sharer core {core}"
                 )
-            entry.sharers.discard(core)
-            if not entry.sharers:
-                entry.state = DirState.UNCACHED
+            self.entries[block] = code | 1 << core
         else:
             raise CoherenceError(f"eviction of uncached block {block:#x}")
 
     def record_upgrade(self, block: int, core: int) -> None:
         """A sharer gained exclusive ownership (others already removed)."""
-        entry = self.entry(block)
-        if entry.state is not DirState.SHARED or core not in entry.sharers:
+        code = self.entries.get(block, UNCACHED)
+        if code >= 0 or not ~code >> core & 1:
             raise CoherenceError(
                 f"upgrade of {block:#x} by core {core} that is not a sharer"
             )
-        if entry.sharers - {core}:
+        if ~code != 1 << core:
             raise CoherenceError(
                 f"upgrade of {block:#x} with other sharers still live"
             )
-        entry.state = DirState.EXCLUSIVE
-        entry.owner = core
-        entry.sharers.clear()
+        self.entries[block] = core
 
     def record_downgrade(self, block: int, requester: int) -> None:
         """Owner demoted to sharer; requester added as sharer."""
-        entry = self.entry(block)
-        if entry.state is not DirState.EXCLUSIVE or entry.owner is None:
+        code = self.entries.get(block, UNCACHED)
+        if code < 0:
             raise CoherenceError(f"downgrade of non-exclusive block {block:#x}")
-        old_owner = entry.owner
-        entry.state = DirState.SHARED
-        entry.owner = None
-        entry.sharers = {old_owner, requester}
+        self.entries[block] = ~(1 << code | 1 << requester)
 
-    def blocks(self):
-        """Iterate over (block, entry) pairs with any history."""
-        return self.entries.items()
+    def blocks(self) -> Iterator[Tuple[int, DirectoryEntry]]:
+        """Iterate over (block, view) pairs with any history."""
+        for block, code in self.entries.items():
+            yield block, DirectoryEntry(code)

@@ -26,7 +26,7 @@ from typing import List, Optional, Set, Tuple
 from repro.common.config import SystemConfig
 from repro.common.errors import CoherenceError
 from repro.coherence.cache import CacheLine, L1Cache, MESI
-from repro.coherence.directory import Directory, DirectoryEntry, DirState
+from repro.coherence.directory import UNCACHED, Directory, mask_cores
 from repro.interconnect.topology import TiledTopology
 from repro.obs.events import NULL_BUS, EventBus, EventKind
 
@@ -37,8 +37,6 @@ MEMORY_HOLDER = -1
 # CPython 3.11 reading an enum member off its class costs several times
 # a module-global read, so the members it tests are bound here once.
 _MODIFIED, _EXCLUSIVE, _SHARED = MESI.MODIFIED, MESI.EXCLUSIVE, MESI.SHARED
-_DIR_UNCACHED, _DIR_SHARED, _DIR_EXCLUSIVE = (
-    DirState.UNCACHED, DirState.SHARED, DirState.EXCLUSIVE)
 
 
 class CoherenceListener:
@@ -370,7 +368,8 @@ class MemorySystem:
 
         # Write hit on a SHARED line: upgrade via the directory.
         self.stats.upgrades += 1
-        invalidated = self._invalidate_others(core, block)
+        invalidated = self._invalidate_others(core, block,
+                                              self._dir_entries[block])
         self._directory.record_upgrade(block, core)
         line.state = _MODIFIED
         latency = (lat.l1_hit + self._directory_round_trip(core, block)
@@ -386,13 +385,15 @@ class MemorySystem:
 
         Every transactional first touch lands here, and so does every
         new log block, so the directory lookup-or-create and the round
-        trip are computed inline, and the victim search runs only when
-        the set is full.
+        trip are computed inline, the victim search runs only when the
+        set is full, and the new line is created and stored in place
+        (the checks :meth:`L1Cache.install` makes hold by construction:
+        the block missed, and the set has a free way).
 
-        A block gets its directory entry at its first miss and never
-        loses it, so a block with no entry has never been on chip: no
+        A block gets its directory code at its first miss and never
+        loses it, so a block with no code has never been on chip: no
         L1 holds it, and the L2 has it only if its page was zero-filled.
-        Such a fill takes its own short branch.  A block with an entry
+        Such a fill takes its own short branch.  A block with a code
         has been on chip, so the L2 holds it (L2 capacity is not
         modelled) and a fill not served by an owner costs an L2 hit.
         """
@@ -404,10 +405,11 @@ class MemorySystem:
         topo = self._topology
         bank = block & self._bank_mask
         latency = 2 * topo.core_bank_lat[core][bank] + lat.directory
-        entry = self._dir_entries.get(block)
+        entries = self._dir_entries
+        code = entries.get(block)
 
-        if entry is None:
-            self._dir_entries[block] = DirectoryEntry(_DIR_EXCLUSIVE, core)
+        if code is None:
+            entries[block] = core  # EXCLUSIVE, owned by ``core``
             for start, end in self._zero_filled:
                 if start <= block < end:
                     latency += lat.l2_hit
@@ -416,22 +418,23 @@ class MemorySystem:
                 stats.memory_fetches += 1
                 latency += lat.memory + 2 * topo.bank_mc_lat[bank][
                     block % self._num_mcs]
-            new_line = cache.install(block,
-                                     _MODIFIED if is_write else _EXCLUSIVE)
+            tick = cache.tick = cache.tick + 1
+            new_line = cache_set[block] = CacheLine(
+                block, _MODIFIED if is_write else _EXCLUSIVE, tick)
             self._listener.on_fill(core, block, new_line, False,
                                    MEMORY_HOLDER)
             if self._fast_path:
-                self._filter_install(core, new_line)
+                # _filter_install, inlined: an M or E line is writable.
+                self._filters[core][block & _FILTER_MASK] = [
+                    block, new_line, True, None]
+                self.fastpath.installs += 1
             return AccessResult(latency, False, new_line, False, True)
 
         source = MEMORY_HOLDER
         invalidated: Tuple[int, ...] = ()
-        state = entry.state
 
-        if state is _DIR_EXCLUSIVE:
-            owner = entry.owner
-            assert owner is not None
-            source = owner
+        if code >= 0:
+            owner = source = code
             stats.cache_to_cache += 1
             # Forward request to owner, data comes core-to-core.
             latency += (topo.core_bank_lat[owner][bank]
@@ -441,40 +444,39 @@ class MemorySystem:
                 self._filter_drop(owner, block)
                 self._listener.on_invalidate(owner, block, owner_line, core)
                 stats.invalidations += 1
-                entry.state = _DIR_UNCACHED
-                entry.owner = None
                 invalidated = (owner,)
             else:
                 owner_line = self._caches[owner].lookup(block)
                 assert owner_line is not None
                 owner_line.state = _SHARED
                 self._filter_drop(owner, block)
-                self._directory.record_downgrade(block, core)
+                # The owner stays on as a sharer; the requester joins
+                # it below.
+                code = ~(1 << owner)
                 self._listener.on_downgrade(owner, block, owner_line, core)
                 stats.downgrades += 1
         else:
-            if is_write and state is _DIR_SHARED:
-                invalidated = self._invalidate_others(core, block)
+            if is_write and code != UNCACHED:
+                invalidated = self._invalidate_others(core, block, code)
                 latency += self._invalidation_latency(core, block, invalidated)
             latency += lat.l2_hit
 
         if is_write:
-            new_line = cache.install(block, _MODIFIED)
-            # Entry may be UNCACHED or drained of sharers.
-            entry.state = _DIR_EXCLUSIVE
-            entry.owner = core
-            entry.sharers.clear()
+            # Every other holder is gone: invalidated or never there.
+            entries[block] = core
+            state = _MODIFIED
             shared = False
-        elif entry.state is _DIR_SHARED:
+        elif code != UNCACHED:
             # Already shared, or the owner's downgrade just made it so.
-            new_line = cache.install(block, _SHARED)
-            entry.sharers.add(core)
+            entries[block] = code & ~(1 << core)
+            state = _SHARED
             shared = True
         else:
-            new_line = cache.install(block, _EXCLUSIVE)
-            entry.state = _DIR_EXCLUSIVE
-            entry.owner = core
+            entries[block] = core
+            state = _EXCLUSIVE
             shared = False
+        tick = cache.tick = cache.tick + 1
+        new_line = cache_set[block] = CacheLine(block, state, tick)
 
         self._listener.on_fill(core, block, new_line, shared, source)
         if self._fast_path:
@@ -496,7 +498,16 @@ class MemorySystem:
         cache = self._caches[core]
         line = cache.remove(block)
         self._filter_drop(core, block)
-        self._directory.record_eviction(block, core)
+        entries = self._dir_entries
+        code = entries.get(block, UNCACHED)
+        if code == core:
+            entries[block] = UNCACHED
+        elif code < UNCACHED and ~code >> core & 1:
+            entries[block] = code | 1 << core
+        else:
+            raise CoherenceError(
+                f"eviction of {block:#x} by core {core}, which the "
+                "directory does not list as a holder")
         self.stats.evictions += 1
         if self.bus.enabled:
             self.bus.emit(EventKind.CACHE_EVICT, core=core, block=block,
@@ -518,17 +529,27 @@ class MemorySystem:
             self.evict(core, block)
         return len(overflow)
 
-    def _invalidate_others(self, core: int, block: int) -> Tuple[int, ...]:
-        entry = self._directory.entry(block)
-        if entry.state is not _DIR_SHARED:
+    def _invalidate_others(self, core: int, block: int,
+                           code: int) -> Tuple[int, ...]:
+        """Invalidate every holder of shared ``block`` except ``core``.
+
+        ``code`` is the block's directory code.  Sharers go lowest
+        core first, the order of the returned tuple.  The block is
+        left shared by ``core`` alone if it was a sharer, else
+        UNCACHED.
+        """
+        bit = 1 << core
+        if code >= 0 or not ~code & ~bit:
             return ()
-        others = sorted(entry.sharers - {core})
+        self._dir_entries[block] = code | ~bit
+        others = mask_cores(~code & ~bit)
+        stats = self.stats
+        listener = self._listener
         for other in others:
             other_line = self._caches[other].remove(block)
             self._filter_drop(other, block)
-            entry.sharers.discard(other)
-            self.stats.invalidations += 1
-            self._listener.on_invalidate(other, block, other_line, core)
+            stats.invalidations += 1
+            listener.on_invalidate(other, block, other_line, core)
         return tuple(others)
 
     def _directory_round_trip(self, core: int, block: int) -> int:

@@ -1,5 +1,7 @@
 """Integration tests for the MESI protocol engine."""
 
+import gc
+
 import pytest
 
 from repro.coherence.cache import MESI
@@ -207,3 +209,35 @@ class TestLatencies:
         assert stats.l1_hits == 1
         assert stats.l1_misses == 2
         assert stats.invalidations == 1
+
+
+class TestDirectoryCodes:
+    """The directory keeps one int per block, never a container."""
+
+    def test_directory_is_never_gc_tracked(self):
+        mem = MemorySystem(small_system())
+        mem.access(0, B, False)          # cold exclusive fill
+        mem.access(1, B, False)          # downgrade to shared
+        mem.access(2, B, False)          # third sharer
+        mem.access(1, B, True)           # upgrade, invalidating 0 and 2
+        mem.access(3, B, True)           # steal the modified copy
+        mem.access(0, B + 1, True)
+        mem.evict(0, B + 1)              # back to UNCACHED
+        mem.access(2, B + 1, False)      # refill from L2
+        for i in range(2, 40):           # capacity evictions
+            mem.access(i % 4, B + 4 * i, i % 3 == 0)
+        assert not gc.is_tracked(mem.directory.entries)
+        mem.audit()
+
+    def test_invalidations_go_lowest_core_first(self):
+        recorder = Recorder()
+        mem = MemorySystem(small_system(cores=8), recorder)
+        for core in (5, 1, 3):
+            mem.access(core, B, False)
+        recorder.events.clear()
+        res = mem.access(7, B, True)
+        assert res.invalidated == (1, 3, 5)
+        assert [event[1] for event in recorder.events
+                if event[0] == "inval"] == [1, 3, 5]
+        assert mem.holders(B) == {7}
+        mem.audit()

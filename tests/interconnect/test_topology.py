@@ -1,5 +1,7 @@
 """Tiled-topology latency model tests."""
 
+import random
+
 from repro.common.config import SystemConfig
 from repro.interconnect.topology import TiledTopology, TilePosition
 from tests.conftest import small_system
@@ -55,3 +57,31 @@ class TestSmallTopology:
         topo = TiledTopology(small_system())
         positions = {topo.core_position(c) for c in range(4)}
         assert len(positions) == 4  # one tile per cluster
+
+
+class TestSharedTables:
+    """Machines built from equal configs share one set of tables."""
+
+    def test_equal_configs_share_tables(self):
+        a = TiledTopology(SystemConfig())
+        b = TiledTopology(SystemConfig())
+        assert a.core_bank_lat is b.core_bank_lat
+        assert a.core_core_lat is b.core_core_lat
+        assert a.bank_mc_lat is b.bank_mc_lat
+        # Shared tables are immutable: no machine can edit another's.
+        assert isinstance(a.core_bank_lat, tuple)
+        assert isinstance(a.core_bank_lat[0], tuple)
+
+    def test_jitter_is_private_and_cleared(self):
+        a = TiledTopology(small_system())
+        b = TiledTopology(small_system())
+        shared = (b.core_bank_lat, b.core_core_lat, b.bank_mc_lat)
+        before = [[list(row) for row in table] for table in shared]
+        a.apply_jitter(random.Random(3), amplitude=8)
+        assert a.core_bank_lat != b.core_bank_lat
+        assert (b.core_bank_lat, b.core_core_lat, b.bank_mc_lat) == shared
+        assert [[list(row) for row in table] for table in shared] == before
+        a.clear_jitter()
+        assert a.core_bank_lat is b.core_bank_lat
+        assert a.core_core_lat is b.core_core_lat
+        assert a.bank_mc_lat is b.bank_mc_lat
