@@ -247,7 +247,9 @@ class Executor:
         Placing a different thread on a core issues the HTM's
         context-switch instruction for the old occupant — on TokenTM
         that is the flash-OR, after which the descheduled transaction
-        loses fast release but keeps its tokens (Section 4.4).
+        loses fast release but keeps its tokens (Section 4.4).  A
+        thread that moves is first descheduled on the core it still
+        occupies, so no thread ever occupies two cores.
         """
         lat = self._htm.mem.config.latency
         ncores = self._htm.mem.config.num_cores
@@ -279,6 +281,14 @@ class Executor:
                 core = best
             start = max(thread.clock, core_free[core])
             if core_thread[core] != thread.tid:
+                old = thread.core
+                if core_thread[old] == thread.tid:
+                    # Moving off a core it still occupies: deschedule
+                    # it there first, so no thread is on two cores.
+                    if self._bus.enabled:
+                        self._bus.now = start
+                    start += self._htm.context_switch(old)
+                    core_thread[old] = None
                 previous = core_thread[core]
                 if previous is not None:
                     if self._bus.enabled:

@@ -44,9 +44,10 @@ WORKLOADS = {"Vacation-High": vacation_high, "Delaunay": delaunay,
 GOLDEN = {
     ("Delaunay", "LogTM-SE_2xH3", "plain"): "5ab2dc9fac3886b3",
     ("Delaunay", "LogTM-SE_4xH3", "plain"): "64f0deb4a7f343c3",
+    ("Delaunay", "LogTM-SE_4xH3", "preempt"): "8e7a4b37c20d1f02",
     ("Delaunay", "LogTM-SE_Perf", "plain"): "0dd852c6d84d8980",
     ("Delaunay", "OneTM", "plain"): "02c0060cb38be349",
-    ("Delaunay", "OneTM", "preempt"): "2d5069fcb821417b",
+    ("Delaunay", "OneTM", "preempt"): "5e8cac55d7452a14",
     ("Delaunay", "TokenTM", "plain"): "35e3568412d275fc",
     ("Delaunay", "TokenTM_NoFast", "plain"): "97b823a41051052c",
     ("Genome", "LogTM-SE_2xH3", "plain"): "01b5c9347cda7f43",
@@ -67,10 +68,10 @@ GOLDEN = {
     ("Vacation-High", "TokenTM", "faults"): "249fff14c1d61695",
     ("Vacation-High", "TokenTM", "nofast"): "8a95fa8064566860",
     ("Vacation-High", "TokenTM", "plain"): "8a95fa8064566860",
-    ("Vacation-High", "TokenTM", "preempt"): "5fa8a352c7eed1c8",
+    ("Vacation-High", "TokenTM", "preempt"): "ce70848734ecefbb",
     ("Vacation-High", "TokenTM_NoFast", "faults"): "7a0c2ab1961f631a",
     ("Vacation-High", "TokenTM_NoFast", "plain"): "906572267f55018a",
-    ("Vacation-High", "TokenTM_NoFast", "preempt"): "073fdb1c352c03f1",
+    ("Vacation-High", "TokenTM_NoFast", "preempt"): "d37cb4901d65dbdd",
 }
 
 

@@ -39,7 +39,7 @@ LOOP_DIGESTS = {
     "faults-TokenTM": "ea6ab620bc501113",
     "faults-LogTM-SE_4xH3": "8bb102b03865e683",
     "faults-OneTM": "30093756b407b4b0",
-    "preemptive": "d0b3b9680c84e91f",
+    "preemptive": "251303474f5d720a",
 }
 
 
