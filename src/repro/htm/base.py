@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
+from repro.common.errors import TransactionError
 from repro.coherence.protocol import MemorySystem
 from repro.core.tmlog import (
     LOG_REGION_BASE_BLOCK,
@@ -125,6 +126,11 @@ class HTM(ABC):
         #: paths return ``self._granted.get(latency) or
         #: self._grant(latency)``.
         self._granted: Dict[int, AccessOutcome] = {}
+        #: Per-core TID register: the thread whose transactional state
+        #: each core's L1 holds, or None.  ``begin`` and ``schedule``
+        #: set a core's slot and ``context_switch`` clears it, so no
+        #: TID is ever in two slots.
+        self._core_tid: List[Optional[int]] = [None] * mem.config.num_cores
         #: Observability bus, shared with the memory system (see
         #: repro.obs): disabled by default, zero-cost when off.
         self.bus = mem.bus
@@ -184,13 +190,16 @@ class HTM(ABC):
         """Deschedule whatever thread runs on ``core``.
 
         Returns the cycle cost of the hardware's part of the switch.
-        The base implementation has no per-core transactional state
-        tied to the running thread, so it costs nothing extra.
+        The base implementation only clears the core's TID register,
+        which costs nothing; variants that act on the descheduled
+        thread's state do so first and then call this.
         """
+        self._core_tid[core] = None
         return 0
 
     def schedule(self, core: int, tid: int) -> None:
         """Thread ``tid`` starts (or resumes) running on ``core``."""
+        self._core_tid[core] = tid
 
     # -- conflict resolution support -------------------------------------
 
@@ -222,8 +231,23 @@ class HTM(ABC):
         Raises a :class:`~repro.common.errors.ReproError` subtype on
         the first violation.  Used by tests and, at a configurable
         cadence, by the invariant monitor (``repro.faults``).
+        Checks the coherence state and the per-core TID registers.
         """
         self.mem.audit()
+        self._check_core_registers()
+
+    def _check_core_registers(self) -> None:
+        """No thread may be registered on two cores at once."""
+        seen: Dict[int, int] = {}
+        for core, tid in enumerate(self._core_tid):
+            if tid is None:
+                continue
+            if tid in seen:
+                raise TransactionError(
+                    f"thread {tid} is registered on cores {seen[tid]} "
+                    f"and {core}"
+                )
+            seen[tid] = core
 
     def check_invariants(self) -> Dict[str, object]:
         """Run every invariant check and describe what was verified.

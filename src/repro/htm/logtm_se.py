@@ -61,13 +61,10 @@ from repro.signatures.bloom import BloomSignature, mask_cache
 class _SigTxn:
     """Per-transaction signature and undo-log state."""
 
-    __slots__ = ("tid", "core", "read_sig", "write_sig",
-                 "read_set", "write_set")
+    __slots__ = ("tid", "read_sig", "write_sig", "read_set", "write_set")
 
-    def __init__(self, tid: int, core: int, read_sig: Signature,
-                 write_sig: Signature):
+    def __init__(self, tid: int, read_sig: Signature, write_sig: Signature):
         self.tid = tid
-        self.core = core
         self.read_sig = read_sig
         self.write_sig = write_sig
         self.read_set: Set[int] = set()
@@ -183,10 +180,11 @@ class LogTMSE(HTM):
         if tid in self._txns:
             raise TransactionError(f"thread {tid} already in a transaction")
         self._txns[tid] = _SigTxn(
-            tid, core,
+            tid,
             self._new_signature(self._read_masks),
             self._new_signature(self._write_masks),
         )
+        self._core_tid[core] = tid
         if tid not in self._logs:
             self._logs[tid] = TmLog(tid)
         return self.mem.config.latency.txn_begin
@@ -423,15 +421,11 @@ class LogTMSE(HTM):
         its signatures.  The signatures stay where they are, so the
         switch costs no cycles.
         """
-        for tid, txn in self._txns.items():
-            if txn.core == core:
-                self._displaced[tid] = txn
-        return 0
-
-    def schedule(self, core: int, tid: int) -> None:
+        tid = self._core_tid[core]
         txn = self._txns.get(tid)
         if txn is not None:
-            txn.core = core
+            self._displaced[tid] = txn
+        return super().context_switch(core)
 
     # ------------------------------------------------------------------
     # Instrumentation

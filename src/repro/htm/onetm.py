@@ -40,12 +40,11 @@ from repro.htm.base import (
 
 
 class _OneTxn:
-    __slots__ = ("tid", "core", "read_set", "write_set", "overflowed",
+    __slots__ = ("tid", "read_set", "write_set", "overflowed",
                  "needs_token")
 
-    def __init__(self, tid: int, core: int):
+    def __init__(self, tid: int):
         self.tid = tid
-        self.core = core
         self.read_set: Set[int] = set()
         self.write_set: Set[int] = set()
         self.overflowed = False
@@ -63,7 +62,6 @@ class OneTM(HTM, CoherenceListener):
         self._config = config
         self._txns: Dict[int, _OneTxn] = {}
         self._logs: Dict[int, TmLog] = {}
-        self._core_tid: List[Optional[int]] = [None] * mem.config.num_cores
         #: TID currently holding the single overflow token, if any.
         self._overflow_holder: Optional[int] = None
         mem.set_listener(self)
@@ -73,10 +71,7 @@ class OneTM(HTM, CoherenceListener):
     # ------------------------------------------------------------------
 
     def _txn_of_core(self, core: int) -> Optional[_OneTxn]:
-        tid = self._core_tid[core]
-        if tid is None:
-            return None
-        return self._txns.get(tid)
+        return self._txns.get(self._core_tid[core])
 
     def _note_line_lost(self, core: int, block: int) -> None:
         txn = self._txn_of_core(core)
@@ -97,18 +92,18 @@ class OneTM(HTM, CoherenceListener):
             txn.overflowed = True
             self.stats.overflow_serializations += 1
 
-    def _blocked_on_token(self, txn: _OneTxn) -> bool:
+    def _blocked_on_token(self, core: int, txn: _OneTxn) -> bool:
         """True when txn needs the overflow token but cannot have it."""
         if txn.overflowed:
             return False
-        if not txn.needs_token and not self._needs_overflow(txn):
+        if not txn.needs_token and not self._needs_overflow(core, txn):
             return False
         self._request_overflow(txn)
         return not txn.overflowed
 
-    def _needs_overflow(self, txn: _OneTxn) -> bool:
+    def _needs_overflow(self, core: int, txn: _OneTxn) -> bool:
         """A transaction needs overflow mode once a set block left L1."""
-        cache = self.mem.cache(txn.core)
+        cache = self.mem.cache(core)
         for block in txn.read_set | txn.write_set:
             if cache.lookup(block) is None:
                 return True
@@ -128,7 +123,7 @@ class OneTM(HTM, CoherenceListener):
     def begin(self, core: int, tid: int) -> int:
         if tid in self._txns:
             raise TransactionError(f"thread {tid} already in a transaction")
-        self._txns[tid] = _OneTxn(tid, core)
+        self._txns[tid] = _OneTxn(tid)
         self._core_tid[core] = tid
         if tid not in self._logs:
             self._logs[tid] = TmLog(tid)
@@ -191,7 +186,7 @@ class OneTM(HTM, CoherenceListener):
     def read(self, core: int, tid: int, block: int) -> AccessOutcome:
         txn = self._txn(tid)
         self.stats.txn_reads += 1
-        if self._blocked_on_token(txn):
+        if self._blocked_on_token(core, txn):
             return AccessOutcome(False, self.mem.config.latency.l1_hit,
                                  self._serialization_stall(block, tid))
         conflict = self._check(tid, block, is_write=False)
@@ -206,7 +201,7 @@ class OneTM(HTM, CoherenceListener):
     def write(self, core: int, tid: int, block: int) -> AccessOutcome:
         txn = self._txn(tid)
         self.stats.txn_writes += 1
-        if self._blocked_on_token(txn):
+        if self._blocked_on_token(core, txn):
             return AccessOutcome(False, self.mem.config.latency.l1_hit,
                                  self._serialization_stall(block, tid))
         conflict = self._check(tid, block, is_write=True)
@@ -225,7 +220,7 @@ class OneTM(HTM, CoherenceListener):
         txn = self._txn(tid)
         self._release_overflow(txn)
         self._logs[tid].reset()
-        self._end(core, tid)
+        del self._txns[tid]
         self.stats.commits += 1
         return CommitOutcome(self.mem.config.latency.txn_commit,
                              used_fast_release=not txn.overflowed)
@@ -243,17 +238,13 @@ class OneTM(HTM, CoherenceListener):
                 cycles += data.latency + lat.undo_write
         self._release_overflow(txn)
         log.reset()
-        self._end(core, tid)
+        del self._txns[tid]
         self.stats.aborts += 1
         return CommitOutcome(cycles)
 
     def _release_overflow(self, txn: _OneTxn) -> None:
         if self._overflow_holder == txn.tid:
             self._overflow_holder = None
-
-    def _end(self, core: int, tid: int) -> None:
-        del self._txns[tid]
-        self._core_tid[core] = None
 
     # ------------------------------------------------------------------
     # Context switching
@@ -263,22 +254,10 @@ class OneTM(HTM, CoherenceListener):
         """OneTM has no flash-OR: a switched transaction must go to
         overflowed (persistent-metadata) mode to survive, competing
         for the single overflow token."""
-        tid = self._core_tid[core]
-        if tid is not None:
-            txn = self._txns.get(tid)
-            if txn is not None and not txn.overflowed:
-                txn.needs_token = True
-        self._core_tid[core] = None
-        return 0
-
-    def schedule(self, core: int, tid: int) -> None:
-        for other_core, other_tid in enumerate(self._core_tid):
-            if other_tid == tid:
-                self._core_tid[other_core] = None
-        self._core_tid[core] = tid
-        txn = self._txns.get(tid)
-        if txn is not None:
-            txn.core = core
+        txn = self._txn_of_core(core)
+        if txn is not None and not txn.overflowed:
+            txn.needs_token = True
+        return super().context_switch(core)
 
     # ------------------------------------------------------------------
     # Strong atomicity

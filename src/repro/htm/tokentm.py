@@ -74,11 +74,10 @@ from repro.htm.base import (
 class _Txn:
     """Bookkeeping for one live transaction."""
 
-    __slots__ = ("tid", "core", "read_set", "write_set")
+    __slots__ = ("tid", "read_set", "write_set")
 
-    def __init__(self, tid: int, core: int):
+    def __init__(self, tid: int):
         self.tid = tid
-        self.core = core
         self.read_set: Set[int] = set()
         self.write_set: Set[int] = set()
 
@@ -97,7 +96,6 @@ class TokenTM(HTM, CoherenceListener):
         ncores = mem.config.num_cores
         self._units = [FastReleaseUnit(c, enabled=use_fast)
                        for c in range(ncores)]
-        self._core_tid: List[Optional[int]] = [None] * ncores
         self._logs: Dict[int, TmLog] = {}
         self._txns: Dict[int, _Txn] = {}
         # Metastate shards fused off invalidated copies, keyed by the
@@ -277,7 +275,7 @@ class TokenTM(HTM, CoherenceListener):
     def begin(self, core: int, tid: int) -> int:
         if tid in self._txns:
             raise TransactionError(f"thread {tid} already in a transaction")
-        self._txns[tid] = _Txn(tid, core)
+        self._txns[tid] = _Txn(tid)
         self._core_tid[core] = tid
         if tid not in self._logs:
             self._logs[tid] = TmLog(tid)
@@ -687,14 +685,8 @@ class TokenTM(HTM, CoherenceListener):
         if self.bus.enabled:
             self.bus.emit(EventKind.FLASH_OR, core=core,
                           tid=self._core_tid[core], lines=flashed)
-        self._core_tid[core] = None
+        super().context_switch(core)
         return self._lat.fast_release
-
-    def schedule(self, core: int, tid: int) -> None:
-        """Resume thread ``tid`` on ``core`` (after a context switch)."""
-        self._core_tid[core] = tid
-        if tid in self._txns:
-            self._txns[tid].core = core
 
     def identify_conflictors(self, info: ConflictInfo) -> Tuple[int, ...]:
         if info.complete:

@@ -9,7 +9,7 @@ OneTM forces switched transactions into the serialized overflow mode.
 import pytest
 
 from repro.common.config import HTMConfig, RunConfig
-from repro.common.errors import SimulationError
+from repro.common.errors import SimulationError, TransactionError
 from repro.coherence.protocol import MemorySystem
 from repro.htm import make_htm
 from repro.runtime.executor import Executor, run_workload
@@ -143,3 +143,50 @@ class TestSwitchSemantics:
         trace = WorkloadTrace("plain", threads)
         result = run_workload(machine(cores=2), trace, cfg())
         assert result.stats.preemptions == 0
+
+
+class TestCoreRegister:
+    """The HTM's per-core TID register names the running thread.
+
+    TokenTM's flash-OR and OneTM's overflow detection both act on the
+    thread a core's register names, so a stale slot makes them act on
+    the wrong thread's state.
+    """
+
+    @pytest.mark.parametrize("variant",
+                             ["TokenTM", "OneTM", "LogTM-SE_4xH3"])
+    def test_running_thread_owns_exactly_its_core(self, variant,
+                                                  monkeypatch):
+        # The golden "preempt" setup: 8 threads on 4 cores, quantum 50.
+        # Threads move between cores here, which once left a moved
+        # thread registered on the core it had left.
+        from tests.integration.test_golden_stats import digest
+
+        run_quantum = Executor._run_quantum
+        checked = []
+        misplaced = []
+
+        def checking_quantum(executor, thread):
+            if thread.in_txn:
+                checked.append(thread.tid)
+                slots = [core for core, tid
+                         in enumerate(executor.htm._core_tid)
+                         if tid == thread.tid]
+                if slots != [thread.core]:
+                    misplaced.append((thread.tid, thread.core, slots))
+            run_quantum(executor, thread)
+
+        monkeypatch.setattr(Executor, "_run_quantum", checking_quantum)
+        digest("Delaunay", variant, "preempt")
+        assert len(checked) > 1000
+        assert misplaced == []
+
+    @pytest.mark.parametrize("variant",
+                             ["TokenTM", "OneTM", "LogTM-SE_4xH3"])
+    def test_thread_on_two_cores_is_a_violation(self, variant):
+        htm = machine(variant)
+        htm.begin(0, 3)
+        htm.check_invariants()
+        htm._core_tid[1] = 3
+        with pytest.raises(TransactionError, match="cores 0 and 1"):
+            htm.check_invariants()
