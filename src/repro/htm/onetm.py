@@ -48,8 +48,9 @@ class _OneTxn:
         self.read_set: Set[int] = set()
         self.write_set: Set[int] = set()
         self.overflowed = False
-        #: Set when a context switch destroyed the in-L1 tracking:
-        #: the transaction must enter overflowed mode to continue.
+        #: Set when a read- or write-set block left the L1 or a
+        #: context switch destroyed the in-L1 tracking: the
+        #: transaction must enter overflowed mode to continue.
         self.needs_token = False
 
 
@@ -78,6 +79,7 @@ class OneTM(HTM, CoherenceListener):
         if txn is None or txn.overflowed:
             return
         if block in txn.read_set or block in txn.write_set:
+            txn.needs_token = True
             self._request_overflow(txn)
 
     def _request_overflow(self, txn: _OneTxn) -> None:
@@ -92,22 +94,12 @@ class OneTM(HTM, CoherenceListener):
             txn.overflowed = True
             self.stats.overflow_serializations += 1
 
-    def _blocked_on_token(self, core: int, txn: _OneTxn) -> bool:
+    def _blocked_on_token(self, txn: _OneTxn) -> bool:
         """True when txn needs the overflow token but cannot have it."""
-        if txn.overflowed:
-            return False
-        if not txn.needs_token and not self._needs_overflow(core, txn):
+        if txn.overflowed or not txn.needs_token:
             return False
         self._request_overflow(txn)
         return not txn.overflowed
-
-    def _needs_overflow(self, core: int, txn: _OneTxn) -> bool:
-        """A transaction needs overflow mode once a set block left L1."""
-        cache = self.mem.cache(core)
-        for block in txn.read_set | txn.write_set:
-            if cache.lookup(block) is None:
-                return True
-        return False
 
     def on_invalidate(self, core: int, block: int, line: CacheLine,
                       requester: int) -> None:
@@ -186,7 +178,7 @@ class OneTM(HTM, CoherenceListener):
     def read(self, core: int, tid: int, block: int) -> AccessOutcome:
         txn = self._txn(tid)
         self.stats.txn_reads += 1
-        if self._blocked_on_token(core, txn):
+        if self._blocked_on_token(txn):
             return AccessOutcome(False, self.mem.config.latency.l1_hit,
                                  self._serialization_stall(block, tid))
         conflict = self._check(tid, block, is_write=False)
@@ -201,7 +193,7 @@ class OneTM(HTM, CoherenceListener):
     def write(self, core: int, tid: int, block: int) -> AccessOutcome:
         txn = self._txn(tid)
         self.stats.txn_writes += 1
-        if self._blocked_on_token(core, txn):
+        if self._blocked_on_token(txn):
             return AccessOutcome(False, self.mem.config.latency.l1_hit,
                                  self._serialization_stall(block, tid))
         conflict = self._check(tid, block, is_write=True)
