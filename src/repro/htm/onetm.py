@@ -247,7 +247,7 @@ class OneTM(HTM, CoherenceListener):
         overflowed (persistent-metadata) mode to survive, competing
         for the single overflow token."""
         txn = self._txn_of_core(core)
-        if txn is not None and not txn.overflowed:
+        if txn is not None:
             txn.needs_token = True
         return super().context_switch(core)
 

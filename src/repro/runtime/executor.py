@@ -283,8 +283,6 @@ class Executor:
             if core_thread[core] != thread.tid:
                 old = thread.core
                 if core_thread[old] == thread.tid:
-                    # Moving off a core it still occupies: deschedule
-                    # it there first, so no thread is on two cores.
                     if self._bus.enabled:
                         self._bus.now = start
                     start += self._htm.context_switch(old)

@@ -23,6 +23,7 @@ from repro.workloads.trace import (
     write,
 )
 from tests.conftest import SMALL_T, small_system
+from tests.integration.test_golden_stats import digest
 
 B = 0xA000
 
@@ -158,10 +159,8 @@ class TestCoreRegister:
     def test_running_thread_owns_exactly_its_core(self, variant,
                                                   monkeypatch):
         # The golden "preempt" setup: 8 threads on 4 cores, quantum 50.
-        # Threads move between cores here, which once left a moved
-        # thread registered on the core it had left.
-        from tests.integration.test_golden_stats import digest
-
+        # Threads move between cores here; a moved thread must not
+        # stay registered on the core it left.
         run_quantum = Executor._run_quantum
         checked = []
         misplaced = []
