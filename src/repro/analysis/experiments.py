@@ -153,7 +153,8 @@ def run_variants(workload: SyntheticTxnWorkload,
 
     ``runner`` (a :class:`repro.perf.runner.ParallelRunner`) fans the
     variants out over worker processes and/or the result cache; the
-    default runs them inline.  Results are identical either way.
+    default runs them inline on one generated trace.  Results are
+    identical either way.
     """
     if runner is not None:
         from repro.perf.runner import grid_specs  # local: avoids cycle
@@ -163,9 +164,13 @@ def run_variants(workload: SyntheticTxnWorkload,
                            htm=htm_config)
         cells = _require_complete(runner.run_cells(specs), specs)
         return dict(zip(variants, cells))
+    sys_cfg = system or SystemConfig()
+    nthreads = threads if threads is not None else sys_cfg.num_cores
+    trace = workload.generate(seed=seed, scale=scale, threads=nthreads)
     return {
-        v: run_cell(workload, v, scale=scale, seed=seed, threads=threads,
-                    system=system, htm_config=htm_config)
+        v: Cell(trace.name, v, seed,
+                run_trace(trace, v, system=sys_cfg, htm_config=htm_config,
+                          seed=seed))
         for v in variants
     }
 

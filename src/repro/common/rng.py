@@ -3,7 +3,9 @@
 All stochastic components of the reproduction (workload generators,
 perturbed simulation runs) derive their streams from a single integer
 seed through :func:`substream`, so any experiment is reproducible from
-its ``RunConfig.seed`` alone.
+its ``RunConfig.seed`` alone.  The synthetic TM generator draws its
+bounded integers with :func:`below`, which reproduces ``randrange``
+bit for bit.
 """
 
 from __future__ import annotations
@@ -38,6 +40,30 @@ def substream(seed: int, *lane: int) -> random.Random:
     for part in lane:
         state = _mix(state ^ _mix(part & _MASK64))
     return random.Random(state)
+
+
+def below(rng: random.Random, n: int) -> int:
+    """Draw from ``range(n)``, exactly as ``rng.randrange(n)`` does.
+
+    For ``n > 0``, :meth:`random.Random.randrange` reduces to CPython's
+    ``_randbelow_with_getrandbits``: draw ``k = n.bit_length()`` bits
+    and reject results ``>= n``.  This is that loop without the two
+    pure-Python stdlib frames around it, so a generator using it
+    consumes the same bits and returns the same values as one calling
+    ``randrange``.  ``rng.randint(a, b)`` is ``a + below(rng, b - a + 1)``.
+    The algorithm is the same in CPython 3.10 through 3.13.
+
+    Hot loops inline these lines with ``k`` computed once per range
+    (see :mod:`repro.workloads.base`).
+    ``tests/properties/test_prop_rng.py`` checks the equivalence draw
+    for draw.
+    """
+    getrandbits = rng.getrandbits
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 def perturbation_seeds(seed: int, runs: int) -> list:

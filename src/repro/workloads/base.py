@@ -31,18 +31,18 @@ from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Set
 
 from repro.common.errors import ConfigError
-from repro.common.rng import substream
+from repro.common.rng import below, substream
 from repro.workloads.trace import (
+    OP_BEGIN,
+    OP_COMMIT,
+    OP_COMPUTE,
+    OP_NT_READ,
+    OP_NT_WRITE,
+    OP_READ,
+    OP_WRITE,
     Op,
     ThreadTrace,
     WorkloadTrace,
-    begin,
-    commit,
-    compute,
-    nt_read,
-    nt_write,
-    read,
-    write,
 )
 
 #: Base block number of the shared data region (clear of address 0 and
@@ -141,6 +141,21 @@ class TxnWorkloadSpec:
         for prob in (self.tail_prob, self.hot_prob, self.rmw_fraction):
             if not 0.0 <= prob <= 1.0:
                 raise ConfigError("probabilities must be in [0, 1]")
+        # Set sizes count distinct blocks; a spec that can ask for more
+        # than its picks reach would loop forever in the generator.
+        if self.hot_blocks and self.hot_prob == 1.0:
+            reach = self.hot_blocks
+        else:
+            reach = self.region_blocks
+        if max(self.read_model.maximum, self.write_model.maximum) > reach:
+            raise ConfigError(
+                f"set sizes up to {reach} distinct blocks are reachable")
+        if (self.rmw_fraction == 1.0 and self.read_model.maximum > 0
+                and self.write_model.maximum
+                > max(1, self.read_model.minimum)):
+            raise ConfigError(
+                "with rmw_fraction 1.0 every write set must fit in the "
+                "smallest non-empty read set")
 
 
 class SyntheticTxnWorkload:
@@ -206,81 +221,105 @@ class SyntheticTxnWorkload:
     def _emit_inter_txn(self, spec: TxnWorkloadSpec, rng,
                         private_base: int, ops: List[Op]) -> None:
         if spec.inter_txn_compute > 0:
-            jitter = rng.randint(spec.inter_txn_compute // 2,
-                                 spec.inter_txn_compute * 3 // 2)
-            ops.append(compute(max(1, jitter)))
+            # randint(inter // 2, inter * 3 // 2)
+            low = spec.inter_txn_compute // 2
+            jitter = low + below(rng, spec.inter_txn_compute * 3 // 2
+                                 - low + 1)
+            ops.append((OP_COMPUTE, max(1, jitter)))
         for _ in range(spec.nontxn_accesses):
-            block = private_base + rng.randrange(PRIVATE_REGION_SPAN)
+            block = private_base + below(rng, PRIVATE_REGION_SPAN)
             if rng.random() < 0.5:
-                ops.append(nt_read(block))
+                ops.append((OP_NT_READ, block))
             else:
-                ops.append(nt_write(block))
-
-    def _pick_block(self, spec: TxnWorkloadSpec, rng,
-                    center: int = -1, window: int = 0) -> int:
-        if spec.hot_blocks and rng.random() < spec.hot_prob:
-            return SHARED_REGION_BASE + rng.randrange(spec.hot_blocks)
-        if window:
-            offset = (center + rng.randrange(window)) % spec.region_blocks
-            return SHARED_REGION_BASE + offset
-        return SHARED_REGION_BASE + rng.randrange(spec.region_blocks)
+                ops.append((OP_NT_WRITE, block))
 
     def _emit_txn(self, spec: TxnWorkloadSpec, rng, ops: List[Op]) -> None:
-        in_tail = rng.random() < spec.tail_prob
+        # Every bounded draw below inlines repro.common.rng.below, with
+        # each range's bit length k computed once per transaction.
+        random = rng.random
+        getrandbits = rng.getrandbits
+        hot = spec.hot_blocks
+        hot_k = hot.bit_length()
+        hot_prob = spec.hot_prob
+        region = spec.region_blocks
+        region_k = region.bit_length()
+        # Think times are randint(max(1, think // 2), think * 3 // 2).
+        think = spec.compute_per_access
+        think_low = max(1, think // 2)
+        think_n = think * 3 // 2 - think_low + 1
+        think_k = think_n.bit_length()
+        in_tail = random() < spec.tail_prob
         n_reads = spec.read_model.sample(rng, in_tail)
         n_writes = spec.write_model.sample(rng, in_tail)
 
-        center = -1
-        window = 0
+        center = window = window_k = 0
         if spec.locality_window:
-            center = rng.randrange(spec.region_blocks)
+            center = getrandbits(region_k)
+            while center >= region:
+                center = getrandbits(region_k)
             # The window must comfortably contain the transaction's
             # distinct blocks; giants get proportionally wider ones.
             window = max(spec.locality_window, 3 * (n_reads + n_writes))
+            window_k = window.bit_length()
 
+        # Reads are distinct picks from the shared region; writes take
+        # a block of the read set with probability rmw_fraction (the
+        # read-modify-write upgrade) and otherwise pick like reads.
         read_blocks: List[int] = []
-        seen: Set[int] = set()
-        while len(read_blocks) < n_reads:
-            block = self._pick_block(spec, rng, center, window)
-            if block not in seen:
-                seen.add(block)
-                read_blocks.append(block)
-
         write_blocks: List[int] = []
-        wseen: Set[int] = set()
-        while len(write_blocks) < n_writes:
-            if read_blocks and rng.random() < spec.rmw_fraction:
-                block = read_blocks[rng.randrange(len(read_blocks))]
-            else:
-                block = self._pick_block(spec, rng, center, window)
-            if block not in wseen:
-                wseen.add(block)
-                write_blocks.append(block)
+        for blocks, count, rmw_source, rmw_prob in (
+                (read_blocks, n_reads, (), 0.0),
+                (write_blocks, n_writes, read_blocks, spec.rmw_fraction)):
+            seen: Set[int] = set()
+            size = len(rmw_source)
+            size_k = size.bit_length()
+            while len(blocks) < count:
+                if rmw_source and random() < rmw_prob:
+                    r = getrandbits(size_k)
+                    while r >= size:
+                        r = getrandbits(size_k)
+                    block = rmw_source[r]
+                elif hot and random() < hot_prob:
+                    r = getrandbits(hot_k)
+                    while r >= hot:
+                        r = getrandbits(hot_k)
+                    block = SHARED_REGION_BASE + r
+                elif window:
+                    r = getrandbits(window_k)
+                    while r >= window:
+                        r = getrandbits(window_k)
+                    block = SHARED_REGION_BASE + (center + r) % region
+                else:
+                    r = getrandbits(region_k)
+                    while r >= region:
+                        r = getrandbits(region_k)
+                    block = SHARED_REGION_BASE + r
+                if block not in seen:
+                    seen.add(block)
+                    blocks.append(block)
 
-        ops.append(begin())
-        think = spec.compute_per_access
         # Read phase first (lookups), writes interleaved into the
-        # second half (updates) — the common pattern in STAMP kernels.
-        midpoint = len(read_blocks) // 2
-        emitted_first_half = False
-        for index, block in enumerate(read_blocks):
-            ops.append(read(block))
+        # second half (updates) — the common pattern in STAMP kernels:
+        # with more than two reads, the first half of the writes
+        # follows the middle read and the rest follow the last.
+        accesses = [(OP_READ, block) for block in read_blocks]
+        writes = [(OP_WRITE, block) for block in write_blocks]
+        if len(accesses) > 2:
+            cut = len(accesses) // 2 + 1
+            half = len(writes) // 2
+            accesses[cut:cut] = writes[:half]
+            accesses += writes[half:]
+        else:
+            accesses += writes
+
+        ops.append((OP_BEGIN, 0))
+        for op in accesses:
+            ops.append(op)
             if think:
-                ops.append(compute(rng.randint(max(1, think // 2),
-                                               think * 3 // 2)))
-            if index == midpoint and len(read_blocks) > 2:
-                emitted_first_half = True
-                for wblock in write_blocks[: len(write_blocks) // 2]:
-                    ops.append(write(wblock))
-                    if think:
-                        ops.append(compute(rng.randint(
-                            max(1, think // 2), think * 3 // 2)))
-        start = len(write_blocks) // 2 if emitted_first_half else 0
-        for wblock in write_blocks[start:]:
-            ops.append(write(wblock))
-            if think:
-                ops.append(compute(rng.randint(max(1, think // 2),
-                                               think * 3 // 2)))
-        if not read_blocks and not write_blocks:
-            ops.append(compute(max(1, think)))
-        ops.append(commit())
+                r = getrandbits(think_k)
+                while r >= think_n:
+                    r = getrandbits(think_k)
+                ops.append((OP_COMPUTE, think_low + r))
+        if not accesses:
+            ops.append((OP_COMPUTE, max(1, think)))
+        ops.append((OP_COMMIT, 0))

@@ -84,6 +84,23 @@ class TestHarness:
         commits = {c.stats.commits for c in cells.values()}
         assert len(commits) == 1  # same workload on both machines
 
+    def test_run_variants_generates_once(self, monkeypatch):
+        workload = cholesky()
+        generate = workload.generate
+        calls = []
+
+        def counting(**kwargs):
+            calls.append(kwargs)
+            return generate(**kwargs)
+
+        monkeypatch.setattr(workload, "generate", counting)
+        variants = ("TokenTM", "LogTM-SE_Perf")
+        cells = run_variants(workload, variants, scale=0.001, seed=1)
+        assert len(calls) == 1
+        for variant in variants:
+            alone = run_cell(cholesky(), variant, scale=0.001, seed=1)
+            assert cells[variant] == alone
+
     def test_figure_speedups_normalized(self):
         series = figure_speedups(cholesky(),
                                  variants=("TokenTM", "LogTM-SE_Perf"),

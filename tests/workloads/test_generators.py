@@ -146,3 +146,52 @@ class TestLocalityWindow:
         # region wraparound, which shows as a huge span).
         small = [s for s in spans if s < 100_000 // 2]
         assert small and all(s <= 128 for s in small)
+
+
+def _spec(**overrides) -> TxnWorkloadSpec:
+    fields = dict(
+        name="u", total_txns=8,
+        read_model=SetSizeModel(base_mean=2.0, maximum=2, minimum=2),
+        write_model=SetSizeModel(base_mean=1.0, maximum=1, minimum=1),
+        tail_prob=0.0, region_blocks=64, hot_blocks=8, hot_prob=0.5,
+        rmw_fraction=0.5, compute_per_access=0, inter_txn_compute=0,
+        threads=1,
+    )
+    fields.update(overrides)
+    return TxnWorkloadSpec(**fields)
+
+
+class TestUnfillableSpecs:
+    """Specs whose set sizes no sequence of picks can fill are
+    rejected at construction instead of hanging the generator."""
+
+    def test_fillable_spec_generates(self):
+        SyntheticTxnWorkload(_spec(rmw_fraction=1.0)).generate(seed=1)
+
+    def test_rmw_writes_larger_than_reads_rejected(self):
+        from repro.common.errors import ConfigError
+        with pytest.raises(ConfigError):
+            _spec(write_model=SetSizeModel(base_mean=5.0, maximum=5,
+                                           minimum=5),
+                  rmw_fraction=1.0)
+
+    def test_rmw_with_empty_read_sets_allowed(self):
+        spec = _spec(read_model=SetSizeModel(base_mean=0.0, maximum=0),
+                     write_model=SetSizeModel(base_mean=5.0, maximum=5,
+                                              minimum=5),
+                     rmw_fraction=1.0)
+        SyntheticTxnWorkload(spec).generate(seed=1)
+
+    @pytest.mark.parametrize("model", ["read_model", "write_model"])
+    def test_set_larger_than_region_rejected(self, model):
+        from repro.common.errors import ConfigError
+        with pytest.raises(ConfigError):
+            _spec(**{model: SetSizeModel(base_mean=4.0, maximum=65)})
+
+    @pytest.mark.parametrize("model", ["read_model", "write_model"])
+    def test_set_larger_than_hot_only_picks_rejected(self, model):
+        from repro.common.errors import ConfigError
+        big = SetSizeModel(base_mean=4.0, maximum=9)
+        _spec(**{model: big})  # cold picks reach the whole region
+        with pytest.raises(ConfigError):
+            _spec(hot_prob=1.0, **{model: big})
