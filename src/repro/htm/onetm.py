@@ -173,6 +173,10 @@ class OneTM(HTM, CoherenceListener):
         for log_block in self._logs[tid].append(block, 1, True):
             res = self.mem.access(core, log_block, True)
             cycles += res.latency + lat.log_write
+            stall = res.latency - lat.l1_hit
+            if stall > 0:
+                self.stats.log_stall_cycles += stall
+        self.stats.log_write_cycles += cycles
         return cycles
 
     def read(self, core: int, tid: int, block: int) -> AccessOutcome:
@@ -228,6 +232,7 @@ class OneTM(HTM, CoherenceListener):
             if record.is_write:
                 data = self.mem.access(core, record.block, True)
                 cycles += data.latency + lat.undo_write
+                self.stats.undo_cycles += data.latency + lat.undo_write
         self._release_overflow(txn)
         log.reset()
         del self._txns[tid]

@@ -46,14 +46,14 @@ GOLDEN = {
     ("Delaunay", "LogTM-SE_4xH3", "plain"): "64f0deb4a7f343c3",
     ("Delaunay", "LogTM-SE_4xH3", "preempt"): "8e7a4b37c20d1f02",
     ("Delaunay", "LogTM-SE_Perf", "plain"): "0dd852c6d84d8980",
-    ("Delaunay", "OneTM", "plain"): "02c0060cb38be349",
-    ("Delaunay", "OneTM", "preempt"): "5e8cac55d7452a14",
+    ("Delaunay", "OneTM", "plain"): "e7564685946991fe",
+    ("Delaunay", "OneTM", "preempt"): "6109e3ca114e2295",
     ("Delaunay", "TokenTM", "plain"): "35e3568412d275fc",
     ("Delaunay", "TokenTM_NoFast", "plain"): "97b823a41051052c",
     ("Genome", "LogTM-SE_2xH3", "plain"): "01b5c9347cda7f43",
     ("Genome", "LogTM-SE_4xH3", "plain"): "3c5a8c6288c775cb",
     ("Genome", "LogTM-SE_Perf", "plain"): "b3fa9286b90da636",
-    ("Genome", "OneTM", "plain"): "d73cf6c3482dc3d0",
+    ("Genome", "OneTM", "plain"): "dfd3f5f9388664ee",
     ("Genome", "TokenTM", "plain"): "86bbc361f8d0151b",
     ("Genome", "TokenTM_NoFast", "faults"): "6ce75a7afc18d17c",
     ("Genome", "TokenTM_NoFast", "plain"): "190de2c3b0726c42",
@@ -62,9 +62,9 @@ GOLDEN = {
     ("Vacation-High", "LogTM-SE_4xH3", "nofast"): "60ab9e7f78066f0e",
     ("Vacation-High", "LogTM-SE_4xH3", "plain"): "60ab9e7f78066f0e",
     ("Vacation-High", "LogTM-SE_Perf", "plain"): "9f434c1c9d4ce580",
-    ("Vacation-High", "OneTM", "faults"): "8bc5be9a30ba6c14",
-    ("Vacation-High", "OneTM", "nofast"): "a1a73bc37257198d",
-    ("Vacation-High", "OneTM", "plain"): "a1a73bc37257198d",
+    ("Vacation-High", "OneTM", "faults"): "a0a0a77a259e5f7e",
+    ("Vacation-High", "OneTM", "nofast"): "4bf3ddaa2d267c27",
+    ("Vacation-High", "OneTM", "plain"): "4bf3ddaa2d267c27",
     ("Vacation-High", "TokenTM", "faults"): "249fff14c1d61695",
     ("Vacation-High", "TokenTM", "nofast"): "8a95fa8064566860",
     ("Vacation-High", "TokenTM", "plain"): "8a95fa8064566860",

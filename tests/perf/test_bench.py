@@ -35,10 +35,10 @@ LOOP_DIGESTS = {
     "contended": "eea18a657c54b1c8",
     "variant-TokenTM": "131627ab23b86ca2",
     "variant-LogTM-SE_4xH3": "b88492641353e3cb",
-    "variant-OneTM": "37df4812f368beea",
+    "variant-OneTM": "e97049ac56d8a999",
     "faults-TokenTM": "ea6ab620bc501113",
     "faults-LogTM-SE_4xH3": "8bb102b03865e683",
-    "faults-OneTM": "30093756b407b4b0",
+    "faults-OneTM": "9836af308e61f715",
     "preemptive": "251303474f5d720a",
 }
 
