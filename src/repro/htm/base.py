@@ -7,6 +7,12 @@ policy side (contention management, retries, back-off, restart); the
 machine implements the mechanism side (conflict detection, version
 management, commit/abort work) and charges latencies.
 
+Every variant shares LogTM's eager version management, which lives
+here: new values go in place and each thread's old values go into its
+undo log (:class:`~repro.core.tmlog.TmLog`).  :class:`HTM` owns the
+live-transaction table, the logs, ``begin``, the log append and the
+newest-first undo walk; a variant adds only its conflict detection.
+
 A transactional access either *succeeds* — returning the cycles it
 took, including any logging — or reports a conflict with whatever
 owner hints the mechanism can provide.  On conflict the machine has
@@ -18,15 +24,16 @@ paper decouples the two).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.common.errors import TransactionError
-from repro.coherence.protocol import MemorySystem
+from repro.coherence.protocol import AccessResult, MemorySystem
 from repro.core.tmlog import (
     LOG_REGION_BASE_BLOCK,
     LOG_REGION_BLOCKS_PER_THREAD,
+    TmLog,
 )
 
 
@@ -111,6 +118,20 @@ class HTMStats:
         return dict(self.__dict__)
 
 
+class TxnRecord:
+    """One live transaction: its thread and its exact read/write sets.
+
+    Variants extend it with their conflict-detection state.
+    """
+
+    __slots__ = ("tid", "read_set", "write_set")
+
+    def __init__(self, tid: int):
+        self.tid = tid
+        self.read_set: Set[int] = set()
+        self.write_set: Set[int] = set()
+
+
 class HTM(ABC):
     """Abstract hardware transactional memory machine."""
 
@@ -120,6 +141,12 @@ class HTM(ABC):
     def __init__(self, mem: MemorySystem):
         self.mem = mem
         self.stats = HTMStats()
+        self._lat = mem.config.latency
+        #: Live transactions by TID: ``begin`` adds, ``_retire`` pops.
+        self._txns: Dict[int, TxnRecord] = {}
+        #: Each thread's undo log, made at its first ``begin`` and
+        #: reset (never dropped) when a transaction retires.
+        self._logs: Dict[int, TmLog] = {}
         #: Latency -> the interned granted outcome with that latency.
         #: A granted access carries nothing else, so one immutable
         #: outcome per distinct latency serves every grant; access
@@ -151,12 +178,28 @@ class HTM(ABC):
 
     # -- transaction lifecycle -----------------------------------------
 
-    @abstractmethod
     def begin(self, core: int, tid: int) -> int:
         """Start a transaction for thread ``tid`` on ``core``.
 
         Returns the begin latency in cycles.
         """
+        if tid in self._txns:
+            raise TransactionError(f"thread {tid} already in a transaction")
+        self._txns[tid] = self._new_txn(tid)
+        self._core_tid[core] = tid
+        if tid not in self._logs:
+            self._logs[tid] = TmLog(tid)
+        return self._lat.txn_begin
+
+    def _new_txn(self, tid: int) -> TxnRecord:
+        """A fresh record for ``tid``'s transaction."""
+        return TxnRecord(tid)
+
+    def _txn(self, tid: int) -> TxnRecord:
+        txn = self._txns.get(tid)
+        if txn is None:
+            raise TransactionError(f"thread {tid} has no live transaction")
+        return txn
 
     @abstractmethod
     def read(self, core: int, tid: int, block: int) -> AccessOutcome:
@@ -173,6 +216,58 @@ class HTM(ABC):
     @abstractmethod
     def abort(self, core: int, tid: int) -> CommitOutcome:
         """Abort: undo tentative writes and release isolation."""
+
+    # -- version management (LogTM's eager undo log) ---------------------
+
+    def _log_append(self, core: int, tid: int, block: int, tokens: int = 1,
+                    is_write: bool = True) -> int:
+        """Write a log record; returns cycles including log stalls.
+
+        Each log block the record spans is a real store, so a log
+        block that misses in the L1 stalls the append (Table 6's log
+        stalls).
+        """
+        lat = self._lat
+        access = self.mem.access
+        stats = self.stats
+        cycles = 0
+        for log_block in self._logs[tid].append(block, tokens, is_write):
+            latency = access(core, log_block, True).latency
+            cycles += latency + lat.log_write
+            if latency > lat.l1_hit:
+                stats.log_stall_cycles += latency - lat.l1_hit
+        stats.log_write_cycles += cycles
+        return cycles
+
+    def _undo(self, core: int, tid: int) -> int:
+        """Restore ``tid``'s old values from its log; returns the cycles.
+
+        Walks newest-first, so a block written twice ends at its
+        pre-transaction value.  Charges the abort trap, a read of each
+        record's log block and, per write record, a store of the old
+        value.  Does not retire the transaction.
+        """
+        lat = self._lat
+        access = self.mem.access
+        stats = self.stats
+        cycles = lat.conflict_trap
+        for record, log_block in self._logs[tid].walk_backward():
+            cycles += access(core, log_block, False).latency
+            if record.is_write:
+                result = access(core, record.block, True)
+                self._restored(core, record.block, result)
+                undo = result.latency + lat.undo_write
+                cycles += undo
+                stats.undo_cycles += undo
+        return cycles
+
+    def _restored(self, core: int, block: int, result: AccessResult) -> None:
+        """Hook: the undo walk just rewrote ``block`` with ``result``."""
+
+    def _retire(self, tid: int) -> TxnRecord:
+        """End ``tid``'s transaction: reset its log, pop its record."""
+        self._logs[tid].reset()
+        return self._txns.pop(tid)
 
     # -- strong atomicity ----------------------------------------------
 
@@ -215,15 +310,22 @@ class HTM(ABC):
 
     def active_tids(self) -> List[int]:
         """TIDs with a live transaction (for audits/diagnostics)."""
-        return []
+        return list(self._txns)
 
     def read_set_size(self, tid: int) -> int:
         """Distinct blocks in ``tid``'s current read set."""
-        return 0
+        txn = self._txns.get(tid)
+        return len(txn.read_set) if txn else 0
 
     def write_set_size(self, tid: int) -> int:
         """Distinct blocks in ``tid``'s current write set."""
-        return 0
+        txn = self._txns.get(tid)
+        return len(txn.write_set) if txn else 0
+
+    def log_entries(self, tid: int) -> int:
+        """Live log records for ``tid`` (diagnostics)."""
+        log = self._logs.get(tid)
+        return log.entry_count if log else 0
 
     def audit(self) -> None:
         """Check machine invariants (may be expensive).

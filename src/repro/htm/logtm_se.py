@@ -40,12 +40,11 @@ without probing any transaction.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.config import HTMConfig, SignatureConfig
 from repro.common.errors import TransactionError
 from repro.coherence.protocol import MemorySystem
-from repro.core.tmlog import TmLog
 from repro.obs.events import EventKind
 from repro.htm.base import (
     AccessOutcome,
@@ -53,22 +52,21 @@ from repro.htm.base import (
     ConflictInfo,
     ConflictKind,
     HTM,
+    TxnRecord,
 )
 from repro.signatures import Signature, make_signature
 from repro.signatures.bloom import BloomSignature, mask_cache
 
 
-class _SigTxn:
-    """Per-transaction signature and undo-log state."""
+class _SigTxn(TxnRecord):
+    """A live transaction with its read and write signatures."""
 
-    __slots__ = ("tid", "read_sig", "write_sig", "read_set", "write_set")
+    __slots__ = ("read_sig", "write_sig")
 
     def __init__(self, tid: int, read_sig: Signature, write_sig: Signature):
-        self.tid = tid
+        super().__init__(tid)
         self.read_sig = read_sig
         self.write_sig = write_sig
-        self.read_set: Set[int] = set()
-        self.write_set: Set[int] = set()
 
 
 class SigCheckStats:
@@ -109,10 +107,8 @@ class LogTMSE(HTM):
             self.name = "LogTM-SE_Perf"
         else:
             self.name = (f"LogTM-SE_{self._sig_config.num_hashes}xH3")
-        self._txns: Dict[int, _SigTxn] = {}
         #: Live transactions switched off a core since they began.
         self._displaced: Dict[int, _SigTxn] = {}
-        self._logs: Dict[int, TmLog] = {}
         self.sigcheck = SigCheckStats()
         # All transactions share one H3 family per set kind (as the
         # hardware does: the hash wiring is fixed at design time), so
@@ -156,13 +152,21 @@ class LogTMSE(HTM):
                 write[block] = write.get(block, 0) + 1
         return read, write
 
-    def _end(self, tid: int) -> None:
+    # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
+
+    def _new_txn(self, tid: int) -> _SigTxn:
+        return _SigTxn(tid, self._new_signature(self._read_masks),
+                       self._new_signature(self._write_masks))
+
+    def _retire(self, tid: int) -> _SigTxn:
         """Retire ``tid``'s transaction from the live set and summaries."""
-        txn = self._txns.pop(tid)
+        txn = super()._retire(tid)
         self._displaced.pop(tid, None)
         if self._read_masks is not None:
             self._read_summary, self._write_summary = self._live_summaries()
-            return
+            return txn
         for counts, blocks in ((self._read_counts, txn.read_set),
                                (self._write_counts, txn.write_set)):
             for block in blocks:
@@ -171,28 +175,6 @@ class LogTMSE(HTM):
                     del counts[block]
                 else:
                     counts[block] = n - 1
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-
-    def begin(self, core: int, tid: int) -> int:
-        if tid in self._txns:
-            raise TransactionError(f"thread {tid} already in a transaction")
-        self._txns[tid] = _SigTxn(
-            tid,
-            self._new_signature(self._read_masks),
-            self._new_signature(self._write_masks),
-        )
-        self._core_tid[core] = tid
-        if tid not in self._logs:
-            self._logs[tid] = TmLog(tid)
-        return self.mem.config.latency.txn_begin
-
-    def _txn(self, tid: int) -> _SigTxn:
-        txn = self._txns.get(tid)
-        if txn is None:
-            raise TransactionError(f"thread {tid} has no live transaction")
         return txn
 
     # ------------------------------------------------------------------
@@ -272,19 +254,6 @@ class LogTMSE(HTM):
                             hints=tuple(reader_hits), complete=True,
                             false_positive=not any_real)
 
-    def _log_append(self, core: int, tid: int, block: int) -> int:
-        lat = self.mem.config.latency
-        log = self._logs[tid]
-        cycles = 0
-        for log_block in log.append(block, 1, True):
-            res = self.mem.access(core, log_block, True)
-            cycles += res.latency + lat.log_write
-            stall = res.latency - lat.l1_hit
-            if stall > 0:
-                self.stats.log_stall_cycles += stall
-        self.stats.log_write_cycles += cycles
-        return cycles
-
     # ------------------------------------------------------------------
     # Transactional accesses
     # ------------------------------------------------------------------
@@ -359,8 +328,7 @@ class LogTMSE(HTM):
 
     def commit(self, core: int, tid: int) -> CommitOutcome:
         self._txn(tid)
-        self._logs[tid].reset()
-        self._end(tid)
+        self._retire(tid)
         self.stats.commits += 1
         self.stats.fast_releases += 1  # signature flash-clear is O(1)
         return CommitOutcome(self.mem.config.latency.txn_commit,
@@ -368,18 +336,8 @@ class LogTMSE(HTM):
 
     def abort(self, core: int, tid: int) -> CommitOutcome:
         self._txn(tid)
-        lat = self.mem.config.latency
-        log = self._logs[tid]
-        cycles = lat.conflict_trap
-        for record, log_block in log.walk_backward():
-            res = self.mem.access(core, log_block, False)
-            cycles += res.latency
-            if record.is_write:
-                data = self.mem.access(core, record.block, True)
-                cycles += data.latency + lat.undo_write
-                self.stats.undo_cycles += data.latency + lat.undo_write
-        log.reset()
-        self._end(tid)
+        cycles = self._undo(core, tid)
+        self._retire(tid)
         self.stats.aborts += 1
         return CommitOutcome(cycles)
 
@@ -430,17 +388,6 @@ class LogTMSE(HTM):
     # ------------------------------------------------------------------
     # Instrumentation
     # ------------------------------------------------------------------
-
-    def active_tids(self) -> List[int]:
-        return list(self._txns)
-
-    def read_set_size(self, tid: int) -> int:
-        txn = self._txns.get(tid)
-        return len(txn.read_set) if txn else 0
-
-    def write_set_size(self, tid: int) -> int:
-        txn = self._txns.get(tid)
-        return len(txn.write_set) if txn else 0
 
     def check_invariants(self) -> Dict[str, object]:
         """Coherence audit, signature-superset and summary consistency.

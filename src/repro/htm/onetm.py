@@ -22,13 +22,12 @@ This model keeps OneTM's essence for the ablation benchmark:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from repro.common.config import HTMConfig
 from repro.common.errors import TransactionError
 from repro.coherence.cache import CacheLine
 from repro.coherence.protocol import CoherenceListener, MemorySystem
-from repro.core.tmlog import TmLog
 from repro.obs.events import EventKind
 from repro.htm.base import (
     AccessOutcome,
@@ -36,17 +35,15 @@ from repro.htm.base import (
     ConflictInfo,
     ConflictKind,
     HTM,
+    TxnRecord,
 )
 
 
-class _OneTxn:
-    __slots__ = ("tid", "read_set", "write_set", "overflowed",
-                 "needs_token")
+class _OneTxn(TxnRecord):
+    __slots__ = ("overflowed", "needs_token")
 
     def __init__(self, tid: int):
-        self.tid = tid
-        self.read_set: Set[int] = set()
-        self.write_set: Set[int] = set()
+        super().__init__(tid)
         self.overflowed = False
         #: Set when a read- or write-set block left the L1 or a
         #: context switch destroyed the in-L1 tracking: the
@@ -61,8 +58,6 @@ class OneTM(HTM, CoherenceListener):
         super().__init__(mem)
         self.name = "OneTM"
         self._config = config
-        self._txns: Dict[int, _OneTxn] = {}
-        self._logs: Dict[int, TmLog] = {}
         #: TID currently holding the single overflow token, if any.
         self._overflow_holder: Optional[int] = None
         mem.set_listener(self)
@@ -112,20 +107,8 @@ class OneTM(HTM, CoherenceListener):
     # Lifecycle
     # ------------------------------------------------------------------
 
-    def begin(self, core: int, tid: int) -> int:
-        if tid in self._txns:
-            raise TransactionError(f"thread {tid} already in a transaction")
-        self._txns[tid] = _OneTxn(tid)
-        self._core_tid[core] = tid
-        if tid not in self._logs:
-            self._logs[tid] = TmLog(tid)
-        return self.mem.config.latency.txn_begin
-
-    def _txn(self, tid: int) -> _OneTxn:
-        txn = self._txns.get(tid)
-        if txn is None:
-            raise TransactionError(f"thread {tid} has no live transaction")
-        return txn
+    def _new_txn(self, tid: int) -> _OneTxn:
+        return _OneTxn(tid)
 
     def _check(self, tid: int, block: int,
                is_write: bool) -> Optional[ConflictInfo]:
@@ -167,18 +150,6 @@ class OneTM(HTM, CoherenceListener):
             hints=(holder,) if holder is not None else (), complete=True,
         )
 
-    def _log_append(self, core: int, tid: int, block: int) -> int:
-        lat = self.mem.config.latency
-        cycles = 0
-        for log_block in self._logs[tid].append(block, 1, True):
-            res = self.mem.access(core, log_block, True)
-            cycles += res.latency + lat.log_write
-            stall = res.latency - lat.l1_hit
-            if stall > 0:
-                self.stats.log_stall_cycles += stall
-        self.stats.log_write_cycles += cycles
-        return cycles
-
     def read(self, core: int, tid: int, block: int) -> AccessOutcome:
         txn = self._txn(tid)
         self.stats.txn_reads += 1
@@ -215,27 +186,16 @@ class OneTM(HTM, CoherenceListener):
     def commit(self, core: int, tid: int) -> CommitOutcome:
         txn = self._txn(tid)
         self._release_overflow(txn)
-        self._logs[tid].reset()
-        del self._txns[tid]
+        self._retire(tid)
         self.stats.commits += 1
         return CommitOutcome(self.mem.config.latency.txn_commit,
                              used_fast_release=not txn.overflowed)
 
     def abort(self, core: int, tid: int) -> CommitOutcome:
         txn = self._txn(tid)
-        lat = self.mem.config.latency
-        log = self._logs[tid]
-        cycles = lat.conflict_trap
-        for record, log_block in log.walk_backward():
-            res = self.mem.access(core, log_block, False)
-            cycles += res.latency
-            if record.is_write:
-                data = self.mem.access(core, record.block, True)
-                cycles += data.latency + lat.undo_write
-                self.stats.undo_cycles += data.latency + lat.undo_write
+        cycles = self._undo(core, tid)
         self._release_overflow(txn)
-        log.reset()
-        del self._txns[tid]
+        self._retire(tid)
         self.stats.aborts += 1
         return CommitOutcome(cycles)
 
@@ -279,17 +239,6 @@ class OneTM(HTM, CoherenceListener):
     # ------------------------------------------------------------------
     # Instrumentation
     # ------------------------------------------------------------------
-
-    def active_tids(self) -> List[int]:
-        return list(self._txns)
-
-    def read_set_size(self, tid: int) -> int:
-        txn = self._txns.get(tid)
-        return len(txn.read_set) if txn else 0
-
-    def write_set_size(self, tid: int) -> int:
-        txn = self._txns.get(tid)
-        return len(txn.write_set) if txn else 0
 
     def check_invariants(self) -> Dict[str, object]:
         """Coherence audit plus overflow-token uniqueness.

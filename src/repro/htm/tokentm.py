@@ -32,7 +32,7 @@ Faithfulness notes (simulator vs. hardware):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.config import HTMConfig
 from repro.common.errors import (
@@ -68,18 +68,8 @@ from repro.htm.base import (
     ConflictInfo,
     ConflictKind,
     HTM,
+    TxnRecord,
 )
-
-
-class _Txn:
-    """Bookkeeping for one live transaction."""
-
-    __slots__ = ("tid", "read_set", "write_set")
-
-    def __init__(self, tid: int):
-        self.tid = tid
-        self.read_set: Set[int] = set()
-        self.write_set: Set[int] = set()
 
 
 class TokenTM(HTM, CoherenceListener):
@@ -96,14 +86,11 @@ class TokenTM(HTM, CoherenceListener):
         ncores = mem.config.num_cores
         self._units = [FastReleaseUnit(c, enabled=use_fast)
                        for c in range(ncores)]
-        self._logs: Dict[int, TmLog] = {}
-        self._txns: Dict[int, _Txn] = {}
         # Metastate shards fused off invalidated copies, keyed by the
         # (requesting core, block) that will absorb them, plus the
         # reader-TID hints those copies carried (Section 5.2).
         self._pending: Dict[Tuple[int, int], Meta] = {}
         self._pending_hints: Dict[Tuple[int, int], List[int]] = {}
-        self._lat = mem.config.latency
         mem.set_listener(self)
 
     # ------------------------------------------------------------------
@@ -273,35 +260,9 @@ class TokenTM(HTM, CoherenceListener):
     # ------------------------------------------------------------------
 
     def begin(self, core: int, tid: int) -> int:
-        if tid in self._txns:
-            raise TransactionError(f"thread {tid} already in a transaction")
-        self._txns[tid] = _Txn(tid)
-        self._core_tid[core] = tid
-        if tid not in self._logs:
-            self._logs[tid] = TmLog(tid)
+        latency = super().begin(core, tid)
         self._units[core].begin(tid)
-        return self._lat.txn_begin
-
-    def _txn(self, tid: int) -> _Txn:
-        txn = self._txns.get(tid)
-        if txn is None:
-            raise TransactionError(f"thread {tid} has no live transaction")
-        return txn
-
-    def _log_append(self, core: int, tid: int, block: int, tokens: int,
-                    is_write: bool) -> int:
-        """Write a log record; returns cycles including log stalls."""
-        lat = self._lat
-        access = self.mem.access
-        stats = self.stats
-        cycles = 0
-        for log_block in self._logs[tid].append(block, tokens, is_write):
-            latency = access(core, log_block, True).latency
-            cycles += latency + lat.log_write
-            if latency > lat.l1_hit:
-                stats.log_stall_cycles += latency - lat.l1_hit
-        stats.log_write_cycles += cycles
-        return cycles
+        return latency
 
     def read(self, core: int, tid: int, block: int) -> AccessOutcome:
         txn = self._txns.get(tid)
@@ -394,7 +355,7 @@ class TokenTM(HTM, CoherenceListener):
         txn.write_set.add(block)
         return self._granted.get(latency) or self._grant(latency)
 
-    def _handle_write_conflict(self, core: int, tid: int, txn: _Txn,
+    def _handle_write_conflict(self, core: int, tid: int, txn: TxnRecord,
                                block: int, line: CacheLine, meta: Meta,
                                owner_hint: Optional[int],
                                ack_hints: Tuple[int, ...],
@@ -488,10 +449,9 @@ class TokenTM(HTM, CoherenceListener):
     # ------------------------------------------------------------------
 
     def commit(self, core: int, tid: int) -> CommitOutcome:
-        txn = self._txn(tid)
+        self._txn(tid)
         lat = self._lat
         unit = self._units[core]
-        log = self._logs[tid]
         if unit.eligible:
             cleared = 0
             cache = self.mem.cache(core)
@@ -510,16 +470,14 @@ class TokenTM(HTM, CoherenceListener):
             if self.bus.enabled:
                 self.bus.emit(EventKind.FLASH_CLEAR, tid=tid, core=core,
                               lines=cleared)
-            log.reset()
-            self._finish(core, tid)
+            self._retire(tid)
             self.stats.fast_releases += 1
             self.stats.commits += 1
             return CommitOutcome(lat.txn_commit + lat.fast_release,
                                  used_fast_release=True)
-        release_cycles = self._software_release(core, tid, log)
+        release_cycles = self._software_release(core, tid, self._logs[tid])
         unit.finish_software()
-        log.reset()
-        self._finish(core, tid)
+        self._retire(tid)
         self.stats.software_releases += 1
         self.stats.commits += 1
         self.stats.software_release_cycles += release_cycles
@@ -527,26 +485,18 @@ class TokenTM(HTM, CoherenceListener):
                              software_release_cycles=release_cycles)
 
     def abort(self, core: int, tid: int) -> CommitOutcome:
-        txn = self._txn(tid)
-        lat = self._lat
-        log = self._logs[tid]
-        cycles = lat.conflict_trap
-        # Undo pass: newest-first, restore old values of written blocks.
-        for record, log_block in log.walk_backward():
-            res = self.mem.access(core, log_block, False)
-            cycles += res.latency
-            if record.is_write:
-                data = self.mem.access(core, record.block, True)
-                self._post_access(core, record.block, data)
-                self._pending_hints.pop((core, record.block), None)
-                cycles += data.latency + lat.undo_write
-                self.stats.undo_cycles += data.latency + lat.undo_write
-        cycles += self._release_tokens(core, tid, log)
+        self._txn(tid)
+        cycles = self._undo(core, tid)
+        cycles += self._release_tokens(core, tid, self._logs[tid])
         self._units[core].finish_software()
-        log.reset()
-        self._finish(core, tid)
+        self._retire(tid)
         self.stats.aborts += 1
         return CommitOutcome(cycles, software_release_cycles=0)
+
+    def _restored(self, core: int, block: int, result: AccessResult) -> None:
+        """The undo store to ``block`` moves metastate like any store."""
+        self._post_access(core, block, result)
+        self._pending_hints.pop((core, block), None)
 
     def _software_release(self, core: int, tid: int, log: TmLog) -> int:
         """Walk the log reading records, then return all tokens."""
@@ -611,9 +561,6 @@ class TokenTM(HTM, CoherenceListener):
             assert line is not None
             self._write_meta(line, new_meta, core)
         return cycles
-
-    def _finish(self, core: int, tid: int) -> None:
-        del self._txns[tid]
 
     # ------------------------------------------------------------------
     # Strong atomicity (Section 5.1)
@@ -697,22 +644,6 @@ class TokenTM(HTM, CoherenceListener):
             if info.block in txn.read_set or info.block in txn.write_set:
                 readers.add(other_tid)
         return tuple(sorted(readers))
-
-    def active_tids(self) -> List[int]:
-        return list(self._txns)
-
-    def read_set_size(self, tid: int) -> int:
-        txn = self._txns.get(tid)
-        return len(txn.read_set) if txn else 0
-
-    def write_set_size(self, tid: int) -> int:
-        txn = self._txns.get(tid)
-        return len(txn.write_set) if txn else 0
-
-    def log_entries(self, tid: int) -> int:
-        """Live log records for ``tid`` (diagnostics)."""
-        log = self._logs.get(tid)
-        return log.entry_count if log else 0
 
     # ------------------------------------------------------------------
     # Invariant audit

@@ -130,11 +130,11 @@ class TestLogTMSE:
         htm = build("LogTM-SE_4xH3")
         htm.begin(0, 0)
         htm.write(0, 0, B)
-        entries = htm._logs[0].entry_count
+        entries = htm.log_entries(0)
         out = htm.write(0, 0, B)
         assert out.granted
         assert out.latency == htm.mem.config.latency.l1_hit
-        assert htm._logs[0].entry_count == entries  # no duplicate undo log
+        assert htm.log_entries(0) == entries  # no duplicate undo log
 
     def test_nacked_foreign_write_leaves_fast_path_intact(self):
         """Eager conflict detection NACKs the writer at the directory;
@@ -190,11 +190,11 @@ class TestOneTM:
         htm = self.build()
         htm.begin(0, 0)
         htm.write(0, 0, B)
-        entries = htm._logs[0].entry_count
+        entries = htm.log_entries(0)
         out = htm.write(0, 0, B)
         assert out.granted
         assert out.latency == htm.mem.config.latency.l1_hit
-        assert htm._logs[0].entry_count == entries
+        assert htm.log_entries(0) == entries
 
 
 @pytest.mark.parametrize("variant",
