@@ -57,7 +57,10 @@ from typing import Any, Dict, Optional
 #:    loop, so there is no backend left to key on.
 #: 7: the hit-filter field is gone: cells always run with the filter
 #:    on, so there is no unfiltered run left to key on.
-CACHE_SCHEMA = 7
+#: 8: OneTM cells now count log-write, log-stall and undo cycles, and
+#:    time-shared cells deschedule a migrating thread on the core it
+#:    leaves; entries from earlier builds hold stale stats for both.
+CACHE_SCHEMA = 8
 
 #: Default cache directory (overridable via the environment).
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
