@@ -30,8 +30,8 @@ Commands map one-to-one onto the paper's experiments:
 * ``audit``    — verify the result landscape's outcome ledger
   (every dispatched unit reached exactly one terminal outcome;
   ``--selftest`` proves the audit catches seeded violations);
-* ``query``    — regression trajectories across the landscape's
-  trusted bench runs, with a tolerance gate on the latest step;
+* ``query``    — the landscape's trusted bench runs, each with its
+  grid ops/s;
 * ``variants`` — list the available HTM variants.
 
 Every command takes ``--seed`` and (where it applies) ``--scale`` so
@@ -472,48 +472,13 @@ def cmd_figure5(args) -> int:
                    "(speedup vs LogTM-SE_Perf)")
 
 
-def _landscape_baseline(db_path):
-    """Resolve ``--baseline landscape``: ``(payload, problem)``.
-
-    Read-only and resolved *before* the fresh run starts, so the
-    comparison is always against the newest trusted run that already
-    existed — never against the run being measured.
-    """
-    from repro.landscape import LandscapeStore, latest_baseline
-
-    db = db_path or "landscape.db"
-    try:
-        with LandscapeStore(db, readonly=True) as store:
-            payload = latest_baseline(store)
-    except ConfigError as exc:
-        return None, f"{exc}; comparison skipped"
-    if payload is None:
-        return None, (f"landscape store {db} has no trusted bench run "
-                      "yet; comparison skipped")
-    return payload, None
-
-
 def cmd_bench(args) -> int:
-    from repro.perf.bench import (
-        format_bench_summary,
-        load_baseline,
-        run_bench,
-    )
+    from repro.perf.bench import format_bench_summary, run_bench
     from repro.perf.runner import default_workers
 
     workers = args.workers
     if workers < 0:
         workers = default_workers()
-    # Resolve the baseline up front: a bad baseline must warn, not
-    # traceback — and never after minutes of benchmarking.
-    baseline = problem = None
-    baseline_label = args.baseline
-    if args.baseline == "landscape":
-        baseline, problem = _landscape_baseline(args.landscape)
-        baseline_label = (f"landscape store "
-                          f"{args.landscape or 'landscape.db'}")
-    elif args.baseline:
-        baseline, problem = load_baseline(args.baseline)
     try:
         payload = run_bench(
             out=args.out, quick=args.quick, seed=args.seed,
@@ -536,29 +501,12 @@ def cmd_bench(args) -> int:
     print(f"wrote {args.out}")
     # Under --failure-policy continue the grid completes with holes;
     # the payload records them and the exit code must still say so.
-    grid_report = (payload.get("grid") or {}).get("report") or {}
-    rc = 0
+    grid_report = payload["grid"]["report"]
     if grid_report.get("failed"):
         print(f"bench: {len(grid_report['failed'])} grid cells failed "
               "(details in the report above)", file=sys.stderr)
-        rc = 1
-    if args.baseline:
-        if baseline is None:
-            print(f"warning: {problem}", file=sys.stderr)
-            return rc
-        from repro.perf.bench import baseline_warnings, check_regression
-
-        for warning in baseline_warnings(payload, baseline):
-            print(f"warning: {warning}", file=sys.stderr)
-        failures = check_regression(payload, baseline,
-                                    tolerance=args.regression_tolerance)
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION: {failure}", file=sys.stderr)
-            return 1
-        print(f"no regression vs {baseline_label} "
-              f"(tolerance {args.regression_tolerance:.0%})")
-    return rc
+        return 1
+    return 0
 
 
 def cmd_chaos(args) -> int:
@@ -726,8 +674,6 @@ def cmd_query(args) -> int:
     from repro.landscape import (
         LandscapeStore,
         format_trajectory,
-        section_deltas,
-        trajectory_regressions,
         trusted_bench_runs,
     )
 
@@ -738,28 +684,18 @@ def cmd_query(args) -> int:
         return 2
     with store:
         points = trusted_bench_runs(store)
-    failures = trajectory_regressions(points, tolerance=args.tolerance)
     if args.json:
         print(json.dumps({
             "points": [
                 {"run_id": p.run_id, "git_rev": p.git_rev,
                  "bench_schema": p.bench_schema,
                  "started_unix": p.started_unix,
-                 "speedups": p.speedups,
                  "grid_ops_per_sec": p.grid_ops_per_sec}
                 for p in points
             ],
-            "deltas": {k: list(v)
-                       for k, v in section_deltas(points).items()},
-            "tolerance": args.tolerance,
-            "regressions": failures,
         }, indent=2))
     else:
-        print(format_trajectory(points, failures))
-    if failures:
-        for failure in failures:
-            print(f"REGRESSION: {failure}", file=sys.stderr)
-        return 1
+        print(format_trajectory(points))
     return 0
 
 
@@ -988,13 +924,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p = sub.add_parser(
         "bench", help="performance benchmark harness (BENCH_perf.json)",
         formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog="exit codes: 0 bench complete (and within tolerance "
-               "when --baseline is given); 1 grid cells failed or a "
-               "regression exceeded the tolerance; 2 unknown workload "
-               "or variant, or unusable --landscape store (nothing "
-               "ran).  A missing, "
-               "truncated, or invalid baseline file warns and skips "
-               "the comparison — it never fails the run.")
+        epilog="exit codes: 0 bench complete; 1 grid cells failed; "
+               "2 unknown workload, variant or section, or unusable "
+               "--landscape store (nothing ran)")
     bench_p.add_argument("--out", metavar="FILE", default="BENCH_perf.json")
     bench_p.add_argument("--quick", action="store_true",
                          help="small CI-sized grid")
@@ -1017,18 +949,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--only", action="append", metavar="SECTION",
                          choices=BENCH_SECTIONS, default=None,
                          help="run only this section (repeatable; "
-                              f"choices: {', '.join(BENCH_SECTIONS)}); "
-                              "skipped sections are null in the payload "
-                              "and only warn under --baseline")
-    bench_p.add_argument("--baseline", metavar="FILE", default=None,
-                         help="compare against a committed "
-                              "BENCH_perf.json; exit 1 on regression. "
-                              "The special value 'landscape' resolves "
-                              "the newest trusted run from the "
-                              "--landscape store instead of a file")
-    bench_p.add_argument("--regression-tolerance", type=float, default=0.3,
-                         help="allowed fractional speedup drop vs the "
-                              "baseline (default 0.3)")
+                              f"choices: {', '.join(BENCH_SECTIONS)})")
     bench_p.add_argument("--landscape", metavar="DB", default=None,
                          help="record this run (payload, provenance, "
                               "one work row per section and grid cell) "
@@ -1063,19 +984,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     query_p = sub.add_parser(
         "query",
-        help="regression trajectories across trusted bench runs",
+        help="list the trusted bench runs with their grid ops/s",
         formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog="exit codes: 0 no regression between the two newest "
-               "trusted bench runs (fewer than two is trivially a "
-               "pass); 1 a section's speedup ratio fell more than "
-               "the tolerance; 2 store missing or unreadable")
+        epilog="exit codes: 0 runs listed (none is fine); 2 store "
+               "missing or unreadable")
     query_p.add_argument("db", nargs="?", default="landscape.db",
                          help="landscape store to read "
                               "(default: landscape.db)")
-    query_p.add_argument("--tolerance", type=float, default=0.3,
-                         help="allowed fractional speedup drop between "
-                              "the two newest trusted runs "
-                              "(default 0.3)")
     query_p.add_argument("--json", action="store_true",
                          help="machine-readable trajectory report")
     query_p.set_defaults(func=cmd_query)

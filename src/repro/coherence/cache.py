@@ -25,15 +25,23 @@ class MESI(Enum):
 
 
 class CacheLine:
-    """One L1 line: block address, MESI state, LRU stamp, HTM meta."""
+    """One L1 line: block address, MESI state, LRU stamp, HTM meta.
 
-    __slots__ = ("block", "state", "lru", "meta")
+    ``hit`` is the protocol's interned pure-hit result for this line
+    (an ``AccessResult`` naming the line), made on the line's first
+    L1 hit.  It refers back to the line, so :meth:`L1Cache.remove`
+    clears it: a removed line is then freed by reference counting
+    instead of waiting for the cyclic collector.
+    """
+
+    __slots__ = ("block", "state", "lru", "meta", "hit")
 
     def __init__(self, block: int, state: MESI, lru: int):
         self.block = block
         self.state = state
         self.lru = lru
         self.meta: Any = None
+        self.hit: Any = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CacheLine(block={self.block:#x}, state={self.state.value})"
@@ -48,7 +56,7 @@ class L1Cache:
 
     ``sets``, ``set_mask`` and ``ways`` are read directly by the
     protocol engine's access path; only this class mutates them.
-    ``tick`` is the LRU clock: the protocol's filtered hit advances it
+    ``tick`` is the LRU clock: the protocol's L1 hit advances it
     in place of :meth:`touch_line`, and its miss path in place of
     :meth:`install`.
     """
@@ -91,7 +99,7 @@ class L1Cache:
     def touch_line(self, line: CacheLine) -> None:
         """Refresh LRU recency of a line the caller already holds.
 
-        The hot path resolves the line once (lookup or hit filter) and
+        The hot path resolves the line once (one tag lookup) and
         must not pay a second tag match just to bump recency; the tick
         sequence is identical to :meth:`touch`, so replacement victims
         are unchanged.
@@ -141,6 +149,7 @@ class L1Cache:
             raise CoherenceError(
                 f"block {block:#x} not resident in core {self._core} L1"
             )
+        line.hit = None
         return line
 
     def set_way_limit(self, ways: int) -> List[int]:

@@ -108,42 +108,28 @@ class ProtocolStats:
         return dict(self.__dict__)
 
 
-#: Slots per core in the direct-mapped hit filter.  512 lines covers
-#: the whole L1 of the paper's base system; collisions only cost a
-#: filter miss (the slow path re-installs), never correctness.
-FILTER_SLOTS = 512
-_FILTER_MASK = FILTER_SLOTS - 1
-
-# Filter entry layout: [block, line, writable, interned AccessResult].
-# The result is interned on the entry's first filtered hit (None until
-# then): most entries a miss installs are never hit.  Only
-# ``MemorySystem`` reads entries; the HTM layers never see them.
-F_BLOCK, F_LINE, F_WRITABLE, F_RESULT = 0, 1, 2, 3
-
-
 class FastPathStats:
     """Fast-path telemetry, deliberately *outside* :class:`ProtocolStats`.
 
     These counters describe how the simulator computed a result, not
-    what the simulated machine did, so they must not contaminate the
-    snapshots that the equivalence contract compares (fast path on vs
-    off produces identical ``ProtocolStats``).  Publish them through
-    :func:`repro.obs.metrics.publish_fastpath` as ``perf.fastpath.*``.
+    what the simulated machine did, so they stay out of the
+    ``ProtocolStats`` snapshots that golden digests pin.  Publish them
+    through :func:`repro.obs.metrics.publish_fastpath` as
+    ``perf.fastpath.*``.
 
+    ``coherence_read_hits`` and ``coherence_write_hits`` count pure L1
+    hits, one per :meth:`MemorySystem.fast_hit` call.
     ``htm_read_hits`` and ``htm_write_hits`` always read 0, because no
     HTM layer short-circuits repeat accesses.  The keys stay because
     ``perfbench/run.py`` reads them.
     """
 
     __slots__ = ("coherence_read_hits", "coherence_write_hits",
-                 "installs", "invalidations",
                  "htm_read_hits", "htm_write_hits")
 
     def __init__(self):
         self.coherence_read_hits = 0
         self.coherence_write_hits = 0
-        self.installs = 0
-        self.invalidations = 0
         self.htm_read_hits = 0
         self.htm_write_hits = 0
 
@@ -156,8 +142,7 @@ class MemorySystem:
 
     def __init__(self, config: SystemConfig,
                  listener: Optional[CoherenceListener] = None,
-                 bus: Optional[EventBus] = None,
-                 fast_path: bool = True):
+                 bus: Optional[EventBus] = None):
         self._config = config
         self._topology = TiledTopology(config)
         # Hot-path locals: the latency model and the bank-interleave
@@ -178,19 +163,6 @@ class MemorySystem:
         self._dir_entries = self._directory.entries
         self._zero_filled: List[Tuple[int, int]] = []
         self.stats = ProtocolStats()
-        #: The per-core direct-mapped hit filter.  Each entry memoizes
-        #: a stable L1 hit — a (block, line) pair whose next access
-        #: needs no directory action — so ``access`` can skip the tag
-        #: walk and result allocation entirely.  Entries are dropped at
-        #: every point a line mutates (install/remove/invalidate/
-        #: downgrade/evict/upgrade), which keeps the filter a pure
-        #: memoization: simulated outcomes are identical either way.
-        #: ``fast_path=False`` runs without it; tests use that as the
-        #: oracle for the filtered path.
-        self._fast_path = fast_path
-        self._filters: List[List[Optional[list]]] = [
-            [None] * FILTER_SLOTS for _ in range(config.num_cores)
-        ]
         self.fastpath = FastPathStats()
 
     # ------------------------------------------------------------------
@@ -267,54 +239,33 @@ class MemorySystem:
         (evictions, invalidations, downgrades) have been applied and
         reported to the listener when this returns.
         """
-        if self._fast_path:
-            entry = self._filters[core][block & _FILTER_MASK]
-            if (entry is not None and entry[F_BLOCK] == block
-                    and (not is_write or entry[F_WRITABLE])):
-                return self.fast_hit(core, entry, is_write)
-
-        if is_write:
-            self.stats.writes += 1
-        else:
-            self.stats.reads += 1
-
         cache = self._caches[core]
         cache_set = cache.sets[block & cache.set_mask]
         line = cache_set.get(block)
         if line is not None:
-            return self._access_hit(core, cache, line, block, is_write)
+            if not is_write or line.state is not _SHARED:
+                return self.fast_hit(core, line, is_write)
+            return self._access_upgrade(core, line, block)
         return self._access_miss(core, cache, cache_set, block, is_write)
 
-    # ------------------------------------------------------------------
-    # The hit filter
-    # ------------------------------------------------------------------
-    #
-    # A filter entry exists only while *no* directory action can be
-    # needed by the next access of that kind: any valid state for
-    # reads, M (or E, with the silent E->M fold applied here) for
-    # writes.  Every line mutation drops the entry, so a present entry
-    # is proof the slow path would have produced exactly the interned
-    # result.
-
-    def fast_hit(self, core: int, entry: list,
+    def fast_hit(self, core: int, line: CacheLine,
                  is_write: bool) -> AccessResult:
-        """Commit a filtered access: bump stats, recency, fold E->M.
+        """Commit a pure L1 hit: bump stats, recency, fold E->M.
 
-        Performs exactly the bookkeeping the slow path's pure-hit
-        branch would (counter bumps, one LRU tick, silent E->M on
-        write) and returns the entry's interned result, interning it
-        on first use.  ``access`` is the only caller; the method stays
-        public because the perfbench tracer counts its calls.
+        A resident line needs no directory action on a read, nor on a
+        write that finds it M or E (E folds to M silently: the
+        directory already records the core as exclusive).  Returns the
+        line's interned result (``CacheLine.hit``), made on its first
+        hit; :meth:`L1Cache.remove` drops it.  ``access`` is the only
+        caller; the method stays public because the perfbench tracer
+        counts its calls, one per pure hit.
         """
         stats = self.stats
         fp = self.fastpath
-        line = entry[F_LINE]
         if is_write:
             stats.writes += 1
             fp.coherence_write_hits += 1
-            if line.state is not _MODIFIED:
-                # Silent E->M upgrade, same as the slow hit path.
-                line.state = _MODIFIED
+            line.state = _MODIFIED
         else:
             stats.reads += 1
             fp.coherence_read_hits += 1
@@ -323,59 +274,24 @@ class MemorySystem:
         cache = self._caches[core]
         tick = cache.tick = cache.tick + 1
         line.lru = tick
-        result = entry[F_RESULT]
+        result = line.hit
         if result is None:
-            result = entry[F_RESULT] = AccessResult(self._lat.l1_hit,
-                                                    True, line)
+            result = line.hit = AccessResult(self._lat.l1_hit, True, line)
         return result
 
-    def _filter_install(self, core: int, line: CacheLine,
-                        result: Optional[AccessResult] = None) -> None:
-        """Memoize a stable hit.  Callers guard on ``self._fast_path``."""
-        block = line.block
-        self._filters[core][block & _FILTER_MASK] = [
-            block, line, line.state is not _SHARED, result,
-        ]
-        self.fastpath.installs += 1
-
-    def _filter_drop(self, core: int, block: int) -> None:
-        """Forget a memoized hit because its line is mutating."""
-        filt = self._filters[core]
-        slot = block & _FILTER_MASK
-        entry = filt[slot]
-        if entry is not None and entry[F_BLOCK] == block:
-            filt[slot] = None
-            self.fastpath.invalidations += 1
-
-    def _access_hit(self, core: int, cache: L1Cache, line: CacheLine,
-                    block: int, is_write: bool) -> AccessResult:
-        lat = self._lat
-        cache.touch_line(line)
-        if not is_write or line.state is _MODIFIED:
-            self.stats.l1_hits += 1
-            result = AccessResult(lat.l1_hit, True, line)
-            if self._fast_path:
-                self._filter_install(core, line, result)
-            return result
-        if line.state is _EXCLUSIVE:
-            # Silent E->M upgrade; directory already records exclusivity.
-            line.state = _MODIFIED
-            self.stats.l1_hits += 1
-            result = AccessResult(lat.l1_hit, True, line)
-            if self._fast_path:
-                self._filter_install(core, line, result)
-            return result
-
-        # Write hit on a SHARED line: upgrade via the directory.
-        self.stats.upgrades += 1
+    def _access_upgrade(self, core: int, line: CacheLine,
+                        block: int) -> AccessResult:
+        """A write hit on a SHARED line: upgrade via the directory."""
+        stats = self.stats
+        stats.writes += 1
+        stats.upgrades += 1
+        self._caches[core].touch_line(line)
         invalidated = self._invalidate_others(core, block,
                                               self._dir_entries[block])
         self._directory.record_upgrade(block, core)
         line.state = _MODIFIED
-        latency = (lat.l1_hit + self._directory_round_trip(core, block)
+        latency = (self._lat.l1_hit + self._directory_round_trip(core, block)
                    + self._invalidation_latency(core, block, invalidated))
-        if self._fast_path:
-            self._filter_install(core, line)
         return AccessResult(latency, True, line, upgraded=True,
                             invalidated=invalidated)
 
@@ -398,6 +314,10 @@ class MemorySystem:
         modelled) and a fill not served by an owner costs an L2 hit.
         """
         stats = self.stats
+        if is_write:
+            stats.writes += 1
+        else:
+            stats.reads += 1
         stats.l1_misses += 1
         if len(cache_set) >= cache.ways:
             self.evict(core, cache.victim_for(block).block)
@@ -423,11 +343,6 @@ class MemorySystem:
                 block, _MODIFIED if is_write else _EXCLUSIVE, tick)
             self._listener.on_fill(core, block, new_line, False,
                                    MEMORY_HOLDER)
-            if self._fast_path:
-                # _filter_install, inlined: an M or E line is writable.
-                self._filters[core][block & _FILTER_MASK] = [
-                    block, new_line, True, None]
-                self.fastpath.installs += 1
             return AccessResult(latency, False, new_line, False, True)
 
         source = MEMORY_HOLDER
@@ -441,7 +356,6 @@ class MemorySystem:
                         + topo.core_core_lat[owner][core])
             if is_write:
                 owner_line = self._caches[owner].remove(block)
-                self._filter_drop(owner, block)
                 self._listener.on_invalidate(owner, block, owner_line, core)
                 stats.invalidations += 1
                 invalidated = (owner,)
@@ -449,7 +363,6 @@ class MemorySystem:
                 owner_line = self._caches[owner].lookup(block)
                 assert owner_line is not None
                 owner_line.state = _SHARED
-                self._filter_drop(owner, block)
                 # The owner stays on as a sharer; the requester joins
                 # it below.
                 code = ~(1 << owner)
@@ -479,8 +392,6 @@ class MemorySystem:
         new_line = cache_set[block] = CacheLine(block, state, tick)
 
         self._listener.on_fill(core, block, new_line, shared, source)
-        if self._fast_path:
-            self._filter_install(core, new_line)
         return AccessResult(latency, False, new_line, False, True, source,
                             invalidated)
 
@@ -497,7 +408,6 @@ class MemorySystem:
         """
         cache = self._caches[core]
         line = cache.remove(block)
-        self._filter_drop(core, block)
         entries = self._dir_entries
         code = entries.get(block, UNCACHED)
         if code == core:
@@ -547,7 +457,6 @@ class MemorySystem:
         listener = self._listener
         for other in others:
             other_line = self._caches[other].remove(block)
-            self._filter_drop(other, block)
             stats.invalidations += 1
             listener.on_invalidate(other, block, other_line, core)
         return tuple(others)

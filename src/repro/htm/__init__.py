@@ -1,7 +1,6 @@
 """Simulated HTM machines: TokenTM, LogTM-SE variants, OneTM."""
 
 from dataclasses import replace
-from typing import Iterable
 
 from repro.common.config import HTMConfig, SignatureConfig, SystemConfig
 from repro.common.errors import ConfigError

@@ -6,8 +6,8 @@ crash-safe store with full provenance (content hashes, fault-plan
 hashes, trace digests, seed, schema versions, git rev).  The
 store is a double-entry outcome ledger: work is *opened* when
 dispatched and must reach exactly one terminal outcome; ``repro
-audit`` enforces the invariant after the fact, ``repro query`` reads
-regression trajectories across trusted runs.  See docs/landscape.md.
+audit`` enforces the invariant after the fact, ``repro query`` lists
+the trusted bench runs.  See docs/landscape.md.
 
 The landscape is strictly opt-in: with no store attached, every run
 path behaves (and serializes) byte-identically to a build without
@@ -18,9 +18,6 @@ from repro.landscape.audit import AuditFinding, audit_store, format_audit
 from repro.landscape.query import (
     BenchPoint,
     format_trajectory,
-    latest_baseline,
-    section_deltas,
-    trajectory_regressions,
     trusted_bench_runs,
 )
 from repro.landscape.schema import (
@@ -63,9 +60,6 @@ __all__ = [
     "format_audit",
     "format_selftest",
     "format_trajectory",
-    "latest_baseline",
     "run_selftest",
-    "section_deltas",
-    "trajectory_regressions",
     "trusted_bench_runs",
 ]

@@ -1,43 +1,32 @@
-"""Cross-run queries over the landscape: trajectories and gating.
+"""Cross-run queries over the landscape: the trusted bench runs.
 
-Where :func:`~repro.perf.bench.check_regression` compares one fresh
-payload against one baseline file, this module reads *every* bench
-run the landscape recorded and reports trajectories — how each
-regression-checked section's speedup ratio moved across runs — and
-gates on the latest step: if the newest trusted run's ratio fell more
-than the tolerance below the run before it, ``repro query`` exits
-nonzero, same contract as ``repro bench --baseline``.
+``repro query`` lists every bench run the landscape recorded that can
+be trusted, oldest first, each with its grid throughput.
 
 Only ``ok`` bench runs participate.  A run that failed, was
-interrupted, or was healed after a crash never becomes the baseline
-another run is judged against — "latest trusted run" means exactly
-that, and it is the audit's invariants that make "trusted"
-meaningful.
+interrupted, or was healed after a crash is left out — "trusted run"
+means exactly that, and it is the audit's invariants that make
+"trusted" meaningful.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.landscape.schema import OUTCOME_OK, RUN_BENCH
 from repro.landscape.store import LandscapeStore
 
-#: Sections whose speedup ratio the trajectory tracks — the same set
-#: the one-shot baseline check gates on.
-from repro.perf.bench import REGRESSION_SECTIONS
-
 
 @dataclass(frozen=True)
 class BenchPoint:
-    """One trusted bench run's regression-relevant numbers."""
+    """One trusted bench run's headline numbers."""
 
     run_id: int
     started_unix: float
     git_rev: Optional[str]
     bench_schema: Optional[str]
-    speedups: Dict[str, float] = field(default_factory=dict)
     grid_ops_per_sec: Optional[float] = None
 
 
@@ -51,109 +40,26 @@ def trusted_bench_runs(store: LandscapeStore) -> List[BenchPoint]:
             payload = json.loads(run["payload"])
         except (TypeError, ValueError):
             continue  # unparseable payload: not trustworthy, skip
-        speedups = {}
-        for section in REGRESSION_SECTIONS:
-            speedup = (payload.get(section) or {}).get("speedup")
-            if speedup:
-                speedups[section] = speedup
         totals = payload.get("totals") or {}
         points.append(BenchPoint(
             run_id=run["id"],
             started_unix=run["started_unix"],
             git_rev=run["git_rev"],
             bench_schema=run["bench_schema"],
-            speedups=speedups,
             grid_ops_per_sec=totals.get("sim_ops_per_sec"),
         ))
     return points
 
 
-def latest_baseline(store: LandscapeStore) -> Optional[Dict]:
-    """The newest trusted bench payload — what
-    ``repro bench --baseline`` resolves to when pointed at the
-    landscape instead of a JSON file.  ``None`` if no trusted run
-    exists yet (first run on a fresh store)."""
-    for run in reversed(store.runs(RUN_BENCH)):
-        if run["status"] != OUTCOME_OK or not run["payload"]:
-            continue
-        try:
-            return json.loads(run["payload"])
-        except (TypeError, ValueError):
-            continue
-    return None
-
-
-def trajectory_regressions(points: List[BenchPoint],
-                           tolerance: float = 0.3) -> List[str]:
-    """Gate the latest trusted run against the one before it.
-
-    Same ratio-vs-ratio comparison as
-    :func:`~repro.perf.bench.check_regression` (wall-clock noise
-    cancels inside each ratio), applied to the landscape's own
-    history.  Returns human-readable failures; empty means pass (and
-    fewer than two trusted runs is trivially a pass — there is no
-    trajectory yet).
-    """
-    if len(points) < 2:
-        return []
-    prev, last = points[-2], points[-1]
-    failures = []
-    for section in REGRESSION_SECTIONS:
-        base = prev.speedups.get(section)
-        now = last.speedups.get(section)
-        if not base or not now:
-            continue
-        drop = 1.0 - now / base
-        if drop > tolerance:
-            failures.append(
-                f"{section} speedup fell {drop:.0%} between run "
-                f"#{prev.run_id} and run #{last.run_id} "
-                f"({base:.2f}x -> {now:.2f}x, tolerance {tolerance:.0%})"
-            )
-    return failures
-
-
-def format_trajectory(points: List[BenchPoint],
-                      failures: List[str]) -> str:
-    """Human-readable trajectory table (the ``repro query`` output)."""
+def format_trajectory(points: List[BenchPoint]) -> str:
+    """Human-readable run list (the ``repro query`` output)."""
     if not points:
         return ("no trusted bench runs in the landscape yet "
                 "(run `repro bench --landscape <db>` to record one)")
     lines = [f"bench trajectory: {len(points)} trusted run(s)"]
     for point in points:
         rev = (point.git_rev or "unknown")[:12]
-        ratios = " ".join(
-            f"{section}={point.speedups[section]:.2f}x"
-            for section in REGRESSION_SECTIONS
-            if section in point.speedups
-        ) or "(no ratio sections)"
-        ops = (f" grid={point.grid_ops_per_sec:,.0f} ops/s"
-               if point.grid_ops_per_sec else "")
-        lines.append(f"  run #{point.run_id} rev={rev} {ratios}{ops}")
-    deltas = section_deltas(points)
-    if deltas:
-        lines.append("latest vs previous:")
-        for section, (base, now) in sorted(deltas.items()):
-            change = now / base - 1.0
-            lines.append(
-                f"  {section}: {base:.2f}x -> {now:.2f}x ({change:+.0%})")
-    if failures:
-        lines.append(f"REGRESSIONS: {len(failures)}")
-        lines.extend(f"  {failure}" for failure in failures)
-    elif len(points) >= 2:
-        lines.append("no regression between the two latest trusted runs")
+        ops = (f"grid={point.grid_ops_per_sec:,.0f} ops/s"
+               if point.grid_ops_per_sec else "(no grid)")
+        lines.append(f"  run #{point.run_id} rev={rev} {ops}")
     return "\n".join(lines)
-
-
-def section_deltas(
-        points: List[BenchPoint]) -> Dict[str, Tuple[float, float]]:
-    """``{section: (previous, latest)}`` speedups for sections present
-    in both of the two newest trusted runs."""
-    if len(points) < 2:
-        return {}
-    prev, last = points[-2], points[-1]
-    return {
-        section: (prev.speedups[section], last.speedups[section])
-        for section in REGRESSION_SECTIONS
-        if section in prev.speedups and section in last.speedups
-    }

@@ -10,8 +10,7 @@ the provenance needed to trust them later:
     invocation produced: git revision, ``CACHE_SCHEMA`` /
     ``BENCH_SCHEMA`` versions, seed, wall-clock
     timestamps, the end-of-run metrics snapshot, and (for bench runs)
-    the full payload JSON that ``repro query`` and
-    ``repro bench --baseline`` read back.
+    the full payload JSON that ``repro query`` reads back.
 ``work``
     One row per unit of work, inserted when the unit is *dispatched*
     (the debit side of the ledger).  Keyed by the unit's full

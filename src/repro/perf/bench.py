@@ -1,17 +1,11 @@
 """``repro bench``: the repo's performance benchmark harness.
 
-Measures these and writes them to ``BENCH_perf.json``:
+Measures the wall-clock and simulated-ops/sec of every cell of an
+evaluation grid (``grid``), run through the
+:class:`~repro.perf.runner.ParallelRunner`, and writes them to
+``BENCH_perf.json``.
 
-* **grid throughput** (``grid``) — wall-clock and simulated-ops/sec
-  for every cell of an evaluation grid, run through the
-  :class:`~repro.perf.runner.ParallelRunner`;
-* **memory-stack benchmark** (``membench``) — the coherence hit
-  filter vs. the same machine with it off
-  (``MemorySystem(fast_path=False)``) on an identical
-  repeat-access-heavy transaction mix, with an identical-statistics
-  cross-check.
-
-Schema of ``BENCH_perf.json`` (``repro-bench-perf/11``, documented in
+Schema of ``BENCH_perf.json`` (``repro-bench-perf/12``, documented in
 ``docs/performance.md``):
 
 ``schema``        schema identifier string;
@@ -21,31 +15,23 @@ Schema of ``BENCH_perf.json`` (``repro-bench-perf/11``, documented in
                   each with workload, variant, seed, scale,
                   trace_ops, wall_seconds (null when the cache
                   answered), sim_ops_per_sec, makespan, commits,
-                  aborts, cache_hit;
+                  aborts, ``digest`` (:func:`stats_digest` of the
+                  cell's ``RunStats``), cache_hit;
 ``totals``        summed trace_ops / wall and aggregate ops/sec;
-``membench``      accesses, rounds, unfiltered/filtered ops-per-sec,
-                  ``speedup``, ``identical_stats``, and the filtered
-                  run's fast-path counter snapshot (``fastpath``);
 ``parallel``      optional serial-vs-parallel wall comparison
                   (``--compare-serial``) with a ``byte_identical``
                   stats check;
 ``metrics``       the runner's metrics-registry snapshot (cache
-                  hits/misses, cells simulated, workers) merged with
-                  the membench's ``perf.fastpath.*`` counters.
+                  hits/misses, cells simulated, workers).
 
 Simulated-ops/sec counts *trace* operations retired per wall second;
 aborted-and-retried work is not double-counted, so the number is a
 throughput of useful simulation progress.
-
-``--baseline FILE`` compares a fresh payload against a committed one
-via :func:`check_regression`: the membench *speedup ratio*
-(filtered/unfiltered) is compared rather than absolute ops/sec, so
-the check tolerates slow CI machines and only fails when the filter
-itself eroded.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import platform
 import time
@@ -53,11 +39,8 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.experiments import Cell
-from repro.common.config import HTMConfig, SystemConfig
 from repro.common.errors import ConfigError, IncompleteGridError
-from repro.coherence.protocol import MemorySystem
-from repro.htm import VARIANTS, make_htm
-from repro.obs.metrics import publish_fastpath
+from repro.htm import VARIANTS
 from repro.perf.cache import ResultCache
 from repro.perf.runner import CellSpec, ParallelRunner
 from repro.perf.supervise import FAIL_FAST, SupervisorConfig
@@ -65,7 +48,7 @@ from repro.traces.workload import TraceWorkloadSpec, fixture_workloads
 from repro.workloads import tm_workloads
 
 #: Identifier written into every BENCH_perf.json.
-#: /2: added the memory-stack benchmark (``membench``), a ``config``
+#: /2: added the memory-stack benchmark section, a ``config``
 #: flag for running the grid with the hit filter off, and
 #: ``perf.fastpath.*`` metrics.
 #: /3: added the faults-path section (NULL injector vs. a frozen
@@ -93,11 +76,14 @@ from repro.workloads import tm_workloads
 #: /9: dropped ``kernelbench``, ``config.kernel`` and the ``kernels.*``
 #: metrics with the alternate hot-loop backends they compared.
 #: /10: dropped the interpreter and faults-path sections with the
-#: frozen executor copies they timed; ``membench`` is the one ratio
-#: section left.
+#: frozen executor copies they timed; the memory-stack section is
+#: the one ratio section left.
 #: /11: dropped that ``config`` flag with the CLI option that set it:
 #: the grid always runs with the coherence hit filter on.
-BENCH_SCHEMA = "repro-bench-perf/11"
+#: /12: dropped the memory-stack section with the hit filter it timed;
+#: grid rows gained ``digest``, which pins each cell's full
+#: ``RunStats``.
+BENCH_SCHEMA = "repro-bench-perf/12"
 
 #: Default output path, at the repo root like the other BENCH files.
 DEFAULT_OUT = "BENCH_perf.json"
@@ -126,6 +112,13 @@ QUICK_SCALE_FACTOR = 0.25
 #: Traces run at their recorded size; ``scale`` is pinned to 1.0.
 QUICK_TRACE_FIXTURES = ("mutex_ring",)
 
+
+def stats_digest(stats) -> str:
+    """sha256[:16] of a ``RunStats`` snapshot as sorted-key JSON."""
+    text = json.dumps(stats.snapshot(), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 def _grid_cells_payload(specs: Sequence[CellSpec], cells: Sequence[Cell],
                         walls: Sequence[Optional[float]]) -> List[Dict]:
     rows = []
@@ -152,6 +145,7 @@ def _grid_cells_payload(specs: Sequence[CellSpec], cells: Sequence[Cell],
             "makespan": stats.makespan,
             "commits": stats.commits,
             "aborts": stats.aborts,
+            "digest": stats_digest(stats),
             "cache_hit": wall is None,
         }
         if isinstance(spec.workload, TraceWorkloadSpec):
@@ -227,206 +221,12 @@ def compare_serial_parallel(specs: Sequence[CellSpec],
 
 
 # ----------------------------------------------------------------------
-# Memory-stack benchmark
-# ----------------------------------------------------------------------
-
-#: Membench shape: a few concurrent large transactions, each looping
-#: over its (private) working set — the paper's repeat-access-heavy
-#: profile that the fast path targets.
-MEM_CORES = 4
-MEM_BLOCKS = 48
-MEM_REPEATS = 40
-#: Best-of rounds on each side of the comparison.
-MEM_ROUNDS = 3
-
-
-def _membench_run(filtered: bool, cores: int, blocks: int,
-                  repeats: int):
-    """Drive TokenTM directly with a repeat-access transaction mix.
-
-    Returns ``(wall, accesses, protocol_stats, fastpath_stats)``.
-    The access sequence is identical for both modes, so the protocol
-    statistics must match exactly (asserted by :func:`membench`).
-    """
-    mem = MemorySystem(SystemConfig(), fast_path=filtered)
-    machine = make_htm("TokenTM", mem, HTMConfig())
-    accesses = 0
-    start = time.perf_counter()
-    for core in range(cores):
-        machine.begin(core, core)
-    for _ in range(repeats):
-        for core in range(cores):
-            base = (core + 1) << 12  # disjoint, clear of the log region
-            for b in range(blocks):
-                block = base + b
-                machine.read(core, core, block)
-                accesses += 1
-                if b & 1:
-                    machine.write(core, core, block)
-                    accesses += 1
-    for core in range(cores):
-        machine.commit(core, core)
-    wall = time.perf_counter() - start
-    return wall, accesses, mem.stats.snapshot(), mem.fastpath.snapshot()
-
-
-def membench(rounds: int = MEM_ROUNDS, cores: int = MEM_CORES,
-             blocks: int = MEM_BLOCKS, repeats: int = MEM_REPEATS) -> Dict:
-    """Filtered vs. unfiltered memory stack on one access mix.
-
-    Fresh machines each round; best-of-``rounds`` wall time on both
-    sides.  Both machines must retire identical protocol statistics
-    (asserted), so the comparison times the simulator's access path,
-    not a behavioural difference.
-    """
-    best_fast = best_slow = float("inf")
-    fast_stats = slow_stats = None
-    fastpath = None
-    accesses = 0
-    for _ in range(max(1, rounds)):
-        wall, accesses, stats, fp = _membench_run(
-            True, cores, blocks, repeats)
-        if wall < best_fast:
-            best_fast, fast_stats, fastpath = wall, stats, fp
-        wall, accesses, stats, _fp = _membench_run(
-            False, cores, blocks, repeats)
-        if wall < best_slow:
-            best_slow, slow_stats = wall, stats
-    if fast_stats != slow_stats:
-        raise AssertionError(
-            "filtered and unfiltered memory systems diverged "
-            "on the membench access mix"
-        )
-    fast_ops = accesses / best_fast
-    slow_ops = accesses / best_slow
-    return {
-        "accesses": accesses,
-        "rounds": rounds,
-        "unfiltered_wall_seconds": best_slow,
-        "filtered_wall_seconds": best_fast,
-        "unfiltered_ops_per_sec": slow_ops,
-        "filtered_ops_per_sec": fast_ops,
-        "speedup": fast_ops / slow_ops,
-        "identical_stats": True,
-        "fastpath": fastpath,
-    }
-
-
-# ----------------------------------------------------------------------
-# Baseline regression check
-# ----------------------------------------------------------------------
-
-#: Sections whose ``speedup`` ratio the regression check compares.
-REGRESSION_SECTIONS = ("membench",)
-
-
-def load_bench(path: str) -> Dict:
-    """Read a BENCH_perf.json payload from disk."""
-    return json.loads(Path(path).read_text(encoding="utf-8"))
-
-
-def load_baseline(path: str):
-    """Leniently load a ``--baseline`` file: ``(payload, problem)``.
-
-    A baseline that is missing, unreadable, truncated, or not valid
-    JSON must never traceback a bench run — the fresh results are
-    still worth having.  Exactly one of the pair is None: a loadable
-    baseline returns ``(payload, None)``; anything else returns
-    ``(None, reason)`` for the CLI to warn with and skip the
-    comparison.
-    """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        return None, (f"baseline {path} unreadable "
-                      f"({type(exc).__name__}: {exc}); comparison skipped")
-    if not text.strip():
-        return None, (f"baseline {path} is empty (truncated write?); "
-                      f"comparison skipped")
-    try:
-        payload = json.loads(text)
-    except ValueError as exc:
-        return None, (f"baseline {path} is not valid JSON ({exc}); "
-                      f"comparison skipped")
-    if not isinstance(payload, dict):
-        return None, (f"baseline {path} holds "
-                      f"{type(payload).__name__}, not a bench payload "
-                      f"object; comparison skipped")
-    return payload, None
-
-
-def check_regression(fresh: Dict, baseline: Dict,
-                     tolerance: float = 0.3) -> List[str]:
-    """Compare the :data:`REGRESSION_SECTIONS` speedups against a baseline.
-
-    Ratios (filtered/unfiltered) are compared, not absolute ops/sec:
-    both sides of each ratio ran on the same machine in the same
-    process, so wall-clock noise between the CI runner and the
-    machine that produced the baseline cancels out.
-    Returns a list of human-readable failures (empty = pass).
-    """
-    failures = []
-    for section in REGRESSION_SECTIONS:
-        base = (baseline.get(section) or {}).get("speedup")
-        now = (fresh.get(section) or {}).get("speedup")
-        if not base or not now:
-            continue  # section absent on one side: nothing to compare
-        drop = 1.0 - now / base
-        if drop > tolerance:
-            failures.append(
-                f"{section} speedup fell {drop:.0%} "
-                f"({base:.2f}x -> {now:.2f}x, tolerance {tolerance:.0%})"
-            )
-    return failures
-
-
-def baseline_warnings(fresh: Dict, baseline: Dict) -> List[str]:
-    """Non-fatal observations about a fresh-vs-baseline comparison.
-
-    :func:`check_regression` compares only what both payloads carry;
-    this companion names what that silently skipped, so ``--baseline``
-    against an older-schema file *warns* about the mismatch (and any
-    section present on only one side) instead of failing on a missing
-    key.  Returns human-readable warnings (empty = fully comparable).
-    """
-    warnings = []
-    fresh_schema = fresh.get("schema")
-    base_schema = baseline.get("schema")
-    if fresh_schema != base_schema:
-        warnings.append(
-            f"schema mismatch: baseline is {base_schema!r}, this run "
-            f"wrote {fresh_schema!r}; only sections present in both "
-            "are compared (regenerate the baseline with "
-            "`repro bench` to compare everything)"
-        )
-    for section in sorted(set(baseline) - set(fresh)):
-        warnings.append(
-            f"section {section!r} present in the baseline but not "
-            "written by this version; ignored"
-        )
-    for section in REGRESSION_SECTIONS:
-        base = (baseline.get(section) or {}).get("speedup")
-        now = (fresh.get(section) or {}).get("speedup")
-        if base and not now:
-            warnings.append(
-                f"section {section!r} present in the baseline but not "
-                "this run; skipped"
-            )
-        elif now and not base:
-            warnings.append(
-                f"section {section!r} present in this run but not the "
-                "baseline; skipped"
-            )
-    return warnings
-
-
-# ----------------------------------------------------------------------
 # Top-level harness
 # ----------------------------------------------------------------------
 
 #: ``--only`` section names.  ``grid`` covers the cell grid (and the
-#: totals/parallel blocks derived from it).
-BENCH_SECTIONS = ("grid", "membench")
+#: totals/parallel blocks derived from it) and is the only section.
+BENCH_SECTIONS = ("grid",)
 
 
 def bench_specs(quick: bool = False, seed: int = 2008,
@@ -488,11 +288,10 @@ def run_bench(out: str = DEFAULT_OUT, quick: bool = False,
               landscape: Optional[str] = None) -> Dict:
     """Run the harness and write ``BENCH_perf.json``; returns payload.
 
-    ``only`` restricts the run to the named :data:`BENCH_SECTIONS`
-    (repeatable on the CLI as ``--only SECTION``); every other
-    section lands as ``null`` in the payload, which the baseline
-    comparison reports as a warning, not an error.  By default every
-    section runs.
+    ``only`` names :data:`BENCH_SECTIONS` to run (repeatable on the
+    CLI as ``--only SECTION``); an unknown name raises
+    :class:`~repro.common.errors.ConfigError`.  ``grid`` is the only
+    section, so it always runs.
 
     ``landscape`` (a database path) records the whole run into the
     result landscape: a ``bench`` run row carrying the full payload
@@ -508,7 +307,6 @@ def run_bench(out: str = DEFAULT_OUT, quick: bool = False,
             f"unknown bench section(s) {', '.join(unknown)}; "
             f"available: {', '.join(BENCH_SECTIONS)}"
         )
-    grid_on = "grid" in selected
     specs = bench_specs(quick=quick, seed=seed,
                         workload_names=workload_names, variants=variants,
                         scale_factor=scale_factor, traces=traces)
@@ -541,40 +339,21 @@ def run_bench(out: str = DEFAULT_OUT, quick: bool = False,
         return value
 
     try:
-        if grid_on:
-            cache = ResultCache(cache_dir) if cache_dir else None
-            grid, metrics = section("grid", lambda: run_grid(
-                specs, workers=workers, cache=cache,
-                supervisor=supervisor, recorder=recorder))
-        else:
-            grid, metrics = None, {}
-        mem_payload = None
-        if "membench" in selected:
-            # Deliberately NOT scaled down under --quick: the whole run
-            # takes well under a second, and the filtered/unfiltered ratio
-            # grows with the repeat count, so a smaller quick-mode mix
-            # would sit too close to the --baseline tolerance.
-            mem_payload = section("membench", membench)
-            metrics = dict(metrics)
-            metrics.update(
-                publish_fastpath(mem_payload["fastpath"]).snapshot()
-            )
-        if grid is not None:
-            total_ops = sum(c.get("trace_ops", 0) for c in grid["cells"])
-            timed_walls = [c["wall_seconds"] for c in grid["cells"]
-                           if c.get("wall_seconds")]
-            totals = {
-                "cells": len(grid["cells"]),
-                "trace_ops": total_ops,
-                "wall_seconds": grid["wall_seconds"],
-                "sim_ops_per_sec": (total_ops / grid["wall_seconds"]
-                                    if grid["wall_seconds"] else None),
-                "cell_wall_seconds_sum": sum(timed_walls),
-            }
-            scales = {c["workload"]: c["scale"] for c in grid["cells"]}
-        else:
-            totals = None
-            scales = None
+        cache = ResultCache(cache_dir) if cache_dir else None
+        grid, metrics = section("grid", lambda: run_grid(
+            specs, workers=workers, cache=cache,
+            supervisor=supervisor, recorder=recorder))
+        total_ops = sum(c.get("trace_ops", 0) for c in grid["cells"])
+        timed_walls = [c["wall_seconds"] for c in grid["cells"]
+                       if c.get("wall_seconds")]
+        totals = {
+            "cells": len(grid["cells"]),
+            "trace_ops": total_ops,
+            "wall_seconds": grid["wall_seconds"],
+            "sim_ops_per_sec": (total_ops / grid["wall_seconds"]
+                                if grid["wall_seconds"] else None),
+            "cell_wall_seconds_sum": sum(timed_walls),
+        }
         payload = {
             "schema": BENCH_SCHEMA,
             "python": platform.python_version(),
@@ -583,17 +362,16 @@ def run_bench(out: str = DEFAULT_OUT, quick: bool = False,
                 "workers": workers,
                 "quick": quick,
                 "cache_dir": cache_dir,
-                "scales": scales,
+                "scales": {c["workload"]: c["scale"]
+                           for c in grid["cells"]},
                 "traces": sorted({s.workload.name for s in specs
                                   if isinstance(s.workload,
                                                 TraceWorkloadSpec)}),
             },
             "grid": grid,
             "totals": totals,
-            "membench": mem_payload,
             "parallel": (compare_serial_parallel(specs, workers)
-                         if compare_serial and workers > 1 and grid_on
-                         else None),
+                         if compare_serial and workers > 1 else None),
             "metrics": metrics,
         }
         Path(out).write_text(json.dumps(payload, indent=2) + "\n",
@@ -609,7 +387,7 @@ def run_bench(out: str = DEFAULT_OUT, quick: bool = False,
             store.close()
         raise
     if recorder is not None:
-        failed = bool(((grid or {}).get("report") or {}).get("failed"))
+        failed = bool(grid["report"].get("failed"))
         recorder.finish("failed" if failed else "ok",
                         metrics_snapshot=metrics, payload=payload)
         store.close()
@@ -618,33 +396,20 @@ def run_bench(out: str = DEFAULT_OUT, quick: bool = False,
 
 def format_bench_summary(payload: Dict) -> str:
     """Human-readable digest of a bench payload for the CLI."""
-    lines = []
-    totals = payload.get("totals")
-    if totals:
-        lines.append(
-            f"grid: {totals['cells']} cells, "
-            f"{totals['trace_ops']} trace ops "
-            f"in {totals['wall_seconds']:.2f}s wall "
-            f"({(totals['sim_ops_per_sec'] or 0):,.0f} ops/sec)"
-        )
-    else:
-        lines.append("grid: skipped (--only)")
-    report = (payload.get("grid") or {}).get("report") or {}
+    totals = payload["totals"]
+    lines = [
+        f"grid: {totals['cells']} cells, "
+        f"{totals['trace_ops']} trace ops "
+        f"in {totals['wall_seconds']:.2f}s wall "
+        f"({(totals['sim_ops_per_sec'] or 0):,.0f} ops/sec)"
+    ]
+    report = payload["grid"]["report"]
     if report.get("failed"):
         lines.append(
             f"grid INCOMPLETE: {len(report['failed'])} cells failed "
             f"({report.get('retries', 0)} retries, "
             f"{report.get('timeouts', 0)} timeouts, "
             f"{report.get('worker_deaths', 0)} worker deaths)"
-        )
-    mem = payload.get("membench")
-    if mem:
-        lines.append(
-            f"memory stack: filtered {mem['filtered_ops_per_sec']:,.0f} "
-            f"accesses/sec vs unfiltered "
-            f"{mem['unfiltered_ops_per_sec']:,.0f} "
-            f"(speedup {mem['speedup']:.2f}x, "
-            f"identical={mem['identical_stats']})"
         )
     par = payload.get("parallel")
     if par:

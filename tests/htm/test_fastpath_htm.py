@@ -4,8 +4,8 @@ A repeat access whose block is already in the transaction's set, with
 the line resident and permissions held, must return a granted outcome
 at L1-hit latency without re-acquiring tokens, re-logging or reaching
 the directory.  No variant short-circuits such accesses in the HTM
-layer: each runs its full access path, and the coherence hit filter
-serves the L1 hit.
+layer: each runs its full access path, and the coherence layer serves
+the L1 hit from the resident line.
 """
 
 import pytest
@@ -16,11 +16,7 @@ from repro.htm import make_htm
 from repro.htm.onetm import OneTM
 from tests.conftest import SMALL_T, small_system
 
-# The transaction-log region at ``1 << 40`` aliases filter slot 0 and
-# each log append advances one slot, so early log traffic churns the
-# low filter slots (a legal filter miss, but it would mask the
-# filtered hits these tests assert on).  Park the test block in a
-# high slot (0x3190 & 511 == 400) the log march never reaches here.
+# A data block well clear of the transaction-log region at ``1 << 40``.
 B = 0x3190
 
 
@@ -99,21 +95,10 @@ class TestTokenTM:
         assert out.granted
         htm.audit()
 
-    def test_fastpath_off_still_correct(self):
-        mem = MemorySystem(small_system(), fast_path=False)
-        htm = make_htm("TokenTM", mem, HTMConfig(tokens_per_block=SMALL_T))
-        htm.begin(0, 0)
-        htm.read(0, 0, B)
-        out = htm.read(0, 0, B)
-        assert out.granted
-        assert out.latency == mem.config.latency.l1_hit
-        assert mem.fastpath.coherence_read_hits == 0
-        htm.audit()
-
 
 class TestLogTMSE:
     """LogTM-SE has no set short-circuit of its own: a repeat access
-    is an L1 hit that the coherence hit filter serves, and only a
+    is a pure L1 hit in the coherence layer, and only a
     request that reaches the directory is signature-checked."""
 
     def test_repeat_read_short_circuits(self):
@@ -136,7 +121,7 @@ class TestLogTMSE:
         assert out.latency == htm.mem.config.latency.l1_hit
         assert htm.log_entries(0) == entries  # no duplicate undo log
 
-    def test_nacked_foreign_write_leaves_fast_path_intact(self):
+    def test_nacked_foreign_write_leaves_victim_line_resident(self):
         """Eager conflict detection NACKs the writer at the directory;
         the victim keeps its line, so its next re-read is an L1 hit."""
         htm = build("LogTM-SE_4xH3")
@@ -200,8 +185,8 @@ class TestOneTM:
 @pytest.mark.parametrize("variant",
                          ["TokenTM", "LogTM-SE_4xH3", "OneTM"])
 def test_counters_reach_metrics_registry(variant):
-    """Every variant serves the repeat read from the coherence hit
-    filter; ``htm_read_hits`` stays an always-zero key."""
+    """Every variant serves the repeat read as a pure L1 hit;
+    ``htm_read_hits`` stays an always-zero key."""
     from repro.obs.metrics import publish_fastpath
 
     htm = build(variant)

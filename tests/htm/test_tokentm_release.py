@@ -90,7 +90,7 @@ class TestSoftwareFallback:
         assert htm.write(2, 2, B).granted
         htm.audit()
 
-    def test_downgrade_of_read_block_keeps_fast_path(self):
+    def test_downgrade_of_read_block_keeps_fast_release(self):
         htm = build(l1_kb=4)
         htm.begin(0, 0)
         htm.read(0, 0, B)

@@ -1,5 +1,5 @@
-"""CLI surface: ``repro audit`` / ``repro query`` exit codes and the
-``--baseline landscape`` resolution (docs/robustness.md contract)."""
+"""CLI surface: ``repro audit`` / ``repro query`` exit codes
+(docs/robustness.md contract)."""
 
 from __future__ import annotations
 
@@ -10,13 +10,13 @@ from repro.landscape import LandscapeStore
 from repro.perf.bench import BENCH_SCHEMA
 
 
-def _bench_store(db, speedups):
-    """A store holding one trusted bench run per speedups dict."""
+def _bench_store(db, grid_ops):
+    """A store holding one trusted bench run per grid ops/s value."""
     with LandscapeStore(db) as store:
-        for speedup in speedups:
+        for ops in grid_ops:
             rec = store.begin_run("bench", bench_schema=BENCH_SCHEMA)
             rec.finish("ok", payload={"schema": BENCH_SCHEMA,
-                                      "membench": {"speedup": speedup}})
+                                      "totals": {"sim_ops_per_sec": ops}})
 
 
 class TestAudit:
@@ -26,7 +26,7 @@ class TestAudit:
 
     def test_clean_store_exits_0(self, tmp_path, capsys):
         db = tmp_path / "db"
-        _bench_store(db, [2.0])
+        _bench_store(db, [20000.0])
         assert main(["audit", str(db)]) == 0
         assert "ledger balanced" in capsys.readouterr().out
 
@@ -75,58 +75,20 @@ class TestQuery:
         assert main(["query", str(tmp_path / "nope.db")]) == 2
         assert "no landscape store" in capsys.readouterr().err
 
-    def test_no_regression_exits_0(self, tmp_path, capsys):
+    def test_lists_trusted_runs_exits_0(self, tmp_path, capsys):
         db = tmp_path / "db"
-        _bench_store(db, [2.0, 1.9])
+        _bench_store(db, [20000.0, 19000.0])
         assert main(["query", str(db)]) == 0
         out = capsys.readouterr().out
         assert "2 trusted run(s)" in out
-        assert "no regression" in out
-
-    def test_regression_exits_1(self, tmp_path, capsys):
-        db = tmp_path / "db"
-        _bench_store(db, [2.0, 1.0])
-        assert main(["query", str(db)]) == 1
-        captured = capsys.readouterr()
-        assert "REGRESSION" in captured.err
-        # A looser tolerance passes the same store.
-        assert main(["query", str(db), "--tolerance", "0.6"]) == 0
+        assert "grid=19,000 ops/s" in out
 
     def test_json_report(self, tmp_path, capsys):
         import json
 
         db = tmp_path / "db"
-        _bench_store(db, [2.0, 1.9])
+        _bench_store(db, [20000.0, 19000.0])
         assert main(["query", str(db), "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert len(doc["points"]) == 2
-        assert doc["deltas"]["membench"] == [2.0, 1.9]
-        assert doc["regressions"] == []
-
-
-class TestBaselineLandscape:
-    def test_no_store_warns_and_skips(self, tmp_path, capsys):
-        rc = main(["bench", "--quick", "--only", "membench",
-                   "--out", str(tmp_path / "b.json"),
-                   "--landscape", str(tmp_path / "db"),
-                   "--baseline", "landscape"])
-        assert rc == 0
-        assert "comparison skipped" in capsys.readouterr().err
-        # The run itself still recorded into the (new) store.
-        assert main(["audit", str(tmp_path / "db")]) == 0
-
-    def test_resolves_newest_trusted_run(self, tmp_path, capsys):
-        db = tmp_path / "db"
-        # Seed a trusted baseline whose membench ratio matches any
-        # real run (ratios compare against themselves loosely).
-        with LandscapeStore(db) as store:
-            rec = store.begin_run("bench", bench_schema=BENCH_SCHEMA)
-            rec.finish("ok", payload={"schema": BENCH_SCHEMA,
-                                      "membench": {"speedup": 0.01}})
-        rc = main(["bench", "--quick", "--only", "membench",
-                   "--out", str(tmp_path / "b.json"),
-                   "--landscape", str(db),
-                   "--baseline", "landscape"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "no regression vs landscape store" in out
+        assert [p["grid_ops_per_sec"] for p in doc["points"]] == \
+            [20000.0, 19000.0]

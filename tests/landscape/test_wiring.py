@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 
-from repro.landscape import LandscapeStore, audit_store, latest_baseline
+from repro.landscape import LandscapeStore, audit_store, trusted_bench_runs
 from repro.perf.bench import BENCH_SCHEMA, run_bench
 from repro.perf.cache import ResultCache
 from repro.perf.runner import ParallelRunner, grid_specs
@@ -92,8 +92,9 @@ def test_campaign_resume_books_resumed_cells(tmp_path):
 def test_run_bench_records_sections_and_payload(tmp_path):
     db = tmp_path / "db"
     payload = run_bench(
-        out=str(tmp_path / "b.json"), quick=True, only=["membench"],
-        landscape=str(db))
+        out=str(tmp_path / "b.json"), quick=True,
+        workload_names=("Cholesky",), variants=("TokenTM",),
+        scale_factor=0.25, traces=False, landscape=str(db))
     assert "unix_time" not in payload
 
     with LandscapeStore(db, readonly=True) as store:
@@ -103,8 +104,9 @@ def test_run_bench_records_sections_and_payload(tmp_path):
         assert run["bench_schema"] == BENCH_SCHEMA
         assert run["cache_schema"] is not None
         assert json.loads(run["payload"]) == payload
-        work, = store.work_rows()
-        assert (work["kind"], work["key"]) == ("bench_section",
-                                               "membench")
-        # And the run immediately becomes the --baseline landscape.
-        assert latest_baseline(store) == payload
+        sections = [(w["kind"], w["key"]) for w in store.work_rows()
+                     if w["kind"] == "bench_section"]
+        assert sections == [("bench_section", "grid")]
+        # And the run is immediately listed as trusted.
+        point, = trusted_bench_runs(store)
+        assert point.grid_ops_per_sec == payload["totals"]["sim_ops_per_sec"]

@@ -9,14 +9,7 @@ import pytest
 
 from repro.common.config import SystemConfig
 from repro.faults.plan import default_plan
-from repro.perf.bench import (
-    BENCH_SCHEMA,
-    bench_specs,
-    check_regression,
-    load_bench,
-    membench,
-    run_bench,
-)
+from repro.perf.bench import BENCH_SCHEMA, bench_specs, run_bench
 from repro.workloads import cholesky, vacation_low
 from repro.workloads.base import SyntheticTxnWorkload
 
@@ -59,13 +52,11 @@ def test_legacy_loop_matches_optimized_on_contended_trace():
     _assert_loops_agree("contended", trace, seed=11)
 
 
-@pytest.mark.parametrize("fast_path", [True, False],
-                         ids=["fastpath", "no-fastpath"])
 @pytest.mark.parametrize("variant", FAMILY_VARIANTS)
-def test_legacy_loop_matches_on_variant(variant, fast_path):
+def test_legacy_loop_matches_on_variant(variant):
     trace = cholesky().generate(seed=7, scale=0.004, threads=4)
     stats = _assert_loops_agree(f"variant-{variant}", trace, seed=7,
-                                variant=variant, filtered=fast_path)
+                                variant=variant)
     assert stats.commits > 0
 
 
@@ -144,6 +135,8 @@ def test_run_bench_writes_schema_documented_json(tmp_path):
     assert cell["wall_seconds"] > 0
     assert cell["sim_ops_per_sec"] > 0
     assert cell["cache_hit"] is False
+    assert len(cell["digest"]) == 16
+    int(cell["digest"], 16)
     assert on_disk["totals"]["trace_ops"] == cell["trace_ops"]
     assert on_disk["metrics"]["perf.simulated"]["value"] == 1
     # Second run hits the cache: same stats content, no wall time.
@@ -156,80 +149,8 @@ def test_run_bench_writes_schema_documented_json(tmp_path):
     assert warm["cache_hit"] is True
     assert warm["wall_seconds"] is None
     assert warm["makespan"] == cell["makespan"]
+    assert warm["digest"] == cell["digest"]
     assert rerun["metrics"]["perf.cache_hits"]["value"] == 1
-
-
-def test_membench_identical_stats_and_speedup():
-    result = membench(rounds=1, blocks=16, repeats=6)
-    assert result["identical_stats"] is True
-    assert result["accesses"] > 0
-    assert result["speedup"] > 0
-    assert result["fastpath"]["coherence_read_hits"] > 0
-    assert result["fastpath"]["coherence_write_hits"] > 0
-
-
-def test_run_bench_membench_section(tmp_path):
-    out = tmp_path / "BENCH_perf.json"
-    payload = run_bench(
-        out=str(out), quick=True, workload_names=("Cholesky",),
-        variants=("TokenTM",), scale_factor=0.25,
-    )
-    mem = payload["membench"]
-    assert mem["identical_stats"] is True
-    assert mem["filtered_ops_per_sec"] > 0
-    assert mem["unfiltered_ops_per_sec"] > 0
-    assert "fast_path" not in payload["config"]
-    # The fast-path counters reach the artifact's metrics section.
-    metrics = payload["metrics"]
-    assert metrics["perf.fastpath.coherence_read_hits"]["value"] > 0
-
-
-def test_run_bench_only_sections(tmp_path):
-    out = tmp_path / "BENCH_perf.json"
-    payload = run_bench(out=str(out), quick=True, only=["membench"])
-    assert payload["grid"] is None
-    assert payload["totals"] is None
-    assert payload["config"]["scales"] is None
-    assert "kernelbench" not in payload
-    assert payload["membench"]["identical_stats"] is True
-    on_disk = json.loads(out.read_text())
-    assert on_disk == payload
-    # A skipped section warns (not fails) against a full baseline.
-    from repro.perf.bench import baseline_warnings
-
-    grid_only = run_bench(
-        out=str(out), quick=True, workload_names=("Cholesky",),
-        variants=("TokenTM",), scale_factor=0.25, traces=False,
-        only=["grid"])
-    assert grid_only["membench"] is None
-    baseline = {"schema": BENCH_SCHEMA, "membench": {"speedup": 1.6}}
-    assert check_regression(grid_only, baseline) == []
-    warnings = baseline_warnings(grid_only, baseline)
-    assert any("membench" in w for w in warnings)
-
-
-def test_baseline_from_schema8_with_kernelbench(tmp_path):
-    """A /8 baseline still carries the deleted ``kernelbench`` section:
-    the comparison warns about the schema and the extra section, and
-    still checks the sections both payloads share."""
-    from repro.perf.bench import baseline_warnings
-
-    payload = run_bench(
-        out=str(tmp_path / "b.json"), quick=True,
-        only=["membench"],
-    )
-    baseline = {"schema": "repro-bench-perf/8",
-                "membench": {"speedup": payload["membench"]["speedup"]},
-                "kernelbench": {"speedup": 3.5}}
-    warnings = baseline_warnings(payload, baseline)
-    assert any("schema mismatch" in w and "/8" in w for w in warnings)
-    assert any("kernelbench" in w for w in warnings)
-    assert not any("membench" in w for w in warnings)
-    assert check_regression(payload, baseline) == []
-    # The shared sections are really compared: an eroded ratio fails.
-    baseline["membench"]["speedup"] = payload["membench"]["speedup"] * 10
-    failures = check_regression(payload, baseline)
-    assert len(failures) == 1 and "membench" in failures[0]
 
 
 def test_run_bench_only_rejects_unknown_section(tmp_path):
@@ -239,18 +160,7 @@ def test_run_bench_only_rejects_unknown_section(tmp_path):
 
     with pytest.raises(ConfigError, match="grid"):
         run_bench(out=str(tmp_path / "b.json"), quick=True,
-                  only=["membench", "gird"])
-
-
-def test_format_bench_summary_handles_skipped_grid(tmp_path):
-    from repro.perf.bench import format_bench_summary
-
-    payload = run_bench(
-        out=str(tmp_path / "b.json"), quick=True, only=["membench"],
-    )
-    summary = format_bench_summary(payload)
-    assert "grid: skipped" in summary
-    assert "memory stack" in summary
+                  only=["grid", "gird"])
 
 
 def test_bench_payload_has_no_wall_clock_identity(tmp_path):
@@ -259,70 +169,9 @@ def test_bench_payload_has_no_wall_clock_identity(tmp_path):
     timestamps belong to the landscape's run row, not the payload
     (docs/performance.md)."""
     payload = run_bench(
-        out=str(tmp_path / "b.json"), quick=True, only=["membench"],
+        out=str(tmp_path / "b.json"), quick=True,
+        workload_names=("Cholesky",), variants=("TokenTM",),
+        scale_factor=0.25, traces=False,
     )
     assert "unix_time" not in payload
-    assert payload["schema"] == BENCH_SCHEMA == "repro-bench-perf/11"
-
-
-def test_load_baseline_missing_file_is_soft(tmp_path):
-    from repro.perf.bench import load_baseline
-
-    payload, problem = load_baseline(str(tmp_path / "nope.json"))
-    assert payload is None
-    assert "unreadable" in problem and "comparison skipped" in problem
-
-
-def test_load_baseline_truncated_file_is_soft(tmp_path):
-    from repro.perf.bench import load_baseline
-
-    path = tmp_path / "empty.json"
-    path.write_text("")
-    payload, problem = load_baseline(str(path))
-    assert payload is None
-    assert "truncated" in problem and "comparison skipped" in problem
-
-
-def test_load_baseline_invalid_json_is_soft(tmp_path):
-    from repro.perf.bench import load_baseline
-
-    path = tmp_path / "bad.json"
-    path.write_text('{"schema": "repro-bench-perf/8", "membench"')
-    payload, problem = load_baseline(str(path))
-    assert payload is None
-    assert "not valid JSON" in problem
-
-
-def test_load_baseline_non_object_is_soft(tmp_path):
-    from repro.perf.bench import load_baseline
-
-    path = tmp_path / "list.json"
-    path.write_text("[1, 2, 3]")
-    payload, problem = load_baseline(str(path))
-    assert payload is None
-    assert "not a bench payload object" in problem
-
-
-def test_load_baseline_good_file_round_trips(tmp_path):
-    from repro.perf.bench import load_baseline
-
-    base = {"schema": BENCH_SCHEMA, "membench": {"speedup": 2.0}}
-    path = tmp_path / "BENCH_perf.json"
-    path.write_text(json.dumps(base))
-    payload, problem = load_baseline(str(path))
-    assert problem is None
-    assert payload == base
-
-
-def test_check_regression_compares_ratios(tmp_path):
-    base = {"membench": {"speedup": 1.6}}
-    ok = {"membench": {"speedup": 1.5}}
-    bad = {"membench": {"speedup": 1.0}}
-    assert check_regression(ok, base, tolerance=0.3) == []
-    failures = check_regression(bad, base, tolerance=0.3)
-    assert len(failures) == 1 and "membench" in failures[0]
-    # Absent sections (e.g. --only grid) are skipped, not failed.
-    assert check_regression({"membench": None}, base) == []
-    path = tmp_path / "BENCH_perf.json"
-    path.write_text(json.dumps(base))
-    assert load_bench(str(path)) == base
+    assert payload["schema"] == BENCH_SCHEMA == "repro-bench-perf/12"

@@ -12,8 +12,6 @@ protocol's cost formula computed from the hop tables.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import pytest
-
 from repro.coherence.directory import DirState
 from repro.coherence.protocol import MemorySystem
 from tests.conftest import small_system
@@ -61,11 +59,10 @@ def expected_miss_latency(mem, core, block, is_write, on_chip):
             + 2 * topo.bank_to_memory_hops(bank, block) * lat.hop)
 
 
-@pytest.mark.parametrize("fast_path", [True, False])
 @settings(max_examples=80, deadline=None)
 @given(ops=ops_strategy)
-def test_miss_fetches_exactly_blocks_never_on_chip(fast_path, ops):
-    mem = MemorySystem(small_system(), fast_path=fast_path)
+def test_miss_fetches_exactly_blocks_never_on_chip(ops):
+    mem = MemorySystem(small_system())
     mem.mark_zero_filled(ZERO_START, ZERO_END)
     on_chip = set()
     for op in ops:

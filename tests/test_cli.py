@@ -4,11 +4,8 @@ import json
 
 import pytest
 
-from repro.analysis import experiments
 from repro.cli import DEFAULT_SCALES, build_parser, main
-from repro.coherence.protocol import MemorySystem
 from repro.htm import VARIANTS
-from repro.traces.workload import fixture_path
 
 
 class TestParser:
@@ -32,11 +29,11 @@ class TestParser:
 
     def test_bench_only_choices_enforced(self):
         parser = build_parser()
-        args = parser.parse_args(["bench", "--only", "membench",
-                                  "--only", "grid"])
-        assert args.only == ["membench", "grid"]
-        with pytest.raises(SystemExit):
-            parser.parse_args(["bench", "--only", "everything"])
+        args = parser.parse_args(["bench", "--only", "grid"])
+        assert args.only == ["grid"]
+        for name in ("everything", "layers"):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["bench", "--only", name])
 
 
 class TestCommands:
@@ -136,30 +133,6 @@ class TestTraceCommands:
             main(["trace"])
 
 
-class TestHitFilterInvariance:
-    """The coherence hit filter never changes what ``repro run`` prints."""
-
-    @pytest.mark.parametrize("argv", [
-        ["run", "Cholesky", "TokenTM", "--scale", "0.002"],
-        ["run", "TokenTM", "--trace-file", str(fixture_path("prodcons")),
-         "--json"],
-    ], ids=["synthetic", "trace-file"])
-    def test_unfiltered_run_prints_identical_output(self, monkeypatch,
-                                                    capsys, argv):
-        assert main(argv) == 0
-        filtered = capsys.readouterr().out
-        built = []
-
-        def unfiltered(*args, **kwargs):
-            built.append(MemorySystem(*args, fast_path=False, **kwargs))
-            return built[-1]
-
-        monkeypatch.setattr(experiments, "MemorySystem", unfiltered)
-        assert main(argv) == 0
-        assert built
-        assert capsys.readouterr().out == filtered
-
-
 class TestBenchNames:
     @pytest.mark.parametrize("flag", ["--workloads", "--variants"])
     def test_unknown_name_exits_2_before_running(self, tmp_path, capsys,
@@ -173,41 +146,3 @@ class TestBenchNames:
         assert err[0].startswith("bench: unknown ") and "Bogus" in err[0]
         assert captured.out == ""
         assert not out.exists()
-
-
-class TestBenchBaseline:
-    """``--baseline`` problems warn and skip — never traceback.
-
-    One bench invocation per failure mode, kept cheap with
-    ``--only membench``; the fresh results must still land and the
-    exit code must stay 0 (satellite of docs/robustness.md's exit-code
-    contract)."""
-
-    def _bench(self, tmp_path, baseline):
-        return main(["bench", "--quick", "--only", "membench",
-                     "--out", str(tmp_path / "fresh.json"),
-                     "--baseline", str(baseline)])
-
-    def test_missing_baseline_warns_and_skips(self, tmp_path, capsys):
-        assert self._bench(tmp_path, tmp_path / "nope.json") == 0
-        captured = capsys.readouterr()
-        assert "comparison skipped" in captured.err
-        assert "unreadable" in captured.err
-        assert (tmp_path / "fresh.json").exists()
-
-    def test_truncated_baseline_warns_and_skips(self, tmp_path, capsys):
-        empty = tmp_path / "empty.json"
-        empty.write_text("")
-        assert self._bench(tmp_path, empty) == 0
-        captured = capsys.readouterr()
-        assert "truncated" in captured.err
-        assert "comparison skipped" in captured.err
-
-    def test_invalid_json_baseline_warns_and_skips(self, tmp_path,
-                                                   capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"schema": "repro-bench-perf/8", ')
-        assert self._bench(tmp_path, bad) == 0
-        captured = capsys.readouterr()
-        assert "not valid JSON" in captured.err
-        assert "comparison skipped" in captured.err

@@ -16,8 +16,6 @@ from repro.workloads.trace import (
     wait,
 )
 
-from tests.integration.test_golden_stats import run_case
-
 ORACLE_VARIANTS = ("TokenTM", "LogTM-SE_Perf", "OneTM")
 
 
@@ -59,18 +57,11 @@ class TestFixtureReplay:
         stats = run_trace(trace, variant, seed=0)
         assert stats.commits == trace.transaction_count()
 
-    @pytest.mark.parametrize("fast_path", [True, False])
-    def test_replay_is_deterministic(self, fast_path):
+    def test_replay_is_deterministic(self):
         trace = fixture_workloads()["barrier_storm"].generate()
-        a, _ = run_case(trace, "TokenTM", filtered=fast_path)
-        b, _ = run_case(trace, "TokenTM", filtered=fast_path)
+        a = run_trace(trace, "TokenTM", seed=0)
+        b = run_trace(trace, "TokenTM", seed=0)
         assert a.snapshot() == b.snapshot()
-
-    def test_fastpath_does_not_change_results(self):
-        trace = fixture_workloads()["mutex_ring"].generate()
-        on = run_trace(trace, "TokenTM", seed=0)
-        off, _ = run_case(trace, "TokenTM", filtered=False)
-        assert on.snapshot() == off.snapshot()
 
     def test_gzip_fixture_loads(self):
         assert fixture_path("barrier_storm").name.endswith(".strace.gz")
@@ -88,16 +79,14 @@ class TestRecordReplayOracle:
             [t.ops for t in original.threads]
 
     @pytest.mark.parametrize("variant", ORACLE_VARIANTS)
-    @pytest.mark.parametrize("fast_path", [True, False])
-    def test_replay_stats_match_generator_run(self, tmp_path, variant,
-                                              fast_path):
+    def test_replay_stats_match_generator_run(self, tmp_path, variant):
         original = barnes().generate(seed=7, scale=0.005)
         path = tmp_path / "b.strace.gz"
         options = record_trace(original, path)
         replayed = convert_file(path, name=original.name,
                                 options=options)
-        a, _ = run_case(original, variant, seed=1, filtered=fast_path)
-        b, _ = run_case(replayed, variant, seed=1, filtered=fast_path)
+        a = run_trace(original, variant, seed=1)
+        b = run_trace(replayed, variant, seed=1)
         assert a.snapshot() == b.snapshot()
 
     def test_lock_application_round_trips(self, tmp_path):
