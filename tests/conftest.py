@@ -10,7 +10,8 @@ from repro.common.config import (
     LatencyModel,
     SystemConfig,
 )
-from repro.coherence.protocol import MemorySystem
+from repro.coherence.cache import MESI
+from repro.coherence.protocol import AccessResult, MemorySystem
 from repro.htm import make_htm
 
 #: A small token count keeps unit-test arithmetic readable.  8 is
@@ -31,6 +32,33 @@ def small_system(cores: int = 4, l1_kb: int = 1) -> SystemConfig:
         memory_controllers=2,
         latency=LatencyModel(),
     )
+
+
+class ReferenceMemorySystem(MemorySystem):
+    """The memory system with a plain L1 hit: the oracle that the
+    production hit path (:meth:`MemorySystem.fast_hit`) must match.
+
+    A resident line that needs no directory action (any read; a write
+    to an M or E line) is served through ``L1Cache.lookup`` and
+    ``touch_line`` with a fresh ``AccessResult``: never ``fast_hit``,
+    never the line's interned ``CacheLine.hit``, so the fast-path
+    counters stay 0.  Misses and S->M upgrades take the production
+    paths.
+    """
+
+    def access(self, core: int, block: int, is_write: bool) -> AccessResult:
+        cache = self.cache(core)
+        line = cache.lookup(block)
+        if line is None or (is_write and line.state is MESI.SHARED):
+            return super().access(core, block, is_write)
+        cache.touch_line(line)
+        if is_write:
+            self.stats.writes += 1
+            line.state = MESI.MODIFIED
+        else:
+            self.stats.reads += 1
+        self.stats.l1_hits += 1
+        return AccessResult(self.config.latency.l1_hit, True, line)
 
 
 @pytest.fixture

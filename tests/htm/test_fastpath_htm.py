@@ -14,7 +14,7 @@ from repro.common.config import HTMConfig
 from repro.coherence.protocol import MemorySystem
 from repro.htm import make_htm
 from repro.htm.onetm import OneTM
-from tests.conftest import SMALL_T, small_system
+from tests.conftest import SMALL_T, ReferenceMemorySystem, small_system
 
 # A data block well clear of the transaction-log region at ``1 << 40``.
 B = 0x3190
@@ -93,6 +93,17 @@ class TestTokenTM:
         htm.schedule(0, 0)
         out = htm.read(0, 0, B)    # line state changed; never wrong
         assert out.granted
+        htm.audit()
+
+    def test_fastpath_off_still_correct(self):
+        mem = ReferenceMemorySystem(small_system())
+        htm = make_htm("TokenTM", mem, HTMConfig(tokens_per_block=SMALL_T))
+        htm.begin(0, 0)
+        htm.read(0, 0, B)
+        out = htm.read(0, 0, B)
+        assert out.granted
+        assert out.latency == mem.config.latency.l1_hit
+        assert mem.fastpath.coherence_read_hits == 0
         htm.audit()
 
 

@@ -1,14 +1,17 @@
-"""The coherence hit filter must be invisible in simulated results.
+"""The interned L1 hit must be invisible in simulated results.
 
-Runs a small workload x variant grid twice — the production path with
-the filter on, and :func:`run_case` with it off — and requires
-byte-identical :class:`RunStats` snapshots: traces, scheduling
-(including preemption), conflicts, token release, everything.
+Runs a small workload x variant grid twice — the production path,
+whose pure L1 hits go through ``MemorySystem.fast_hit``, and
+:func:`run_case` on the reference memory system, whose plain L1 hit
+never does — and requires byte-identical :class:`RunStats` snapshots:
+traces, scheduling (including preemption), conflicts, token release,
+everything.
 """
 
 import pytest
 
 from repro.analysis.experiments import run_cell, run_trace
+from repro.coherence.protocol import MemorySystem
 from repro.workloads import cholesky, genome, vacation_high
 
 from tests.integration.test_golden_stats import run_case
@@ -26,7 +29,8 @@ GRID = [
 def test_runstats_identical_across_modes(workload, variant, scale):
     fast = run_cell(workload(), variant, scale=scale, seed=7)
     trace = workload().generate(seed=7, scale=scale, threads=32)
-    slow, _ = run_case(trace, variant, seed=7, filtered=False)
+    slow, mem = run_case(trace, variant, seed=7, reference=True)
+    assert mem.fastpath.coherence_read_hits == 0
     assert fast.stats.snapshot() == slow.snapshot()
 
 
@@ -40,22 +44,27 @@ def test_identical_under_preemption():
     fast = run_trace(trace, "TokenTM", system=system, seed=9,
                      quantum=25, audit=True)
     slow, _ = run_case(trace, "TokenTM", system, seed=9, quantum=25,
-                       audit=True, filtered=False)
+                       audit=True, reference=True)
     assert fast.preemptions > 0
     assert fast.snapshot() == slow.snapshot()
 
 
-def test_fast_path_actually_fires():
-    """Guard against the equivalence passing vacuously because the
-    filters never engage on real workloads."""
-    from repro.common.config import HTMConfig, RunConfig, SystemConfig
-    from repro.coherence.protocol import MemorySystem
-    from repro.htm import make_htm
-    from repro.runtime.executor import run_workload
+def test_fast_hit_calls_equal_pure_hit_counters(monkeypatch):
+    """One ``fast_hit`` call per pure hit on a whole run: the counters
+    perfbench's traced pass compares against its call count.  It also
+    guards the equivalence above against passing vacuously."""
+    calls = []
+    fast_hit = MemorySystem.fast_hit
 
+    def counted(self, core, line, is_write):
+        calls.append(is_write)
+        return fast_hit(self, core, line, is_write)
+
+    monkeypatch.setattr(MemorySystem, "fast_hit", counted)
     trace = cholesky().generate(seed=7, scale=0.004, threads=4)
-    mem = MemorySystem(SystemConfig())
-    machine = make_htm("TokenTM", mem, HTMConfig())
-    run_workload(machine, trace, RunConfig(seed=7))
-    fp = mem.fastpath.snapshot()
-    assert fp["coherence_read_hits"] + fp["coherence_write_hits"] > 0
+    stats, mem = run_case(trace, "TokenTM", seed=7)
+    assert stats.commits > 0
+    fp = mem.fastpath
+    assert calls.count(False) == fp.coherence_read_hits > 0
+    assert calls.count(True) == fp.coherence_write_hits > 0
+    assert len(calls) == mem.stats.l1_hits

@@ -1,9 +1,11 @@
 """Golden digests of exact simulated results.
 
 Each case runs one small cell and hashes its ``RunStats`` and
-``ProtocolStats`` snapshots.  :func:`run_case` builds each run, and
-other tests build whole runs with it too.  The digests were recorded
-once and are
+``ProtocolStats`` snapshots.  :func:`run_case` builds each run; it is
+also the one place where other tests build a whole run on the
+reference memory system (``tests.conftest.ReferenceMemorySystem``),
+whose plain L1 hit is the oracle for the production hit path.  The
+digests were recorded once and are
 regenerated only when a change *means* to alter simulated results: a
 performance change to the access, token or log paths must leave every
 one of them matching.  Print fresh digests with::
@@ -30,14 +32,17 @@ from repro.runtime.stats import RunStats
 from repro.workloads import delaunay, genome, vacation_high
 from repro.workloads.trace import WorkloadTrace
 
+from tests.conftest import ReferenceMemorySystem
+
 SCALE = 0.005
 SEED = 2008
 WORKLOADS = {"Vacation-High": vacation_high, "Delaunay": delaunay,
              "Genome": genome}
 
 #: (workload, variant, mode) -> digest.  ``mode`` is "plain" (the
-#: 32-core base system), "preempt" (8 threads time-shared on 4
-#: cores) or "faults" (the default chaos plan
+#: 32-core base system), "nofast" (the same on the reference memory
+#: system, whose L1 hits never go through ``fast_hit``), "preempt" (8
+#: threads time-shared on 4 cores) or "faults" (the default chaos plan
 #: plus the invariant monitor, which checks every 512th quantum
 #: boundary).
 GOLDEN = {
@@ -58,11 +63,14 @@ GOLDEN = {
     ("Genome", "TokenTM_NoFast", "plain"): "190de2c3b0726c42",
     ("Vacation-High", "LogTM-SE_2xH3", "plain"): "79c6b50c37e90b73",
     ("Vacation-High", "LogTM-SE_4xH3", "faults"): "4741b8a0a3641c2f",
+    ("Vacation-High", "LogTM-SE_4xH3", "nofast"): "60ab9e7f78066f0e",
     ("Vacation-High", "LogTM-SE_4xH3", "plain"): "60ab9e7f78066f0e",
     ("Vacation-High", "LogTM-SE_Perf", "plain"): "9f434c1c9d4ce580",
     ("Vacation-High", "OneTM", "faults"): "a0a0a77a259e5f7e",
+    ("Vacation-High", "OneTM", "nofast"): "4bf3ddaa2d267c27",
     ("Vacation-High", "OneTM", "plain"): "4bf3ddaa2d267c27",
     ("Vacation-High", "TokenTM", "faults"): "249fff14c1d61695",
+    ("Vacation-High", "TokenTM", "nofast"): "8a95fa8064566860",
     ("Vacation-High", "TokenTM", "plain"): "8a95fa8064566860",
     ("Vacation-High", "TokenTM", "preempt"): "ce70848734ecefbb",
     ("Vacation-High", "TokenTM_NoFast", "faults"): "7a0c2ab1961f631a",
@@ -73,17 +81,19 @@ GOLDEN = {
 
 def run_case(trace: WorkloadTrace, variant: str,
              system: Optional[SystemConfig] = None, *, seed: int = 0,
-             quantum: int = 200,
+             reference: bool = False, quantum: int = 200,
              audit: bool = False, faults: Optional[FaultPlan] = None,
              monitor: Optional[InvariantMonitor] = None,
              ) -> Tuple[RunStats, MemorySystem]:
     """Run ``trace`` on a fresh machine, as ``run_trace`` does.
 
-    Returns the run's stats and the memory system.
+    ``reference=True`` builds the reference memory system, the oracle
+    that production results must match.  Returns the run's stats and
+    the memory system.
     """
     system = system or SystemConfig()
     htm_config = HTMConfig()
-    mem = MemorySystem(system)
+    mem = (ReferenceMemorySystem if reference else MemorySystem)(system)
     machine = make_htm(variant, mem, htm_config)
     injector = (FaultInjector(faults, seed=seed)
                 if faults is not None else None)
@@ -108,7 +118,7 @@ def digest(workload: str, variant: str, mode: str) -> str:
         # case to a few seconds while still checking mid-run.
         monitor = InvariantMonitor(cadence=512)
     stats, mem = run_case(
-        trace, variant, system, seed=SEED,
+        trace, variant, system, seed=SEED, reference=mode == "nofast",
         quantum=50 if mode == "preempt" else 200,
         faults=default_plan() if mode == "faults" else None,
         monitor=monitor)

@@ -52,11 +52,13 @@ def test_legacy_loop_matches_optimized_on_contended_trace():
     _assert_loops_agree("contended", trace, seed=11)
 
 
+@pytest.mark.parametrize("interned", [True, False],
+                         ids=["fastpath", "no-fastpath"])
 @pytest.mark.parametrize("variant", FAMILY_VARIANTS)
-def test_legacy_loop_matches_on_variant(variant):
+def test_legacy_loop_matches_on_variant(variant, interned):
     trace = cholesky().generate(seed=7, scale=0.004, threads=4)
     stats = _assert_loops_agree(f"variant-{variant}", trace, seed=7,
-                                variant=variant)
+                                variant=variant, reference=not interned)
     assert stats.commits > 0
 
 

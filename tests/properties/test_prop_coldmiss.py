@@ -6,15 +6,18 @@ chip".  Here the test keeps its own set of blocks ever brought on chip
 and checks, across random accesses, evictions and way masks, that a
 miss fetches from DRAM exactly when its block is outside that set and
 outside every zero-filled range, and that its latency matches the
-protocol's cost formula computed from the hop tables.
+protocol's cost formula computed from the hop tables, on the production
+memory system and on the reference one alike.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pytest
+
 from repro.coherence.directory import DirState
 from repro.coherence.protocol import MemorySystem
-from tests.conftest import small_system
+from tests.conftest import ReferenceMemorySystem, small_system
 
 CORES = 4
 #: Six blocks per L1 set (the test system's L1s have 4 sets of 4
@@ -59,10 +62,12 @@ def expected_miss_latency(mem, core, block, is_write, on_chip):
             + 2 * topo.bank_to_memory_hops(bank, block) * lat.hop)
 
 
+@pytest.mark.parametrize("interned", [True, False])
 @settings(max_examples=80, deadline=None)
 @given(ops=ops_strategy)
-def test_miss_fetches_exactly_blocks_never_on_chip(ops):
-    mem = MemorySystem(small_system())
+def test_miss_fetches_exactly_blocks_never_on_chip(interned, ops):
+    mem = (MemorySystem if interned else ReferenceMemorySystem)(
+        small_system())
     mem.mark_zero_filled(ZERO_START, ZERO_END)
     on_chip = set()
     for op in ops:

@@ -4,14 +4,19 @@
 which requests LogTM-SE signature-checks); ``access`` is what actually
 happens.  The preview must be True exactly when the access misses in
 the L1 or upgrades a shared line, and a False preview must be a pure
-L1 hit: served by ``fast_hit`` with the line's interned result.
+L1 hit: served by ``fast_hit`` with the line's interned result.  The
+agreement must hold just the same on the reference memory system,
+whose plain L1 hit never goes through ``fast_hit``, and both machines
+must give the same answer at every step.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pytest
+
 from repro.coherence.protocol import MemorySystem
-from tests.conftest import small_system
+from tests.conftest import ReferenceMemorySystem, small_system
 
 CORES = 4
 
@@ -30,20 +35,39 @@ def check_agreement(mem, core, block, is_write):
     res = mem.access(core, block, is_write)
     assert needs == (not res.hit or res.upgraded)
     served = fp.coherence_read_hits + fp.coherence_write_hits - pure_hits
-    assert served == (not needs)
+    interned = not isinstance(mem, ReferenceMemorySystem)
+    assert served == (interned and not needs)
     if not needs:
         # No directory action promised: L1-hit latency, no coherence
         # side effects, no state change visible to others.
         assert res.latency == mem.config.latency.l1_hit
         assert res.invalidated == ()
         assert not res.filled
-        assert res is res.line.hit
+        assert (res is res.line.hit) == interned
+
+
+@pytest.mark.parametrize("interned", [True, False])
+@settings(max_examples=60, deadline=None)
+@given(ops=ops_strategy)
+def test_preview_agrees_with_access(interned, ops):
+    mem = (MemorySystem if interned else ReferenceMemorySystem)(
+        small_system())
+    for core, block, is_write in ops:
+        check_agreement(mem, core, block, is_write)
+    mem.audit()
 
 
 @settings(max_examples=60, deadline=None)
 @given(ops=ops_strategy)
-def test_preview_agrees_with_access(ops):
-    mem = MemorySystem(small_system())
+def test_preview_identical_across_modes(ops):
+    """Both machines must give the same answer at every step."""
+    fast = MemorySystem(small_system())
+    slow = ReferenceMemorySystem(small_system())
     for core, block, is_write in ops:
-        check_agreement(mem, core, block, is_write)
-    mem.audit()
+        assert (fast.needs_directory(core, block, is_write)
+                == slow.needs_directory(core, block, is_write))
+        a = fast.access(core, block, is_write)
+        b = slow.access(core, block, is_write)
+        assert (a.latency, a.hit, a.invalidated, a.source) \
+            == (b.latency, b.hit, b.invalidated, b.source)
+    assert fast.stats.snapshot() == slow.stats.snapshot()

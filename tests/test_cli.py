@@ -4,8 +4,12 @@ import json
 
 import pytest
 
+from repro.analysis import experiments
 from repro.cli import DEFAULT_SCALES, build_parser, main
 from repro.htm import VARIANTS
+from repro.traces.workload import fixture_path
+
+from tests.conftest import ReferenceMemorySystem
 
 
 class TestParser:
@@ -131,6 +135,30 @@ class TestTraceCommands:
     def test_trace_requires_workload_or_validate(self):
         with pytest.raises(SystemExit):
             main(["trace"])
+
+
+class TestHitFilterInvariance:
+    """The interned L1 hit never changes what ``repro run`` prints."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "Cholesky", "TokenTM", "--scale", "0.002"],
+        ["run", "TokenTM", "--trace-file", str(fixture_path("prodcons")),
+         "--json"],
+    ], ids=["synthetic", "trace-file"])
+    def test_unfiltered_run_prints_identical_output(self, monkeypatch,
+                                                    capsys, argv):
+        assert main(argv) == 0
+        filtered = capsys.readouterr().out
+        built = []
+
+        def unfiltered(*args, **kwargs):
+            built.append(ReferenceMemorySystem(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(experiments, "MemorySystem", unfiltered)
+        assert main(argv) == 0
+        assert built
+        assert capsys.readouterr().out == filtered
 
 
 class TestBenchNames:

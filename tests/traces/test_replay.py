@@ -16,6 +16,8 @@ from repro.workloads.trace import (
     wait,
 )
 
+from tests.integration.test_golden_stats import run_case
+
 ORACLE_VARIANTS = ("TokenTM", "LogTM-SE_Perf", "OneTM")
 
 
@@ -57,11 +59,18 @@ class TestFixtureReplay:
         stats = run_trace(trace, variant, seed=0)
         assert stats.commits == trace.transaction_count()
 
-    def test_replay_is_deterministic(self):
+    @pytest.mark.parametrize("interned", [True, False])
+    def test_replay_is_deterministic(self, interned):
         trace = fixture_workloads()["barrier_storm"].generate()
-        a = run_trace(trace, "TokenTM", seed=0)
-        b = run_trace(trace, "TokenTM", seed=0)
+        a, _ = run_case(trace, "TokenTM", reference=not interned)
+        b, _ = run_case(trace, "TokenTM", reference=not interned)
         assert a.snapshot() == b.snapshot()
+
+    def test_fastpath_does_not_change_results(self):
+        trace = fixture_workloads()["mutex_ring"].generate()
+        on = run_trace(trace, "TokenTM", seed=0)
+        off, _ = run_case(trace, "TokenTM", reference=True)
+        assert on.snapshot() == off.snapshot()
 
     def test_gzip_fixture_loads(self):
         assert fixture_path("barrier_storm").name.endswith(".strace.gz")
@@ -79,14 +88,16 @@ class TestRecordReplayOracle:
             [t.ops for t in original.threads]
 
     @pytest.mark.parametrize("variant", ORACLE_VARIANTS)
-    def test_replay_stats_match_generator_run(self, tmp_path, variant):
+    @pytest.mark.parametrize("interned", [True, False])
+    def test_replay_stats_match_generator_run(self, tmp_path, variant,
+                                              interned):
         original = barnes().generate(seed=7, scale=0.005)
         path = tmp_path / "b.strace.gz"
         options = record_trace(original, path)
         replayed = convert_file(path, name=original.name,
                                 options=options)
-        a = run_trace(original, variant, seed=1)
-        b = run_trace(replayed, variant, seed=1)
+        a, _ = run_case(original, variant, seed=1, reference=not interned)
+        b, _ = run_case(replayed, variant, seed=1, reference=not interned)
         assert a.snapshot() == b.snapshot()
 
     def test_lock_application_round_trips(self, tmp_path):
