@@ -3,8 +3,11 @@
 Each benchmark regenerates one table or figure of the paper.  The
 simulated runs are expensive, so:
 
-* every workload runs at a per-benchmark ``SCALE`` (fraction of the
-  paper's Table 5 transaction count), recorded in the output;
+* every workload runs at its Figure 5 grid scale
+  (:data:`~repro.analysis.experiments.GRID_SCALES`, a fraction of the
+  paper's Table 5 transaction count), recorded in the output — so
+  every Figure 1, Figure 5 and Table 6 cell is also a ``repro bench``
+  grid cell and can be served from the bench's result cache;
 * (workload, variant) cells are cached per session so Figure 5 and
   Table 6 share TokenTM runs;
 * cells execute through a shared
@@ -23,33 +26,13 @@ from typing import Dict, Optional, Tuple
 
 import pytest
 
+from repro.analysis.experiments import GRID_SCALES
 from repro.perf.cache import ENV_CACHE_DIR, ResultCache
 from repro.perf.runner import CellSpec, ParallelRunner
 from repro.workloads import tm_workloads
 
 #: Seed used by every benchmark run (perturbed where CIs are needed).
 BENCH_SEED = 2008  # the paper's year
-
-#: Fraction of each workload's full transaction count to simulate.
-#: Chosen so the whole harness finishes in a couple of minutes while
-#: every workload still runs hundreds of transactions.
-SCALES: Dict[str, float] = {
-    "Barnes": 0.2,
-    "Cholesky": 0.01,
-    "Radiosity": 0.02,
-    "Raytrace": 0.01,
-    "Delaunay": 0.015,
-    "Genome": 0.004,
-    "Vacation-Low": 0.02,
-    "Vacation-High": 0.02,
-}
-
-#: Paper order for tables/figures (SPLASH first, then STAMP).
-WORKLOAD_ORDER = (
-    "Barnes", "Cholesky", "Radiosity", "Raytrace",
-    "Delaunay", "Genome", "Vacation-Low", "Vacation-High",
-)
-
 
 @pytest.fixture(scope="session")
 def cell_cache() -> Dict[Tuple[str, str, int], object]:
@@ -81,7 +64,7 @@ def cached_cell(cache, workloads, name: str, variant: str,
     key = (name, variant, seed)
     if key not in cache:
         spec = CellSpec(workloads[name].spec, variant, seed=seed,
-                        scale=SCALES[name])
+                        scale=GRID_SCALES[name])
         cache[key] = _bench_runner().run_cell(spec)
     return cache[key]
 

@@ -7,18 +7,16 @@ for applications with larger and more frequent transactions
 (Delaunay worst, Vacation substantial, Genome mild).
 """
 
-from repro.analysis.experiments import FIGURE1_VARIANTS
+from repro.analysis.experiments import FIGURE1_VARIANTS, FIGURE1_WORKLOADS
 from repro.analysis.tables import format_bar_chart
 
 from benchmarks.conftest import BENCH_SEED, cached_cell, emit
-
-STAMP = ("Delaunay", "Genome", "Vacation-Low", "Vacation-High")
 
 
 def _run(cell_cache, workloads):
     chart = {}
     fp_counts = {}
-    for name in STAMP:
+    for name in FIGURE1_WORKLOADS:
         base = cached_cell(cell_cache, workloads, name, "LogTM-SE_Perf")
         bars = {}
         for variant in FIGURE1_VARIANTS:
@@ -44,7 +42,7 @@ def test_figure1_false_positives(benchmark, capsys, cell_cache, workloads):
                 for (n, v), c in sorted(fp_counts.items()) if c]
     emit(capsys, "\n".join(fp_lines))
 
-    for name in STAMP:
+    for name in FIGURE1_WORKLOADS:
         bars = chart[name]
         # Perfect signatures are the normalization baseline.
         assert abs(bars["LogTM-SE_Perf"] - 1.0) < 1e-9

@@ -14,22 +14,17 @@ Expected shapes (Section 6.2):
   giant read/write sets.
 """
 
-from repro.analysis.experiments import FIGURE5_VARIANTS
+from repro.analysis.experiments import FIGURE5_VARIANTS, GRID_SCALES
 from repro.analysis.tables import format_bar_chart
 
-from benchmarks.conftest import (
-    SCALES,
-    WORKLOAD_ORDER,
-    cached_cell,
-    emit,
-)
+from benchmarks.conftest import cached_cell, emit
 
 SPLASH = ("Barnes", "Cholesky", "Radiosity", "Raytrace")
 
 
 def _run(cell_cache, workloads):
     chart = {}
-    for name in WORKLOAD_ORDER:
+    for name in GRID_SCALES:
         base = cached_cell(cell_cache, workloads, name, "LogTM-SE_Perf")
         chart[name] = {
             variant: (base.stats.makespan
@@ -43,7 +38,7 @@ def _run(cell_cache, workloads):
 def test_figure5_performance(benchmark, capsys, cell_cache, workloads):
     chart = benchmark.pedantic(_run, args=(cell_cache, workloads),
                                rounds=1, iterations=1)
-    scale_note = ", ".join(f"{n} x{SCALES[n]}" for n in WORKLOAD_ORDER)
+    scale_note = ", ".join(f"{n} x{s}" for n, s in GRID_SCALES.items())
     emit(capsys, format_bar_chart(
         chart, "Figure 5. TokenTM Performance "
                "(speedup normalized to LogTM-SE_Perf)"))
@@ -72,6 +67,6 @@ def test_figure5_performance(benchmark, capsys, cell_cache, workloads):
         assert chart[name]["TokenTM"] > 0.75, name
 
     # TokenTM never falls catastrophically below perfect anywhere.
-    for name in WORKLOAD_ORDER:
+    for name in GRID_SCALES:
         assert chart[name]["TokenTM"] > 0.7, name
         assert abs(chart[name]["LogTM-SE_Perf"] - 1.0) < 1e-9

@@ -6,9 +6,10 @@ transactions, the software release cost, and log stalls as a
 percentage of execution time.
 """
 
+from repro.analysis.experiments import GRID_SCALES
 from repro.analysis.tables import format_table
 
-from benchmarks.conftest import WORKLOAD_ORDER, cached_cell, emit
+from benchmarks.conftest import cached_cell, emit
 
 #: Paper Table 6 column 2 (% transactions committing fast).
 PAPER_FAST_PCT = {
@@ -20,14 +21,14 @@ PAPER_FAST_PCT = {
 
 def _run(cell_cache, workloads):
     return {name: cached_cell(cell_cache, workloads, name, "TokenTM")
-            for name in WORKLOAD_ORDER}
+            for name in GRID_SCALES}
 
 
 def test_table6_overheads(benchmark, capsys, cell_cache, workloads):
     cells = benchmark.pedantic(_run, args=(cell_cache, workloads),
                                rounds=1, iterations=1)
     rows = []
-    for name in WORKLOAD_ORDER:
+    for name in GRID_SCALES:
         stats = cells[name].stats
         rows.append((
             name,
@@ -48,7 +49,7 @@ def test_table6_overheads(benchmark, capsys, cell_cache, workloads):
         rows, title="Table 6. TokenTM Specific Overheads",
     ))
 
-    for name in WORKLOAD_ORDER:
+    for name in GRID_SCALES:
         stats = cells[name].stats
         fast_pct = 100 * stats.fast_release_fraction
         if name in ("Barnes", "Cholesky", "Radiosity", "Raytrace",
@@ -72,5 +73,5 @@ def test_table6_overheads(benchmark, capsys, cell_cache, workloads):
             <= cells["Vacation-Low"].stats.fast_release_fraction + 0.05)
     # Log stalls stay a small fraction of execution everywhere
     # (paper: <= 0.4%; allow slack for the scaled runs).
-    for name in WORKLOAD_ORDER:
+    for name in GRID_SCALES:
         assert 100 * cells[name].stats.log_stall_fraction < 5.0, name

@@ -5,6 +5,8 @@ memory system and machine are built, the workload trace is generated
 and executed, and a :class:`~repro.runtime.stats.RunStats` comes back.
 The helpers here assemble the cells into the paper's figures:
 
+* :data:`GRID_SCALES`, :data:`FIGURE5_VARIANTS`,
+  :data:`FIGURE1_WORKLOADS` — the grid itself, defined once;
 * :func:`run_cell` / :func:`run_variants` — the grid primitives;
 * :func:`figure_speedups` — speedups normalized to LogTM-SE_Perf
   (Figures 1 and 5);
@@ -40,6 +42,18 @@ from repro.runtime.stats import RunStats
 from repro.workloads.base import SyntheticTxnWorkload
 from repro.workloads.trace import WorkloadTrace, static_set_sizes
 
+#: Per-workload scales (fractions of each Table 5 transaction count)
+#: of the Figure 5 grid, in the paper's workload order: SPLASH first,
+#: then STAMP.  Chosen for minutes-scale runs in which every workload
+#: still executes hundreds of transactions.  ``repro bench``, the
+#: figure and table commands and the pytest benchmarks all read this
+#: one table.
+GRID_SCALES: Dict[str, float] = {
+    "Barnes": 0.2, "Cholesky": 0.01, "Radiosity": 0.02,
+    "Raytrace": 0.01, "Delaunay": 0.015, "Genome": 0.004,
+    "Vacation-Low": 0.02, "Vacation-High": 0.02,
+}
+
 #: Variant order used in the paper's Figure 5.
 FIGURE5_VARIANTS = (
     "LogTM-SE_2xH3",
@@ -55,6 +69,9 @@ FIGURE1_VARIANTS = (
     "LogTM-SE_4xH3",
     "LogTM-SE_Perf",
 )
+
+#: The STAMP workloads Figure 1 plots.
+FIGURE1_WORKLOADS = ("Delaunay", "Genome", "Vacation-Low", "Vacation-High")
 
 
 @dataclass
@@ -142,6 +159,26 @@ def run_cell(workload: SyntheticTxnWorkload, variant: str,
     return Cell(trace.name, variant, seed, stats)
 
 
+def _run_grid(workload: SyntheticTxnWorkload, variants: Sequence[str],
+              seeds: Sequence[int], scale: float,
+              threads: Optional[int], system: Optional[SystemConfig],
+              htm_config: Optional[HTMConfig], runner) -> List[Cell]:
+    """Run ``workload`` x ``seeds`` x ``variants`` through ``runner``.
+
+    The default runner is a serial
+    :class:`~repro.perf.runner.ParallelRunner`; results come back in
+    (seed, variant) order.
+    """
+    from repro.perf.runner import ParallelRunner, grid_specs  # avoids cycle
+
+    specs = grid_specs([workload], tuple(variants), seeds=tuple(seeds),
+                       scale=scale, threads=threads, system=system,
+                       htm=htm_config)
+    if runner is None:
+        runner = ParallelRunner()
+    return _require_complete(runner.run_cells(specs), specs)
+
+
 def run_variants(workload: SyntheticTxnWorkload,
                  variants: Sequence[str],
                  scale: float = 1.0, seed: int = 0,
@@ -151,28 +188,14 @@ def run_variants(workload: SyntheticTxnWorkload,
                  runner=None) -> Dict[str, Cell]:
     """Run one workload across several variants on identical traces.
 
-    ``runner`` (a :class:`repro.perf.runner.ParallelRunner`) fans the
-    variants out over worker processes and/or the result cache; the
-    default runs them inline on one generated trace.  Results are
-    identical either way.
+    ``runner`` (a :class:`repro.perf.runner.ParallelRunner`) may fan
+    the variants out over worker processes and/or the result cache;
+    the default runs them serially.  The runner generates the trace
+    once and runs every variant on it.
     """
-    if runner is not None:
-        from repro.perf.runner import grid_specs  # local: avoids cycle
-
-        specs = grid_specs([workload], tuple(variants), seeds=(seed,),
-                           scale=scale, threads=threads, system=system,
-                           htm=htm_config)
-        cells = _require_complete(runner.run_cells(specs), specs)
-        return dict(zip(variants, cells))
-    sys_cfg = system or SystemConfig()
-    nthreads = threads if threads is not None else sys_cfg.num_cores
-    trace = workload.generate(seed=seed, scale=scale, threads=nthreads)
-    return {
-        v: Cell(trace.name, v, seed,
-                run_trace(trace, v, system=sys_cfg, htm_config=htm_config,
-                          seed=seed))
-        for v in variants
-    }
+    cells = _run_grid(workload, variants, (seed,), scale, threads,
+                      system, htm_config, runner)
+    return dict(zip(variants, cells))
 
 
 @dataclass
@@ -198,31 +221,19 @@ def figure_speedups(workload: SyntheticTxnWorkload,
     """Speedup of each variant normalized to ``baseline``.
 
     ``runs`` > 1 produces 95% confidence intervals from perturbed
-    seeds, as the paper does.  ``runner`` fans the whole
-    (seed, variant) grid out at once (see :func:`run_variants`).
+    seeds, as the paper does.  The whole (seed, variant) grid goes to
+    ``runner`` at once (see :func:`run_variants`).
     """
     if baseline not in variants:
         variants = tuple(variants) + (baseline,)
     seeds = perturbation_seeds(seed, runs)
     per_variant: Dict[str, List[float]] = {v: [] for v in variants}
     series = SpeedupSeries(workload.spec.name, baseline)
-    if runner is not None:
-        from repro.perf.runner import grid_specs  # local: avoids cycle
-
-        specs = grid_specs(
-            [workload], tuple(variants), seeds=tuple(seeds), scale=scale,
-            threads=threads, system=system, htm=htm_config,
-        )
-        flat = _require_complete(runner.run_cells(specs), specs)
-        nv = len(variants)
-        rounds = [dict(zip(variants, flat[i * nv:(i + 1) * nv]))
-                  for i in range(len(seeds))]
-    else:
-        rounds = None
-    for i, run_seed in enumerate(seeds):
-        cells = rounds[i] if rounds is not None else run_variants(
-            workload, variants, scale=scale, seed=run_seed,
-            threads=threads, system=system, htm_config=htm_config)
+    flat = _run_grid(workload, variants, seeds, scale, threads, system,
+                     htm_config, runner)
+    nv = len(variants)
+    for i in range(len(seeds)):
+        cells = dict(zip(variants, flat[i * nv:(i + 1) * nv]))
         series.cells.extend(cells.values())
         base = cells[baseline].stats.makespan
         for variant, cell in cells.items():

@@ -64,7 +64,9 @@ from repro.common.errors import ConfigError, IncompleteGridError
 
 from repro.analysis.experiments import (
     FIGURE1_VARIANTS,
+    FIGURE1_WORKLOADS,
     FIGURE5_VARIANTS,
+    GRID_SCALES,
     figure_speedups,
     measure_table5,
     run_cell,
@@ -83,14 +85,6 @@ from repro.obs.events import EventBus, validate_jsonl
 from repro.obs.report import TraceReport
 from repro.obs.sinks import ChromeTraceExporter, JsonlSink
 from repro.workloads import lock_applications, tm_workloads
-
-#: Default per-workload scales (fractions of Table 5 counts) chosen
-#: for minutes-scale runtimes; match benchmarks/conftest.py.
-DEFAULT_SCALES = {
-    "Barnes": 0.2, "Cholesky": 0.01, "Radiosity": 0.02,
-    "Raytrace": 0.01, "Delaunay": 0.015, "Genome": 0.004,
-    "Vacation-Low": 0.02, "Vacation-High": 0.02,
-}
 
 
 def _workload(name: str):
@@ -166,7 +160,7 @@ def cmd_run(args) -> int:
     else:
         workload = _workload(args.workload)
         name = args.workload
-        scale = args.scale or DEFAULT_SCALES[args.workload]
+        scale = args.scale or GRID_SCALES[args.workload]
     bus, jsonl, chrome = _make_bus(args)
     report = None
     if bus is not None and args.trace:
@@ -243,7 +237,7 @@ def cmd_trace(args) -> int:
     if not args.workload:
         raise SystemExit("trace: workload required (or use --validate)")
     workload = _workload(args.workload)
-    scale = args.scale or DEFAULT_SCALES[args.workload]
+    scale = args.scale or GRID_SCALES[args.workload]
     bus = EventBus()
     report = TraceReport()
     bus.attach(report)
@@ -300,7 +294,7 @@ def cmd_record(args) -> int:
     from repro.traces import record_trace, replay_options
 
     workload = _workload(args.workload)
-    scale = args.scale or DEFAULT_SCALES[args.workload]
+    scale = args.scale or GRID_SCALES[args.workload]
     trace = workload.generate(seed=args.seed, scale=scale,
                               threads=args.threads)
     options = record_trace(trace, args.out)
@@ -338,7 +332,7 @@ def cmd_workloads(args) -> int:
 
     rows = []
     for name, wl in tm_workloads().items():
-        scale = args.scale or DEFAULT_SCALES[name]
+        scale = args.scale or GRID_SCALES[name]
         trace = wl.generate(seed=args.seed, scale=scale)
         rows.append(row(name, "synthetic", f"{scale:g}", trace))
     for name, trace in lock_applications(seed=args.seed).items():
@@ -377,7 +371,7 @@ def cmd_table5(args) -> int:
 def cmd_table6(args) -> int:
     rows = []
     for name, wl in tm_workloads().items():
-        scale = args.scale or DEFAULT_SCALES[name]
+        scale = args.scale or GRID_SCALES[name]
         rows.append(table6_row(wl, scale=scale, seed=args.seed))
     print(format_table6(rows))
     return 0
@@ -402,25 +396,17 @@ def _supervisor_from_args(args):
 
 
 def _runner_from_args(args):
-    """Optional ParallelRunner built from ``--workers``/``--cache-dir``
-    and the supervision flags.
-
-    Returns None when none were given, so the default path stays
-    import-free and inline.
-    """
-    workers = getattr(args, "workers", 0) or 0
-    cache_dir = getattr(args, "cache_dir", None)
-    supervisor = _supervisor_from_args(args)
-    if not workers and not cache_dir and supervisor is None:
-        return None
+    """The ParallelRunner that ``--workers``/``--cache-dir`` and the
+    supervision flags describe (serial, uncached by default)."""
     from repro.perf.cache import ResultCache
     from repro.perf.runner import ParallelRunner, default_workers
 
+    workers = args.workers
     if workers < 0:
         workers = default_workers()
-    cache = ResultCache(cache_dir) if cache_dir else None
+    cache = ResultCache(args.cache_dir) if args.cache_dir else None
     return ParallelRunner(workers=workers, cache=cache,
-                          supervisor=supervisor)
+                          supervisor=_supervisor_from_args(args))
 
 
 def _print_incomplete(exc: IncompleteGridError) -> None:
@@ -438,7 +424,7 @@ def _figure(args, variants, title: str) -> int:
     try:
         for name in names:
             wl = _workload(name)
-            scale = args.scale or DEFAULT_SCALES[name]
+            scale = args.scale or GRID_SCALES[name]
             series.append(figure_speedups(
                 wl, variants=variants, scale=scale, runs=args.runs,
                 seed=args.seed, runner=runner))
@@ -446,8 +432,7 @@ def _figure(args, variants, title: str) -> int:
         _print_incomplete(exc)
         return 1
     finally:
-        if runner is not None:
-            runner.close()
+        runner.close()
     print(format_speedup_figure(series, title))
     if args.runs > 1:
         print("\n95% confidence intervals:")
@@ -459,8 +444,7 @@ def _figure(args, variants, title: str) -> int:
 
 def cmd_figure1(args) -> int:
     if not args.workloads:
-        args.workloads = ["Delaunay", "Genome", "Vacation-Low",
-                          "Vacation-High"]
+        args.workloads = list(FIGURE1_WORKLOADS)
     return _figure(args, FIGURE1_VARIANTS,
                    "Figure 1. Effect of False Positives "
                    "(speedup vs LogTM-SE_Perf)")
@@ -487,7 +471,6 @@ def cmd_bench(args) -> int:
             scale_factor=args.scale_factor, cache_dir=args.cache_dir,
             compare_serial=args.compare_serial,
             traces=not args.no_traces,
-            only=args.only,
             supervisor=_supervisor_from_args(args),
             landscape=args.landscape,
         )
@@ -912,27 +895,25 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--runs", type=int, default=1,
                        help="perturbed runs for 95%% CIs")
         p.add_argument("--workers", type=int, default=0,
-                       help="worker processes (0 = inline, "
+                       help="worker processes (0 = serial, "
                             "-1 = one per CPU)")
         p.add_argument("--cache-dir", metavar="DIR", default=None,
                        help="reuse finished cells from this cache")
         _add_supervision_flags(p)
         p.set_defaults(func=func)
 
-    from repro.perf.bench import BENCH_SECTIONS
-
     bench_p = sub.add_parser(
         "bench", help="performance benchmark harness (BENCH_perf.json)",
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog="exit codes: 0 bench complete; 1 grid cells failed; "
-               "2 unknown workload, variant or section, or unusable "
+               "2 unknown workload or variant, or unusable "
                "--landscape store (nothing ran)")
     bench_p.add_argument("--out", metavar="FILE", default="BENCH_perf.json")
     bench_p.add_argument("--quick", action="store_true",
                          help="small CI-sized grid")
     bench_p.add_argument("--seed", type=int, default=2008)
     bench_p.add_argument("--workers", type=int, default=0,
-                         help="worker processes (0 = inline, "
+                         help="worker processes (0 = serial, "
                               "-1 = one per CPU)")
     bench_p.add_argument("--workloads", nargs="*", default=None)
     bench_p.add_argument("--variants", nargs="*", default=None)
@@ -946,13 +927,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "parallel results are identical")
     bench_p.add_argument("--no-traces", action="store_true",
                          help="skip the fixture event-trace grid cells")
-    bench_p.add_argument("--only", action="append", metavar="SECTION",
-                         choices=BENCH_SECTIONS, default=None,
-                         help="run only this section (repeatable; "
-                              f"choices: {', '.join(BENCH_SECTIONS)})")
     bench_p.add_argument("--landscape", metavar="DB", default=None,
                          help="record this run (payload, provenance, "
-                              "one work row per section and grid cell) "
+                              "one work row for the grid and one per "
+                              "cell) "
                               "into this landscape store "
                               "(docs/landscape.md)")
     _add_supervision_flags(bench_p)

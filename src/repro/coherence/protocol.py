@@ -113,9 +113,7 @@ class FastPathStats:
 
     These counters describe how the simulator computed a result, not
     what the simulated machine did, so they stay out of the
-    ``ProtocolStats`` snapshots that golden digests pin.  Publish them
-    through :func:`repro.obs.metrics.publish_fastpath` as
-    ``perf.fastpath.*``.
+    ``ProtocolStats`` snapshots that golden digests pin.
 
     ``coherence_read_hits`` and ``coherence_write_hits`` count pure L1
     hits, one per :meth:`MemorySystem.fast_hit` call.

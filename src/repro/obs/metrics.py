@@ -237,23 +237,6 @@ def registry_from_stats(stats, registry: Optional[MetricsRegistry] = None,
     return reg
 
 
-def publish_fastpath(snapshot: Dict[str, int],
-                     registry: Optional[MetricsRegistry] = None,
-                     prefix: str = "perf.fastpath") -> MetricsRegistry:
-    """Expose a :class:`~repro.coherence.protocol.FastPathStats`
-    snapshot as ``perf.fastpath.*`` counters.
-
-    The fast-path counters live outside ``ProtocolStats`` (they
-    describe how the simulator computed, not what the simulated
-    machine did), so they reach the observability namespace through
-    this side door rather than through ``registry_from_stats``.
-    """
-    reg = registry if registry is not None else MetricsRegistry()
-    for name, value in sorted(snapshot.items()):
-        reg.counter(f"{prefix}.{name}").inc(int(value))
-    return reg
-
-
 #: LogTM-SE conflict-check work counters (``LogTMSE.sigcheck``),
 #: published as ``perf.sigcheck.*``: checks made, checks the summary
 #: signatures cleared without a scan, and per-transaction probes.
@@ -266,9 +249,8 @@ def publish_sigcheck(snapshot: Dict[str, int],
     """Expose a :class:`~repro.htm.logtm_se.SigCheckStats` snapshot as
     ``perf.sigcheck.*`` counters.
 
-    Like the fast-path counters they describe how the simulator
-    computed, not what the machine did, so they stay outside
-    ``RunStats``.  Every counter is registered, at zero when the
+    They describe how the simulator computed, not what the machine
+    did, so they stay outside ``RunStats``.  Every counter is registered, at zero when the
     snapshot lacks it, so a run with no LogTM-SE machine (pass ``{}``)
     has the same key set.
     """

@@ -38,7 +38,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.experiments import Cell
+from repro.analysis.experiments import FIGURE5_VARIANTS, GRID_SCALES, Cell
 from repro.common.errors import ConfigError, IncompleteGridError
 from repro.htm import VARIANTS
 from repro.perf.cache import ResultCache
@@ -87,20 +87,6 @@ BENCH_SCHEMA = "repro-bench-perf/12"
 
 #: Default output path, at the repo root like the other BENCH files.
 DEFAULT_OUT = "BENCH_perf.json"
-
-#: Per-workload scales for the full grid — the Figure 5 operating
-#: point (matches ``repro figure5`` and benchmarks/conftest.py).
-GRID_SCALES: Dict[str, float] = {
-    "Barnes": 0.2, "Cholesky": 0.01, "Radiosity": 0.02,
-    "Raytrace": 0.01, "Delaunay": 0.015, "Genome": 0.004,
-    "Vacation-Low": 0.02, "Vacation-High": 0.02,
-}
-
-#: The full-grid variant set (Figure 5's five machines).
-GRID_VARIANTS = (
-    "LogTM-SE_2xH3", "LogTM-SE_4xH3", "LogTM-SE_Perf",
-    "TokenTM", "TokenTM_NoFast",
-)
 
 #: ``--quick`` subset: two contrasting workloads on two variants at
 #: reduced scale, sized for a CI smoke job.
@@ -224,11 +210,6 @@ def compare_serial_parallel(specs: Sequence[CellSpec],
 # Top-level harness
 # ----------------------------------------------------------------------
 
-#: ``--only`` section names.  ``grid`` covers the cell grid (and the
-#: totals/parallel blocks derived from it) and is the only section.
-BENCH_SECTIONS = ("grid",)
-
-
 def bench_specs(quick: bool = False, seed: int = 2008,
                 workload_names: Optional[Sequence[str]] = None,
                 variants: Optional[Sequence[str]] = None,
@@ -248,7 +229,7 @@ def bench_specs(quick: bool = False, seed: int = 2008,
     if workload_names is None:
         workload_names = QUICK_WORKLOADS if quick else tuple(GRID_SCALES)
     if variants is None:
-        variants = QUICK_VARIANTS if quick else GRID_VARIANTS
+        variants = QUICK_VARIANTS if quick else FIGURE5_VARIANTS
     for kind, names, known in (("workload", workload_names, registry),
                                ("variant", variants, VARIANTS)):
         unknown = [name for name in names if name not in known]
@@ -261,7 +242,7 @@ def bench_specs(quick: bool = False, seed: int = 2008,
         scale_factor *= QUICK_SCALE_FACTOR
     specs = []
     for name in workload_names:
-        scale = GRID_SCALES.get(name, 0.02) * scale_factor
+        scale = GRID_SCALES[name] * scale_factor
         for variant in variants:
             specs.append(CellSpec(registry[name].spec, variant,
                                   seed=seed, scale=scale))
@@ -283,30 +264,18 @@ def run_bench(out: str = DEFAULT_OUT, quick: bool = False,
               cache_dir: Optional[str] = None,
               compare_serial: bool = False,
               traces: bool = True,
-              only: Optional[Sequence[str]] = None,
               supervisor: Optional[SupervisorConfig] = None,
               landscape: Optional[str] = None) -> Dict:
     """Run the harness and write ``BENCH_perf.json``; returns payload.
 
-    ``only`` names :data:`BENCH_SECTIONS` to run (repeatable on the
-    CLI as ``--only SECTION``); an unknown name raises
-    :class:`~repro.common.errors.ConfigError`.  ``grid`` is the only
-    section, so it always runs.
-
     ``landscape`` (a database path) records the whole run into the
     result landscape: a ``bench`` run row carrying the full payload
-    and provenance (git rev, schema versions, seed), one work
-    row per section (plus one per grid cell via the runner), each
-    closed at its terminal outcome.  ``None`` (the default) keeps the
-    run byte-identical to a landscape-free build.
+    and provenance (git rev, schema versions, seed), one
+    ``bench_section`` work row for the grid (plus one per grid cell
+    via the runner), each closed at its terminal outcome.  ``None``
+    (the default) keeps the run byte-identical to a landscape-free
+    build.
     """
-    selected = set(only or BENCH_SECTIONS)
-    unknown = sorted(selected - set(BENCH_SECTIONS))
-    if unknown:
-        raise ConfigError(
-            f"unknown bench section(s) {', '.join(unknown)}; "
-            f"available: {', '.join(BENCH_SECTIONS)}"
-        )
     specs = bench_specs(quick=quick, seed=seed,
                         workload_names=workload_names, variants=variants,
                         scale_factor=scale_factor, traces=traces)
@@ -322,27 +291,24 @@ def run_bench(out: str = DEFAULT_OUT, quick: bool = False,
             cache_schema=CACHE_SCHEMA, bench_schema=BENCH_SCHEMA,
             seed=seed)
 
-    def section(name, fn):
-        """Ledger-wrap one section: opened at dispatch, closed at its
-        terminal outcome (a crash mid-section leaves the row open for
-        heal-on-reopen)."""
-        if recorder is None:
-            return fn()
-        recorder.open("bench_section", name, seed=seed)
-        try:
-            value = fn()
-        except BaseException as exc:
-            recorder.close_key("bench_section", name, "failed",
-                               detail=f"{type(exc).__name__}: {exc}")
-            raise
-        recorder.close_key("bench_section", name, "ok")
-        return value
-
     try:
         cache = ResultCache(cache_dir) if cache_dir else None
-        grid, metrics = section("grid", lambda: run_grid(
-            specs, workers=workers, cache=cache,
-            supervisor=supervisor, recorder=recorder))
+        # The grid's ledger row opens at dispatch and closes at its
+        # terminal outcome; a crash mid-grid leaves it open for
+        # heal-on-reopen.
+        if recorder is not None:
+            recorder.open("bench_section", "grid", seed=seed)
+        try:
+            grid, metrics = run_grid(specs, workers=workers, cache=cache,
+                                     supervisor=supervisor,
+                                     recorder=recorder)
+        except BaseException as exc:
+            if recorder is not None:
+                recorder.close_key("bench_section", "grid", "failed",
+                                   detail=f"{type(exc).__name__}: {exc}")
+            raise
+        if recorder is not None:
+            recorder.close_key("bench_section", "grid", "ok")
         total_ops = sum(c.get("trace_ops", 0) for c in grid["cells"])
         timed_walls = [c["wall_seconds"] for c in grid["cells"]
                        if c.get("wall_seconds")]

@@ -48,10 +48,11 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from functools import lru_cache
 from time import perf_counter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.analysis.experiments import Cell, run_cell
+from repro.analysis.experiments import Cell, run_trace
 from repro.common.config import HTMConfig, SystemConfig
 from repro.common.errors import IncompleteGridError
 from repro.faults.monitor import InvariantMonitor
@@ -71,6 +72,7 @@ from repro.perf.supervise import (
 )
 from repro.traces.workload import TraceWorkload, TraceWorkloadSpec
 from repro.workloads.base import SyntheticTxnWorkload, TxnWorkloadSpec
+from repro.workloads.trace import WorkloadTrace
 
 #: Workload identity a cell can carry: a synthetic generator spec or
 #: a content-hashed trace spec (path + digest + converter options).
@@ -173,19 +175,35 @@ def _work_provenance(spec: CellSpec) -> Dict[str, object]:
     }
 
 
+@lru_cache(maxsize=1)
+def _trace(workload: WorkloadSpec, seed: int, scale: float,
+           threads: int) -> WorkloadTrace:
+    """The trace a cell runs, memoized for the cell after it.
+
+    Grid order is (workload, seed, variant), so a workload's later
+    variants reuse the trace its first variant generated: one
+    generation per workload and seed.  Sharing is safe because
+    execution only reads a trace.
+    """
+    if isinstance(workload, TraceWorkloadSpec):
+        source = TraceWorkload.from_spec(workload)
+    else:
+        source = SyntheticTxnWorkload(workload)
+    return source.generate(seed=seed, scale=scale, threads=threads)
+
+
 def _simulate(spec: CellSpec) -> Tuple[Cell, float]:
     """Worker body: run one cell, returning (cell, wall_seconds)."""
     start = perf_counter()
-    if isinstance(spec.workload, TraceWorkloadSpec):
-        workload = TraceWorkload.from_spec(spec.workload)
-    else:
-        workload = SyntheticTxnWorkload(spec.workload)
-    cell = run_cell(workload, spec.variant, scale=spec.scale,
-                    seed=spec.seed, threads=spec.threads,
-                    system=spec.system, htm_config=spec.htm,
-                    faults=spec.fault_plan(),
-                    monitor=InvariantMonitor() if spec.monitor else None)
-    return cell, perf_counter() - start
+    threads = spec.threads if spec.threads is not None \
+        else spec.system.num_cores
+    trace = _trace(spec.workload, spec.seed, spec.scale, threads)
+    stats = run_trace(trace, spec.variant, system=spec.system,
+                      htm_config=spec.htm, seed=spec.seed,
+                      faults=spec.fault_plan(),
+                      monitor=InvariantMonitor() if spec.monitor else None)
+    return Cell(trace.name, spec.variant, spec.seed, stats), \
+        perf_counter() - start
 
 
 class _Attempt:
@@ -214,8 +232,9 @@ class _Attempt:
 class ParallelRunner:
     """Runs grid cells, optionally in parallel, cached, and supervised.
 
-    ``workers <= 1`` executes inline (no pool, no pickling) — the
-    reference serial path.  ``workers > 1`` keeps a lazily created
+    ``workers <= 1`` runs the cells serially in this process (no
+    pool, no pickling) — the reference path, and the default of the
+    experiment helpers.  ``workers > 1`` keeps a lazily created
     process pool alive across calls; use as a context manager or call
     :meth:`close` to reap it.
 

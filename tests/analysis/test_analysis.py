@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.perf.runner as runner_mod
 from repro.analysis.ci import confidence_interval, t_quantile_975
 from repro.analysis.experiments import (
     FIGURE5_VARIANTS,
@@ -18,6 +19,7 @@ from repro.analysis.tables import (
     format_table1,
 )
 from repro.workloads import barnes, cholesky
+from repro.workloads.base import SyntheticTxnWorkload
 
 
 class TestCI:
@@ -85,17 +87,18 @@ class TestHarness:
         assert len(commits) == 1  # same workload on both machines
 
     def test_run_variants_generates_once(self, monkeypatch):
-        workload = cholesky()
-        generate = workload.generate
+        generate = SyntheticTxnWorkload.generate
         calls = []
 
-        def counting(**kwargs):
+        def counting(self, **kwargs):
             calls.append(kwargs)
-            return generate(**kwargs)
+            return generate(self, **kwargs)
 
-        monkeypatch.setattr(workload, "generate", counting)
+        # Start from an empty trace memo so the count is this run's.
+        runner_mod._trace.cache_clear()
+        monkeypatch.setattr(SyntheticTxnWorkload, "generate", counting)
         variants = ("TokenTM", "LogTM-SE_Perf")
-        cells = run_variants(workload, variants, scale=0.001, seed=1)
+        cells = run_variants(cholesky(), variants, scale=0.001, seed=1)
         assert len(calls) == 1
         for variant in variants:
             alone = run_cell(cholesky(), variant, scale=0.001, seed=1)

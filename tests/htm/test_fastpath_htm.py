@@ -8,8 +8,6 @@ layer: each runs its full access path, and the coherence layer serves
 the L1 hit from the resident line.
 """
 
-import pytest
-
 from repro.common.config import HTMConfig
 from repro.coherence.protocol import MemorySystem
 from repro.htm import make_htm
@@ -191,19 +189,3 @@ class TestOneTM:
         assert out.granted
         assert out.latency == htm.mem.config.latency.l1_hit
         assert htm.log_entries(0) == entries
-
-
-@pytest.mark.parametrize("variant",
-                         ["TokenTM", "LogTM-SE_4xH3", "OneTM"])
-def test_counters_reach_metrics_registry(variant):
-    """Every variant serves the repeat read as a pure L1 hit;
-    ``htm_read_hits`` stays an always-zero key."""
-    from repro.obs.metrics import publish_fastpath
-
-    htm = build(variant)
-    htm.begin(0, 0)
-    htm.read(0, 0, B)
-    htm.read(0, 0, B)
-    reg = publish_fastpath(htm.mem.fastpath.snapshot())
-    assert reg["perf.fastpath.htm_read_hits"].value == 0
-    assert reg["perf.fastpath.coherence_read_hits"].value == 1

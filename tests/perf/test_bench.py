@@ -118,12 +118,44 @@ def test_bench_specs_traces_off():
     assert {s.workload.name for s in specs} == {"Cholesky", "Vacation-Low"}
 
 
+def test_claim_benchmark_cells_are_bench_grid_cells(monkeypatch):
+    """Every cell the Figure 1, Figure 5 and Table 6 benchmarks ask
+    for is a ``repro bench`` grid cell, so a bench run's result cache
+    answers all of them."""
+    from types import SimpleNamespace
+
+    import benchmarks.conftest as bench_conftest
+    from benchmarks import (
+        test_figure1_false_positives,
+        test_figure5_performance,
+        test_table6_overheads,
+    )
+    from repro.perf.cache import cell_key
+    from repro.workloads import tm_workloads
+
+    requested = []
+
+    class Recorder:
+        def run_cell(self, spec):
+            requested.append(spec)
+            return SimpleNamespace(stats=SimpleNamespace(
+                makespan=1, machine={"false_positive_conflicts": 0}))
+
+    monkeypatch.setattr(bench_conftest, "_RUNNER", Recorder())
+    for module in (test_figure5_performance, test_figure1_false_positives,
+                   test_table6_overheads):
+        module._run({}, tm_workloads())
+    grid = {cell_key(spec) for spec in bench_specs()}
+    assert len(requested) == 40 + 12 + 8
+    assert {cell_key(spec) for spec in requested} <= grid
+
+
 def test_run_bench_writes_schema_documented_json(tmp_path):
     out = tmp_path / "BENCH_perf.json"
     payload = run_bench(
         out=str(out), quick=True, workload_names=("Cholesky",),
         variants=("TokenTM",), scale_factor=0.5, traces=False,
-        cache_dir=str(tmp_path / "cache"), only=["grid"],
+        cache_dir=str(tmp_path / "cache"),
     )
     on_disk = json.loads(out.read_text())
     assert on_disk == payload
@@ -145,7 +177,7 @@ def test_run_bench_writes_schema_documented_json(tmp_path):
     rerun = run_bench(
         out=str(out), quick=True, workload_names=("Cholesky",),
         variants=("TokenTM",), scale_factor=0.5, traces=False,
-        cache_dir=str(tmp_path / "cache"), only=["grid"],
+        cache_dir=str(tmp_path / "cache"),
     )
     warm = rerun["grid"]["cells"][0]
     assert warm["cache_hit"] is True
@@ -153,16 +185,6 @@ def test_run_bench_writes_schema_documented_json(tmp_path):
     assert warm["makespan"] == cell["makespan"]
     assert warm["digest"] == cell["digest"]
     assert rerun["metrics"]["perf.cache_hits"]["value"] == 1
-
-
-def test_run_bench_only_rejects_unknown_section(tmp_path):
-    import pytest
-
-    from repro.common.errors import ConfigError
-
-    with pytest.raises(ConfigError, match="grid"):
-        run_bench(out=str(tmp_path / "b.json"), quick=True,
-                  only=["grid", "gird"])
 
 
 def test_bench_payload_has_no_wall_clock_identity(tmp_path):

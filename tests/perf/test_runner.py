@@ -5,9 +5,17 @@ from __future__ import annotations
 import pytest
 
 import repro.perf.runner as runner_mod
-from repro.analysis.experiments import figure_speedups, run_cell, run_variants
+from repro.analysis.ci import confidence_interval
+from repro.analysis.experiments import (
+    FIGURE5_VARIANTS,
+    figure_speedups,
+    run_cell,
+    run_variants,
+)
+from repro.common.rng import perturbation_seeds
 from repro.perf.cache import ResultCache
 from repro.perf.runner import CellSpec, ParallelRunner, grid_specs
+from repro.workloads.base import SyntheticTxnWorkload
 
 from tests.perf.conftest import TINY_SPEC
 
@@ -78,22 +86,55 @@ def test_runner_rejects_negative_workers():
         ParallelRunner(workers=-1)
 
 
+def _reference(tiny_workload, variant, seed):
+    """The per-cell reference: generate and run one cell directly."""
+    return run_cell(tiny_workload, variant, scale=SCALE, seed=seed)
+
+
+def test_serial_grid_generates_each_trace_once(tiny_workload, monkeypatch):
+    """A workload's later variants reuse its first variant's trace."""
+    calls = []
+    generate = SyntheticTxnWorkload.generate
+
+    def counting(self, **kwargs):
+        calls.append(kwargs)
+        return generate(self, **kwargs)
+
+    runner_mod._trace.cache_clear()
+    monkeypatch.setattr(SyntheticTxnWorkload, "generate", counting)
+    specs = grid_specs([tiny_workload], FIGURE5_VARIANTS, seeds=(4,),
+                       scale=SCALE)
+    cells = ParallelRunner(workers=0).run_cells(specs)
+    assert len(calls) == 1
+    for variant, cell in zip(FIGURE5_VARIANTS, cells):
+        assert cell.variant == variant
+        assert cell.stats.snapshot() == \
+            _reference(tiny_workload, variant, 4).stats.snapshot()
+
+
 def test_run_variants_through_runner_matches_inline(tiny_workload):
-    inline = run_variants(tiny_workload, VARIANTS, scale=SCALE, seed=5)
     via = run_variants(tiny_workload, VARIANTS, scale=SCALE, seed=5,
                        runner=ParallelRunner(workers=0))
-    assert set(via) == set(inline)
+    assert list(via) == list(VARIANTS)
     for variant in VARIANTS:
         assert via[variant].stats.snapshot() == \
-            inline[variant].stats.snapshot()
+            _reference(tiny_workload, variant, 5).stats.snapshot()
 
 
 def test_figure_speedups_through_runner_matches_inline(tiny_workload):
-    kwargs = dict(variants=VARIANTS, baseline="LogTM-SE_Perf",
-                  scale=SCALE, runs=2, seed=7)
-    inline = figure_speedups(tiny_workload, **kwargs)
-    via = figure_speedups(tiny_workload, runner=ParallelRunner(workers=0),
-                          **kwargs)
-    assert via.speedups == inline.speedups
+    runs = 2
+    via = figure_speedups(tiny_workload, variants=VARIANTS,
+                          baseline="LogTM-SE_Perf", scale=SCALE,
+                          runs=runs, seed=7,
+                          runner=ParallelRunner(workers=0))
+    seeds = perturbation_seeds(7, runs)
+    reference = {(seed, v): _reference(tiny_workload, v, seed)
+                 for seed in seeds for v in VARIANTS}
     assert [c.stats.snapshot() for c in via.cells] == \
-        [c.stats.snapshot() for c in inline.cells]
+        [reference[seed, v].stats.snapshot()
+         for seed in seeds for v in VARIANTS]
+    for variant in VARIANTS:
+        samples = [reference[seed, "LogTM-SE_Perf"].stats.makespan
+                   / reference[seed, variant].stats.makespan
+                   for seed in seeds]
+        assert via.speedups[variant] == confidence_interval(samples)

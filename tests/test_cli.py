@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.analysis import experiments
-from repro.cli import DEFAULT_SCALES, build_parser, main
+from repro.analysis.experiments import GRID_SCALES
+from repro.cli import build_parser, main
 from repro.htm import VARIANTS
 from repro.traces.workload import fixture_path
 
@@ -28,16 +29,10 @@ class TestParser:
             main(["run", "NotAWorkload", "TokenTM"])
 
     def test_scales_cover_all_workloads(self):
+        """The grid's scale table lists every workload, in the
+        registry's (the paper's) order."""
         from repro.workloads import tm_workloads
-        assert set(DEFAULT_SCALES) == set(tm_workloads())
-
-    def test_bench_only_choices_enforced(self):
-        parser = build_parser()
-        args = parser.parse_args(["bench", "--only", "grid"])
-        assert args.only == ["grid"]
-        for name in ("everything", "layers"):
-            with pytest.raises(SystemExit):
-                parser.parse_args(["bench", "--only", name])
+        assert tuple(GRID_SCALES) == tuple(tm_workloads())
 
 
 class TestCommands:
