@@ -6,7 +6,7 @@ transactions, the software release cost, and log stalls as a
 percentage of execution time.
 """
 
-from repro.analysis.experiments import GRID_SCALES
+from repro.analysis.experiments import GRID_SCALES, table6_row
 from repro.analysis.tables import format_table
 
 from benchmarks.conftest import cached_cell, emit
@@ -27,51 +27,43 @@ def _run(cell_cache, workloads):
 def test_table6_overheads(benchmark, capsys, cell_cache, workloads):
     cells = benchmark.pedantic(_run, args=(cell_cache, workloads),
                                rounds=1, iterations=1)
-    rows = []
-    for name in GRID_SCALES:
-        stats = cells[name].stats
-        rows.append((
-            name,
-            f"{100 * stats.fast_release_fraction:.1f} "
-            f"({PAPER_FAST_PCT[name]})",
-            round(stats.fast.avg_read_set, 1),
-            round(stats.fast.avg_write_set, 1),
-            round(stats.fast.avg_duration),
-            round(stats.software.avg_read_set, 1),
-            round(stats.software.avg_write_set, 1),
-            round(stats.software.avg_duration),
-            round(stats.software.avg_release_cycles),
-            round(100 * stats.log_stall_fraction, 2),
-        ))
+    table = {name: table6_row(cells[name]) for name in GRID_SCALES}
     emit(capsys, format_table(
         ["Benchmark", "% Fast (paper)", "F.RS", "F.WS", "F.Dur",
          "SW.RS", "SW.WS", "SW.Dur", "SW Release", "Log Stall %"],
-        rows, title="Table 6. TokenTM Specific Overheads",
+        [(name,
+          f"{row.fast_pct:.1f} ({PAPER_FAST_PCT[name]})",
+          round(row.fast_avg_read_set, 1),
+          round(row.fast_avg_write_set, 1),
+          round(row.fast_avg_duration),
+          round(row.sw_avg_read_set, 1),
+          round(row.sw_avg_write_set, 1),
+          round(row.sw_avg_duration),
+          round(row.sw_release_cycles),
+          round(row.log_stall_pct, 2))
+         for name, row in table.items()],
+        title="Table 6. TokenTM Specific Overheads",
     ))
 
-    for name in GRID_SCALES:
-        stats = cells[name].stats
-        fast_pct = 100 * stats.fast_release_fraction
+    for name, row in table.items():
         if name in ("Barnes", "Cholesky", "Radiosity", "Raytrace",
                     "Genome"):
             # "over 90% of transactions commit using fast release"
-            assert fast_pct > 80, (name, fast_pct)
+            assert row.fast_pct > 80, (name, row.fast_pct)
         if name in ("Vacation-Low", "Vacation-High"):
             # Vacation's large transactions overflow far more often.
-            assert fast_pct < 85, (name, fast_pct)
-        if stats.software.count:
+            assert row.fast_pct < 85, (name, row.fast_pct)
+        if cells[name].stats.software.count:
             # Software-release transactions are the larger ones.
-            assert (stats.software.avg_read_set
-                    + stats.software.avg_write_set
-                    >= stats.fast.avg_read_set
-                    + stats.fast.avg_write_set), name
-            assert stats.software.avg_duration > stats.fast.avg_duration
-            assert stats.software.avg_release_cycles > 0
+            assert (row.sw_avg_read_set + row.sw_avg_write_set
+                    >= row.fast_avg_read_set + row.fast_avg_write_set), name
+            assert row.sw_avg_duration > row.fast_avg_duration
+            assert row.sw_release_cycles > 0
 
     # Vacation-High overflows more than Vacation-Low (bigger sets).
-    assert (cells["Vacation-High"].stats.fast_release_fraction
-            <= cells["Vacation-Low"].stats.fast_release_fraction + 0.05)
+    assert (table["Vacation-High"].fast_pct
+            <= table["Vacation-Low"].fast_pct + 5.0)
     # Log stalls stay a small fraction of execution everywhere
     # (paper: <= 0.4%; allow slack for the scaled runs).
-    for name in GRID_SCALES:
-        assert 100 * cells[name].stats.log_stall_fraction < 5.0, name
+    for name, row in table.items():
+        assert row.log_stall_pct < 5.0, name

@@ -12,7 +12,8 @@ The helpers here assemble the cells into the paper's figures:
   (Figures 1 and 5);
 * :func:`measure_table5` — read/write-set statistics of the workload
   generators (Table 5);
-* :func:`table6_row` — TokenTM-specific overheads (Table 6).
+* :func:`table6_row` — TokenTM-specific overheads of a TokenTM cell
+  (Table 6).
 
 Runs are scaled: executing all 285k transactions of the paper's full
 grid in pure Python would take hours, so harnesses pass a ``scale``
@@ -25,7 +26,7 @@ on total transaction count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.ci import Estimate, confidence_interval
 from repro.common.config import HTMConfig, RunConfig, SystemConfig
@@ -301,14 +302,8 @@ class Table6Row:
     abort_causes: Dict[str, int] = field(default_factory=dict)
 
 
-def table6_row(workload: SyntheticTxnWorkload, scale: float = 0.02,
-               seed: int = 0,
-               threads: Optional[int] = None,
-               system: Optional[SystemConfig] = None,
-               htm_config: Optional[HTMConfig] = None) -> Table6Row:
-    """Run TokenTM on one workload and extract the Table 6 columns."""
-    cell = run_cell(workload, "TokenTM", scale=scale, seed=seed,
-                    threads=threads, system=system, htm_config=htm_config)
+def table6_row(cell: Cell) -> Table6Row:
+    """The Table 6 columns of one TokenTM cell."""
     stats = cell.stats
     return Table6Row(
         benchmark=stats.workload,

@@ -70,6 +70,7 @@ from repro.analysis.experiments import (
     figure_speedups,
     measure_table5,
     run_cell,
+    run_variants,
     table6_row,
 )
 from repro.analysis.lcs import table1 as lcs_table1
@@ -291,7 +292,7 @@ def cmd_convert(args) -> int:
 
 
 def cmd_record(args) -> int:
-    from repro.traces import record_trace, replay_options
+    from repro.traces import record_trace
 
     workload = _workload(args.workload)
     scale = args.scale or GRID_SCALES[args.workload]
@@ -372,7 +373,8 @@ def cmd_table6(args) -> int:
     rows = []
     for name, wl in tm_workloads().items():
         scale = args.scale or GRID_SCALES[name]
-        rows.append(table6_row(wl, scale=scale, seed=args.seed))
+        cells = run_variants(wl, ("TokenTM",), scale=scale, seed=args.seed)
+        rows.append(table6_row(cells["TokenTM"]))
     print(format_table6(rows))
     return 0
 
@@ -465,12 +467,9 @@ def cmd_bench(args) -> int:
         workers = default_workers()
     try:
         payload = run_bench(
-            out=args.out, quick=args.quick, seed=args.seed,
-            workers=workers,
+            out=args.out, seed=args.seed, workers=workers,
             workload_names=args.workloads, variants=args.variants,
-            scale_factor=args.scale_factor, cache_dir=args.cache_dir,
-            compare_serial=args.compare_serial,
-            traces=not args.no_traces,
+            cache_dir=args.cache_dir,
             supervisor=_supervisor_from_args(args),
             landscape=args.landscape,
         )
@@ -906,27 +905,21 @@ def build_parser() -> argparse.ArgumentParser:
         "bench", help="performance benchmark harness (BENCH_perf.json)",
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog="exit codes: 0 bench complete; 1 grid cells failed; "
-               "2 unknown workload or variant, or unusable "
+               "2 workload or variant outside the grid, or unusable "
                "--landscape store (nothing ran)")
     bench_p.add_argument("--out", metavar="FILE", default="BENCH_perf.json")
-    bench_p.add_argument("--quick", action="store_true",
-                         help="small CI-sized grid")
     bench_p.add_argument("--seed", type=int, default=2008)
     bench_p.add_argument("--workers", type=int, default=0,
                          help="worker processes (0 = serial, "
                               "-1 = one per CPU)")
-    bench_p.add_argument("--workloads", nargs="*", default=None)
-    bench_p.add_argument("--variants", nargs="*", default=None)
-    bench_p.add_argument("--scale-factor", type=float, default=1.0,
-                         help="multiply every workload's grid scale")
+    bench_p.add_argument("--workloads", nargs="*", default=None,
+                         help="keep only these grid workloads "
+                              "(synthetic or fixture trace names)")
+    bench_p.add_argument("--variants", nargs="*", default=None,
+                         help="keep only these grid variants")
     bench_p.add_argument("--cache-dir", metavar="DIR", default=None,
                          help="cell cache directory (off by default "
                               "so timings measure simulation)")
-    bench_p.add_argument("--compare-serial", action="store_true",
-                         help="also time the grid serially and check "
-                              "parallel results are identical")
-    bench_p.add_argument("--no-traces", action="store_true",
-                         help="skip the fixture event-trace grid cells")
     bench_p.add_argument("--landscape", metavar="DB", default=None,
                          help="record this run (payload, provenance, "
                               "one work row for the grid and one per "

@@ -183,25 +183,6 @@ class FaultPlan:
         return json.dumps([s.to_dict() for s in self.specs],
                           separators=(",", ":"), sort_keys=True)
 
-    @classmethod
-    def from_canonical(cls, text: str, name: str = "") -> "FaultPlan":
-        """Rebuild a plan from its :meth:`canonical_json` rendering.
-
-        The round trip preserves identity exactly:
-        ``FaultPlan.from_canonical(p.canonical_json()).content_hash()
-        == p.content_hash()``.
-        """
-        try:
-            specs = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"canonical fault plan is not valid JSON: {exc}"
-            ) from exc
-        if not isinstance(specs, list):
-            raise ConfigError("canonical fault plan must be a JSON list")
-        return cls(specs=tuple(FaultSpec.from_dict(s) for s in specs),
-                   name=name)
-
     def content_hash(self) -> str:
         """Stable 16-hex-digit digest of the canonical plan."""
         digest = hashlib.sha256(self.canonical_json().encode("utf-8"))

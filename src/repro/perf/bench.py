@@ -1,16 +1,17 @@
 """``repro bench``: the repo's performance benchmark harness.
 
-Measures the wall-clock and simulated-ops/sec of every cell of an
-evaluation grid (``grid``), run through the
+Measures the wall-clock and simulated-ops/sec of every cell of the
+bench grid (:func:`bench_specs`: the Figure 5 grid plus the fixture
+traces), or of the subset of its rows a run names, through the
 :class:`~repro.perf.runner.ParallelRunner`, and writes them to
 ``BENCH_perf.json``.
 
-Schema of ``BENCH_perf.json`` (``repro-bench-perf/12``, documented in
+Schema of ``BENCH_perf.json`` (``repro-bench-perf/13``, documented in
 ``docs/performance.md``):
 
 ``schema``        schema identifier string;
-``config``        seed / workers / quick flag / cache dir /
-                  per-workload scales / fixture traces;
+``config``        seed / workers / cache dir / per-workload scales /
+                  fixture traces;
 ``grid``          ``wall_seconds`` for the whole grid plus ``cells``,
                   each with workload, variant, seed, scale,
                   trace_ops, wall_seconds (null when the cache
@@ -18,9 +19,6 @@ Schema of ``BENCH_perf.json`` (``repro-bench-perf/12``, documented in
                   aborts, ``digest`` (:func:`stats_digest` of the
                   cell's ``RunStats``), cache_hit;
 ``totals``        summed trace_ops / wall and aggregate ops/sec;
-``parallel``      optional serial-vs-parallel wall comparison
-                  (``--compare-serial``) with a ``byte_identical``
-                  stats check;
 ``metrics``       the runner's metrics-registry snapshot (cache
                   hits/misses, cells simulated, workers).
 
@@ -40,7 +38,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.experiments import FIGURE5_VARIANTS, GRID_SCALES, Cell
 from repro.common.errors import ConfigError, IncompleteGridError
-from repro.htm import VARIANTS
 from repro.perf.cache import ResultCache
 from repro.perf.runner import CellSpec, ParallelRunner
 from repro.perf.supervise import FAIL_FAST, SupervisorConfig
@@ -83,21 +80,14 @@ from repro.workloads import tm_workloads
 #: /12: dropped the memory-stack section with the hit filter it timed;
 #: grid rows gained ``digest``, which pins each cell's full
 #: ``RunStats``.
-BENCH_SCHEMA = "repro-bench-perf/12"
+#: /13: dropped ``config.quick`` and the ``parallel`` serial-vs-parallel
+#: section with the options that set them: a run is the grid or a
+#: subset of its rows, and perf-smoke's per-row digest gate holds a
+#: parallel grid to the serial one.
+BENCH_SCHEMA = "repro-bench-perf/13"
 
 #: Default output path, at the repo root like the other BENCH files.
 DEFAULT_OUT = "BENCH_perf.json"
-
-#: ``--quick`` subset: two contrasting workloads on two variants at
-#: reduced scale, sized for a CI smoke job.
-QUICK_WORKLOADS = ("Cholesky", "Vacation-Low")
-QUICK_VARIANTS = ("TokenTM", "LogTM-SE_4xH3")
-QUICK_SCALE_FACTOR = 0.25
-
-#: Fixture event traces replayed as grid cells (``--quick`` keeps one).
-#: Traces run at their recorded size; ``scale`` is pinned to 1.0.
-QUICK_TRACE_FIXTURES = ("mutex_ring",)
-
 
 def stats_digest(stats) -> str:
     """sha256[:16] of a ``RunStats`` snapshot as sorted-key JSON."""
@@ -177,93 +167,52 @@ def run_grid(specs: Sequence[CellSpec], workers: int = 0,
         return payload, runner.metrics.snapshot()
 
 
-def compare_serial_parallel(specs: Sequence[CellSpec],
-                            workers: int) -> Dict:
-    """Time the same (uncached) grid serially and with ``workers``.
-
-    Also cross-checks that both runs produced identical statistics —
-    the determinism contract the parallel engine must keep.
-    """
-    with ParallelRunner(workers=0) as serial_runner:
-        start = time.perf_counter()
-        serial_cells = serial_runner.run_cells(list(specs))
-        serial_wall = time.perf_counter() - start
-    with ParallelRunner(workers=workers) as runner:
-        start = time.perf_counter()
-        parallel_cells = runner.run_cells(list(specs))
-        parallel_wall = time.perf_counter() - start
-    identical = all(
-        a.stats.snapshot() == b.stats.snapshot()
-        for a, b in zip(serial_cells, parallel_cells)
-    )
-    return {
-        "cells": len(specs),
-        "workers": workers,
-        "serial_wall_seconds": serial_wall,
-        "parallel_wall_seconds": parallel_wall,
-        "speedup": serial_wall / parallel_wall if parallel_wall else None,
-        "byte_identical": identical,
-    }
-
-
 # ----------------------------------------------------------------------
 # Top-level harness
 # ----------------------------------------------------------------------
 
-def bench_specs(quick: bool = False, seed: int = 2008,
+def bench_specs(seed: int = 2008,
                 workload_names: Optional[Sequence[str]] = None,
-                variants: Optional[Sequence[str]] = None,
-                scale_factor: float = 1.0,
-                traces: bool = True) -> List[CellSpec]:
-    """The benchmark grid as cell specs (Figure 5 grid by default).
+                variants: Optional[Sequence[str]] = None) -> List[CellSpec]:
+    """The bench grid as cell specs, or the subset of its rows named.
 
-    With ``traces`` (the default) the committed fixture event traces
-    are appended as replay cells — transactified, at their recorded
-    size (``scale`` pinned to 1.0, which the trace workload ignores
-    but the cache key records).  ``--quick`` keeps one fixture.
+    The grid is every :data:`GRID_SCALES` workload at its scale, then
+    every committed fixture event trace (transactified, at its
+    recorded size: ``scale`` is pinned to 1.0, which the trace
+    workload ignores but the cache key records), each on every
+    :data:`FIGURE5_VARIANTS` variant.  ``workload_names`` (synthetic
+    or fixture names) and ``variants`` keep only the rows they name,
+    in grid order.
 
-    An unknown workload or variant raises
+    A name outside the grid raises
     :class:`~repro.common.errors.ConfigError` before any cell runs.
     """
     registry = tm_workloads()
+    rows = [(registry[name].spec, scale)
+            for name, scale in GRID_SCALES.items()]
+    rows += [(wl.spec, 1.0) for wl in fixture_workloads().values()]
+    grid_workloads = [spec.name for spec, _ in rows]
     if workload_names is None:
-        workload_names = QUICK_WORKLOADS if quick else tuple(GRID_SCALES)
+        workload_names = grid_workloads
     if variants is None:
-        variants = QUICK_VARIANTS if quick else FIGURE5_VARIANTS
-    for kind, names, known in (("workload", workload_names, registry),
-                               ("variant", variants, VARIANTS)):
+        variants = FIGURE5_VARIANTS
+    for kind, names, known in (("workload", workload_names, grid_workloads),
+                               ("variant", variants, FIGURE5_VARIANTS)):
         unknown = [name for name in names if name not in known]
         if unknown:
             raise ConfigError(
                 f"unknown {kind}(s) {', '.join(unknown)}; "
-                f"available: {', '.join(known)}"
+                f"grid {kind}s: {', '.join(known)}"
             )
-    if quick:
-        scale_factor *= QUICK_SCALE_FACTOR
-    specs = []
-    for name in workload_names:
-        scale = GRID_SCALES[name] * scale_factor
-        for variant in variants:
-            specs.append(CellSpec(registry[name].spec, variant,
-                                  seed=seed, scale=scale))
-    if traces:
-        fixtures = fixture_workloads()
-        names = QUICK_TRACE_FIXTURES if quick else tuple(fixtures)
-        for name in names:
-            for variant in variants:
-                specs.append(CellSpec(fixtures[name].spec, variant,
-                                      seed=seed, scale=1.0))
-    return specs
+    return [CellSpec(spec, variant, seed=seed, scale=scale)
+            for spec, scale in rows if spec.name in workload_names
+            for variant in FIGURE5_VARIANTS if variant in variants]
 
 
-def run_bench(out: str = DEFAULT_OUT, quick: bool = False,
-              seed: int = 2008, workers: int = 0,
+def run_bench(out: str = DEFAULT_OUT, seed: int = 2008, workers: int = 0,
               workload_names: Optional[Sequence[str]] = None,
               variants: Optional[Sequence[str]] = None,
-              scale_factor: float = 1.0,
               cache_dir: Optional[str] = None,
-              compare_serial: bool = False,
-              traces: bool = True,
               supervisor: Optional[SupervisorConfig] = None,
               landscape: Optional[str] = None) -> Dict:
     """Run the harness and write ``BENCH_perf.json``; returns payload.
@@ -276,9 +225,8 @@ def run_bench(out: str = DEFAULT_OUT, quick: bool = False,
     (the default) keeps the run byte-identical to a landscape-free
     build.
     """
-    specs = bench_specs(quick=quick, seed=seed,
-                        workload_names=workload_names, variants=variants,
-                        scale_factor=scale_factor, traces=traces)
+    specs = bench_specs(seed=seed, workload_names=workload_names,
+                        variants=variants)
     store = None
     recorder = None
     if landscape is not None:
@@ -326,7 +274,6 @@ def run_bench(out: str = DEFAULT_OUT, quick: bool = False,
             "config": {
                 "seed": seed,
                 "workers": workers,
-                "quick": quick,
                 "cache_dir": cache_dir,
                 "scales": {c["workload"]: c["scale"]
                            for c in grid["cells"]},
@@ -336,8 +283,6 @@ def run_bench(out: str = DEFAULT_OUT, quick: bool = False,
             },
             "grid": grid,
             "totals": totals,
-            "parallel": (compare_serial_parallel(specs, workers)
-                         if compare_serial and workers > 1 else None),
             "metrics": metrics,
         }
         Path(out).write_text(json.dumps(payload, indent=2) + "\n",
@@ -376,15 +321,6 @@ def format_bench_summary(payload: Dict) -> str:
             f"({report.get('retries', 0)} retries, "
             f"{report.get('timeouts', 0)} timeouts, "
             f"{report.get('worker_deaths', 0)} worker deaths)"
-        )
-    par = payload.get("parallel")
-    if par:
-        lines.append(
-            f"parallel: {par['workers']} workers "
-            f"{par['parallel_wall_seconds']:.2f}s vs serial "
-            f"{par['serial_wall_seconds']:.2f}s "
-            f"(speedup {par['speedup']:.2f}x, "
-            f"identical={par['byte_identical']})"
         )
     hits = payload["metrics"].get("perf.cache_hits", {}).get("value", 0)
     if hits:

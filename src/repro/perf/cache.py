@@ -60,7 +60,10 @@ from typing import Any, Dict, Optional
 #: 8: OneTM cells now count log-write, log-stall and undo cycles, and
 #:    time-shared cells deschedule a migrating thread on the core it
 #:    leaves; entries from earlier builds hold stale stats for both.
-CACHE_SCHEMA = 8
+#: 9: CellSpec payload lost its ``faults`` / ``monitor`` fields: grid
+#:    cells are always clean runs (chaos campaigns key their own
+#:    cells), so there is no fault plan left to key on.
+CACHE_SCHEMA = 9
 
 #: Default cache directory (overridable via the environment).
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"

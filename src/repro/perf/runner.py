@@ -41,7 +41,6 @@ completion order, or retry history (asserted by
 
 from __future__ import annotations
 
-import hashlib
 import os
 import signal as _signal
 import time
@@ -55,12 +54,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from repro.analysis.experiments import Cell, run_trace
 from repro.common.config import HTMConfig, SystemConfig
 from repro.common.errors import IncompleteGridError
-from repro.faults.monitor import InvariantMonitor
-from repro.faults.plan import FaultPlan
 from repro.obs.metrics import PERF_RESILIENCE_COUNTERS, MetricsRegistry
 from repro.perf.cache import ResultCache, cell_key
 from repro.perf.supervise import (
-    CONTINUE,
     DEGRADE_TO_SERIAL,
     FAIL_FAST,
     FATE_POOL_BROKEN,
@@ -98,14 +94,6 @@ class CellSpec:
     threads: Optional[int] = None
     system: SystemConfig = field(default_factory=SystemConfig)
     htm: HTMConfig = field(default_factory=HTMConfig)
-    #: Canonical JSON of the injected fault plan (None = clean run).
-    #: Faults perturb results, so this is cache-key material: a chaos
-    #: cell can never be answered from a clean run's entry, nor a
-    #: clean cell from a chaos entry.
-    faults: Optional[str] = None
-    #: Run the invariant monitor (adds a ``monitor`` stats section,
-    #: hence also key material).
-    monitor: bool = False
 
     def payload(self) -> Dict[str, object]:
         """Key material for :func:`repro.perf.cache.cell_key`."""
@@ -117,15 +105,7 @@ class CellSpec:
             "threads": self.threads,
             "system": self.system,
             "htm": self.htm,
-            "faults": self.faults,
-            "monitor": self.monitor,
         }
-
-    def fault_plan(self) -> Optional[FaultPlan]:
-        """The fault plan this cell injects, or None for clean runs."""
-        if self.faults is None:
-            return None
-        return FaultPlan.from_canonical(self.faults)
 
 
 def grid_specs(workloads: Iterable[Union[SyntheticTxnWorkload,
@@ -135,18 +115,13 @@ def grid_specs(workloads: Iterable[Union[SyntheticTxnWorkload,
                scale: float = 1.0,
                threads: Optional[int] = None,
                system: Optional[SystemConfig] = None,
-               htm: Optional[HTMConfig] = None,
-               faults: Optional[FaultPlan] = None,
-               monitor: bool = False) -> List[CellSpec]:
+               htm: Optional[HTMConfig] = None) -> List[CellSpec]:
     """The full cross product, in deterministic (wl, seed, variant) order."""
     sys_cfg = system or SystemConfig()
     htm_cfg = htm or HTMConfig()
-    plan_json = faults.canonical_json() if faults is not None \
-        and faults.specs else None
     return [
         CellSpec(wl.spec, variant, seed=seed, scale=scale, threads=threads,
-                 system=sys_cfg, htm=htm_cfg, faults=plan_json,
-                 monitor=monitor)
+                 system=sys_cfg, htm=htm_cfg)
         for wl in workloads
         for seed in seeds
         for variant in variants
@@ -154,23 +129,13 @@ def grid_specs(workloads: Iterable[Union[SyntheticTxnWorkload,
 
 
 def _work_provenance(spec: CellSpec) -> Dict[str, object]:
-    """Ledger provenance columns for one cell's landscape work row.
-
-    ``fault_plan`` hashes the canonical plan JSON exactly as
-    :meth:`~repro.faults.plan.FaultPlan.content_hash` does, without
-    re-parsing the plan the spec already carries in canonical form.
-    """
-    plan_hash = None
-    if spec.faults is not None:
-        plan_hash = hashlib.sha256(
-            spec.faults.encode("utf-8")).hexdigest()[:16]
+    """Ledger provenance columns for one cell's landscape work row."""
     digest = spec.workload.digest \
         if isinstance(spec.workload, TraceWorkloadSpec) else None
     return {
         "workload": spec.workload.name,
         "variant": spec.variant,
         "seed": spec.seed,
-        "fault_plan": plan_hash,
         "trace_digest": digest,
     }
 
@@ -199,9 +164,7 @@ def _simulate(spec: CellSpec) -> Tuple[Cell, float]:
         else spec.system.num_cores
     trace = _trace(spec.workload, spec.seed, spec.scale, threads)
     stats = run_trace(trace, spec.variant, system=spec.system,
-                      htm_config=spec.htm, seed=spec.seed,
-                      faults=spec.fault_plan(),
-                      monitor=InvariantMonitor() if spec.monitor else None)
+                      htm_config=spec.htm, seed=spec.seed)
     return Cell(trace.name, spec.variant, spec.seed, stats), \
         perf_counter() - start
 

@@ -121,7 +121,7 @@ class TestHarness:
         assert row.avg_read_set > 0
 
     def test_table6_row(self):
-        row = table6_row(barnes(), scale=0.05, seed=2)
+        row = table6_row(run_cell(barnes(), "TokenTM", scale=0.05, seed=2))
         assert row.benchmark == "Barnes"
         assert 0 <= row.fast_pct <= 100
         assert row.fast_avg_duration > 0

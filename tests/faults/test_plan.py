@@ -54,12 +54,6 @@ class TestFaultPlan:
         assert again == plan
         assert again.content_hash() == plan.content_hash()
 
-    def test_canonical_round_trip(self):
-        plan = default_plan()
-        again = FaultPlan.from_canonical(plan.canonical_json())
-        assert again.specs == plan.specs
-        assert again.content_hash() == plan.content_hash()
-
     def test_hash_ignores_name(self):
         a = FaultPlan(specs=(FaultSpec("preempt", prob=0.1),), name="a")
         b = FaultPlan(specs=(FaultSpec("preempt", prob=0.1),), name="b")

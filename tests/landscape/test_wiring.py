@@ -92,9 +92,8 @@ def test_campaign_resume_books_resumed_cells(tmp_path):
 def test_run_bench_records_sections_and_payload(tmp_path):
     db = tmp_path / "db"
     payload = run_bench(
-        out=str(tmp_path / "b.json"), quick=True,
-        workload_names=("Cholesky",), variants=("TokenTM",),
-        scale_factor=0.25, traces=False, landscape=str(db))
+        out=str(tmp_path / "b.json"), workload_names=("Cholesky",),
+        variants=("TokenTM",), landscape=str(db))
     assert "unix_time" not in payload
 
     with LandscapeStore(db, readonly=True) as store:

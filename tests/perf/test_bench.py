@@ -7,9 +7,12 @@ import json
 
 import pytest
 
+from repro.analysis.experiments import FIGURE5_VARIANTS, GRID_SCALES
 from repro.common.config import SystemConfig
 from repro.faults.plan import default_plan
 from repro.perf.bench import BENCH_SCHEMA, bench_specs, run_bench
+from repro.perf.cache import cell_key
+from repro.traces.workload import TraceWorkloadSpec
 from repro.workloads import cholesky, vacation_low
 from repro.workloads.base import SyntheticTxnWorkload
 
@@ -80,26 +83,52 @@ def test_legacy_loop_matches_preemptive():
     assert stats.preemptions > 0
 
 
-def test_bench_specs_quick_subset():
-    specs = bench_specs(quick=True)
-    assert {s.workload.name for s in specs} == \
-        {"Cholesky", "Vacation-Low", "mutex_ring"}
-    assert {s.variant for s in specs} == {"TokenTM", "LogTM-SE_4xH3"}
+def test_bench_grid_has_55_distinct_cells():
+    """Eight synthetic workloads and three fixture traces, each on the
+    five Figure 5 variants."""
+    specs = bench_specs()
+    assert len(specs) == 55
+    assert len({cell_key(spec) for spec in specs}) == 55
+    assert {s.variant for s in specs} == set(FIGURE5_VARIANTS)
+
+
+def test_bench_specs_fixture_subset():
+    specs = bench_specs(workload_names=("mutex_ring",))
+    assert [s.variant for s in specs] == list(FIGURE5_VARIANTS)
+    assert {s.workload.name for s in specs} == {"mutex_ring"}
     # Trace cells run at their recorded size.
-    assert all(s.scale == 1.0 for s in specs
-               if s.workload.name == "mutex_ring")
+    assert all(s.scale == 1.0 for s in specs)
 
 
-@pytest.mark.parametrize("kwargs,choice", [
-    ({"workload_names": ("Cholesky", "Bogus")}, "Vacation-High"),
-    ({"variants": ("TokenTM", "Bogus")}, "LogTM-SE_Perf"),
-], ids=["workload", "variant"])
-def test_bench_specs_rejects_unknown_names(kwargs, choice):
-    """An unknown name is a ConfigError listing the choices, raised
-    before any cell runs (never a SystemExit from library code)."""
+@pytest.mark.parametrize("kwargs", [
+    {"workload_names": ("Cholesky",)},
+    {"workload_names": ("mutex_ring", "Delaunay")},
+    {"variants": ("TokenTM",)},
+    {"workload_names": ("Cholesky", "mutex_ring"),
+     "variants": ("TokenTM", "LogTM-SE_4xH3")},
+], ids=["synthetic", "mixed", "variant", "both"])
+def test_bench_subsets_are_grid_rows(kwargs):
+    """A subset is a filter over the grid: its cells are grid cells,
+    in grid order."""
+    grid = [cell_key(spec) for spec in bench_specs()]
+    subset = [cell_key(spec) for spec in bench_specs(**kwargs)]
+    assert subset
+    assert subset == [key for key in grid if key in subset]
+
+
+@pytest.mark.parametrize("kwargs,bad,choice", [
+    ({"workload_names": ("Cholesky", "Bogus")}, "Bogus", "Vacation-High"),
+    ({"variants": ("TokenTM", "Bogus")}, "Bogus", "LogTM-SE_Perf"),
+    # OneTM is a simulator variant but not a Figure 5 grid column.
+    ({"variants": ("OneTM",)}, "OneTM", "TokenTM_NoFast"),
+], ids=["workload", "variant", "off-grid-variant"])
+def test_bench_specs_rejects_unknown_names(kwargs, bad, choice):
+    """A name outside the grid is a ConfigError listing the grid's
+    choices, raised before any cell runs (never a SystemExit from
+    library code)."""
     from repro.common.errors import ConfigError
 
-    with pytest.raises(ConfigError, match="Bogus") as err:
+    with pytest.raises(ConfigError, match=bad) as err:
         bench_specs(**kwargs)
     assert choice in str(err.value)
 
@@ -113,9 +142,15 @@ def test_run_bench_rejects_unknown_workload_before_running(tmp_path):
     assert not out.exists()
 
 
-def test_bench_specs_traces_off():
-    specs = bench_specs(quick=True, traces=False)
-    assert {s.workload.name for s in specs} == {"Cholesky", "Vacation-Low"}
+def test_bench_specs_synthetic_subset_has_no_fixture_cells():
+    """Naming a synthetic workload keeps only its rows: the fixture
+    trace cells do not come along."""
+    specs = bench_specs(workload_names=("Cholesky",))
+    assert len(specs) == 5
+    assert {s.workload.name for s in specs} == {"Cholesky"}
+    assert not any(isinstance(s.workload, TraceWorkloadSpec)
+                   for s in specs)
+    assert {s.scale for s in specs} == {GRID_SCALES["Cholesky"]}
 
 
 def test_claim_benchmark_cells_are_bench_grid_cells(monkeypatch):
@@ -130,7 +165,6 @@ def test_claim_benchmark_cells_are_bench_grid_cells(monkeypatch):
         test_figure5_performance,
         test_table6_overheads,
     )
-    from repro.perf.cache import cell_key
     from repro.workloads import tm_workloads
 
     requested = []
@@ -153,8 +187,7 @@ def test_claim_benchmark_cells_are_bench_grid_cells(monkeypatch):
 def test_run_bench_writes_schema_documented_json(tmp_path):
     out = tmp_path / "BENCH_perf.json"
     payload = run_bench(
-        out=str(out), quick=True, workload_names=("Cholesky",),
-        variants=("TokenTM",), scale_factor=0.5, traces=False,
+        out=str(out), workload_names=("Cholesky",), variants=("TokenTM",),
         cache_dir=str(tmp_path / "cache"),
     )
     on_disk = json.loads(out.read_text())
@@ -175,8 +208,7 @@ def test_run_bench_writes_schema_documented_json(tmp_path):
     assert on_disk["metrics"]["perf.simulated"]["value"] == 1
     # Second run hits the cache: same stats content, no wall time.
     rerun = run_bench(
-        out=str(out), quick=True, workload_names=("Cholesky",),
-        variants=("TokenTM",), scale_factor=0.5, traces=False,
+        out=str(out), workload_names=("Cholesky",), variants=("TokenTM",),
         cache_dir=str(tmp_path / "cache"),
     )
     warm = rerun["grid"]["cells"][0]
@@ -193,9 +225,8 @@ def test_bench_payload_has_no_wall_clock_identity(tmp_path):
     timestamps belong to the landscape's run row, not the payload
     (docs/performance.md)."""
     payload = run_bench(
-        out=str(tmp_path / "b.json"), quick=True,
+        out=str(tmp_path / "b.json"),
         workload_names=("Cholesky",), variants=("TokenTM",),
-        scale_factor=0.25, traces=False,
     )
     assert "unix_time" not in payload
-    assert payload["schema"] == BENCH_SCHEMA == "repro-bench-perf/12"
+    assert payload["schema"] == BENCH_SCHEMA == "repro-bench-perf/13"

@@ -161,7 +161,7 @@ class TestBenchNames:
     def test_unknown_name_exits_2_before_running(self, tmp_path, capsys,
                                                  flag):
         out = tmp_path / "b.json"
-        assert main(["bench", "--quick", flag, "Bogus",
+        assert main(["bench", flag, "Bogus",
                      "--out", str(out)]) == 2
         captured = capsys.readouterr()
         err = captured.err.strip().splitlines()
@@ -169,3 +169,11 @@ class TestBenchNames:
         assert err[0].startswith("bench: unknown ") and "Bogus" in err[0]
         assert captured.out == ""
         assert not out.exists()
+
+    def test_fixture_name_selects_its_grid_rows(self, tmp_path, capsys):
+        out = tmp_path / "b.json"
+        assert main(["bench", "--workloads", "mutex_ring",
+                     "--variants", "TokenTM", "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())["grid"]["cells"]
+        assert [(r["workload"], r["variant"], r["scale"], r["trace"])
+                for r in rows] == [("mutex_ring", "TokenTM", 1.0, True)]
