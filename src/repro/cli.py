@@ -8,8 +8,6 @@ Commands map one-to-one onto the paper's experiments:
   a named workload; ``--faults PLAN.json`` injects a fault plan,
   ``--monitor`` runs the invariant monitor and exits nonzero on any
   violation);
-* ``convert``  — lower a SynchroTrace-style event file (or shard
-  directory) to the internal opcode format (``docs/traces.md``);
 * ``record``   — record a synthetic workload as an event-trace file
   whose replay is oracle-identical to the generator run;
 * ``workloads`` — list workloads and fixture traces with per-thread
@@ -60,7 +58,7 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.common.errors import ConfigError, IncompleteGridError
+from repro.common.errors import ConfigError, IncompleteGridError, TraceError
 
 from repro.analysis.experiments import (
     FIGURE1_VARIANTS,
@@ -138,16 +136,27 @@ def _finish_trace(bus, jsonl, chrome, args) -> None:
               file=sys.stderr)
 
 
-def _trace_workload_from_args(args):
-    """Build a :class:`TraceWorkload` from ``--trace-file`` flags."""
+def _trace_workload_from_args(args, options=None):
+    """The ``--trace-file`` workload, converted now (memoized).
+
+    ``options`` defaults to what the converter flags describe.  A
+    missing file or one that is not an event trace is an input error:
+    one line on stderr and ``None``, so the caller exits 2 before
+    anything runs.
+    """
     from repro.traces import ConvertOptions, TraceWorkload
 
-    options = ConvertOptions(
-        block_shift=args.block_shift,
-        remap=args.remap,
-        transactify=not args.no_transactify,
-    )
-    return TraceWorkload.from_file(args.trace_file, options=options)
+    if options is None:
+        options = ConvertOptions(block_shift=args.block_shift,
+                                 remap=args.remap,
+                                 transactify=not args.no_transactify)
+    try:
+        workload = TraceWorkload.from_file(args.trace_file, options=options)
+        workload.generate()
+    except TraceError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return None
+    return workload
 
 
 def cmd_run(args) -> int:
@@ -156,6 +165,8 @@ def cmd_run(args) -> int:
             "run: give a workload name or --trace-file EVENTS (not both)")
     if args.trace_file:
         workload = _trace_workload_from_args(args)
+        if workload is None:
+            return 2
         name = workload.spec.name
         scale = args.scale or 1.0
     else:
@@ -256,41 +267,6 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def cmd_convert(args) -> int:
-    from repro.obs.metrics import MetricsRegistry
-    from repro.traces import ConvertOptions, convert_file
-    from repro.workloads.persist import save_trace
-
-    options = ConvertOptions(
-        block_shift=args.block_shift,
-        remap=args.remap,
-        remap_space=args.remap_space,
-        transactify=args.transactify,
-        iop_cost=args.iop_cost,
-        flop_cost=args.flop_cost,
-    )
-    metrics = MetricsRegistry()
-    trace = convert_file(args.events, name=args.name, options=options,
-                         metrics=metrics)
-    out = args.out or f"{trace.name}.trace"
-    save_trace(trace, out)
-    snap = metrics.snapshot()
-
-    def metric(name):
-        return snap.get(name, {}).get("value", 0)
-
-    print(f"converted {args.events} -> {out}")
-    print(f"  events: {metric('traces.events')} "
-          f"(dropped {metric('traces.dropped')}), "
-          f"ops: {metric('traces.ops')}, "
-          f"threads: {trace.num_threads}, "
-          f"txns: {trace.transaction_count()}, "
-          f"waits: {len(trace.waits)}")
-    print(f"  parse throughput: "
-          f"{metric('traces.events_per_second'):,.0f} events/sec")
-    return 0
-
-
 def cmd_record(args) -> int:
     from repro.traces import record_trace
 
@@ -319,6 +295,11 @@ def cmd_workloads(args) -> int:
         OP_WRITE,
     )
 
+    extra = None
+    if args.trace_file:
+        extra = _trace_workload_from_args(args)
+        if extra is None:
+            return 2
     mem_ops = (OP_READ, OP_WRITE, OP_NT_READ, OP_NT_WRITE)
 
     def row(name, kind, scale, trace):
@@ -341,10 +322,9 @@ def cmd_workloads(args) -> int:
     for name, wl in fixture_workloads().items():
         rows.append(row(name, "trace", "-",
                         wl.generate(seed=args.seed)))
-    if args.trace_file:
-        wl = _trace_workload_from_args(args)
-        rows.append(row(wl.spec.name, "trace", "-",
-                        wl.generate(seed=args.seed)))
+    if extra is not None:
+        rows.append(row(extra.spec.name, "trace", "-",
+                        extra.generate(seed=args.seed)))
     print(format_table(
         ["workload", "kind", "scale", "threads", "ops", "ops/thread",
          "txns", "footprint blocks"],
@@ -516,6 +496,12 @@ def cmd_chaos(args) -> int:
               "WARNING: differs from recorded failure", file=sys.stderr)
         return 0 if same else 1
 
+    if args.trace_file:
+        from repro.traces import ConvertOptions
+
+        options = ConvertOptions(transactify=True)  # as chaos cells replay
+        if _trace_workload_from_args(args, options) is None:
+            return 2
     if args.plan:
         plan = FaultPlan.load(args.plan)
     else:
@@ -730,7 +716,8 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="run one workload on one variant",
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog="exit codes: 0 run finished (and every --monitor "
-               "invariant held); 1 invariant violation")
+               "invariant held); 1 invariant violation; 2 --trace-file "
+               "missing or not an event trace (nothing ran)")
     run_p.add_argument("workload", nargs="?", default=None,
                        help="Table 5 workload name (omit when "
                             "replaying with --trace-file)")
@@ -759,7 +746,8 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog="exit codes: 0 all invariants held; 1 invariant "
                "violations (or a --replay mismatch); 2 landscape "
-               "store unusable (e.g. newer schema than this build); "
+               "store unusable (e.g. newer schema than this build), "
+               "or --trace-file missing or not an event trace; "
                "3 campaign interrupted (--max-cells or signal) — "
                "resumable with --resume")
     chaos_p.add_argument("--workload", default="Cholesky",
@@ -809,32 +797,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "--workload")
     chaos_p.add_argument("--json", action="store_true")
     chaos_p.set_defaults(func=cmd_chaos)
-
-    convert_p = sub.add_parser(
-        "convert",
-        help="lower a SynchroTrace-style event file to a .trace")
-    convert_p.add_argument("events",
-                           help="event-trace file (.strace, gzip ok) "
-                                "or directory of per-thread shards")
-    convert_p.add_argument("-o", "--out", metavar="FILE", default=None,
-                           help="output trace path (default: "
-                                "<name>.trace; .gz compresses)")
-    convert_p.add_argument("--name", default=None,
-                           help="workload name (default: from filename)")
-    convert_p.add_argument("--remap", choices=["dense", "mod", "none"],
-                           default="dense")
-    convert_p.add_argument("--remap-space", type=int, default=1 << 18,
-                           help="block-address range for the mod policy")
-    convert_p.add_argument("--block-shift", type=int, default=6,
-                           help="log2 block size for address folding")
-    convert_p.add_argument("--transactify", action="store_true",
-                           help="turn mutex critical sections into "
-                                "transactions (BEGIN/COMMIT)")
-    convert_p.add_argument("--iop-cost", type=int, default=1,
-                           help="cycles charged per integer op")
-    convert_p.add_argument("--flop-cost", type=int, default=2,
-                           help="cycles charged per floating-point op")
-    convert_p.set_defaults(func=cmd_convert)
 
     record_p = sub.add_parser(
         "record",
@@ -912,10 +874,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--workers", type=int, default=0,
                          help="worker processes (0 = serial, "
                               "-1 = one per CPU)")
-    bench_p.add_argument("--workloads", nargs="*", default=None,
+    bench_p.add_argument("--workloads", nargs="+", default=None,
                          help="keep only these grid workloads "
                               "(synthetic or fixture trace names)")
-    bench_p.add_argument("--variants", nargs="*", default=None,
+    bench_p.add_argument("--variants", nargs="+", default=None,
                          help="keep only these grid variants")
     bench_p.add_argument("--cache-dir", metavar="DIR", default=None,
                          help="cell cache directory (off by default "

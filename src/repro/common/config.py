@@ -115,8 +115,6 @@ class LatencyModel:
     txn_commit: int = 4
     #: Cost of trapping to the software contention manager.
     conflict_trap: int = 80
-    #: Base hardware retry back-off before trapping to software.
-    retry_backoff: int = 20
     #: OS overhead of a context switch (scheduler + register state),
     #: on top of the HTM's own switch instruction cost.
     os_switch: int = 400
@@ -125,7 +123,7 @@ class LatencyModel:
         for name in (
             "l1_hit", "l2_hit", "memory", "hop", "directory", "log_write",
             "token_release", "undo_write", "fast_release", "txn_begin",
-            "txn_commit", "conflict_trap", "retry_backoff", "os_switch",
+            "txn_commit", "conflict_trap", "os_switch",
         ):
             _require(getattr(self, name) >= 0, f"latency {name} must be >= 0")
 
@@ -228,14 +226,8 @@ class HTMConfig:
     """Parameters shared by all simulated HTM variants."""
 
     tokens_per_block: int = DEFAULT_TOKENS_PER_BLOCK
-    #: Hardware retries before trapping to the software contention
-    #: manager (Section 5.2: "conflicting requests may be retried in
-    #: hardware").
-    hw_retries: int = 4
     #: Exponential back-off cap, in cycles, for aborted transactions.
     max_backoff: int = 4096
-    #: Enables TokenTM's fast token release (Section 4.4).
-    fast_release: bool = True
     #: Signature geometry for LogTM-SE variants; ignored by TokenTM.
     signature: SignatureConfig = field(default_factory=SignatureConfig)
     #: Abort a transaction after this many consecutive failed retries
@@ -244,7 +236,6 @@ class HTMConfig:
 
     def __post_init__(self) -> None:
         _require(self.tokens_per_block >= 2, "need at least 2 tokens per block")
-        _require(self.hw_retries >= 0, "hw_retries must be >= 0")
         _require(self.max_backoff >= 1, "max_backoff must be >= 1")
         _require(self.max_stall_retries >= 1, "max_stall_retries must be >= 1")
 

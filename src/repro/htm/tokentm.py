@@ -76,15 +76,14 @@ class TokenTM(HTM, CoherenceListener):
     """TokenTM, optionally without fast token release (TokenTM_NoFast)."""
 
     def __init__(self, mem: MemorySystem, config: HTMConfig,
-                 fast_release: Optional[bool] = None):
+                 fast_release: bool = True):
         super().__init__(mem)
-        use_fast = config.fast_release if fast_release is None else fast_release
-        self.name = "TokenTM" if use_fast else "TokenTM_NoFast"
+        self.name = "TokenTM" if fast_release else "TokenTM_NoFast"
         self._config = config
         self._tpb = config.tokens_per_block
         self._store = MetabitStore(self._tpb)
         ncores = mem.config.num_cores
-        self._units = [FastReleaseUnit(c, enabled=use_fast)
+        self._units = [FastReleaseUnit(c, enabled=fast_release)
                        for c in range(ncores)]
         # Metastate shards fused off invalidated copies, keyed by the
         # (requesting core, block) that will absorb them, plus the

@@ -63,7 +63,8 @@ from typing import Any, Dict, Optional
 #: 9: CellSpec payload lost its ``faults`` / ``monitor`` fields: grid
 #:    cells are always clean runs (chaos campaigns key their own
 #:    cells), so there is no fault plan left to key on.
-CACHE_SCHEMA = 9
+#: 10: six config fields that no cell could vary left the payload.
+CACHE_SCHEMA = 10
 
 #: Default cache directory (overridable via the environment).
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"

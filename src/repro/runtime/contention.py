@@ -29,6 +29,10 @@ from repro.common.config import HTMConfig
 from repro.htm.base import ConflictInfo, ConflictKind
 from repro.obs.events import NULL_BUS, EventBus, EventKind
 
+#: A non-winning stall waits up to ``STALL_BACKOFF_BASE << min(n, 6)``
+#: cycles (jittered), ``n`` being the consecutive stalls so far.
+STALL_BACKOFF_BASE = 20
+
 
 class Resolution(Enum):
     """What the conflicting requester must do."""
@@ -126,7 +130,7 @@ class ContentionPolicy:
         if winning:
             return self._jitter(30)
         step = min(consecutive_stalls, 6)
-        return self._jitter(20 << step)
+        return self._jitter(STALL_BACKOFF_BASE << step)
 
     def backoff_delay(self, attempt: int) -> int:
         """Randomized exponential back-off after a self-abort."""

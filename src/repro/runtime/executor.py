@@ -52,6 +52,12 @@ DEFAULT_QUANTUM = 200
 #: livelocked (a simulator bug; the timestamp policy should converge).
 MAX_TXN_ATTEMPTS = 50_000
 
+#: Hardware retries of a stalled request whose conflict hints name no
+#: live transaction before it traps to the software contention
+#: manager's log walk (Section 5.2: "conflicting requests may be
+#: retried in hardware").
+HW_RETRIES = 4
+
 #: Cross-thread wait (OP_WAIT) spin parameters.  A blocked waiter
 #: retries with exponentially growing simulated delays so the
 #: min-clock scheduler quickly hands the cycles to the threads that
@@ -653,7 +659,7 @@ class Executor:
         if (decision.resolution is Resolution.STALL_AND_RETRY
                 and not decision.victims
                 and info.kind is not ConflictKind.SERIALIZATION
-                and thread.stalls >= 4):
+                and thread.stalls >= HW_RETRIES):
             # The hardware hints name no live transaction (token
             # identity labels can go stale once fission/fusion
             # anonymizes counts), yet the conflict persists: trap to

@@ -3,8 +3,8 @@
 The converter turns a parsed event stream (:mod:`repro.traces.events`)
 into a runnable :class:`~repro.workloads.trace.WorkloadTrace`:
 
-* **Computation** lowers to ``OP_COMPUTE`` (``iops * iop_cost +
-  flops * flop_cost`` cycles; zero-work events emit no compute op)
+* **Computation** lowers to ``OP_COMPUTE`` (``iops * IOP_COST +
+  flops * FLOP_COST`` cycles; zero-work events emit no compute op)
   followed by the event's memory accesses.
 * **Addresses** fold to 64-byte blocks (``addr >> block_shift``, every
   block an access's byte span touches) and then pass through a
@@ -79,6 +79,13 @@ from repro.workloads.trace import (
 #: Valid address remap policies (:class:`ConvertOptions.remap`).
 REMAP_POLICIES = ("dense", "mod", "none")
 
+#: Modulus of the ``mod`` remap policy, in blocks.
+REMAP_SPACE = 1 << 18
+
+#: Cycles per integer / floating-point operation of a computation event.
+IOP_COST = 1
+FLOP_COST = 2
+
 
 @dataclass(frozen=True)
 class ConvertOptions:
@@ -94,7 +101,7 @@ class ConvertOptions:
       from :data:`~repro.workloads.base.SHARED_REGION_BASE`; compact
       and collision-free, deterministic because the emit pass visits
       threads in sorted order.
-    * ``mod`` — ``base + block % remap_space``; order-independent but
+    * ``mod`` — ``base + block % REMAP_SPACE``; order-independent but
       may alias distinct blocks.
     * ``none`` — raw folded block numbers (for traces whose addresses
       are already simulator blocks, e.g. recorded workloads).
@@ -104,13 +111,8 @@ class ConvertOptions:
     #: paper's read/write sets are counted in.
     block_shift: int = BLOCK_SHIFT
     remap: str = "dense"
-    #: Modulus of the ``mod`` policy.
-    remap_space: int = 1 << 18
     #: Rewrite mutex critical sections into transactions.
     transactify: bool = False
-    #: Cycles per integer / floating-point operation.
-    iop_cost: int = 1
-    flop_cost: int = 2
 
     def __post_init__(self) -> None:
         if self.remap not in REMAP_POLICIES:
@@ -119,27 +121,22 @@ class ConvertOptions:
                 f"(choose from {', '.join(REMAP_POLICIES)})")
         if self.block_shift < 0:
             raise ConfigError("block_shift must be non-negative")
-        if self.remap_space <= 0:
-            raise ConfigError("remap_space must be positive")
-        if self.iop_cost < 0 or self.flop_cost < 0:
-            raise ConfigError("op costs must be non-negative")
 
 
 class _Remapper:
     """Applies one remap policy; ``dense`` interns first-seen blocks."""
 
-    __slots__ = ("policy", "space", "_dense")
+    __slots__ = ("policy", "_dense")
 
     def __init__(self, options: ConvertOptions):
         self.policy = options.remap
-        self.space = options.remap_space
         self._dense: Dict[int, int] = {}
 
     def map(self, block: int) -> int:
         if self.policy == "none":
             return block
         if self.policy == "mod":
-            return SHARED_REGION_BASE + block % self.space
+            return SHARED_REGION_BASE + block % REMAP_SPACE
         index = self._dense.get(block)
         if index is None:
             index = self._dense[block] = len(self._dense)
@@ -285,8 +282,7 @@ class _Lowerer:
                 f"transactify or record without it")
 
     def _compute(self, event: ComputeEvent) -> None:
-        cycles = (event.iops * self.options.iop_cost
-                  + event.flops * self.options.flop_cost)
+        cycles = event.iops * IOP_COST + event.flops * FLOP_COST
         if cycles > 0:
             self.ops[event.tid].append((OP_COMPUTE, cycles))
         self._emit_accesses(event.tid, event.reads, read=True)

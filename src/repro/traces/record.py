@@ -13,7 +13,7 @@ original block numbers):
 ========================  =========================================
 op                        event
 ========================  =========================================
-``COMPUTE(c)``            computation, ``iops=c`` (iop_cost 1)
+``COMPUTE(c)``            computation, ``iops=c`` (``IOP_COST`` 1)
 ``NT_READ/READ(b)``       computation, one read at ``b << shift``
 ``NT_WRITE/WRITE(b)``     computation, one write at ``b << shift``
 ``BEGIN`` / ``COMMIT``    lock/unlock of reserved mutex 0
@@ -31,13 +31,14 @@ format does not attempt).  Both cases raise :class:`TraceError`.
 
 from __future__ import annotations
 
+import gzip
+import io
 from pathlib import Path
 from typing import IO, Union
 
 from repro.common.config import BLOCK_SHIFT
 from repro.common.errors import TraceError
 from repro.traces.convert import ConvertOptions
-from repro.workloads.persist import _GzipTextWriter
 from repro.workloads.trace import (
     OP_BEGIN,
     OP_COMMIT,
@@ -66,7 +67,31 @@ def replay_options(trace: WorkloadTrace) -> ConvertOptions:
                           transactify=has_txns)
 
 
+class _GzipTextWriter(io.TextIOWrapper):
+    """Text writer whose gzip output is fully content-determined.
+
+    The gzip header normally embeds the file's mtime and name; both
+    are suppressed (mtime pinned to zero, stream opened via fileobj)
+    so identical traces produce byte-identical files whatever they
+    are called — which is what lets content hashes and committed
+    ``.gz`` fixtures stay stable across regeneration.
+    """
+
+    def __init__(self, path: Path):
+        self._binary = path.open("wb")
+        gz = gzip.GzipFile(fileobj=self._binary, mode="wb", mtime=0,
+                           filename="")
+        super().__init__(gz, encoding="utf-8")
+
+    def close(self) -> None:
+        try:
+            super().close()  # flushes text, writes the gzip trailer
+        finally:
+            self._binary.close()
+
+
 def _open_out(path: Path) -> IO[str]:
+    """Open ``path`` as text, compressing when it ends in ``.gz``."""
     if path.suffix == ".gz":
         return _GzipTextWriter(path)
     return path.open("w", encoding="utf-8")

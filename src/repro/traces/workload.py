@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import Dict, Optional, Union
 
 from repro.common.errors import TraceError
-from repro.obs.metrics import MetricsRegistry
 from repro.traces.convert import ConvertOptions, convert_file
 from repro.traces.events import trace_files
 from repro.workloads.trace import WorkloadTrace
@@ -60,18 +59,14 @@ class TraceWorkloadSpec:
 class TraceWorkload:
     """Replayable trace workload (duck-types SyntheticTxnWorkload)."""
 
-    def __init__(self, spec: TraceWorkloadSpec,
-                 metrics: Optional[MetricsRegistry] = None):
+    def __init__(self, spec: TraceWorkloadSpec):
         self.spec = spec
-        self.metrics = metrics
         self._converted: Optional[WorkloadTrace] = None
 
     @classmethod
     def from_file(cls, path: Union[str, Path],
                   options: Optional[ConvertOptions] = None,
-                  name: Optional[str] = None,
-                  metrics: Optional[MetricsRegistry] = None
-                  ) -> "TraceWorkload":
+                  name: Optional[str] = None) -> "TraceWorkload":
         """Build a workload from a trace file, hashing it now."""
         path = Path(path)
         if name is None:
@@ -85,12 +80,10 @@ class TraceWorkload:
             digest=trace_digest(path),
             convert=options or ConvertOptions(),
         )
-        return cls(spec, metrics=metrics)
+        return cls(spec)
 
     @classmethod
-    def from_spec(cls, spec: TraceWorkloadSpec,
-                  metrics: Optional[MetricsRegistry] = None
-                  ) -> "TraceWorkload":
+    def from_spec(cls, spec: TraceWorkloadSpec) -> "TraceWorkload":
         """Rehydrate from a spec, verifying the file still matches.
 
         Worker processes reconstruct workloads from specs; the digest
@@ -103,7 +96,7 @@ class TraceWorkload:
                 f"{spec.path}: trace content changed since the spec "
                 f"was built (digest {actual[:12]}… != spec "
                 f"{spec.digest[:12]}…)")
-        return cls(spec, metrics=metrics)
+        return cls(spec)
 
     def scaled_spec(self, scale: float) -> TraceWorkloadSpec:
         """Replay has no scale knob; the spec is returned unchanged."""
@@ -120,7 +113,7 @@ class TraceWorkload:
         if self._converted is None:
             self._converted = convert_file(
                 self.spec.path, name=self.spec.name,
-                options=self.spec.convert, metrics=self.metrics)
+                options=self.spec.convert)
         return self._converted
 
 

@@ -17,7 +17,6 @@ from repro.workloads.lockapps import (
     bind,
     lock_applications,
 )
-from repro.workloads.persist import load_trace, save_trace
 from repro.workloads.splash import (
     barnes,
     cholesky,
@@ -85,10 +84,8 @@ __all__ = [
     "cholesky",
     "delaunay",
     "genome",
-    "load_trace",
     "lock_applications",
     "radiosity",
-    "save_trace",
     "raytrace",
     "splash_workloads",
     "stamp_workloads",

@@ -78,7 +78,7 @@ class TestHTMConfig:
     def test_defaults(self):
         cfg = HTMConfig()
         assert cfg.tokens_per_block == 1 << 14
-        assert cfg.fast_release
+        assert cfg.max_backoff == 4096
 
     def test_tiny_token_count_rejected(self):
         with pytest.raises(ConfigError):

@@ -170,6 +170,16 @@ class TestBenchNames:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--workloads", "--variants"])
+    def test_empty_selection_is_a_usage_error(self, tmp_path, capsys,
+                                              flag):
+        out = tmp_path / "b.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", flag, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "expected at least one argument" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fixture_name_selects_its_grid_rows(self, tmp_path, capsys):
         out = tmp_path / "b.json"
         assert main(["bench", "--workloads", "mutex_ring",

@@ -1,4 +1,4 @@
-"""CLI tests for the trace verbs: convert, record, workloads, run."""
+"""CLI tests for the trace verbs: record, workloads, run, chaos."""
 
 import json
 
@@ -6,27 +6,6 @@ import pytest
 
 from repro.cli import main
 from repro.traces.workload import fixture_path
-from repro.workloads.persist import load_trace
-
-
-class TestConvert:
-    def test_convert_fixture(self, tmp_path, capsys):
-        out = tmp_path / "ring.trace"
-        rc = main(["convert", str(fixture_path("mutex_ring")),
-                   "-o", str(out), "--transactify"])
-        assert rc == 0
-        text = capsys.readouterr().out
-        assert "events: 240" in text and "ops: 384" in text
-        assert "events/sec" in text
-        trace = load_trace(out)
-        assert trace.transaction_count() == 48
-
-    def test_convert_default_output_name(self, tmp_path, capsys,
-                                         monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        rc = main(["convert", str(fixture_path("mutex_ring"))])
-        assert rc == 0
-        assert (tmp_path / "mutex_ring.trace").exists()
 
 
 class TestRecordAndReplay:
@@ -85,3 +64,32 @@ class TestWorkloadsListing:
         lines = [l for l in capsys.readouterr().out.splitlines()
                  if l.startswith("prodcons")]
         assert len(lines) == 2  # fixture row + explicit row
+
+
+class TestBadTraceFile:
+    """A trace file that cannot be read is an input error: exit 2."""
+
+    COMMANDS = {
+        "run": ["run", "TokenTM"],
+        "workloads": ["workloads"],
+        "chaos": ["chaos", "--seeds", "1"],
+    }
+
+    @pytest.mark.parametrize("kind", ["missing", "not-events"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch,
+                                   command, kind):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "ring.trace"
+        if kind == "not-events":
+            # An opcode listing, not a SynchroTrace-style event file.
+            path.write_text("#repro-trace v1\n#name ring\nT 0\n5 7\n")
+        rc = main(self.COMMANDS[command] + ["--trace-file", str(path)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"{command}: {path}")
+        assert list(tmp_path.iterdir()) == \
+            ([path] if kind == "not-events" else [])

@@ -4,7 +4,13 @@ import pytest
 
 from repro.common.errors import ConfigError, TraceError
 from repro.obs.metrics import MetricsRegistry
-from repro.traces.convert import ConvertOptions, convert_events
+from repro.traces.convert import (
+    FLOP_COST,
+    IOP_COST,
+    REMAP_SPACE,
+    ConvertOptions,
+    convert_events,
+)
 from repro.traces.events import parse_lines
 from repro.workloads.base import SHARED_REGION_BASE
 from repro.workloads.trace import (
@@ -34,7 +40,8 @@ def ops_of(trace, tid):
 
 class TestComputeLowering:
     def test_iop_flop_costs(self):
-        trace = convert(["0,0,10,3,0,0"], iop_cost=1, flop_cost=2)
+        trace = convert(["0,0,10,3,0,0"])
+        assert (IOP_COST, FLOP_COST) == (1, 2)
         assert ops_of(trace, 0) == [(OP_COMPUTE, 16)]
 
     def test_zero_work_emits_no_compute(self):
@@ -62,11 +69,18 @@ class TestRemapPolicies:
         ]
 
     def test_mod_wraps_into_space(self):
-        trace = convert(["0,0,0,0,1,0 # 0x9000"],
-                        remap="mod", remap_space=16)
-        block = 0x9000 >> 6
-        assert ops_of(trace, 0) == \
-            [(OP_NT_READ, SHARED_REGION_BASE + block % 16)]
+        # Blocks REMAP_SPACE + 5 and 2 * REMAP_SPACE + 5 alias; block
+        # REMAP_SPACE - 1 stays put.
+        blocks = (REMAP_SPACE + 5, 2 * REMAP_SPACE + 5, REMAP_SPACE - 1)
+        trace = convert(["0,0,0,0,3,0 # "
+                         + " ".join(hex(b << 6) for b in blocks)],
+                        remap="mod")
+        assert REMAP_SPACE == 1 << 18
+        assert ops_of(trace, 0) == [
+            (OP_NT_READ, SHARED_REGION_BASE + 5),
+            (OP_NT_READ, SHARED_REGION_BASE + 5),
+            (OP_NT_READ, SHARED_REGION_BASE + REMAP_SPACE - 1),
+        ]
 
     def test_none_keeps_raw_blocks(self):
         trace = convert(["0,0,0,0,1,0 # 0x9000"], remap="none")

@@ -2,12 +2,19 @@
 
 import pytest
 
-from repro.analysis.experiments import run_trace
+from repro.analysis.experiments import GRID_SCALES, run_trace
 from repro.common.errors import SimulationError
 from repro.traces.convert import convert_file
 from repro.traces.record import record_trace, replay_options
 from repro.traces.workload import fixture_path, fixture_workloads
-from repro.workloads import apache, barnes
+from repro.workloads import (
+    aolserver,
+    apache,
+    barnes,
+    berkeleydb,
+    bind,
+    tm_workloads,
+)
 from repro.workloads.trace import (
     ThreadTrace,
     WorkloadTrace,
@@ -19,6 +26,12 @@ from repro.workloads.trace import (
 from tests.integration.test_golden_stats import run_case
 
 ORACLE_VARIANTS = ("TokenTM", "LogTM-SE_Perf", "OneTM")
+
+#: Every Table 5 generator, and every lock application, must survive
+#: record -> convert unchanged: the event file is the one on-disk
+#: trace format, so it has to express whatever a generator emits.
+TM_WORKLOADS = tuple(tm_workloads())
+LOCK_APPS = (aolserver, apache, berkeleydb, bind)
 
 
 class TestDependencyEnforcement:
@@ -79,9 +92,11 @@ class TestFixtureReplay:
 
 
 class TestRecordReplayOracle:
-    def test_synthetic_round_trip_is_byte_identical(self, tmp_path):
-        original = barnes().generate(seed=4, scale=0.01)
-        path = tmp_path / "barnes.strace"
+    @pytest.mark.parametrize("name", TM_WORKLOADS)
+    def test_synthetic_round_trip_is_byte_identical(self, tmp_path, name):
+        original = tm_workloads()[name].generate(
+            seed=2008, scale=0.2 * GRID_SCALES[name])
+        path = tmp_path / f"{name}.strace"
         options = record_trace(original, path)
         replayed = convert_file(path, options=options)
         assert [t.ops for t in replayed.threads] == \
@@ -100,9 +115,11 @@ class TestRecordReplayOracle:
         b, _ = run_case(replayed, variant, seed=1, reference=not interned)
         assert a.snapshot() == b.snapshot()
 
-    def test_lock_application_round_trips(self, tmp_path):
-        original = apache(seed=2)
-        path = tmp_path / "apache.strace"
+    @pytest.mark.parametrize("app", LOCK_APPS,
+                             ids=lambda app: app.__name__)
+    def test_lock_application_round_trips(self, tmp_path, app):
+        original = app(seed=2)
+        path = tmp_path / f"{app.__name__}.strace"
         options = record_trace(original, path)
         assert options.transactify is False
         replayed = convert_file(path, options=options)

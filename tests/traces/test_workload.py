@@ -10,6 +10,11 @@ from repro.faults.plan import FaultPlan
 from repro.perf.cache import ResultCache, cell_key
 from repro.perf.runner import CellSpec, ParallelRunner
 from repro.traces.convert import ConvertOptions
+from repro.traces.make_fixtures import (
+    make_barrier_storm,
+    make_mutex_ring,
+    make_prodcons,
+)
 from repro.traces.workload import (
     TraceWorkload,
     TraceWorkloadSpec,
@@ -102,6 +107,19 @@ class TestFixtures:
     def test_unknown_fixture_rejected(self):
         with pytest.raises(TraceError, match="available"):
             fixture_path("nonesuch")
+
+    @pytest.mark.parametrize("name,make", [
+        ("prodcons.strace", make_prodcons),
+        ("barrier_storm.strace.gz", make_barrier_storm),
+        ("mutex_ring.strace", make_mutex_ring),
+    ])
+    def test_regeneration_is_byte_identical(self, tmp_path, name, make):
+        # Written under another name: the gzip writer pins the header's
+        # mtime and stores no file name, so bytes depend on content.
+        out = tmp_path / ("regen" + name[name.index("."):])
+        make(out)
+        assert out.read_bytes() == fixture_path(
+            name.split(".")[0]).read_bytes()
 
     def test_fixture_spec_survives_reconversion(self):
         workload = fixture_workloads()["prodcons"]
