@@ -16,7 +16,6 @@ from repro.common.config import HTMConfig, SystemConfig
 from repro.coherence.protocol import MemorySystem
 from repro.htm.tokentm import TokenTM
 from repro.analysis.tables import format_table
-from repro.syssupport.contextswitch import CoreScheduler
 from repro.syssupport.paging import BLOCKS_PER_PAGE, PageManager
 
 from benchmarks.conftest import emit
@@ -30,22 +29,21 @@ def _machine():
 
 def _switch_cost(footprint: int):
     htm = _machine()
-    sched = CoreScheduler(htm)
-    sched.start(0, 1)
+    htm.schedule(0, 1)
     htm.begin(0, 1)
     for i in range(footprint):
         htm.read(0, 1, BASE + i)
-    return sched.deschedule(0)
+    return htm.context_switch(0)
 
 
 def _commit_after_switch(footprint: int):
     htm = _machine()
-    sched = CoreScheduler(htm)
-    sched.start(0, 1)
+    htm.schedule(0, 1)
     htm.begin(0, 1)
     for i in range(footprint):
         htm.read(0, 1, BASE + i)
-    sched.migrate(0, 2)
+    htm.context_switch(0)
+    htm.schedule(2, 1)
     out = htm.commit(2, 1)
     htm.audit()
     return out

@@ -20,7 +20,6 @@ from repro.coherence.protocol import MemorySystem
 from repro.htm.tokentm import TokenTM
 from repro.syssupport import (
     BLOCKS_PER_PAGE,
-    CoreScheduler,
     PageManager,
     SharedSegment,
     TidAuthority,
@@ -29,30 +28,30 @@ from repro.syssupport import (
 
 def context_switch_demo(htm: TokenTM) -> None:
     print("== context switch & migration ==")
-    sched = CoreScheduler(htm)
     block = 0x10_000
 
-    sched.start(0, 1)
+    htm.schedule(0, 1)
     htm.begin(0, 1)
     htm.read(0, 1, block)
     print("thread 1 reads a block inside a transaction on core 0")
 
-    cycles = sched.deschedule(0)
+    cycles = htm.context_switch(0)
     print(f"descheduled in {cycles} cycles (constant-time flash-OR)")
 
-    sched.start(0, 2)
+    htm.schedule(0, 2)
     htm.begin(0, 2)
     denied = htm.write(0, 2, block)
     print(f"thread 2 on core 0 tries to write the block: "
           f"granted={denied.granted} (thread 1 still holds its token)")
     htm.commit(0, 2)
-    sched.deschedule(0)
+    htm.context_switch(0)
 
-    sched.resume(3, 1)
+    htm.schedule(3, 1)
     htm.write(3, 1, block)  # upgrade continues on core 3
     out = htm.commit(3, 1)
     print(f"thread 1 resumed on core 3, upgraded to write, committed "
           f"(fast release possible: {out.used_fast_release})")
+    htm.schedule(3, None)  # thread 1 exits; its TID may be reused
     htm.audit()
     print("double-entry books balance\n")
 

@@ -86,10 +86,14 @@ from repro.obs.sinks import ChromeTraceExporter, JsonlSink
 from repro.workloads import lock_applications, tm_workloads
 
 
+class _InputError(Exception):
+    """Bad command-line input: :func:`main` prints it and exits 2."""
+
+
 def _workload(name: str):
     registry = tm_workloads()
     if name not in registry:
-        raise SystemExit(
+        raise _InputError(
             f"unknown workload {name!r}; choose from "
             f"{', '.join(sorted(registry))}"
         )
@@ -161,8 +165,8 @@ def _trace_workload_from_args(args, options=None):
 
 def cmd_run(args) -> int:
     if bool(args.workload) == bool(args.trace_file):
-        raise SystemExit(
-            "run: give a workload name or --trace-file EVENTS (not both)")
+        raise _InputError(
+            "give a workload name or --trace-file EVENTS (not both)")
     if args.trace_file:
         workload = _trace_workload_from_args(args)
         if workload is None:
@@ -247,7 +251,7 @@ def cmd_trace(args) -> int:
               f"{len(errors)} errors")
         return 1 if errors else 0
     if not args.workload:
-        raise SystemExit("trace: workload required (or use --validate)")
+        raise _InputError("workload required (or use --validate)")
     workload = _workload(args.workload)
     scale = args.scale or GRID_SCALES[args.workload]
     bus = EventBus()
@@ -502,6 +506,8 @@ def cmd_chaos(args) -> int:
         options = ConvertOptions(transactify=True)  # as chaos cells replay
         if _trace_workload_from_args(args, options) is None:
             return 2
+    else:
+        _workload(args.workload)  # rejects an unknown name up front
     if args.plan:
         plan = FaultPlan.load(args.plan)
     else:
@@ -716,8 +722,9 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="run one workload on one variant",
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog="exit codes: 0 run finished (and every --monitor "
-               "invariant held); 1 invariant violation; 2 --trace-file "
-               "missing or not an event trace (nothing ran)")
+               "invariant held); 1 invariant violation; 2 unknown or "
+               "missing workload, or --trace-file missing or not an "
+               "event trace (nothing ran)")
     run_p.add_argument("workload", nargs="?", default=None,
                        help="Table 5 workload name (omit when "
                             "replaying with --trace-file)")
@@ -745,9 +752,10 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos", help="fault-injection campaign (seeds x variants)",
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog="exit codes: 0 all invariants held; 1 invariant "
-               "violations (or a --replay mismatch); 2 landscape "
-               "store unusable (e.g. newer schema than this build), "
-               "or --trace-file missing or not an event trace; "
+               "violations (or a --replay mismatch); 2 unknown "
+               "--workload, landscape store unusable (e.g. newer "
+               "schema than this build), or --trace-file missing or "
+               "not an event trace; "
                "3 campaign interrupted (--max-cells or signal) — "
                "resumable with --resume")
     chaos_p.add_argument("--workload", default="Cholesky",
@@ -800,7 +808,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     record_p = sub.add_parser(
         "record",
-        help="record a synthetic workload as an event-trace file")
+        help="record a synthetic workload as an event-trace file",
+        epilog="exit codes: 0 trace written; 2 unknown workload")
     record_p.add_argument("workload", help="Table 5 workload name")
     record_p.add_argument("-o", "--out", metavar="FILE", required=True,
                           help="event-trace output (.strace; "
@@ -819,7 +828,10 @@ def build_parser() -> argparse.ArgumentParser:
     workloads_p.set_defaults(func=cmd_workloads)
 
     trace_p = sub.add_parser(
-        "trace", help="traced run with conflict/abort attribution")
+        "trace", help="traced run with conflict/abort attribution",
+        epilog="exit codes: 0 run traced (or --validate found no "
+               "errors); 1 --validate found errors; 2 unknown or "
+               "missing workload")
     trace_p.add_argument("workload", nargs="?", default=None,
                          help="Table 5 workload name")
     trace_p.add_argument("variant", nargs="?", default="TokenTM",
@@ -933,7 +945,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _InputError as exc:
+        # Like an argparse usage error: one line, exit 2.
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -216,7 +216,6 @@ def run_chaos_cell(workload: str = DEFAULT_WORKLOAD,
                    cadence: int = DEFAULT_CADENCE,
                    skew_tolerance: Optional[int] = None,
                    mutant: Optional[str] = None,
-                   registry=None,
                    trace_file: Optional[str] = None) -> ChaosCell:
     """One chaos run: fresh machine, injected plan, halting monitor.
 
@@ -256,10 +255,10 @@ def run_chaos_cell(workload: str = DEFAULT_WORKLOAD,
         trace = registry_wl[workload].generate(
             seed=seed, scale=scale, threads=sys_cfg.num_cores
         )
-    injector = FaultInjector(plan, seed=seed, registry=registry, bus=bus)
+    injector = FaultInjector(plan, seed=seed, bus=bus)
     monitor = InvariantMonitor(cadence=cadence,
                                skew_tolerance=skew_tolerance,
-                               halt=True, registry=registry, bus=bus)
+                               halt=True, bus=bus)
     executor = Executor(machine, trace,
                         RunConfig(system=sys_cfg, htm=htm_cfg, seed=seed),
                         quantum=quantum, validate=False,

@@ -55,11 +55,10 @@ class FaultInjector:
     """Applies a fault plan at executor quantum boundaries."""
 
     def __init__(self, plan: FaultPlan, seed: int = 0,
-                 registry=None, bus: Optional[EventBus] = None):
+                 bus: Optional[EventBus] = None):
         self._plan = plan
         self.enabled = bool(plan.specs)
         self._rng = substream(seed, FAULT_RNG_LANE, plan.rng_lane())
-        self._registry = registry
         self._bus = bus if bus is not None else NULL_BUS
         #: Fired-and-applied counts per fault kind.
         self.injected: Dict[str, int] = {}
@@ -114,11 +113,6 @@ class FaultInjector:
             applied = self._apply(spec, executor, thread)
             bucket = self.injected if applied else self.skipped
             bucket[spec.kind] = bucket.get(spec.kind, 0) + 1
-            if self._registry is not None:
-                status = "injected" if applied else "skipped"
-                self._registry.counter(
-                    f"faults.{status}.{spec.kind}"
-                ).inc()
             if self._bus.enabled:
                 self._bus.emit(EventKind.FAULT_INJECT, cycle=thread.clock,
                                tid=thread.tid, core=thread.core,

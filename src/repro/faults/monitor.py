@@ -8,7 +8,7 @@ double-entry token books, pending-shard drains, and undo-log shape;
 OneTM's overflow-token uniqueness; LogTM-SE's signature-superset
 consistency) — and, when the executor records history, the
 serializability oracle with a clock-skew tolerance defaulting to the
-executor quantum.
+skew the executor's scheduler allows (:attr:`Executor.max_skew`).
 
 Two modes:
 
@@ -67,15 +67,13 @@ class InvariantMonitor:
     def __init__(self, cadence: int = DEFAULT_CADENCE,
                  skew_tolerance: Optional[int] = None,
                  halt: bool = False,
-                 registry=None,
                  bus: Optional[EventBus] = None,
                  max_recorded: int = MAX_RECORDED):
         self.enabled = True
         self._cadence = max(1, cadence)
-        #: None = use the executor's quantum (the natural clock skew).
+        #: None = the skew the executor's scheduler allows.
         self._skew = skew_tolerance
         self._halt = halt
-        self._registry = registry
         self._bus = bus if bus is not None else NULL_BUS
         self._max_recorded = max_recorded
         self._boundary = 0
@@ -116,8 +114,6 @@ class InvariantMonitor:
 
     def _check(self, executor) -> None:
         self.checks_run += 1
-        if self._registry is not None:
-            self._registry.counter("invariants.checks").inc()
         if self._bus.enabled:
             self._bus.emit(EventKind.INVARIANT_CHECK,
                            boundary=self._boundary)
@@ -128,16 +124,13 @@ class InvariantMonitor:
         history = executor.history
         if history.enabled:
             skew = self._skew if self._skew is not None \
-                else executor.quantum
+                else executor.max_skew
             try:
                 history.check_serializable(skew_tolerance=skew)
             except SerializabilityError as exc:
                 self._violation(executor, "serializability", exc)
 
     def _violation(self, executor, check: str, exc: ReproError) -> None:
-        if self._registry is not None:
-            self._registry.counter("invariants.violations").inc()
-            self._registry.counter(f"invariants.violations.{check}").inc()
         if self._bus.enabled:
             self._bus.emit(EventKind.INVARIANT_VIOLATION,
                            check=check, error=type(exc).__name__,

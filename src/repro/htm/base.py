@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.common.errors import TransactionError
+from repro.common.errors import SimulationError, TransactionError
 from repro.coherence.protocol import AccessResult, MemorySystem
 from repro.core.tmlog import (
     LOG_REGION_BASE_BLOCK,
@@ -292,9 +292,24 @@ class HTM(ABC):
         self._core_tid[core] = None
         return 0
 
-    def schedule(self, core: int, tid: int) -> None:
-        """Thread ``tid`` starts (or resumes) running on ``core``."""
+    def schedule(self, core: int, tid: Optional[int]) -> None:
+        """Thread ``tid`` starts (or resumes) running on ``core``.
+
+        ``tid=None`` clears the register of a core whose thread has
+        exited, with no switch instruction.  A core whose register
+        names another thread must be switched out first.
+        """
+        current = self._core_tid[core]
+        if tid is not None and current is not None and current != tid:
+            raise SimulationError(
+                f"core {core} is running thread {current}; switch it "
+                f"out before scheduling thread {tid}"
+            )
         self._core_tid[core] = tid
+
+    def running(self, core: int) -> Optional[int]:
+        """The TID ``core``'s register names, or None."""
+        return self._core_tid[core]
 
     # -- conflict resolution support -------------------------------------
 

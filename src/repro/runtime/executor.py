@@ -226,42 +226,51 @@ class Executor:
         return RunResult(stats=stats, history=self._history)
 
     def _run_dedicated(self) -> None:
-        """One thread per core: min-clock quantum interleaving."""
+        """One thread per core: min-clock quantum interleaving.
+
+        Every thread is scheduled on its core before the first quantum,
+        and its core register is cleared, with no switch instruction,
+        once it has finished: the thread exited, nothing is
+        descheduled.  The registers then name exactly the cores'
+        occupants, which an injected preemption or migration acts on.
+        Under time-sharing a finished thread keeps its register
+        instead, so the next thread placed on that core pays the
+        switch.
+        """
         faults_on = self._injector.enabled or self._monitor.enabled
+        htm = self._htm
         run_quantum = self._run_quantum
         by_tid = self._by_tid
         heappop = heapq.heappop
         heappush = heapq.heappush
         heap = [(t.clock, t.tid) for t in self._threads if not t.done]
+        for _, tid in heap:
+            htm.schedule(by_tid[tid].core, tid)
         heapq.heapify(heap)
         while heap:
             _, tid = heappop(heap)
             thread = by_tid[tid]
-            if thread.done:
-                continue
-            run_quantum(thread)
-            if faults_on:
-                self._quantum_boundary(thread)
             if not thread.done:
+                run_quantum(thread)
+                if faults_on:
+                    self._quantum_boundary(thread)
+            if thread.done:
+                htm.schedule(thread.core, None)
+            else:
                 heappush(heap, (thread.clock, thread.tid))
 
     def _run_preemptive(self) -> None:
         """Time-share more threads than cores (OS scheduling model).
 
         Each dispatch runs a thread for up to a timeslice on the core
-        that frees earliest (with affinity for its previous core).
-        Placing a different thread on a core issues the HTM's
-        context-switch instruction for the old occupant — on TokenTM
-        that is the flash-OR, after which the descheduled transaction
-        loses fast release but keeps its tokens (Section 4.4).  A
-        thread that moves is first descheduled on the core it still
-        occupies, so no thread ever occupies two cores.
+        that frees earliest (with affinity for the core whose register
+        still names it); placing it on any other core is a
+        :meth:`_switch`.
         """
-        lat = self._htm.mem.config.latency
         ncores = self._htm.mem.config.num_cores
+        running = self._htm.running
         faults_on = self._injector.enabled or self._monitor.enabled
         core_free = [0] * ncores
-        core_thread: List[Optional[int]] = [None] * ncores
         # Min-heap of (free_at, core) so finding the earliest-free core
         # is O(log cores) per dispatch instead of an O(cores) min().
         # Entries go stale when a core's free time advances; they are
@@ -282,32 +291,12 @@ class Executor:
                 heapq.heappop(free_heap)
             best = free_heap[0][1]
             core = thread.core
-            if (core_thread[core] != thread.tid
-                    or core_free[core] > core_free[best]):
+            if running(core) != tid or core_free[core] > core_free[best]:
                 core = best
             start = max(thread.clock, core_free[core])
-            if core_thread[core] != thread.tid:
-                old = thread.core
-                if core_thread[old] == thread.tid:
-                    if self._bus.enabled:
-                        self._bus.now = start
-                    start += self._htm.context_switch(old)
-                    core_thread[old] = None
-                previous = core_thread[core]
-                if previous is not None:
-                    if self._bus.enabled:
-                        self._bus.now = start
-                    start += self._htm.context_switch(core)
-                start += lat.os_switch
-                self._htm.schedule(core, thread.tid)
-                core_thread[core] = thread.tid
-                self._stats.preemptions += 1
-                if self._bus.enabled:
-                    self._bus.emit(EventKind.CTX_SWITCH, cycle=start,
-                                   tid=thread.tid, core=core,
-                                   previous_tid=previous)
+            if running(core) != tid:
+                start = self._switch(thread, core, start)
             thread.clock = start
-            thread.core = core
             deadline = thread.clock + self._timeslice
             while not thread.done and thread.clock < deadline:
                 run_quantum(thread)
@@ -317,6 +306,39 @@ class Executor:
             heapq.heappush(free_heap, (thread.clock, core))
             if not thread.done:
                 heapq.heappush(heap, (thread.clock, thread.tid))
+
+    def _switch(self, thread: _Thread, core: int, start: int) -> int:
+        """Place ``thread`` on ``core`` at cycle ``start``.
+
+        The one context switch, shared by the time-sharing scheduler
+        and injected preemption and migration.  The HTM's switch
+        instruction deschedules the thread from ``thread.core`` if that
+        core's register still names it, then the target core's
+        registered occupant; on TokenTM that is the flash-OR, after
+        which a descheduled transaction keeps its tokens but loses fast
+        release (Section 4.4).  No thread is ever registered on two
+        cores.  Returns the cycle at which the thread resumes, after
+        the OS switch latency.
+        """
+        htm = self._htm
+        bus = self._bus
+        previous = htm.running(core)
+        if htm.running(thread.core) == thread.tid:
+            if bus.enabled:
+                bus.now = start
+            start += htm.context_switch(thread.core)
+        if previous is not None and previous != thread.tid:
+            if bus.enabled:
+                bus.now = start
+            start += htm.context_switch(core)
+        start += htm.mem.config.latency.os_switch
+        htm.schedule(core, thread.tid)
+        thread.core = core
+        self._stats.preemptions += 1
+        if bus.enabled:
+            bus.emit(EventKind.CTX_SWITCH, cycle=start, tid=thread.tid,
+                     core=core, previous_tid=previous)
+        return start
 
     # ------------------------------------------------------------------
 
@@ -441,8 +463,15 @@ class Executor:
         return self._history
 
     @property
-    def quantum(self) -> int:
-        """Scheduler quantum (the natural cross-thread clock skew)."""
+    def max_skew(self) -> int:
+        """Cycles by which the scheduler lets thread clocks diverge.
+
+        A quantum when each thread has its own core; under
+        time-sharing a thread runs up to a timeslice, overshooting by
+        at most one quantum, while the others wait.
+        """
+        if self._preemptive:
+            return self._timeslice + self._quantum
         return self._quantum
 
     def _quantum_boundary(self, thread: _Thread) -> None:
@@ -460,22 +489,8 @@ class Executor:
             self._monitor.on_quantum(self)
 
     def fault_preempt(self, thread: _Thread) -> bool:
-        """Injected forced preemption: deschedule + immediately resume.
-
-        Issues the HTM's context-switch instruction (the flash-OR on
-        TokenTM, which costs the thread its fast-release eligibility)
-        and charges the OS switch latency, exactly as the preemptive
-        scheduler does when a core changes occupant.
-        """
-        lat = self._htm.mem.config.latency
-        cost = self._htm.context_switch(thread.core)
-        self._htm.schedule(thread.core, thread.tid)
-        thread.clock += cost + lat.os_switch
-        self._stats.preemptions += 1
-        if self._bus.enabled:
-            self._bus.emit(EventKind.CTX_SWITCH, cycle=thread.clock,
-                           tid=thread.tid, core=thread.core,
-                           previous_tid=thread.tid, injected=True)
+        """Injected forced preemption: deschedule + immediately resume."""
+        thread.clock = self._switch(thread, thread.core, thread.clock)
         return True
 
     def fault_migrate(self, thread: _Thread, rng) -> bool:
@@ -484,27 +499,17 @@ class Executor:
         Under the preemptive scheduler cores are reassigned at every
         dispatch, so migration degenerates to a forced preemption and
         the natural machinery does the rest.  In dedicated mode the
-        thread moves to an rng-chosen unoccupied core (falling back
-        to preemption when none is free).
+        thread moves to an rng-chosen core no unfinished thread runs
+        on (falling back to preemption when none is free).
         """
-        if self._preemptive:
-            return self.fault_preempt(thread)
-        ncores = self._htm.mem.config.num_cores
-        occupied = {t.core for t in self._threads if not t.done}
-        free = [c for c in range(ncores) if c not in occupied]
-        if not free:
-            return self.fault_preempt(thread)
-        target = free[rng.randrange(len(free))]
-        lat = self._htm.mem.config.latency
-        cost = self._htm.context_switch(thread.core)
-        thread.core = target
-        self._htm.schedule(target, thread.tid)
-        thread.clock += cost + lat.os_switch
-        self._stats.preemptions += 1
-        if self._bus.enabled:
-            self._bus.emit(EventKind.CTX_SWITCH, cycle=thread.clock,
-                           tid=thread.tid, core=target,
-                           previous_tid=thread.tid, injected=True)
+        target = thread.core
+        if not self._preemptive:
+            occupied = {t.core for t in self._threads if not t.done}
+            free = [c for c in range(self._htm.mem.config.num_cores)
+                    if c not in occupied]
+            if free:
+                target = free[rng.randrange(len(free))]
+        thread.clock = self._switch(thread, target, thread.clock)
         return True
 
     def fault_spurious_abort(self, rng) -> bool:

@@ -1,6 +1,5 @@
-"""OS-facing support: paging, context switching, System-V sharing."""
+"""OS-facing support: paging and System-V sharing."""
 
-from repro.syssupport.contextswitch import CoreScheduler, SwitchRecord
 from repro.syssupport.paging import (
     BLOCKS_PER_PAGE,
     PageImage,
@@ -12,11 +11,9 @@ from repro.syssupport.sysv import SharedSegment, TidAuthority
 
 __all__ = [
     "BLOCKS_PER_PAGE",
-    "CoreScheduler",
     "PageImage",
     "PageManager",
     "SharedSegment",
-    "SwitchRecord",
     "TidAuthority",
     "page_blocks",
     "page_of",

@@ -32,14 +32,12 @@ dependency tables are held in memory.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.common.config import BLOCK_SHIFT
 from repro.common.errors import ConfigError, TraceError
-from repro.obs.metrics import MetricsRegistry
 from repro.traces.events import (
     Access,
     CommEvent,
@@ -180,12 +178,10 @@ class _LinkTable:
         return episodes
 
 
-def _link_pass(events: Iterable[TraceEvent], metrics) -> _LinkTable:
+def _link_pass(events: Iterable[TraceEvent]) -> _LinkTable:
     table = _LinkTable()
     seen: Set[int] = set()
-    count = 0
     for event in events:
-        count += 1
         if event.tid not in seen:
             seen.add(event.tid)
             table.tids.append(event.tid)
@@ -209,8 +205,6 @@ def _link_pass(events: Iterable[TraceEvent], metrics) -> _LinkTable:
             elif event.ptype == PTH_COND_WAIT:
                 table.cond_waits[event.arg] = \
                     table.cond_waits.get(event.arg, 0) + 1
-    if metrics is not None:
-        metrics.counter("traces.events").inc(count)
     table.tids.sort()
     for cond, waits in table.cond_waits.items():
         if table.cond_signals.get(cond, 0) < waits:
@@ -224,15 +218,12 @@ def _link_pass(events: Iterable[TraceEvent], metrics) -> _LinkTable:
 class _Lowerer:
     """The emit pass: turns one event stream into per-thread ops."""
 
-    def __init__(self, options: ConvertOptions, link: _LinkTable,
-                 metrics: Optional[MetricsRegistry]):
+    def __init__(self, options: ConvertOptions, link: _LinkTable):
         self.options = options
         self.link = link
-        self.metrics = metrics
         self.remapper = _Remapper(options)
         self.ops: Dict[int, List[Op]] = {tid: [] for tid in link.tids}
         self.waits: Dict[int, Tuple[int, int]] = {}
-        self.dropped = 0
         self._signal_ids: Dict[Tuple, int] = {}
         self._wait_ids: Dict[Tuple[int, int], int] = {}
         # Per-thread lowering state.
@@ -364,8 +355,6 @@ class _Lowerer:
                     f"thread {tid} syscall with non-positive cost "
                     f"(event {event.eid})")
             out.append((OP_SYSCALL, arg))
-        else:  # pragma: no cover - parser rejects unknown types
-            self.dropped += 1
 
     def lower(self, event: TraceEvent) -> None:
         if isinstance(event, ComputeEvent):
@@ -402,7 +391,6 @@ def _startup_edges(lowerer: _Lowerer, link: _LinkTable) -> None:
 
 def convert_events(events_twice, name: str,
                    options: Optional[ConvertOptions] = None,
-                   metrics: Optional[MetricsRegistry] = None,
                    validate: bool = True) -> WorkloadTrace:
     """Convert an event stream to a workload trace.
 
@@ -412,9 +400,8 @@ def convert_events(events_twice, name: str,
     the first.
     """
     opts = options or ConvertOptions()
-    started = time.perf_counter()
-    link = _link_pass(events_twice(), metrics)
-    lowerer = _Lowerer(opts, link, metrics)
+    link = _link_pass(events_twice())
+    lowerer = _Lowerer(opts, link)
     for event in events_twice():
         lowerer.lower(event)
     for tid in link.tids:
@@ -436,21 +423,11 @@ def convert_events(events_twice, name: str,
     )
     if validate:
         validate_trace(trace)
-    if metrics is not None:
-        elapsed = time.perf_counter() - started
-        metrics.counter("traces.ops").inc(trace.total_ops())
-        metrics.counter("traces.dropped").inc(lowerer.dropped)
-        metrics.gauge("traces.parse_seconds").set(elapsed)
-        events_count = metrics.counter("traces.events").value
-        if elapsed > 0:
-            metrics.gauge("traces.events_per_second").set(
-                events_count / elapsed)
     return trace
 
 
 def convert_file(path: Union[str, Path], name: Optional[str] = None,
                  options: Optional[ConvertOptions] = None,
-                 metrics: Optional[MetricsRegistry] = None,
                  validate: bool = True) -> WorkloadTrace:
     """Convert a trace file (or shard directory) to a workload trace."""
     path = Path(path)
@@ -460,5 +437,4 @@ def convert_file(path: Union[str, Path], name: Optional[str] = None,
             if name.endswith(suffix):
                 name = name[: -len(suffix)]
     return convert_events(lambda: parse_events(path), name,
-                          options=options, metrics=metrics,
-                          validate=validate)
+                          options=options, validate=validate)

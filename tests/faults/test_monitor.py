@@ -89,3 +89,33 @@ class TestMutantDetection:
         _executor(monitor, htm_cls=TokenLeakTokenTM).run()
         keys = [(v["check"], v["message"]) for v in monitor.violations]
         assert len(keys) == len(set(keys))
+
+
+class TestTimeShared:
+    """Under time-sharing, thread clocks skew by up to a timeslice."""
+
+    def _executor(self, monitor):
+        sys_cfg = SystemConfig().scaled(4)
+        htm_cfg = HTMConfig()
+        htm = make_htm("TokenTM", MemorySystem(sys_cfg), htm_cfg)
+        trace = tm_workloads()["Vacation-High"].generate(
+            seed=2008, scale=0.0005, threads=8)
+        return Executor(htm, trace,
+                        RunConfig(system=sys_cfg, htm=htm_cfg, seed=2008),
+                        quantum=50, validate=False, track_history=True,
+                        monitor=monitor)
+
+    def test_max_skew_follows_the_scheduler(self):
+        executor = self._executor(None)
+        assert executor.max_skew == 50_000 + 50
+        assert _executor(None).max_skew == 200
+
+    def test_monitored_run_reports_no_false_violation(self):
+        # With a quantum's tolerance the oracle reports overlaps that
+        # are only timeslice skew between a running and a waiting
+        # thread.
+        monitor = InvariantMonitor(cadence=64)
+        result = self._executor(monitor).run()
+        assert result.stats.preemptions > 0
+        assert monitor.checks_run > 1
+        assert result.stats.monitor["violations"] == []

@@ -42,9 +42,10 @@ WORKLOADS = {"Vacation-High": vacation_high, "Delaunay": delaunay,
 #: (workload, variant, mode) -> digest.  ``mode`` is "plain" (the
 #: 32-core base system), "nofast" (the same on the reference memory
 #: system, whose L1 hits never go through ``fast_hit``), "preempt" (8
-#: threads time-shared on 4 cores) or "faults" (the default chaos plan
+#: threads time-shared on 4 cores), "faults" (the default chaos plan
 #: plus the invariant monitor, which checks every 512th quantum
-#: boundary).
+#: boundary) or "preempt-faults" (the default chaos plan injected into
+#: the "preempt" setting, without the monitor).
 GOLDEN = {
     ("Delaunay", "LogTM-SE_2xH3", "plain"): "5ab2dc9fac3886b3",
     ("Delaunay", "LogTM-SE_4xH3", "plain"): "64f0deb4a7f343c3",
@@ -65,6 +66,7 @@ GOLDEN = {
     ("Vacation-High", "LogTM-SE_4xH3", "faults"): "4741b8a0a3641c2f",
     ("Vacation-High", "LogTM-SE_4xH3", "nofast"): "60ab9e7f78066f0e",
     ("Vacation-High", "LogTM-SE_4xH3", "plain"): "60ab9e7f78066f0e",
+    ("Vacation-High", "LogTM-SE_4xH3", "preempt-faults"): "214797c28757a655",
     ("Vacation-High", "LogTM-SE_Perf", "plain"): "9f434c1c9d4ce580",
     ("Vacation-High", "OneTM", "faults"): "a0a0a77a259e5f7e",
     ("Vacation-High", "OneTM", "nofast"): "4bf3ddaa2d267c27",
@@ -73,6 +75,7 @@ GOLDEN = {
     ("Vacation-High", "TokenTM", "nofast"): "8a95fa8064566860",
     ("Vacation-High", "TokenTM", "plain"): "8a95fa8064566860",
     ("Vacation-High", "TokenTM", "preempt"): "ce70848734ecefbb",
+    ("Vacation-High", "TokenTM", "preempt-faults"): "9c40f9bdbf293bda",
     ("Vacation-High", "TokenTM_NoFast", "faults"): "7a0c2ab1961f631a",
     ("Vacation-High", "TokenTM_NoFast", "plain"): "906572267f55018a",
     ("Vacation-High", "TokenTM_NoFast", "preempt"): "d37cb4901d65dbdd",
@@ -108,8 +111,9 @@ def run_case(trace: WorkloadTrace, variant: str,
 
 def digest(workload: str, variant: str, mode: str) -> str:
     """Run one case and hash its stats snapshots."""
-    system = SystemConfig().scaled(4) if mode == "preempt" else SystemConfig()
-    threads = 8 if mode == "preempt" else system.num_cores
+    shared = mode.startswith("preempt")
+    system = SystemConfig().scaled(4) if shared else SystemConfig()
+    threads = 8 if shared else system.num_cores
     trace = WORKLOADS[workload]().generate(seed=SEED, scale=SCALE,
                                            threads=threads)
     monitor: Optional[InvariantMonitor] = None
@@ -119,10 +123,10 @@ def digest(workload: str, variant: str, mode: str) -> str:
         monitor = InvariantMonitor(cadence=512)
     stats, mem = run_case(
         trace, variant, system, seed=SEED, reference=mode == "nofast",
-        quantum=50 if mode == "preempt" else 200,
-        faults=default_plan() if mode == "faults" else None,
+        quantum=50 if shared else 200,
+        faults=default_plan() if mode.endswith("faults") else None,
         monitor=monitor)
-    if mode == "preempt":
+    if shared:
         assert stats.preemptions > 0
     if monitor is not None:
         assert monitor.checks_run > 0

@@ -35,6 +35,30 @@ class TestParser:
         assert tuple(GRID_SCALES) == tuple(tm_workloads())
 
 
+class TestInputErrors:
+    """Bad input prints one line and exits 2 before anything runs."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "Bogus", "TokenTM"],
+        ["run", "TokenTM"],
+        ["trace", "Bogus"],
+        ["record", "Bogus", "-o", "{out}"],
+        ["chaos", "--workload", "Bogus", "--seeds", "1",
+         "--out-dir", "{out}"],
+    ], ids=["run-unknown", "run-missing", "trace", "record", "chaos"])
+    def test_exits_2_with_one_line(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(out=out) for a in argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"{argv[0]}: ")
+        assert captured.out == ""
+        assert not out.exists()
+
+
 class TestCommands:
     def test_run_text(self, capsys):
         assert main(["run", "Cholesky", "TokenTM",

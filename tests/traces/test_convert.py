@@ -3,7 +3,6 @@
 import pytest
 
 from repro.common.errors import ConfigError, TraceError
-from repro.obs.metrics import MetricsRegistry
 from repro.traces.convert import (
     FLOP_COST,
     IOP_COST,
@@ -199,13 +198,3 @@ class TestDeterminismAndMetrics:
         assert trace.params["transactify"] is True
         assert trace.params["remap"] == "dense"
 
-    def test_metrics_published(self):
-        metrics = MetricsRegistry()
-        convert_events(lambda: parse_lines(list(self.LINES)), "t",
-                       options=ConvertOptions(transactify=True),
-                       metrics=metrics)
-        snap = metrics.snapshot()
-        assert snap["traces.events"]["value"] == len(self.LINES)
-        assert snap["traces.ops"]["value"] > 0
-        assert snap["traces.dropped"]["value"] == 0
-        assert snap["traces.events_per_second"]["value"] > 0
