@@ -65,7 +65,7 @@ def cached_cell(cache, workloads, name: str, variant: str,
     if key not in cache:
         spec = CellSpec(workloads[name].spec, variant, seed=seed,
                         scale=GRID_SCALES[name])
-        cache[key] = _bench_runner().run_cell(spec)
+        cache[key] = _bench_runner().run_cells([spec])[0]
     return cache[key]
 
 

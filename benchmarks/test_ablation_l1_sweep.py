@@ -11,38 +11,25 @@ behind Table 6's column 2.
 from dataclasses import replace
 
 from repro.analysis.tables import format_table
-from repro.common.config import (
-    CacheGeometry,
-    HTMConfig,
-    RunConfig,
-    SystemConfig,
-)
-from repro.coherence.protocol import MemorySystem
-from repro.htm import make_htm
-from repro.runtime.executor import Executor
+from repro.common.config import CacheGeometry, SystemConfig
+from repro.perf.runner import CellSpec
 
-from benchmarks.conftest import BENCH_SEED, emit
+from benchmarks.conftest import BENCH_SEED, _bench_runner, emit
 
 L1_SIZES_KB = (8, 16, 32, 64)
 SCALE = 0.01
 
 
-def _run(workloads, l1_kb):
-    system = replace(SystemConfig(),
-                     l1=CacheGeometry(l1_kb * 1024, 4))
-    trace = workloads["Vacation-Low"].generate(seed=BENCH_SEED,
-                                               scale=SCALE)
-    cfg = HTMConfig()
-    machine = make_htm("TokenTM", MemorySystem(system), cfg)
-    executor = Executor(machine, trace,
-                        RunConfig(system=system, htm=cfg,
-                                  seed=BENCH_SEED),
-                        validate=False, track_history=False)
-    return executor.run().stats
-
-
 def _sweep(workloads):
-    return {kb: _run(workloads, kb) for kb in L1_SIZES_KB}
+    specs = [
+        CellSpec(workloads["Vacation-Low"].spec, "TokenTM",
+                 seed=BENCH_SEED, scale=SCALE,
+                 system=replace(SystemConfig(),
+                                l1=CacheGeometry(kb * 1024, 4)))
+        for kb in L1_SIZES_KB
+    ]
+    cells = _bench_runner().run_cells(specs)
+    return {kb: cell.stats for kb, cell in zip(L1_SIZES_KB, cells)}
 
 
 def test_ablation_l1_size_sweep(benchmark, capsys, workloads):

@@ -13,35 +13,25 @@ land mid-transaction.
 """
 
 from repro.analysis.tables import format_table
-from repro.common.config import HTMConfig, RunConfig, SystemConfig
-from repro.coherence.protocol import MemorySystem
-from repro.htm import make_htm
-from repro.runtime.executor import Executor
+from repro.perf.runner import CellSpec
 
-from benchmarks.conftest import BENCH_SEED, emit
+from benchmarks.conftest import BENCH_SEED, _bench_runner, emit
 
 THREADS = 64
 TIMESLICE = 3_000
 VARIANTS = ("TokenTM", "LogTM-SE_Perf", "OneTM")
 
 
-def _run(workloads, variant):
-    system = SystemConfig()
-    scale = THREADS * 10 / workloads["Genome"].spec.total_txns
-    trace = workloads["Genome"].generate(
-        seed=BENCH_SEED, scale=scale, threads=THREADS)
-    cfg = HTMConfig()
-    machine = make_htm(variant, MemorySystem(system), cfg)
-    executor = Executor(machine, trace,
-                        RunConfig(system=system, htm=cfg,
-                                  seed=BENCH_SEED),
-                        validate=False, track_history=False,
-                        timeslice=TIMESLICE)
-    return executor.run().stats
-
-
 def _sweep(workloads):
-    return {v: _run(workloads, v) for v in VARIANTS}
+    spec = workloads["Genome"].spec
+    specs = [
+        CellSpec(spec, variant, seed=BENCH_SEED,
+                 scale=THREADS * 10 / spec.total_txns, threads=THREADS,
+                 timeslice=TIMESLICE)
+        for variant in VARIANTS
+    ]
+    cells = _bench_runner().run_cells(specs)
+    return {variant: cell.stats for variant, cell in zip(VARIANTS, cells)}
 
 
 def test_ablation_multiprogramming(benchmark, capsys, workloads):

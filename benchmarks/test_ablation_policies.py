@@ -12,43 +12,22 @@ policies on TokenTM:
 """
 
 from repro.analysis.tables import format_table
-from repro.common.config import HTMConfig, RunConfig, SystemConfig
-from repro.coherence.protocol import MemorySystem
-from repro.htm import make_htm
-from repro.runtime.contention import (
-    RequesterLosesPolicy,
-    RequesterWinsPolicy,
-    TimestampManager,
-)
-from repro.runtime.executor import Executor
+from repro.perf.runner import CellSpec
+from repro.runtime.contention import POLICIES
 
-from benchmarks.conftest import BENCH_SEED, emit
+from benchmarks.conftest import BENCH_SEED, _bench_runner, emit
 
-POLICIES = {
-    "timestamp": TimestampManager,
-    "requester-loses": RequesterLosesPolicy,
-    "requester-wins": RequesterWinsPolicy,
-}
 SCALE = 0.3
 
 
-def _run(workloads, policy_cls):
-    system = SystemConfig()
-    trace = workloads["Barnes"].generate(seed=BENCH_SEED,
-                                         scale=SCALE)
-    cfg = HTMConfig()
-    machine = make_htm("TokenTM", MemorySystem(system), cfg)
-    executor = Executor(
-        machine, trace,
-        RunConfig(system=system, htm=cfg, seed=BENCH_SEED),
-        validate=False, track_history=False,
-        policy=policy_cls(cfg, seed=BENCH_SEED),
-    )
-    return executor.run().stats
-
-
 def _sweep(workloads):
-    return {name: _run(workloads, cls) for name, cls in POLICIES.items()}
+    specs = [
+        CellSpec(workloads["Barnes"].spec, "TokenTM", seed=BENCH_SEED,
+                 scale=SCALE, policy=policy)
+        for policy in POLICIES
+    ]
+    cells = _bench_runner().run_cells(specs)
+    return {policy: cell.stats for policy, cell in zip(POLICIES, cells)}
 
 
 def test_ablation_contention_policies(benchmark, capsys, workloads):

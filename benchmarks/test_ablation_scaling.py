@@ -7,38 +7,30 @@ Vacation-High slice and reports each machine's self-relative scaling.
 """
 
 from repro.analysis.tables import format_table
-from repro.common.config import HTMConfig, RunConfig, SystemConfig
-from repro.coherence.protocol import MemorySystem
-from repro.htm import make_htm
-from repro.runtime.executor import Executor
+from repro.common.config import SystemConfig
+from repro.perf.runner import CellSpec
 
-from benchmarks.conftest import BENCH_SEED, emit
+from benchmarks.conftest import BENCH_SEED, _bench_runner, emit
 
 CORES = (4, 8, 16, 32)
 TXNS_PER_THREAD = 8
-
-
-def _run(workloads, variant, cores):
-    system = SystemConfig().scaled(cores)
-    # Fixed per-thread work: total transactions grow with cores, so
-    # perfect scaling keeps the makespan flat.
-    scale = TXNS_PER_THREAD * cores / workloads["Vacation-High"].spec.total_txns
-    trace = workloads["Vacation-High"].generate(
-        seed=BENCH_SEED, scale=scale, threads=cores)
-    cfg = HTMConfig()
-    machine = make_htm(variant, MemorySystem(system), cfg)
-    executor = Executor(machine, trace,
-                        RunConfig(system=system, htm=cfg, seed=BENCH_SEED),
-                        validate=False, track_history=False)
-    return executor.run().stats
+VARIANTS = ("TokenTM", "OneTM")
 
 
 def _sweep(workloads):
-    grid = {}
-    for variant in ("TokenTM", "OneTM"):
-        for cores in CORES:
-            grid[(variant, cores)] = _run(workloads, variant, cores)
-    return grid
+    spec = workloads["Vacation-High"].spec
+    # Fixed per-thread work: total transactions grow with cores, so
+    # perfect scaling keeps the makespan flat.  Both variants of a
+    # core count run one trace, so they are adjacent.
+    points = [(variant, cores) for cores in CORES for variant in VARIANTS]
+    specs = [
+        CellSpec(spec, variant, seed=BENCH_SEED,
+                 scale=TXNS_PER_THREAD * cores / spec.total_txns,
+                 system=SystemConfig().scaled(cores))
+        for variant, cores in points
+    ]
+    cells = _bench_runner().run_cells(specs)
+    return {point: cell.stats for point, cell in zip(points, cells)}
 
 
 def test_ablation_core_scaling(benchmark, capsys, workloads):

@@ -8,46 +8,34 @@ false-positive conflicts and slowdown versus perfect signatures —
 the design space TokenTM's precise tokens make irrelevant.
 """
 
-from dataclasses import replace
-
-from repro.analysis.experiments import run_cell
 from repro.analysis.tables import format_table
 from repro.common.config import HTMConfig, SignatureConfig
-from repro.coherence.protocol import MemorySystem
-from repro.common.config import SystemConfig
-from repro.htm.logtm_se import LogTMSE
-from repro.runtime.executor import Executor
-from repro.common.config import RunConfig
+from repro.perf.runner import CellSpec
 
-from benchmarks.conftest import BENCH_SEED, emit
+from benchmarks.conftest import BENCH_SEED, _bench_runner, emit
 
 SWEEP_BITS = (256, 1024, 2048, 8192)
 SWEEP_HASHES = (1, 2, 4)
 SCALE = 0.006
 
 
-def _run_sig(trace, bits, hashes, seed):
-    system = SystemConfig()
-    sig = SignatureConfig(bits=bits, num_hashes=hashes)
-    cfg = HTMConfig(signature=sig)
-    machine = LogTMSE(MemorySystem(system), cfg, signature=sig,
-                      name=f"LogTM-SE_{bits}b_{hashes}xH3")
-    executor = Executor(machine, trace,
-                        RunConfig(system=system, htm=cfg, seed=seed),
-                        validate=False, track_history=False)
-    return executor.run().stats
-
-
 def _sweep(workloads):
-    trace = workloads["Delaunay"].generate(seed=BENCH_SEED, scale=SCALE)
-    baseline = run_cell(workloads["Delaunay"], "LogTM-SE_Perf",
-                        scale=SCALE, seed=BENCH_SEED).stats
-    grid = {}
-    for bits in SWEEP_BITS:
-        for hashes in SWEEP_HASHES:
-            grid[(bits, hashes)] = _run_sig(trace, bits, hashes,
-                                            BENCH_SEED)
-    return baseline, grid
+    # Every cell runs the same Delaunay trace, generated once.
+    spec = workloads["Delaunay"].spec
+    points = [(bits, hashes) for bits in SWEEP_BITS
+              for hashes in SWEEP_HASHES]
+    specs = [CellSpec(spec, "LogTM-SE_Perf", seed=BENCH_SEED,
+                      scale=SCALE)]
+    specs += [
+        CellSpec(spec, f"LogTM-SE_{hashes}xH3", seed=BENCH_SEED,
+                 scale=SCALE,
+                 htm=HTMConfig(signature=SignatureConfig(
+                     bits=bits, num_hashes=hashes)))
+        for bits, hashes in points
+    ]
+    baseline, *cells = _bench_runner().run_cells(specs)
+    return baseline.stats, {
+        point: cell.stats for point, cell in zip(points, cells)}
 
 
 def test_ablation_signature_sweep(benchmark, capsys, workloads):

@@ -7,7 +7,7 @@ prints the headline statistics — commits, aborts, how many
 transactions used fast token release, and the makespan.
 """
 
-from repro import HTMConfig, RunConfig, SystemConfig, build_machine
+from repro import HTMConfig, MemorySystem, RunConfig, SystemConfig, make_htm
 from repro.runtime import run_workload
 from repro.workloads import vacation_low
 
@@ -15,7 +15,7 @@ from repro.workloads import vacation_low
 def main() -> None:
     system = SystemConfig()          # 32 cores, 32KB L1s, 8MB L2
     htm_config = HTMConfig()         # T = 2**14 tokens per block
-    machine = build_machine("TokenTM", system, htm_config)
+    machine = make_htm("TokenTM", MemorySystem(system), htm_config)
 
     workload = vacation_low()
     trace = workload.generate(seed=1, scale=0.005)  # short slice

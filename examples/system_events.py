@@ -76,6 +76,7 @@ def paging_demo(htm: TokenTM) -> None:
     print(f"after page-in, thread 8's read is granted={denied.granted} "
           f"(writer metastate survived the swap)")
     htm.commit(0, 7)
+    htm.abort(1, 8)  # the denied reader gives up; it retries later
     htm.audit()
     print("books balance after commit\n")
 

@@ -9,11 +9,11 @@ figure of the paper's evaluation.
 
 Quickstart::
 
-    from repro import build_machine, HTMConfig, SystemConfig
+    from repro import HTMConfig, MemorySystem, SystemConfig, make_htm
     from repro.workloads import vacation_low
     from repro.runtime import run_workload
 
-    htm = build_machine("TokenTM", SystemConfig(), HTMConfig())
+    htm = make_htm("TokenTM", MemorySystem(SystemConfig()), HTMConfig())
     trace = vacation_low().generate(seed=1, scale=0.01)
     result = run_workload(htm, trace)
     print(result.stats.snapshot())
@@ -30,7 +30,7 @@ from repro.common.config import (
 )
 from repro.common.errors import ReproError
 from repro.coherence.protocol import MemorySystem
-from repro.htm import VARIANTS, build_machine, make_htm
+from repro.htm import VARIANTS, make_htm
 from repro.htm.base import HTM
 from repro.htm.logtm_se import LogTMSE
 from repro.htm.onetm import OneTM
@@ -57,7 +57,6 @@ __all__ = [
     "SystemConfig",
     "TokenTM",
     "VARIANTS",
-    "build_machine",
     "make_htm",
     "run_workload",
     "__version__",

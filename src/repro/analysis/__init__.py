@@ -16,7 +16,6 @@ from repro.analysis.experiments import (
     Table6Row,
     figure_speedups,
     measure_table5,
-    run_cell,
     run_trace,
     run_variants,
     table6_row,
@@ -60,7 +59,6 @@ __all__ = [
     "format_table5",
     "format_table6",
     "measure_table5",
-    "run_cell",
     "run_trace",
     "run_variants",
     "t_quantile_975",

@@ -3,11 +3,13 @@
 One *cell* of the evaluation is (workload, HTM variant, seed): a fresh
 memory system and machine are built, the workload trace is generated
 and executed, and a :class:`~repro.runtime.stats.RunStats` comes back.
-The helpers here assemble the cells into the paper's figures:
+A :class:`~repro.perf.runner.CellSpec` describes a cell and
+:func:`~repro.perf.runner.simulate_cell` runs it.  The helpers here
+assemble the cells into the paper's figures:
 
 * :data:`GRID_SCALES`, :data:`FIGURE5_VARIANTS`,
   :data:`FIGURE1_WORKLOADS` — the grid itself, defined once;
-* :func:`run_cell` / :func:`run_variants` — the grid primitives;
+* :func:`run_trace` / :func:`run_variants` — the grid primitives;
 * :func:`figure_speedups` — speedups normalized to LogTM-SE_Perf
   (Figures 1 and 5);
 * :func:`measure_table5` — read/write-set statistics of the workload
@@ -38,7 +40,7 @@ from repro.faults.monitor import InvariantMonitor
 from repro.faults.plan import FaultPlan
 from repro.htm import make_htm
 from repro.obs.events import EventBus
-from repro.runtime.executor import Executor
+from repro.runtime.executor import DEFAULT_TIMESLICE, Executor
 from repro.runtime.stats import RunStats
 from repro.workloads.base import SyntheticTxnWorkload
 from repro.workloads.trace import WorkloadTrace, static_set_sizes
@@ -112,15 +114,17 @@ def run_trace(trace: WorkloadTrace, variant: str,
               system: Optional[SystemConfig] = None,
               htm_config: Optional[HTMConfig] = None,
               seed: int = 0,
-              audit: bool = False,
-              quantum: int = 200,
+              timeslice: int = DEFAULT_TIMESLICE,
+              policy: str = "timestamp",
               bus: Optional[EventBus] = None,
               faults: Optional[FaultPlan] = None,
               monitor: Optional[InvariantMonitor] = None) -> RunStats:
     """Execute an already-generated trace on a fresh machine.
 
-    Pass an enabled :class:`~repro.obs.events.EventBus` to trace the
-    run; the default null bus makes instrumentation free.
+    The one machine builder for a run; experiments reach it through
+    :func:`repro.perf.runner.simulate_cell`.  Pass an enabled
+    :class:`~repro.obs.events.EventBus` to trace the run; the default
+    null bus makes instrumentation free.
 
     ``faults`` injects the given plan (seeded from ``seed``) and
     ``monitor`` runs invariant checks at quantum boundaries; both
@@ -131,39 +135,20 @@ def run_trace(trace: WorkloadTrace, variant: str,
     sys_cfg = system or SystemConfig()
     cfg = htm_config or HTMConfig()
     machine = make_htm(variant, MemorySystem(sys_cfg, bus=bus), cfg)
-    run_cfg = RunConfig(system=sys_cfg, htm=cfg, seed=seed, audit=audit)
+    run_cfg = RunConfig(system=sys_cfg, htm=cfg, seed=seed)
     injector = None
     if faults is not None and faults.specs:
         injector = FaultInjector(faults, seed=seed, bus=bus)
     track_history = monitor is not None and monitor.enabled
-    executor = Executor(machine, trace, run_cfg, quantum=quantum,
-                        validate=False, track_history=track_history,
+    executor = Executor(machine, trace, run_cfg, validate=False,
+                        track_history=track_history,
+                        timeslice=timeslice, policy=policy,
                         injector=injector, monitor=monitor)
     return executor.run().stats
 
 
-def run_cell(workload: SyntheticTxnWorkload, variant: str,
-             scale: float = 1.0, seed: int = 0,
-             threads: Optional[int] = None,
-             system: Optional[SystemConfig] = None,
-             htm_config: Optional[HTMConfig] = None,
-             bus: Optional[EventBus] = None,
-             faults: Optional[FaultPlan] = None,
-             monitor: Optional[InvariantMonitor] = None) -> Cell:
-    """Generate the workload at ``scale`` and run it on ``variant``."""
-    sys_cfg = system or SystemConfig()
-    nthreads = threads if threads is not None else sys_cfg.num_cores
-    trace = workload.generate(seed=seed, scale=scale, threads=nthreads)
-    stats = run_trace(trace, variant, system=sys_cfg,
-                      htm_config=htm_config, seed=seed, bus=bus,
-                      faults=faults, monitor=monitor)
-    return Cell(trace.name, variant, seed, stats)
-
-
 def _run_grid(workload: SyntheticTxnWorkload, variants: Sequence[str],
-              seeds: Sequence[int], scale: float,
-              threads: Optional[int], system: Optional[SystemConfig],
-              htm_config: Optional[HTMConfig], runner) -> List[Cell]:
+              seeds: Sequence[int], scale: float, runner) -> List[Cell]:
     """Run ``workload`` x ``seeds`` x ``variants`` through ``runner``.
 
     The default runner is a serial
@@ -173,8 +158,7 @@ def _run_grid(workload: SyntheticTxnWorkload, variants: Sequence[str],
     from repro.perf.runner import ParallelRunner, grid_specs  # avoids cycle
 
     specs = grid_specs([workload], tuple(variants), seeds=tuple(seeds),
-                       scale=scale, threads=threads, system=system,
-                       htm=htm_config)
+                       scale=scale)
     if runner is None:
         runner = ParallelRunner()
     return _require_complete(runner.run_cells(specs), specs)
@@ -183,9 +167,6 @@ def _run_grid(workload: SyntheticTxnWorkload, variants: Sequence[str],
 def run_variants(workload: SyntheticTxnWorkload,
                  variants: Sequence[str],
                  scale: float = 1.0, seed: int = 0,
-                 threads: Optional[int] = None,
-                 system: Optional[SystemConfig] = None,
-                 htm_config: Optional[HTMConfig] = None,
                  runner=None) -> Dict[str, Cell]:
     """Run one workload across several variants on identical traces.
 
@@ -194,8 +175,7 @@ def run_variants(workload: SyntheticTxnWorkload,
     the default runs them serially.  The runner generates the trace
     once and runs every variant on it.
     """
-    cells = _run_grid(workload, variants, (seed,), scale, threads,
-                      system, htm_config, runner)
+    cells = _run_grid(workload, variants, (seed,), scale, runner)
     return dict(zip(variants, cells))
 
 
@@ -215,9 +195,6 @@ def figure_speedups(workload: SyntheticTxnWorkload,
                     scale: float = 0.02,
                     runs: int = 1,
                     seed: int = 0,
-                    threads: Optional[int] = None,
-                    system: Optional[SystemConfig] = None,
-                    htm_config: Optional[HTMConfig] = None,
                     runner=None) -> SpeedupSeries:
     """Speedup of each variant normalized to ``baseline``.
 
@@ -230,8 +207,7 @@ def figure_speedups(workload: SyntheticTxnWorkload,
     seeds = perturbation_seeds(seed, runs)
     per_variant: Dict[str, List[float]] = {v: [] for v in variants}
     series = SpeedupSeries(workload.spec.name, baseline)
-    flat = _run_grid(workload, variants, seeds, scale, threads, system,
-                     htm_config, runner)
+    flat = _run_grid(workload, variants, seeds, scale, runner)
     nv = len(variants)
     for i in range(len(seeds)):
         cells = dict(zip(variants, flat[i * nv:(i + 1) * nv]))

@@ -67,7 +67,6 @@ from repro.analysis.experiments import (
     GRID_SCALES,
     figure_speedups,
     measure_table5,
-    run_cell,
     run_variants,
     table6_row,
 )
@@ -164,6 +163,8 @@ def _trace_workload_from_args(args, options=None):
 
 
 def cmd_run(args) -> int:
+    from repro.perf.runner import CellSpec, simulate_cell
+
     if bool(args.workload) == bool(args.trace_file):
         raise _InputError(
             "give a workload name or --trace-file EVENTS (not both)")
@@ -191,8 +192,9 @@ def cmd_run(args) -> int:
         from repro.faults.monitor import InvariantMonitor
 
         monitor = InvariantMonitor()
-    cell = run_cell(workload, args.variant, scale=scale, seed=args.seed,
-                    bus=bus, faults=faults, monitor=monitor)
+    cell, _ = simulate_cell(
+        CellSpec(workload.spec, args.variant, seed=args.seed, scale=scale),
+        bus=bus, faults=faults, monitor=monitor)
     if bus is not None:
         _finish_trace(bus, jsonl, chrome, args)
     snapshot = cell.stats.snapshot()
@@ -242,6 +244,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    from repro.perf.runner import CellSpec, simulate_cell
+
     if args.validate:
         with open(args.validate, "r", encoding="utf-8") as fh:
             count, errors = validate_jsonl(fh)
@@ -264,8 +268,8 @@ def cmd_trace(args) -> int:
     if args.chrome_out:
         chrome = ChromeTraceExporter()
         bus.attach(chrome)
-    run_cell(workload, args.variant, scale=scale, seed=args.seed,
-             bus=bus)
+    simulate_cell(CellSpec(workload.spec, args.variant, seed=args.seed,
+                           scale=scale), bus=bus)
     _finish_trace(bus, jsonl, chrome, args)
     print(report.format_summary() if args.summary else report.format())
     return 0

@@ -1,8 +1,9 @@
 """Simulated HTM machines: TokenTM, LogTM-SE variants, OneTM."""
 
+import re
 from dataclasses import replace
 
-from repro.common.config import HTMConfig, SignatureConfig, SystemConfig
+from repro.common.config import HTMConfig, SignatureConfig
 from repro.common.errors import ConfigError
 from repro.coherence.protocol import MemorySystem
 from repro.htm.base import (
@@ -34,17 +35,18 @@ def make_htm(variant: str, mem: MemorySystem, config: HTMConfig) -> HTM:
 
     The machine attaches itself to ``mem`` (TokenTM and OneTM install
     coherence listeners); use one fresh :class:`MemorySystem` per
-    machine.
+    machine.  ``LogTM-SE_{k}xH3`` takes its hash count ``k`` from the
+    name and the rest of its geometry from ``config.signature``; the
+    paper's two are ``k`` = 2 and 4.
     """
     if variant == "TokenTM":
         return TokenTM(mem, config, fast_release=True)
     if variant == "TokenTM_NoFast":
         return TokenTM(mem, config, fast_release=False)
-    if variant == "LogTM-SE_2xH3":
-        sig = replace(config.signature, num_hashes=2, perfect=False)
-        return LogTMSE(mem, config, signature=sig)
-    if variant == "LogTM-SE_4xH3":
-        sig = replace(config.signature, num_hashes=4, perfect=False)
+    hashes = re.fullmatch(r"LogTM-SE_([1-9][0-9]*)xH3", variant)
+    if hashes is not None:
+        sig = replace(config.signature, num_hashes=int(hashes.group(1)),
+                      perfect=False)
         return LogTMSE(mem, config, signature=sig)
     if variant == "LogTM-SE_Perf":
         sig = SignatureConfig(perfect=True)
@@ -54,12 +56,6 @@ def make_htm(variant: str, mem: MemorySystem, config: HTMConfig) -> HTM:
     raise ConfigError(
         f"unknown HTM variant {variant!r}; choose from {VARIANTS}"
     )
-
-
-def build_machine(variant: str, system: SystemConfig,
-                  htm_config: HTMConfig) -> HTM:
-    """Convenience: fresh memory system + machine in one call."""
-    return make_htm(variant, MemorySystem(system), htm_config)
 
 
 __all__ = [
@@ -73,6 +69,5 @@ __all__ = [
     "OneTM",
     "TokenTM",
     "VARIANTS",
-    "build_machine",
     "make_htm",
 ]

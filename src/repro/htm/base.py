@@ -181,10 +181,18 @@ class HTM(ABC):
     def begin(self, core: int, tid: int) -> int:
         """Start a transaction for thread ``tid`` on ``core``.
 
-        Returns the begin latency in cycles.
+        Returns the begin latency in cycles.  A core whose register
+        names another thread with a live transaction must switch that
+        thread out first: the core's L1 state is that thread's.
         """
         if tid in self._txns:
             raise TransactionError(f"thread {tid} already in a transaction")
+        current = self._core_tid[core]
+        if current is not None and current != tid and current in self._txns:
+            raise SimulationError(
+                f"core {core} is running thread {current}'s transaction; "
+                f"switch it out before thread {tid} begins"
+            )
         self._txns[tid] = self._new_txn(tid)
         self._core_tid[core] = tid
         if tid not in self._logs:

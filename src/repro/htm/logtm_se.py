@@ -15,6 +15,9 @@ Variants are selected by the signature configuration:
 * ``LogTM-SE_Perf`` — unimplementable exact signatures (the paper's
   normalization baseline).
 
+Other hash counts ``k`` run as ``LogTM-SE_{k}xH3`` (the signature
+ablation); every Bloom variant takes its size from ``HTMConfig``.
+
 Bloom variants suffer *false positives*: conflicts flagged between
 transactions whose actual sets are disjoint.  The machine counts them
 (it also tracks exact sets purely for instrumentation) — the effect
@@ -96,14 +99,11 @@ class LogTMSE(HTM):
     """LogTM-SE machine parameterized by signature geometry."""
 
     def __init__(self, mem: MemorySystem, config: HTMConfig,
-                 signature: Optional[SignatureConfig] = None,
-                 name: Optional[str] = None):
+                 signature: Optional[SignatureConfig] = None):
         super().__init__(mem)
         self._config = config
         self._sig_config = signature or config.signature
-        if name is not None:
-            self.name = name
-        elif self._sig_config.perfect:
+        if self._sig_config.perfect:
             self.name = "LogTM-SE_Perf"
         else:
             self.name = (f"LogTM-SE_{self._sig_config.num_hashes}xH3")

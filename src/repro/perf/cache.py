@@ -64,7 +64,9 @@ from typing import Any, Dict, Optional
 #:    cells are always clean runs (chaos campaigns key their own
 #:    cells), so there is no fault plan left to key on.
 #: 10: six config fields that no cell could vary left the payload.
-CACHE_SCHEMA = 10
+#: 11: CellSpec payload grew ``timeslice`` and ``policy`` (the knobs
+#:     the ablations used to pass to a hand-built executor).
+CACHE_SCHEMA = 11
 
 #: Default cache directory (overridable via the environment).
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"

@@ -54,6 +54,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from repro.analysis.experiments import Cell, run_trace
 from repro.common.config import HTMConfig, SystemConfig
 from repro.common.errors import IncompleteGridError
+from repro.faults.monitor import InvariantMonitor
+from repro.faults.plan import FaultPlan
+from repro.obs.events import EventBus
 from repro.obs.metrics import PERF_RESILIENCE_COUNTERS, MetricsRegistry
 from repro.perf.cache import ResultCache, cell_key
 from repro.perf.supervise import (
@@ -66,6 +69,7 @@ from repro.perf.supervise import (
     RunReport,
     SupervisorConfig,
 )
+from repro.runtime.executor import DEFAULT_TIMESLICE
 from repro.traces.workload import TraceWorkload, TraceWorkloadSpec
 from repro.workloads.base import SyntheticTxnWorkload, TxnWorkloadSpec
 from repro.workloads.trace import WorkloadTrace
@@ -94,6 +98,12 @@ class CellSpec:
     threads: Optional[int] = None
     system: SystemConfig = field(default_factory=SystemConfig)
     htm: HTMConfig = field(default_factory=HTMConfig)
+    #: Cycles a thread runs before yielding its core; matters only
+    #: when ``threads`` exceeds ``system.num_cores``.
+    timeslice: int = DEFAULT_TIMESLICE
+    #: Contention manager, by its
+    #: :data:`~repro.runtime.contention.POLICIES` name.
+    policy: str = "timestamp"
 
     def payload(self) -> Dict[str, object]:
         """Key material for :func:`repro.perf.cache.cell_key`."""
@@ -105,6 +115,8 @@ class CellSpec:
             "threads": self.threads,
             "system": self.system,
             "htm": self.htm,
+            "timeslice": self.timeslice,
+            "policy": self.policy,
         }
 
 
@@ -112,16 +124,14 @@ def grid_specs(workloads: Iterable[Union[SyntheticTxnWorkload,
                                          TraceWorkload]],
                variants: Sequence[str],
                seeds: Sequence[int] = (0,),
-               scale: float = 1.0,
-               threads: Optional[int] = None,
-               system: Optional[SystemConfig] = None,
-               htm: Optional[HTMConfig] = None) -> List[CellSpec]:
-    """The full cross product, in deterministic (wl, seed, variant) order."""
-    sys_cfg = system or SystemConfig()
-    htm_cfg = htm or HTMConfig()
+               scale: float = 1.0) -> List[CellSpec]:
+    """The full cross product, in deterministic (wl, seed, variant) order.
+
+    Every cell runs on the base machine; a sweep over machine knobs
+    builds its own :class:`CellSpec` list.
+    """
     return [
-        CellSpec(wl.spec, variant, seed=seed, scale=scale, threads=threads,
-                 system=sys_cfg, htm=htm_cfg)
+        CellSpec(wl.spec, variant, seed=seed, scale=scale)
         for wl in workloads
         for seed in seeds
         for variant in variants
@@ -157,14 +167,25 @@ def _trace(workload: WorkloadSpec, seed: int, scale: float,
     return source.generate(seed=seed, scale=scale, threads=threads)
 
 
-def _simulate(spec: CellSpec) -> Tuple[Cell, float]:
-    """Worker body: run one cell, returning (cell, wall_seconds)."""
+def simulate_cell(spec: CellSpec, *,
+                  bus: Optional[EventBus] = None,
+                  faults: Optional[FaultPlan] = None,
+                  monitor: Optional[InvariantMonitor] = None,
+                  ) -> Tuple[Cell, float]:
+    """Run one cell, returning (cell, wall_seconds).
+
+    The runner's worker body.  ``bus``, ``faults`` and ``monitor`` are
+    not part of the cell's identity, so the runner never passes them
+    (a cached cell had none); ``repro run`` and ``repro trace`` do.
+    """
     start = perf_counter()
     threads = spec.threads if spec.threads is not None \
         else spec.system.num_cores
     trace = _trace(spec.workload, spec.seed, spec.scale, threads)
     stats = run_trace(trace, spec.variant, system=spec.system,
-                      htm_config=spec.htm, seed=spec.seed)
+                      htm_config=spec.htm, seed=spec.seed,
+                      timeslice=spec.timeslice, policy=spec.policy,
+                      bus=bus, faults=faults, monitor=monitor)
     return Cell(trace.name, spec.variant, spec.seed, stats), \
         perf_counter() - start
 
@@ -211,7 +232,7 @@ class ParallelRunner:
     :attr:`last_report`) and the partial results.
 
     ``simulate`` swaps the worker body for a picklable callable with
-    :func:`_simulate`'s signature — the fault-injection hook the
+    :func:`simulate_cell`'s signature — the fault-injection hook the
     supervision tests use; production paths leave it None.
     """
 
@@ -251,10 +272,6 @@ class ParallelRunner:
         self._pool: Optional[ProcessPoolExecutor] = None
 
     # ------------------------------------------------------------------
-
-    def run_cell(self, spec: CellSpec) -> Cell:
-        """Run (or fetch) a single cell."""
-        return self.run_cells([spec])[0]
 
     def run_cells(self, specs: Sequence[CellSpec]) -> List[Cell]:
         """Run every spec; results align with ``specs`` by index.
@@ -362,7 +379,7 @@ class ParallelRunner:
         here (documented on :class:`SupervisorConfig`).
         """
         fn = self._simulate_fn if self._simulate_fn is not None \
-            else _simulate
+            else simulate_cell
         while queue:
             task = queue.pop(0)
             delay = task.not_before - time.monotonic()
@@ -402,7 +419,7 @@ class ParallelRunner:
             ready = [t for t in queue if t.not_before <= now]
             if ready:
                 fn = self._simulate_fn if self._simulate_fn is not None \
-                    else _simulate
+                    else simulate_cell
                 try:
                     pool = self._ensure_pool()
                     for task in ready:

@@ -219,3 +219,13 @@ class RequesterWinsPolicy(ContentionPolicy):
             return Decision(Resolution.STALL_AND_RETRY)
         holders = self._live_holders(requester_tid, info, live_tids)
         return Decision(Resolution.STALL_AND_RETRY, tuple(holders))
+
+
+#: Contention managers by name: the executor builds the named one, and
+#: ``CellSpec.policy`` picks it for a grid cell.  ``timestamp`` is the
+#: paper's policy; the other two are the policy ablation's baselines.
+POLICIES = {
+    "timestamp": TimestampManager,
+    "requester-loses": RequesterLosesPolicy,
+    "requester-wins": RequesterWinsPolicy,
+}

@@ -20,12 +20,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.common.config import RunConfig
-from repro.common.errors import SimulationError
+from repro.common.errors import ConfigError, SimulationError
 from repro.faults.injector import NULL_INJECTOR
 from repro.faults.monitor import NULL_MONITOR
 from repro.htm.base import HTM, ConflictKind
 from repro.obs.events import AbortCause, EventBus, EventKind
-from repro.runtime.contention import Resolution, TimestampManager
+from repro.runtime.contention import POLICIES, Resolution
 from repro.runtime.history import HistoryValidator
 from repro.runtime.stats import RunStats
 from repro.workloads.trace import (
@@ -47,6 +47,9 @@ from repro.workloads.trace import (
 
 #: Scheduler quantum: a thread runs at most this many cycles per turn.
 DEFAULT_QUANTUM = 200
+
+#: Cycles a time-shared thread runs before it yields its core.
+DEFAULT_TIMESLICE = 50_000
 
 #: Hard cap on retries of one transaction before the run is declared
 #: livelocked (a simulator bug; the timestamp policy should converge).
@@ -127,8 +130,8 @@ class Executor:
                  validate: bool = True,
                  track_history: bool = True,
                  preemptive: Optional[bool] = None,
-                 timeslice: int = 50_000,
-                 policy: Optional[TimestampManager] = None,
+                 timeslice: int = DEFAULT_TIMESLICE,
+                 policy: str = "timestamp",
                  bus: Optional[EventBus] = None,
                  injector=None,
                  monitor=None):
@@ -151,8 +154,11 @@ class Executor:
         #: Event bus: explicit argument, else whatever the machine's
         #: memory system carries (NULL_BUS unless tracing was set up).
         self._bus = bus if bus is not None else htm.bus
-        self._manager = policy if policy is not None else \
-            TimestampManager(config.htm, seed=config.seed, bus=self._bus)
+        if policy not in POLICIES:
+            raise ConfigError(f"unknown contention policy {policy!r}; "
+                              f"choose from {sorted(POLICIES)}")
+        self._manager = POLICIES[policy](config.htm, seed=config.seed,
+                                         bus=self._bus)
         self._threads = [
             _Thread(t.thread_id, core % ncores, t.ops)
             for core, t in enumerate(trace.threads)

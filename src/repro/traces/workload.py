@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Dict, Optional, Union
 
@@ -61,7 +62,6 @@ class TraceWorkload:
 
     def __init__(self, spec: TraceWorkloadSpec):
         self.spec = spec
-        self._converted: Optional[WorkloadTrace] = None
 
     @classmethod
     def from_file(cls, path: Union[str, Path],
@@ -110,11 +110,19 @@ class TraceWorkload:
         compatibility and ignored: a trace replays one recorded
         schedule.  The thread count is the trace's own.
         """
-        if self._converted is None:
-            self._converted = convert_file(
-                self.spec.path, name=self.spec.name,
-                options=self.spec.convert)
-        return self._converted
+        return _convert(self.spec)
+
+
+@lru_cache(maxsize=1)
+def _convert(spec: TraceWorkloadSpec) -> WorkloadTrace:
+    """The trace ``spec`` names, memoized by content.
+
+    Keyed by the spec (digest included), not by the workload object,
+    so the CLI's up-front validation and the cell that then runs the
+    same file share one conversion.  Sharing is safe because
+    execution only reads a trace.
+    """
+    return convert_file(spec.path, name=spec.name, options=spec.convert)
 
 
 def fixture_path(name: str) -> Path:

@@ -8,7 +8,7 @@ from repro.analysis.experiments import (
     FIGURE5_VARIANTS,
     figure_speedups,
     measure_table5,
-    run_cell,
+    run_trace,
     run_variants,
     table6_row,
 )
@@ -18,6 +18,7 @@ from repro.analysis.tables import (
     format_table,
     format_table1,
 )
+from repro.perf.runner import CellSpec, simulate_cell
 from repro.workloads import barnes, cholesky
 from repro.workloads.base import SyntheticTxnWorkload
 
@@ -74,8 +75,10 @@ class TestFormatting:
 
 
 class TestHarness:
-    def test_run_cell(self):
-        cell = run_cell(cholesky(), "TokenTM", scale=0.001, seed=1)
+    def test_simulate_cell(self):
+        spec = CellSpec(cholesky().spec, "TokenTM", seed=1, scale=0.001)
+        cell, wall = simulate_cell(spec)
+        assert wall > 0
         assert cell.variant == "TokenTM"
         assert cell.stats.commits > 0
         assert cell.stats.makespan > 0
@@ -100,9 +103,10 @@ class TestHarness:
         variants = ("TokenTM", "LogTM-SE_Perf")
         cells = run_variants(cholesky(), variants, scale=0.001, seed=1)
         assert len(calls) == 1
+        trace = generate(cholesky(), seed=1, scale=0.001, threads=32)
         for variant in variants:
-            alone = run_cell(cholesky(), variant, scale=0.001, seed=1)
-            assert cells[variant] == alone
+            alone = run_trace(trace, variant, seed=1)
+            assert cells[variant].stats.snapshot() == alone.snapshot()
 
     def test_figure_speedups_normalized(self):
         series = figure_speedups(cholesky(),
@@ -121,7 +125,8 @@ class TestHarness:
         assert row.avg_read_set > 0
 
     def test_table6_row(self):
-        row = table6_row(run_cell(barnes(), "TokenTM", scale=0.05, seed=2))
+        cells = run_variants(barnes(), ("TokenTM",), scale=0.05, seed=2)
+        row = table6_row(cells["TokenTM"])
         assert row.benchmark == "Barnes"
         assert 0 <= row.fast_pct <= 100
         assert row.fast_avg_duration > 0

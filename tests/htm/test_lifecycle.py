@@ -10,7 +10,7 @@ cycle accounting.
 import pytest
 
 from repro.common.config import HTMConfig
-from repro.common.errors import TransactionError
+from repro.common.errors import SimulationError, TransactionError
 from repro.coherence.protocol import MemorySystem
 from repro.htm import VARIANTS, make_htm
 from tests.conftest import SMALL_T, small_system
@@ -29,6 +29,18 @@ def test_second_begin_raises(htm):
     htm.begin(0, 0)
     with pytest.raises(TransactionError, match="already in a transaction"):
         htm.begin(0, 0)
+
+
+def test_begin_on_a_core_holding_another_live_transaction_raises(htm):
+    htm.begin(1, 8)
+    with pytest.raises(SimulationError, match="core 1 is running thread 8"):
+        htm.begin(1, 1)
+    assert htm.running(1) == 8
+    assert htm.active_tids() == [8]
+    # Once thread 8's transaction ends, the core may start another.
+    htm.commit(1, 8)
+    htm.begin(1, 1)
+    assert htm.running(1) == 1
 
 
 @pytest.mark.parametrize("op", ["read", "write", "commit", "abort"])

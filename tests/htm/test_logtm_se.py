@@ -3,8 +3,9 @@
 import pytest
 
 from repro.common.config import HTMConfig, SignatureConfig
-from repro.common.errors import TransactionError
+from repro.common.errors import ConfigError, TransactionError
 from repro.coherence.protocol import MemorySystem
+from repro.htm import make_htm
 from repro.htm.base import ConflictKind
 from repro.htm.logtm_se import LogTMSE
 from tests.conftest import small_system
@@ -26,6 +27,19 @@ class TestNaming:
     def test_hash_count_in_name(self):
         assert build(k=2).name == "LogTM-SE_2xH3"
         assert build(k=4).name == "LogTM-SE_4xH3"
+
+    def test_make_htm_takes_the_hash_count_from_the_name(self):
+        htm = make_htm("LogTM-SE_1xH3", MemorySystem(small_system()),
+                       HTMConfig())
+        assert htm.name == "LogTM-SE_1xH3"
+
+    @pytest.mark.parametrize("name", [
+        "LogTM-SE_0xH3", "LogTM-SE_02xH3", "LogTM-SE_xH3", "LogTM-SE_2xH4",
+        "LogTM-SE_3xH3",  # 2048 bits do not split into 3 banks
+    ])
+    def test_make_htm_rejects_other_names(self, name):
+        with pytest.raises(ConfigError):
+            make_htm(name, MemorySystem(small_system()), HTMConfig())
 
 
 class TestBasic:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.experiments import run_cell, run_variants
+from repro.analysis.experiments import run_variants
 from repro.common.config import HTMConfig, RunConfig, SystemConfig
 from repro.coherence.protocol import MemorySystem
 from repro.htm import VARIANTS, make_htm
@@ -15,7 +15,8 @@ SMALL_SCALE = 0.002
 class TestWorkloadsAcrossVariants:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_barnes_runs_clean(self, variant):
-        cell = run_cell(barnes(), variant, scale=0.02, seed=1)
+        cell = run_variants(barnes(), (variant,), scale=0.02,
+                            seed=1)[variant]
         assert cell.stats.commits > 0
         assert cell.stats.makespan > 0
 
@@ -26,8 +27,8 @@ class TestWorkloadsAcrossVariants:
         assert len(commit_counts) == 1
 
     def test_large_txn_workload_on_tokentm(self):
-        cell = run_cell(vacation_low(), "TokenTM", scale=SMALL_SCALE,
-                        seed=3)
+        cell = run_variants(vacation_low(), ("TokenTM",),
+                            scale=SMALL_SCALE, seed=3)["TokenTM"]
         stats = cell.stats
         assert stats.commits > 0
         # Large transactions exist: some must use software release.
@@ -75,12 +76,13 @@ class TestExpectedShapes:
     """Cheap sanity versions of the paper's headline comparisons."""
 
     def test_tokentm_mostly_fast_releases_on_splash(self):
-        cell = run_cell(barnes(), "TokenTM", scale=0.05, seed=7)
+        cell = run_variants(barnes(), ("TokenTM",), scale=0.05,
+                            seed=7)["TokenTM"]
         assert cell.stats.fast_release_fraction > 0.75
 
     def test_vacation_uses_software_release_often(self):
-        cell = run_cell(vacation_low(), "TokenTM", scale=SMALL_SCALE,
-                        seed=7)
+        cell = run_variants(vacation_low(), ("TokenTM",),
+                            scale=SMALL_SCALE, seed=7)["TokenTM"]
         assert cell.stats.fast_release_fraction < 0.95
 
     def test_signatures_lose_on_delaunay(self):
@@ -93,9 +95,11 @@ class TestExpectedShapes:
         assert sig > 1.5 * token
 
     def test_signature_false_positives_counted(self):
-        cell = run_cell(delaunay(), "LogTM-SE_2xH3", scale=0.004, seed=8)
+        cell = run_variants(delaunay(), ("LogTM-SE_2xH3",),
+                            scale=0.004, seed=8)["LogTM-SE_2xH3"]
         assert cell.stats.machine["false_positive_conflicts"] > 0
 
     def test_perfect_signatures_have_no_false_positives(self):
-        cell = run_cell(delaunay(), "LogTM-SE_Perf", scale=0.004, seed=8)
+        cell = run_variants(delaunay(), ("LogTM-SE_Perf",),
+                            scale=0.004, seed=8)["LogTM-SE_Perf"]
         assert cell.stats.machine["false_positive_conflicts"] == 0

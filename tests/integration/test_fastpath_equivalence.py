@@ -10,7 +10,7 @@ everything.
 
 import pytest
 
-from repro.analysis.experiments import run_cell, run_trace
+from repro.analysis.experiments import run_trace
 from repro.coherence.protocol import MemorySystem
 from repro.workloads import cholesky, genome, vacation_high
 
@@ -27,11 +27,11 @@ GRID = [
 @pytest.mark.parametrize("workload,variant,scale", GRID,
                          ids=[f"{w.__name__}-{v}" for w, v, _ in GRID])
 def test_runstats_identical_across_modes(workload, variant, scale):
-    fast = run_cell(workload(), variant, scale=scale, seed=7)
     trace = workload().generate(seed=7, scale=scale, threads=32)
+    fast = run_trace(trace, variant, seed=7)
     slow, mem = run_case(trace, variant, seed=7, reference=True)
     assert mem.fastpath.coherence_read_hits == 0
-    assert fast.stats.snapshot() == slow.snapshot()
+    assert fast.snapshot() == slow.snapshot()
 
 
 def test_identical_under_preemption():
@@ -41,8 +41,8 @@ def test_identical_under_preemption():
 
     system = SystemConfig().scaled(4)   # 8 threads on 4 cores
     trace = vacation_high().generate(seed=9, scale=0.004, threads=8)
-    fast = run_trace(trace, "TokenTM", system=system, seed=9,
-                     quantum=25, audit=True)
+    fast, _ = run_case(trace, "TokenTM", system, seed=9, quantum=25,
+                       audit=True)
     slow, _ = run_case(trace, "TokenTM", system, seed=9, quantum=25,
                        audit=True, reference=True)
     assert fast.preemptions > 0

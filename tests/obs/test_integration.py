@@ -7,14 +7,16 @@ import json
 
 import pytest
 
-from repro.analysis.experiments import run_cell
 from repro.obs.events import EventBus, EventKind, validate_jsonl
 from repro.obs.report import TraceReport
 from repro.obs.sinks import ListSink
+from repro.perf.runner import CellSpec, simulate_cell
 from repro.workloads import tm_workloads
 
 SCALE = 0.005
 SEED = 1
+SPEC = CellSpec(tm_workloads()["Vacation-High"].spec, "TokenTM",
+                seed=SEED, scale=SCALE)
 
 
 @pytest.fixture(scope="module")
@@ -25,8 +27,7 @@ def traced_run():
     report = TraceReport()
     bus.attach(sink)
     bus.attach(report)
-    cell = run_cell(tm_workloads()["Vacation-High"], "TokenTM",
-                    scale=SCALE, seed=SEED, bus=bus)
+    cell, _ = simulate_cell(SPEC, bus=bus)
     return cell.stats, sink.events, report
 
 
@@ -81,8 +82,7 @@ class TestDeterminism:
     def test_tracing_does_not_perturb_results(self, traced_run):
         """A traced run and an untraced run produce identical stats."""
         stats, _, _ = traced_run
-        plain = run_cell(tm_workloads()["Vacation-High"], "TokenTM",
-                         scale=SCALE, seed=SEED).stats
+        plain = simulate_cell(SPEC)[0].stats
         traced = json.dumps(stats.snapshot(), default=str, sort_keys=True)
         untraced = json.dumps(plain.snapshot(), default=str,
                               sort_keys=True)

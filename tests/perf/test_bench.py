@@ -170,10 +170,11 @@ def test_claim_benchmark_cells_are_bench_grid_cells(monkeypatch):
     requested = []
 
     class Recorder:
-        def run_cell(self, spec):
-            requested.append(spec)
-            return SimpleNamespace(stats=SimpleNamespace(
+        def run_cells(self, specs):
+            requested.extend(specs)
+            return [SimpleNamespace(stats=SimpleNamespace(
                 makespan=1, machine={"false_positive_conflicts": 0}))
+                for _ in specs]
 
     monkeypatch.setattr(bench_conftest, "_RUNNER", Recorder())
     for module in (test_figure5_performance, test_figure1_false_positives,

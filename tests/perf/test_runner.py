@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+from dataclasses import replace
+
 import pytest
 
 import repro.perf.runner as runner_mod
@@ -9,11 +13,12 @@ from repro.analysis.ci import confidence_interval
 from repro.analysis.experiments import (
     FIGURE5_VARIANTS,
     figure_speedups,
-    run_cell,
+    run_trace,
     run_variants,
 )
+from repro.common.config import HTMConfig, SignatureConfig, SystemConfig
 from repro.common.rng import perturbation_seeds
-from repro.perf.cache import ResultCache
+from repro.perf.cache import ResultCache, cell_key
 from repro.perf.runner import CellSpec, ParallelRunner, grid_specs
 from repro.workloads.base import SyntheticTxnWorkload
 
@@ -36,11 +41,11 @@ def test_grid_specs_order(tiny_workload):
     assert all(s.workload is TINY_SPEC for s in specs)
 
 
-def test_serial_runner_matches_direct_run_cell(tiny_workload):
+def test_serial_runner_matches_direct_run_trace(tiny_workload):
     spec = CellSpec(TINY_SPEC, "TokenTM", seed=3, scale=SCALE)
-    via_runner = ParallelRunner(workers=0).run_cell(spec)
-    direct = run_cell(tiny_workload, "TokenTM", seed=3, scale=SCALE)
-    assert via_runner.stats.snapshot() == direct.stats.snapshot()
+    [via_runner] = ParallelRunner(workers=0).run_cells([spec])
+    direct = _reference(tiny_workload, "TokenTM", 3)
+    assert via_runner.stats.snapshot() == direct.snapshot()
 
 
 def test_parallel_runner_identical_to_serial(tiny_workload):
@@ -58,13 +63,13 @@ def test_parallel_runner_identical_to_serial(tiny_workload):
 
 def test_cache_hit_skips_simulation(tiny_workload, tmp_path, monkeypatch):
     simulated = []
-    real = runner_mod._simulate
+    real = runner_mod.simulate_cell
 
     def spy(spec):
         simulated.append(spec)
         return real(spec)
 
-    monkeypatch.setattr(runner_mod, "_simulate", spy)
+    monkeypatch.setattr(runner_mod, "simulate_cell", spy)
     specs = _specs(tiny_workload, seeds=(1,))
     first = ParallelRunner(workers=0, cache=ResultCache(tmp_path))
     cold = first.run_cells(specs)
@@ -87,8 +92,9 @@ def test_runner_rejects_negative_workers():
 
 
 def _reference(tiny_workload, variant, seed):
-    """The per-cell reference: generate and run one cell directly."""
-    return run_cell(tiny_workload, variant, scale=SCALE, seed=seed)
+    """The per-cell reference: generate and run one trace directly."""
+    trace = tiny_workload.generate(seed=seed, scale=SCALE, threads=32)
+    return run_trace(trace, variant, seed=seed)
 
 
 def test_serial_grid_generates_each_trace_once(tiny_workload, monkeypatch):
@@ -109,7 +115,7 @@ def test_serial_grid_generates_each_trace_once(tiny_workload, monkeypatch):
     for variant, cell in zip(FIGURE5_VARIANTS, cells):
         assert cell.variant == variant
         assert cell.stats.snapshot() == \
-            _reference(tiny_workload, variant, 4).stats.snapshot()
+            _reference(tiny_workload, variant, 4).snapshot()
 
 
 def test_run_variants_through_runner_matches_inline(tiny_workload):
@@ -118,7 +124,7 @@ def test_run_variants_through_runner_matches_inline(tiny_workload):
     assert list(via) == list(VARIANTS)
     for variant in VARIANTS:
         assert via[variant].stats.snapshot() == \
-            _reference(tiny_workload, variant, 5).stats.snapshot()
+            _reference(tiny_workload, variant, 5).snapshot()
 
 
 def test_figure_speedups_through_runner_matches_inline(tiny_workload):
@@ -131,10 +137,61 @@ def test_figure_speedups_through_runner_matches_inline(tiny_workload):
     reference = {(seed, v): _reference(tiny_workload, v, seed)
                  for seed in seeds for v in VARIANTS}
     assert [c.stats.snapshot() for c in via.cells] == \
-        [reference[seed, v].stats.snapshot()
+        [reference[seed, v].snapshot()
          for seed in seeds for v in VARIANTS]
     for variant in VARIANTS:
-        samples = [reference[seed, "LogTM-SE_Perf"].stats.makespan
-                   / reference[seed, variant].stats.makespan
+        samples = [reference[seed, "LogTM-SE_Perf"].makespan
+                   / reference[seed, variant].makespan
                    for seed in seeds]
         assert via.speedups[variant] == confidence_interval(samples)
+
+
+FOUR_CORES = SystemConfig().scaled(4)
+
+#: One cell per knob an ablation varies, each set off its default:
+#: (spec, the spec with that knob back at its default, the digest of
+#: the ``RunStats`` snapshot).  The digests were recorded from the
+#: same runs built by hand (``make_htm`` + ``Executor`` with
+#: ``timeslice=``, a policy object, or a ``LogTMSE`` with a 1-hash
+#: 256-bit signature) before these knobs became ``CellSpec`` fields.
+KNOB_CASES = {
+    "timeslice": (
+        CellSpec(TINY_SPEC, "TokenTM", seed=3, threads=8,
+                 system=FOUR_CORES, timeslice=400),
+        {"timeslice": 50_000},
+        "9512e30d1563805a",
+    ),
+    "policy": (
+        CellSpec(TINY_SPEC, "TokenTM", seed=3, system=FOUR_CORES,
+                 policy="requester-wins"),
+        {"policy": "timestamp"},
+        "b3a0ff4aac449ae9",
+    ),
+    "signature": (
+        CellSpec(TINY_SPEC, "LogTM-SE_1xH3", seed=3, system=FOUR_CORES,
+                 htm=HTMConfig(signature=SignatureConfig(
+                     bits=256, num_hashes=1))),
+        {"htm": HTMConfig()},
+        "e4b447fae18de7ea",
+    ),
+}
+
+
+def _snapshot_digest(stats) -> str:
+    blob = json.dumps(stats.snapshot(), sort_keys=True)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("knob", sorted(KNOB_CASES))
+def test_cell_knobs_reproduce_hand_built_runs(knob):
+    spec, default, expected = KNOB_CASES[knob]
+    cell, plain = ParallelRunner(workers=0).run_cells(
+        [spec, replace(spec, **default)])
+    assert _snapshot_digest(cell.stats) == expected
+    assert _snapshot_digest(plain.stats) != expected  # the knob matters
+
+
+@pytest.mark.parametrize("knob", sorted(KNOB_CASES))
+def test_cell_knobs_change_cell_key(knob):
+    spec, default, _ = KNOB_CASES[knob]
+    assert cell_key(spec) != cell_key(replace(spec, **default))

@@ -29,7 +29,7 @@ from repro.perf.supervise import (
     SupervisorConfig,
     flush_on_signals,
 )
-from repro.perf.runner import _simulate
+from repro.perf.runner import simulate_cell
 
 from tests.perf.conftest import TINY_SPEC
 
@@ -62,7 +62,7 @@ def _raise_always(spec):
 def _raise_for_tokentm(spec):
     if spec.variant == "TokenTM":
         raise RuntimeError("injected failure")
-    return _simulate(spec)
+    return simulate_cell(spec)
 
 
 def _flaky_once(spec):
@@ -71,7 +71,7 @@ def _flaky_once(spec):
     if not marker.exists():
         marker.touch()
         raise RuntimeError("injected transient failure")
-    return _simulate(spec)
+    return simulate_cell(spec)
 
 
 def _die_once(spec):
@@ -80,14 +80,14 @@ def _die_once(spec):
     if _in_worker() and not marker.exists():
         marker.touch()
         os.kill(os.getpid(), signal.SIGKILL)
-    return _simulate(spec)
+    return simulate_cell(spec)
 
 
 def _die_always_in_worker(spec):
     """Kill every worker attempt; only an inline run can finish."""
     if _in_worker():
         os.kill(os.getpid(), signal.SIGKILL)
-    return _simulate(spec)
+    return simulate_cell(spec)
 
 
 def _hang_once(spec):
@@ -96,7 +96,7 @@ def _hang_once(spec):
     if _in_worker() and not marker.exists():
         marker.touch()
         time.sleep(600)
-    return _simulate(spec)
+    return simulate_cell(spec)
 
 
 def _mixed_fates(spec):
@@ -108,7 +108,7 @@ def _mixed_fates(spec):
         return _hang_once(spec)
     if spec.seed == 3:
         raise RuntimeError("injected permanent failure")
-    return _simulate(spec)
+    return simulate_cell(spec)
 
 
 @pytest.fixture

@@ -3,10 +3,12 @@
 import pytest
 
 from repro.common.config import HTMConfig, RunConfig
+from repro.common.errors import ConfigError
 from repro.coherence.protocol import MemorySystem
 from repro.htm import make_htm
 from repro.htm.base import ConflictInfo, ConflictKind
 from repro.runtime.contention import (
+    POLICIES,
     RequesterLosesPolicy,
     RequesterWinsPolicy,
     Resolution,
@@ -25,6 +27,12 @@ from repro.workloads.trace import (
 from tests.conftest import SMALL_T, small_system
 
 B = 0xD000
+
+
+def policy_name(policy_cls):
+    """The ``POLICIES`` name the executor builds ``policy_cls`` from."""
+    return next(name for name, cls in POLICIES.items()
+                if cls is policy_cls)
 
 
 def info(hints=(1,), kind=ConflictKind.WRITER):
@@ -70,6 +78,13 @@ class TestRequesterWins:
         assert decision.victims == ()
 
 
+def test_executor_rejects_an_unknown_policy_name():
+    trace = WorkloadTrace("one", [ThreadTrace(0, [begin(), commit()])])
+    machine = make_htm("TokenTM", MemorySystem(small_system()), HTMConfig())
+    with pytest.raises(ConfigError, match="unknown contention policy"):
+        Executor(machine, trace, RunConfig(), policy="oldest-wins")
+
+
 @pytest.mark.parametrize("policy_cls", [
     TimestampManager, RequesterLosesPolicy, RequesterWinsPolicy,
 ])
@@ -88,7 +103,7 @@ class TestEndToEnd:
         machine = make_htm("TokenTM", MemorySystem(small_system()), cfg)
         run_cfg = RunConfig(htm=cfg, seed=3, audit=True)
         executor = Executor(machine, self._trace(), run_cfg, quantum=1,
-                            policy=policy_cls(cfg, seed=3))
+                            policy=policy_name(policy_cls))
         result = executor.run()
         assert result.stats.commits == 20
         result.history.check_serializable()
@@ -105,7 +120,7 @@ class TestEndToEnd:
         trace = WorkloadTrace("hot", threads)
         executor = Executor(machine, trace,
                             RunConfig(htm=cfg, seed=5, audit=True),
-                            quantum=1, policy=policy_cls(cfg, seed=5))
+                            quantum=1, policy=policy_name(policy_cls))
         result = executor.run()
         assert result.stats.commits == 12
         result.history.check_serializable()

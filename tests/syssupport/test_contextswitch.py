@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.errors import SimulationError
+from repro.common.errors import SimulationError, TransactionError
 
 B = 0x8000
 
@@ -29,6 +29,14 @@ class TestScheduling:
         with pytest.raises(SimulationError, match="core 0 is running"):
             tokentm.schedule(0, 8)
         assert tokentm.running(0) == 7
+
+    def test_audit_rejects_a_thread_on_two_cores(self, tokentm):
+        tokentm.schedule(0, 7)
+        tokentm.audit()
+        tokentm.schedule(1, 7)  # resumed elsewhere without a switch
+        with pytest.raises(TransactionError,
+                           match="thread 7 is registered on cores 0 and 1"):
+            tokentm.audit()
 
     def test_exited_thread_clears_without_switch(self, tokentm):
         tokentm.schedule(0, 7)
