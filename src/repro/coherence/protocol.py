@@ -14,8 +14,11 @@ interconnect into a functional coherence model.  The engine
 The engine never blocks or NACKs a request: TokenTM explicitly makes
 no changes to coherence transitions — conflicts are detected from
 metastate *after* data moves.  HTMs that conceptually NACK (LogTM-SE)
-instead ask :meth:`MemorySystem.needs_directory` and simply decline
-to call :meth:`MemorySystem.access`.
+instead ask :meth:`MemorySystem.resident` first: it returns the line a
+pure L1 hit would use, or None when the request reaches the directory.
+They serve a granted hit with :meth:`MemorySystem.fast_hit` and a
+granted directory request with :meth:`MemorySystem.access`, and
+simply decline to call either for a NACKed one.
 """
 
 from __future__ import annotations
@@ -41,6 +44,10 @@ _MODIFIED, _EXCLUSIVE, _SHARED = MESI.MODIFIED, MESI.EXCLUSIVE, MESI.SHARED
 
 class CoherenceListener:
     """Observer hooks for data movement.  All default to no-ops.
+
+    A :class:`MemorySystem` built without a listener makes no
+    callbacks at all, so a machine that observes no data movement
+    (LogTM-SE) pays nothing for them.
 
     ``source`` identifies where the incoming copy's data (and, for
     TokenTM, metastate) came from: a core id for cache-to-cache
@@ -149,7 +156,7 @@ class MemorySystem:
         self._lat = config.latency
         self._bank_mask = config.l2_banks - 1
         self._num_mcs = config.memory_controllers
-        self._listener = listener or CoherenceListener()
+        self._listener = listener
         #: Observability bus shared by the whole machine stack: the
         #: HTM and executor layers pick it up from here, so enabling
         #: tracing is a single constructor argument.
@@ -179,8 +186,8 @@ class MemorySystem:
     def directory(self) -> Directory:
         return self._directory
 
-    def set_listener(self, listener: CoherenceListener) -> None:
-        """Attach the HTM's movement observer."""
+    def set_listener(self, listener: Optional[CoherenceListener]) -> None:
+        """Attach the HTM's movement observer (None: no callbacks)."""
         self._listener = listener
 
     def cache(self, core: int) -> L1Cache:
@@ -192,19 +199,22 @@ class MemorySystem:
         entry = self._directory.peek(block)
         return entry.holders() if entry else set()
 
-    def needs_directory(self, core: int, block: int,
-                        is_write: bool) -> bool:
-        """Whether ``access`` with these arguments would reach the directory.
+    def resident(self, core: int, block: int,
+                 is_write: bool) -> Optional[CacheLine]:
+        """The line a pure L1 hit of this access would use, else None.
 
-        True on an L1 miss, and on a write that finds its line SHARED
-        (an upgrade).  Every other access is a pure L1 hit.  LogTM-SE
-        signature-checks exactly the requests this answers True for.
+        None when ``access`` with these arguments would reach the
+        directory: on an L1 miss, and on a write that finds its line
+        SHARED (an upgrade).  Any other access is a pure hit, which
+        :meth:`fast_hit` on the returned line commits.  LogTM-SE
+        signature-checks exactly the requests this answers None for.
+        Changes no stats and no LRU state.
         """
         cache = self._caches[core]
         line = cache.sets[block & cache.set_mask].get(block)
-        if line is None:
-            return True
-        return is_write and line.state is _SHARED
+        if line is not None and is_write and line.state is _SHARED:
+            return None
+        return line
 
     def mark_zero_filled(self, start: int, end: int) -> None:
         """Declare [start, end) as freshly zero-filled virtual memory.
@@ -254,9 +264,10 @@ class MemorySystem:
         write that finds it M or E (E folds to M silently: the
         directory already records the core as exclusive).  Returns the
         line's interned result (``CacheLine.hit``), made on its first
-        hit; :meth:`L1Cache.remove` drops it.  ``access`` is the only
-        caller; the method stays public because the perfbench tracer
-        counts its calls, one per pure hit.
+        hit; :meth:`L1Cache.remove` drops it.  Called once per pure
+        hit: by ``access``, and by an HTM that found the line with
+        :meth:`resident` (LogTM-SE).  The perfbench tracer counts its
+        calls.
         """
         stats = self.stats
         fp = self.fastpath
@@ -325,6 +336,7 @@ class MemorySystem:
         latency = 2 * topo.core_bank_lat[core][bank] + lat.directory
         entries = self._dir_entries
         code = entries.get(block)
+        listener = self._listener
 
         if code is None:
             entries[block] = core  # EXCLUSIVE, owned by ``core``
@@ -339,8 +351,9 @@ class MemorySystem:
             tick = cache.tick = cache.tick + 1
             new_line = cache_set[block] = CacheLine(
                 block, _MODIFIED if is_write else _EXCLUSIVE, tick)
-            self._listener.on_fill(core, block, new_line, False,
-                                   MEMORY_HOLDER)
+            if listener is not None:
+                listener.on_fill(core, block, new_line, False,
+                                 MEMORY_HOLDER)
             return AccessResult(latency, False, new_line, False, True)
 
         source = MEMORY_HOLDER
@@ -354,7 +367,8 @@ class MemorySystem:
                         + topo.core_core_lat[owner][core])
             if is_write:
                 owner_line = self._caches[owner].remove(block)
-                self._listener.on_invalidate(owner, block, owner_line, core)
+                if listener is not None:
+                    listener.on_invalidate(owner, block, owner_line, core)
                 stats.invalidations += 1
                 invalidated = (owner,)
             else:
@@ -364,7 +378,8 @@ class MemorySystem:
                 # The owner stays on as a sharer; the requester joins
                 # it below.
                 code = ~(1 << owner)
-                self._listener.on_downgrade(owner, block, owner_line, core)
+                if listener is not None:
+                    listener.on_downgrade(owner, block, owner_line, core)
                 stats.downgrades += 1
         else:
             if is_write and code != UNCACHED:
@@ -389,7 +404,8 @@ class MemorySystem:
         tick = cache.tick = cache.tick + 1
         new_line = cache_set[block] = CacheLine(block, state, tick)
 
-        self._listener.on_fill(core, block, new_line, shared, source)
+        if listener is not None:
+            listener.on_fill(core, block, new_line, shared, source)
         return AccessResult(latency, False, new_line, False, True, source,
                             invalidated)
 
@@ -420,7 +436,8 @@ class MemorySystem:
         if self.bus.enabled:
             self.bus.emit(EventKind.CACHE_EVICT, core=core, block=block,
                           state=line.state.name.lower())
-        self._listener.on_evict(core, block, line)
+        if self._listener is not None:
+            self._listener.on_evict(core, block, line)
 
     def mask_ways(self, core: int, ways: int) -> int:
         """Restrict ``core``'s L1 to ``ways`` usable ways per set.
@@ -456,7 +473,8 @@ class MemorySystem:
         for other in others:
             other_line = self._caches[other].remove(block)
             stats.invalidations += 1
-            listener.on_invalidate(other, block, other_line, core)
+            if listener is not None:
+                listener.on_invalidate(other, block, other_line, core)
         return tuple(others)
 
     def _directory_round_trip(self, core: int, block: int) -> int:

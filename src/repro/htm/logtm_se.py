@@ -33,7 +33,11 @@ switched off its core leaves its lines in that core's L1, where the
 next occupant can hit them without reaching the directory; until it
 commits or aborts it is *displaced*, and every access that stays in
 the L1 is also checked against the displaced transactions' signatures
-(the summary-signature fallback).  Every machine
+(the summary-signature fallback).  One L1 probe per access,
+:meth:`MemorySystem.resident`, tells the two apart: None sends the
+request to the directory, through the full check and ``access``; a
+line is a hit, checked against the displaced transactions (if any)
+and committed by ``fast_hit`` on that line.  Every machine
 first tests a machine-wide summary of each set kind: Bloom machines
 keep the OR of every live signature, and perfect machines a
 block -> holder-count map of the live exact sets.  A summary miss
@@ -58,7 +62,7 @@ from repro.htm.base import (
     TxnRecord,
 )
 from repro.signatures import Signature, make_signature
-from repro.signatures.bloom import BloomSignature, mask_cache
+from repro.signatures.bloom import BloomSignature, mask_pair
 
 
 class _SigTxn(TxnRecord):
@@ -112,7 +116,8 @@ class LogTMSE(HTM):
         self.sigcheck = SigCheckStats()
         # All transactions share one H3 family per set kind (as the
         # hardware does: the hash wiring is fixed at design time), so
-        # probe masks are cached per block across the whole run.  The
+        # probe masks are cached per block across the whole run, both
+        # kinds filled by one hash of the block (``mask_pair``).  The
         # Bloom summaries are the OR of every live read (write)
         # signature.  Perfect machines instead count, per block, the
         # live transactions whose exact read (write) set holds it.
@@ -124,8 +129,7 @@ class LogTMSE(HTM):
             self._read_counts = {}
             self._write_counts = {}
         else:
-            self._read_masks = mask_cache(self._sig_config, seed=0)
-            self._write_masks = mask_cache(self._sig_config, seed=1)
+            self._read_masks, self._write_masks = mask_pair(self._sig_config)
 
     def _new_signature(self, masks) -> Signature:
         """Fresh signature over the machine-wide hash family."""
@@ -254,6 +258,13 @@ class LogTMSE(HTM):
                             hints=tuple(reader_hits), complete=True,
                             false_positive=not any_real)
 
+    def _nack(self, core: int, block: int,
+              conflict: ConflictInfo) -> AccessOutcome:
+        """Refuse a request on a signature hit: no data movement, and
+        the requester pays the round trip to the directory."""
+        return AccessOutcome(False, self.mem.request_latency(core, block),
+                             conflict)
+
     # ------------------------------------------------------------------
     # Transactional accesses
     # ------------------------------------------------------------------
@@ -264,28 +275,27 @@ class LogTMSE(HTM):
             raise TransactionError(f"thread {tid} has no live transaction")
         self.stats.txn_reads += 1
         mem = self.mem
-        if mem.needs_directory(core, block, False):
+        line = mem.resident(core, block, False)
+        if line is None:
             conflict = self._check(tid, block, False)
-        elif self._displaced:
-            conflict = self._check(tid, block, False, self._displaced)
+            if conflict is not None:
+                return self._nack(core, block, conflict)
+            latency = mem.access(core, block, False).latency
         else:
-            conflict = None
-        if conflict is not None:
-            # NACKed at the directory: no data movement.
-            return AccessOutcome(
-                False, mem.request_latency(core, block), conflict
-            )
-        latency = mem.access(core, block, False).latency
+            if self._displaced:
+                conflict = self._check(tid, block, False, self._displaced)
+                if conflict is not None:
+                    return self._nack(core, block, conflict)
+            latency = mem.fast_hit(core, line, False).latency
         read_set = txn.read_set
         if block not in read_set:
             # First read of the block: re-inserting would change
             # neither the signature nor the summary.
             read_set.add(block)
-            txn.read_sig.insert(block)
-            masks = self._read_masks
-            if masks is not None:
-                self._read_summary |= masks[block]
+            if self._read_masks is not None:
+                self._read_summary |= txn.read_sig.insert(block)
             else:
+                txn.read_sig.insert(block)
                 counts = self._read_counts
                 counts[block] = counts.get(block, 0) + 1
         return self._granted.get(latency) or self._grant(latency)
@@ -296,27 +306,26 @@ class LogTMSE(HTM):
             raise TransactionError(f"thread {tid} has no live transaction")
         self.stats.txn_writes += 1
         mem = self.mem
-        if mem.needs_directory(core, block, True):
+        line = mem.resident(core, block, True)
+        if line is None:
             conflict = self._check(tid, block, True)
-        elif self._displaced:
-            conflict = self._check(tid, block, True, self._displaced)
+            if conflict is not None:
+                return self._nack(core, block, conflict)
+            latency = mem.access(core, block, True).latency
         else:
-            conflict = None
-        if conflict is not None:
-            return AccessOutcome(
-                False, mem.request_latency(core, block), conflict
-            )
-        res = mem.access(core, block, True)
-        latency = res.latency
+            if self._displaced:
+                conflict = self._check(tid, block, True, self._displaced)
+                if conflict is not None:
+                    return self._nack(core, block, conflict)
+            latency = mem.fast_hit(core, line, True).latency
         write_set = txn.write_set
         if block not in write_set:
             # First write of the block: log the old value once.
             write_set.add(block)
-            txn.write_sig.insert(block)
-            masks = self._write_masks
-            if masks is not None:
-                self._write_summary |= masks[block]
+            if self._write_masks is not None:
+                self._write_summary |= txn.write_sig.insert(block)
             else:
+                txn.write_sig.insert(block)
                 counts = self._write_counts
                 counts[block] = counts.get(block, 0) + 1
             latency += self._log_append(core, tid, block)
@@ -354,17 +363,18 @@ class LogTMSE(HTM):
     def _nontxn_access(self, core: int, tid: int, block: int,
                        is_write: bool) -> AccessOutcome:
         mem = self.mem
-        if mem.needs_directory(core, block, is_write):
+        line = mem.resident(core, block, is_write)
+        if line is None:
             conflict = self._check(tid, block, is_write)
         elif self._displaced:
             conflict = self._check(tid, block, is_write, self._displaced)
         else:
             conflict = None
         if conflict is not None:
-            return AccessOutcome(
-                False, mem.request_latency(core, block), conflict
-            )
-        return self._grant(mem.access(core, block, is_write).latency)
+            return self._nack(core, block, conflict)
+        if line is None:
+            return self._grant(mem.access(core, block, is_write).latency)
+        return self._grant(mem.fast_hit(core, line, is_write).latency)
 
     # ------------------------------------------------------------------
     # Context switching
@@ -388,6 +398,23 @@ class LogTMSE(HTM):
     # ------------------------------------------------------------------
     # Instrumentation
     # ------------------------------------------------------------------
+
+    def _check_core_registers(self) -> None:
+        """The base register check, plus: off its core means displaced.
+
+        An access that hits in the L1 is checked against the displaced
+        transactions only, so a live transaction that no core register
+        names and that is not displaced would let another thread hit
+        its lines unchecked.
+        """
+        super()._check_core_registers()
+        registered = set(self._core_tid)
+        for tid in self._txns:
+            if tid not in registered and tid not in self._displaced:
+                raise TransactionError(
+                    f"txn {tid} is live on no core and not displaced: "
+                    f"L1 hits on its lines skip its signatures"
+                )
 
     def check_invariants(self) -> Dict[str, object]:
         """Coherence audit, signature-superset and summary consistency.

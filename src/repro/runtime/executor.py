@@ -82,7 +82,7 @@ class _Thread:
 
     __slots__ = (
         "tid", "core", "ops", "pc", "clock", "in_txn", "begin_pc",
-        "nesting", "txn_epoch", "doomed_epoch", "attempts", "stalls",
+        "nesting", "doomed", "attempts", "stalls",
         "txn_start", "done", "blocked_lock", "wait_started",
         "wait_spins",
     )
@@ -96,8 +96,10 @@ class _Thread:
         self.in_txn = False
         self.begin_pc = -1
         self.nesting = 0
-        self.txn_epoch = 0
-        self.doomed_epoch = -1
+        #: The contention manager killed the live transaction; it
+        #: aborts at the thread's next step.  Set only while
+        #: ``in_txn``, cleared at commit and abort.
+        self.doomed = False
         self.attempts = 0
         self.stalls = 0
         self.txn_start = 0
@@ -108,10 +110,6 @@ class _Thread:
         #: from this, not from the spin-inflated running clock.
         self.wait_started = -1
         self.wait_spins = 0
-
-    @property
-    def doomed(self) -> bool:
-        return self.in_txn and self.doomed_epoch == self.txn_epoch
 
 
 @dataclass
@@ -206,11 +204,21 @@ class Executor:
         table[OP_SIGNAL] = self._signal
         table[OP_WAIT] = self._wait
         self._dispatch = table
+        #: The quantum loop's per-run invariants: :meth:`run` binds
+        #: them once, and each quantum unpacks them.
+        self._loop: tuple = ()
 
     # ------------------------------------------------------------------
 
     def run(self) -> RunResult:
         """Execute the whole trace; returns stats and commit history."""
+        htm = self._htm
+        self._loop = (
+            self._bus, self._bus.enabled, self._dispatch, htm.read,
+            htm.write,
+            self._history.access if self._record_history else None,
+            self._quantum,
+        )
         if self._preemptive:
             self._run_preemptive()
         else:
@@ -248,22 +256,25 @@ class Executor:
         run_quantum = self._run_quantum
         by_tid = self._by_tid
         heappop = heapq.heappop
-        heappush = heapq.heappush
+        heapreplace = heapq.heapreplace
         heap = [(t.clock, t.tid) for t in self._threads if not t.done]
         for _, tid in heap:
             htm.schedule(by_tid[tid].core, tid)
         heapq.heapify(heap)
         while heap:
-            _, tid = heappop(heap)
-            thread = by_tid[tid]
+            # The next thread stays at the heap top while it runs and
+            # is then replaced in one sift: (clock, tid) keys are
+            # unique, so the order is that of a pop and a push.
+            thread = by_tid[heap[0][1]]
             if not thread.done:
                 run_quantum(thread)
                 if faults_on:
                     self._quantum_boundary(thread)
             if thread.done:
+                heappop(heap)
                 htm.schedule(thread.core, None)
             else:
-                heappush(heap, (thread.clock, thread.tid))
+                heapreplace(heap, (thread.clock, thread.tid))
 
     def _run_preemptive(self) -> None:
         """Time-share more threads than cores (OS scheduling model).
@@ -352,42 +363,38 @@ class Executor:
         """Interpret ops until the quantum expires or the thread yields.
 
         This is the simulator's innermost loop; it is written for the
-        CPython interpreter, not for elegance.  Loop-invariant lookups
-        (bus enablement, the op list and its length, the dispatch
-        table, the machine's read/write entry points, the thread's
-        core and tid) are hoisted into locals, the doom check is
-        inlined instead of going through the ``_Thread.doomed``
-        property, the dominant COMPUTE opcode short-circuits before
-        the table, and runs of consecutive COMPUTEs retire in an inner
+        CPython interpreter, not for elegance.  The per-run invariants
+        (the bus and its enablement, the dispatch table, the machine's
+        read/write entry points, the history hook, the quantum) come
+        from the tuple :meth:`run` binds, the per-quantum ones (the op
+        list and its length, the thread's core and tid) are hoisted
+        into locals, the doom check is one slot read, the dominant
+        COMPUTE opcode short-circuits before the table, and runs of
+        consecutive COMPUTEs retire in an inner
         loop that skips the doom check (nothing can doom this thread
         while only it advances time).  Transactional READ/WRITE run
         here too, with no handler frame; only a refused access leaves
         the frame, for :meth:`_resolve_conflict`.  A thread changes
         core only between quanta, so ``core`` is fixed for this one.
         """
-        deadline = thread.clock + self._quantum
-        bus = self._bus
-        bus_enabled = bus.enabled
-        ops = thread.ops
-        nops = len(ops)
-        dispatch = self._dispatch
+        (bus, bus_enabled, dispatch, htm_read, htm_write, history_access,
+         quantum) = self._loop
         op_compute = OP_COMPUTE
         op_read = OP_READ
         op_write = OP_WRITE
-        htm_read = self._htm.read
-        htm_write = self._htm.write
-        history_access = (self._history.access if self._record_history
-                          else None)
+        ops = thread.ops
+        nops = len(ops)
         core = thread.core
         tid = thread.tid
         # clock and pc live in locals; they sync to the thread object
         # only around handler calls (handlers read and mutate them).
         # COMPUTE — the single most common opcode — never leaves this
-        # frame: it touches only locals plus the doom-check reads.
+        # frame: it touches only locals plus the doom-check read.
         clock = thread.clock
         pc = thread.pc
+        deadline = clock + quantum
         while clock < deadline:
-            if thread.in_txn and thread.doomed_epoch == thread.txn_epoch:
+            if thread.doomed:
                 thread.clock = clock
                 thread.pc = pc
                 if bus_enabled:
@@ -396,12 +403,13 @@ class Executor:
                 clock = thread.clock
                 pc = thread.pc
                 continue
-            if pc >= nops:
+            try:
+                opcode, arg = ops[pc]
+            except IndexError:  # past the last op: the thread is done
                 thread.clock = clock
                 thread.pc = pc
                 thread.done = True
                 return
-            opcode, arg = ops[pc]
             if opcode == op_compute:
                 # Consume the whole run of consecutive COMPUTE ops in
                 # one tight loop: no other thread executes while this
@@ -527,11 +535,11 @@ class Executor:
         """
         candidates = [t for t in self._threads
                       if t.in_txn and not t.done
-                      and t.doomed_epoch != t.txn_epoch]
+                      and not t.doomed]
         if not candidates:
             return False
         victim = candidates[rng.randrange(len(candidates))]
-        victim.doomed_epoch = victim.txn_epoch
+        victim.doomed = True
         return True
 
     def fault_spurious_nack(self, thread: _Thread) -> bool:
@@ -568,7 +576,6 @@ class Executor:
         thread.in_txn = True
         thread.nesting = 1
         thread.begin_pc = thread.pc
-        thread.txn_epoch += 1
         thread.txn_start = thread.clock
         thread.stalls = 0
         self._begin_seq += 1
@@ -601,7 +608,7 @@ class Executor:
         thread.in_txn = False
         thread.nesting = 0
         thread.attempts = 0
-        thread.doomed_epoch = -1
+        thread.doomed = False
         self._manager.transaction_finished(tid)
         self._stats.record_commit(
             outcome.used_fast_release, read_set, write_set,
@@ -637,7 +644,7 @@ class Executor:
         thread.clock += outcome.latency
         thread.in_txn = False
         thread.nesting = 0  # flat nesting: abort unrolls to outermost
-        thread.doomed_epoch = -1
+        thread.doomed = False
         thread.attempts += 1
         if thread.attempts > MAX_TXN_ATTEMPTS:
             raise SimulationError(
@@ -693,7 +700,7 @@ class Executor:
         for victim_tid in decision.victims:
             victim = self._by_tid.get(victim_tid)
             if victim is not None and victim.in_txn:
-                victim.doomed_epoch = victim.txn_epoch
+                victim.doomed = True
                 winning = True
         thread.stalls += 1
         exempt = (winning
@@ -738,7 +745,7 @@ class Executor:
         for victim_tid in decision.victims:
             victim = self._by_tid.get(victim_tid)
             if victim is not None and victim.in_txn:
-                victim.doomed_epoch = victim.txn_epoch
+                victim.doomed = True
         delay = self._manager.stall_delay(1)
         thread.clock += delay
         self._stats.stall_cycles += delay

@@ -10,14 +10,20 @@ while the unimplementable "perfect" signature is exact.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import Optional
 
 
 class Signature(ABC):
     """A set summary over block addresses."""
 
     @abstractmethod
-    def insert(self, block_addr: int) -> None:
-        """Add a block address to the summarized set."""
+    def insert(self, block_addr: int) -> Optional[int]:
+        """Add a block address to the summarized set.
+
+        A Bloom signature returns the probe mask it ORed in, so a
+        caller keeping a summary of several signatures can OR the
+        same mask without looking it up again; others return None.
+        """
 
     @abstractmethod
     def test(self, block_addr: int) -> bool:

@@ -18,12 +18,35 @@ an AND and compare: every bank at once, as the hardware probes them.
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Optional, Set
+from typing import Optional, Set, Tuple
 
 from repro.common.config import SignatureConfig
 from repro.signatures.base import Signature
-from repro.signatures.h3 import fused_tables
+from repro.signatures.h3 import fused_tables, paired_tables
+
+
+@functools.lru_cache(maxsize=None)
+def _one_hot(bits: int) -> Tuple[int, ...]:
+    """``1 << p`` for every bit position ``p`` of a ``bits``-bit vector."""
+    return tuple(1 << p for p in range(bits))
+
+
+@functools.lru_cache(maxsize=None)
+def bit_table(bits: int, num_hashes: int) -> Tuple[Tuple[int, ...], ...]:
+    """The one-hot bits of a ``bits``-bit vector, split into its banks.
+
+    Entry ``i`` of bank ``b`` is ``1 << (b * bank_bits + i)``.  A probe
+    mask is the OR of one such bit per bank, so a fill looks each bit
+    up here instead of building it with a shift.  Every mask cache
+    over ``bits``-bit signatures shares the same int objects, whatever
+    its hash count.
+    """
+    ones = _one_hot(bits)
+    bank_bits = bits // num_hashes
+    return tuple(ones[b * bank_bits:(b + 1) * bank_bits]
+                 for b in range(num_hashes))
 
 
 class MaskCache(dict):
@@ -31,41 +54,57 @@ class MaskCache(dict):
 
     Masks are computed on first use and kept, so a machine whose
     signatures share one family hashes each block once per run.  A
-    miss XORs one :func:`fused_tables` entry per key byte, which hashes
-    the block under every function of the family at once, then sets
-    each function's output bit in its own bank.
+    miss XORs one entry per key byte of a fused H3 table, which hashes
+    the block under every function of the family at once, then ORs
+    in each function's output bit, looked up in its bank of
+    :func:`bit_table`.  Blocks below 2**24 skip the top three key bytes,
+    whose entry 0 is 0: H3 is linear.
+
+    A cache built by :func:`mask_pair` has a *partner* over a second
+    family.  Its table packs the partner's family below its own, so
+    a miss in either hashes the block under both families in one
+    chain and fills both caches.
     """
 
-    __slots__ = ("tables", "num_hashes", "index_bits")
+    __slots__ = ("tables", "banks", "index_bits", "index_mask", "partner")
 
-    def __init__(self, num_hashes: int, index_bits: int, seed: int = 0):
+    def __init__(self, tables, bits: int, num_hashes: int,
+                 index_bits: int):
         super().__init__()
-        self.tables = fused_tables(num_hashes, index_bits, seed)
-        self.num_hashes = num_hashes
+        self.tables = tables
+        self.banks = bit_table(bits, num_hashes)
         self.index_bits = index_bits
+        self.index_mask = (1 << index_bits) - 1
+        self.partner: Optional[MaskCache] = None
 
     def __missing__(self, block_addr: int) -> int:
         t0, t1, t2, t3, t4, t5 = self.tables
-        packed = (t0[block_addr & 0xFF] ^ t1[block_addr >> 8 & 0xFF]
-                  ^ t2[block_addr >> 16 & 0xFF]
-                  ^ t3[block_addr >> 24 & 0xFF]
-                  ^ t4[block_addr >> 32 & 0xFF]
-                  ^ t5[block_addr >> 40 & 0xFF])
+        hashed = (t0[block_addr & 0xFF] ^ t1[block_addr >> 8 & 0xFF]
+                  ^ t2[block_addr >> 16 & 0xFF])
+        if block_addr >> 24:
+            hashed ^= (t3[block_addr >> 24 & 0xFF]
+                       ^ t4[block_addr >> 32 & 0xFF]
+                       ^ t5[block_addr >> 40 & 0xFF])
+        banks = self.banks
         index_bits = self.index_bits
-        index_mask = (1 << index_bits) - 1
-        # Bank b holds 2**index_bits bits starting at b << index_bits.
+        index_mask = self.index_mask
+        partner = self.partner
+        if partner is not None:
+            mask = 0
+            for bank in banks:
+                mask |= bank[hashed & index_mask]
+                hashed >>= index_bits
+            partner[block_addr] = mask
         mask = 0
-        base = 0
-        for _ in range(self.num_hashes):
-            mask |= 1 << (base + (packed & index_mask))
-            packed >>= index_bits
-            base += index_mask + 1
+        for bank in banks:
+            mask |= bank[hashed & index_mask]
+            hashed >>= index_bits
         self[block_addr] = mask
         return mask
 
 
-def mask_cache(config: SignatureConfig, seed: int = 0) -> MaskCache:
-    """An empty mask cache over ``config``'s H3 family at ``seed``."""
+def _index_bits(config: SignatureConfig) -> int:
+    """log2 of ``config``'s bank size, after checking the geometry."""
     if config.perfect:
         raise ValueError(
             "config requests a perfect signature; use PerfectSignature"
@@ -76,7 +115,33 @@ def mask_cache(config: SignatureConfig, seed: int = 0) -> MaskCache:
     index_bits = int(math.log2(bank_bits))
     if (1 << index_bits) != bank_bits:
         raise ValueError("per-bank size must be a power of two")
-    return MaskCache(config.num_hashes, index_bits, seed)
+    return index_bits
+
+
+def mask_cache(config: SignatureConfig, seed: int = 0) -> MaskCache:
+    """An empty mask cache over ``config``'s H3 family at ``seed``."""
+    index_bits = _index_bits(config)
+    return MaskCache(fused_tables(config.num_hashes, index_bits, seed),
+                     config.bits, config.num_hashes, index_bits)
+
+
+def mask_pair(config: SignatureConfig) -> Tuple[MaskCache, MaskCache]:
+    """Partnered mask caches over ``config``'s families at seeds 0 and 1.
+
+    Each holds the masks :func:`mask_cache` would at its seed; a miss
+    in either fills both.  LogTM-SE's read (seed 0) and write (seed 1)
+    signatures use the pair, since a block checked or inserted under
+    one kind is almost always wanted under the other too.
+    """
+    index_bits = _index_bits(config)
+    k = config.num_hashes
+    read = MaskCache(paired_tables(k, index_bits, 1, 0), config.bits, k,
+                     index_bits)
+    write = MaskCache(paired_tables(k, index_bits, 0, 1), config.bits, k,
+                      index_bits)
+    read.partner = write
+    write.partner = read
+    return read, write
 
 
 class BloomSignature(Signature):
@@ -102,9 +167,12 @@ class BloomSignature(Signature):
     def config(self) -> SignatureConfig:
         return self._config
 
-    def insert(self, block_addr: int) -> None:
-        self.packed |= self._masks[block_addr]
+    def insert(self, block_addr: int) -> int:
+        """Insert ``block_addr``; returns its probe mask, now ORed in."""
+        mask = self._masks[block_addr]
+        self.packed |= mask
         self._exact.add(block_addr)
+        return mask
 
     def test(self, block_addr: int) -> bool:
         mask = self._masks[block_addr]

@@ -109,6 +109,23 @@ def fused_tables(count: int, out_bits: int,
     )
 
 
+@functools.lru_cache(maxsize=None)
+def paired_tables(count: int, out_bits: int, low_seed: int,
+                  high_seed: int) -> Tuple[Tuple[int, ...], ...]:
+    """The :func:`fused_tables` of two families, side by side.
+
+    Each entry holds the ``low_seed`` family's entry in its low
+    ``count * out_bits`` bits and the ``high_seed`` family's above
+    them, so one XOR chain hashes a key under both families.
+    """
+    width = count * out_bits
+    return tuple(
+        tuple(lo | hi << width for lo, hi in zip(low, high))
+        for low, high in zip(fused_tables(count, out_bits, low_seed),
+                             fused_tables(count, out_bits, high_seed))
+    )
+
+
 def hash_indices(family: Sequence[H3Hash], key: int) -> List[int]:
     """Apply every function in the family to one key."""
     return [h(key) for h in family]

@@ -33,10 +33,8 @@ def pure_hits(mem):
 
 def interned(mem, core, block, is_write=False):
     """The result a pure hit of this kind would return, else None."""
-    line = mem.cache(core).lookup(block)
-    if line is None or mem.needs_directory(core, block, is_write):
-        return None
-    return line.hit
+    line = mem.resident(core, block, is_write)
+    return None if line is None else line.hit
 
 
 class TestInstall:
@@ -48,8 +46,8 @@ class TestInstall:
         assert res.line is mem.cache(0).lookup(B)
 
     def test_exclusive_fill_is_writable(self, mem):
-        mem.access(0, B, False)            # E fill
-        assert not mem.needs_directory(0, B, True)
+        line = mem.access(0, B, False).line    # E fill
+        assert mem.resident(0, B, True) is line
         hits = pure_hits(mem)
         res = mem.access(0, B, True)
         assert pure_hits(mem) == hits + 1
@@ -61,7 +59,7 @@ class TestInstall:
         res = mem.access(1, B, False)
         assert res is interned(mem, 1, B)
         assert interned(mem, 1, B, is_write=True) is None
-        assert mem.needs_directory(1, B, True)
+        assert mem.resident(1, B, True) is None
 
     def test_upgrade_reinstalls_writable(self, mem):
         mem.access(0, B, False)

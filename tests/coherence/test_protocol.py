@@ -154,39 +154,50 @@ class TestEvictions:
 
 
 class TestPreview:
-    """``needs_directory`` previews an access: would it reach the
-    directory (an L1 miss or an upgrade), or is it a pure L1 hit?"""
+    """``resident`` previews an access: None when it would reach the
+    directory (an L1 miss or an upgrade), else the line a pure L1 hit
+    would use."""
 
     def test_preview_hit(self, system):
         mem, _ = system
-        mem.access(0, B, False)
-        assert not mem.needs_directory(0, B, False)
+        line = mem.access(0, B, False).line
+        assert mem.resident(0, B, False) is line
         # Sole reader holds the line EXCLUSIVE: the write is silent.
-        assert not mem.needs_directory(0, B, True)
+        assert mem.resident(0, B, True) is line
         mem.access(0, B, True)
-        assert not mem.needs_directory(0, B, True)
+        assert mem.resident(0, B, True) is line
 
     def test_preview_upgrade_needs_directory(self, system):
         mem, _ = system
-        mem.access(0, B, False)
+        line = mem.access(0, B, False).line
         mem.access(1, B, False)
-        assert not mem.needs_directory(0, B, False)
-        assert mem.needs_directory(0, B, True)
+        assert mem.resident(0, B, False) is line
+        assert mem.resident(0, B, True) is None
         assert mem.access(0, B, True).invalidated == (1,)
 
     def test_preview_read_of_owned_block(self, system):
         mem, _ = system
         mem.access(0, B, True)
-        assert mem.needs_directory(1, B, False)
+        assert mem.resident(1, B, False) is None
         assert mem.access(1, B, False).source == 0
 
     def test_preview_does_not_mutate(self, system):
         mem, rec = system
-        assert mem.needs_directory(0, B, True)
+        assert mem.resident(0, B, True) is None
         assert rec.events == []
         assert mem.holders(B) == set()
         assert mem.stats.snapshot() == MemorySystem(small_system()) \
             .stats.snapshot()
+
+    def test_preview_hit_changes_no_stats_or_recency(self, system):
+        mem, _ = system
+        line = mem.access(0, B, False).line
+        stats, lru, tick = mem.stats.snapshot(), line.lru, mem.cache(0).tick
+        for is_write in (False, True):
+            assert mem.resident(0, B, is_write) is line
+        assert mem.stats.snapshot() == stats
+        assert (line.lru, mem.cache(0).tick) == (lru, tick)
+        assert line.state is MESI.EXCLUSIVE
 
 
 class TestLatencies:

@@ -10,7 +10,7 @@ from repro.common.config import (
     LatencyModel,
     SystemConfig,
 )
-from repro.coherence.cache import MESI
+from repro.coherence.cache import MESI, CacheLine
 from repro.coherence.protocol import AccessResult, MemorySystem
 from repro.htm import make_htm
 
@@ -38,20 +38,17 @@ class ReferenceMemorySystem(MemorySystem):
     """The memory system with a plain L1 hit: the oracle that the
     production hit path (:meth:`MemorySystem.fast_hit`) must match.
 
-    A resident line that needs no directory action (any read; a write
-    to an M or E line) is served through ``L1Cache.lookup`` and
-    ``touch_line`` with a fresh ``AccessResult``: never ``fast_hit``,
-    never the line's interned ``CacheLine.hit``, so the fast-path
-    counters stay 0.  Misses and S->M upgrades take the production
-    paths.
+    A pure hit (any read of a resident line; a write to an M or E
+    line) is committed by this ``fast_hit`` override, whether
+    ``access`` or an HTM that found the line with ``resident`` asks
+    for it: ``touch_line`` and a fresh ``AccessResult``, never the
+    line's interned ``CacheLine.hit``, so the fast-path counters stay
+    0.  Misses and S->M upgrades take the production paths.
     """
 
-    def access(self, core: int, block: int, is_write: bool) -> AccessResult:
-        cache = self.cache(core)
-        line = cache.lookup(block)
-        if line is None or (is_write and line.state is MESI.SHARED):
-            return super().access(core, block, is_write)
-        cache.touch_line(line)
+    def fast_hit(self, core: int, line: CacheLine,
+                 is_write: bool) -> AccessResult:
+        self.cache(core).touch_line(line)
         if is_write:
             self.stats.writes += 1
             line.state = MESI.MODIFIED

@@ -2,12 +2,24 @@
 
 import pytest
 
-from repro.common.config import HTMConfig, SignatureConfig
-from repro.common.errors import ConfigError, TransactionError
+from repro.common.config import (
+    HTMConfig,
+    RunConfig,
+    SignatureConfig,
+    SystemConfig,
+)
+from repro.common.errors import (
+    ConfigError,
+    InvariantViolationError,
+    TransactionError,
+)
 from repro.coherence.protocol import MemorySystem
+from repro.faults.monitor import InvariantMonitor
 from repro.htm import make_htm
-from repro.htm.base import ConflictKind
+from repro.htm.base import HTM, ConflictKind
 from repro.htm.logtm_se import LogTMSE
+from repro.runtime.executor import Executor
+from repro.workloads import vacation_high
 from tests.conftest import small_system
 
 B = 0x5000
@@ -143,7 +155,7 @@ class TestContextSwitch:
         htm.context_switch(0)
         htm.schedule(1, 0)
         htm.begin(0, 1)
-        assert not htm.mem.needs_directory(0, B, is_write)  # an L1 hit
+        assert htm.mem.resident(0, B, is_write) is not None  # an L1 hit
         access = htm.write if is_write else htm.read
         out = access(0, 1, B)
         assert not out.granted
@@ -170,6 +182,48 @@ class TestContextSwitch:
         htm.schedule(1, 0)
         htm.begin(0, 1)
         assert htm.read(0, 1, B).granted
+
+    def test_live_txn_on_no_core_must_be_displaced(self):
+        htm = build()
+        htm.begin(0, 0)
+        htm.check_invariants()
+        htm._core_tid[0] = None  # off its core, with no displaced record
+        with pytest.raises(TransactionError, match="not displaced"):
+            htm.check_invariants()
+        htm._core_tid[0] = 0
+        htm.context_switch(0)
+        htm.check_invariants()
+
+
+class _UndisplacedLogTMSE(LogTMSE):
+    """Mutant: a switched-out transaction is never recorded as displaced."""
+
+    def context_switch(self, core):
+        return HTM.context_switch(self, core)
+
+
+@pytest.mark.parametrize("machine", [LogTMSE, _UndisplacedLogTMSE],
+                         ids=["correct", "mutant"])
+def test_monitor_catches_a_switch_that_skips_displacement(machine):
+    """8 threads time-share 4 cores: the mutant's first switch of a
+    live transaction leaves it on no core and not displaced, and the
+    halting invariant monitor stops the run; the correct machine
+    finishes clean."""
+    system = SystemConfig().scaled(4)
+    sig = SignatureConfig(bits=2048, num_hashes=2)
+    htm_cfg = HTMConfig(signature=sig)
+    trace = vacation_high().generate(seed=3, scale=0.002, threads=8)
+    executor = Executor(
+        machine(MemorySystem(system), htm_cfg, signature=sig), trace,
+        RunConfig(system=system, htm=htm_cfg, seed=3), track_history=False,
+        monitor=InvariantMonitor(cadence=64, halt=True))
+    if machine is _UndisplacedLogTMSE:
+        with pytest.raises(InvariantViolationError, match="not displaced"):
+            executor.run()
+        return
+    stats = executor.run().stats
+    assert stats.preemptions > 0 and stats.monitor["ok"]
+    assert stats.monitor["checks_run"] > 1
 
 
 class TestFalsePositives:

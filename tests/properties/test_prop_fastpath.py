@@ -1,13 +1,14 @@
-"""Property tests: ``needs_directory`` agrees with a subsequent ``access``.
+"""Property tests: ``resident`` agrees with a subsequent ``access``.
 
-``needs_directory`` previews an access for the HTM layer (it decides
-which requests LogTM-SE signature-checks); ``access`` is what actually
-happens.  The preview must be True exactly when the access misses in
-the L1 or upgrades a shared line, and a False preview must be a pure
-L1 hit: served by ``fast_hit`` with the line's interned result.  The
-agreement must hold just the same on the reference memory system,
-whose plain L1 hit never goes through ``fast_hit``, and both machines
-must give the same answer at every step.
+``resident`` previews an access for the HTM layer (it decides which
+requests LogTM-SE signature-checks); ``access`` is what actually
+happens.  The preview must be None exactly when the access misses in
+the L1 or upgrades a shared line, and must change no stats.  Any other
+preview must be the line a pure L1 hit then serves: through
+``fast_hit``, with the line's interned result.  The agreement must
+hold just the same on the reference memory system, whose plain L1 hit
+never interns a result or bumps the fast-path counters, and both
+machines must give the same answer at every step.
 """
 
 from hypothesis import given, settings
@@ -29,7 +30,10 @@ ops_strategy = st.lists(
 
 
 def check_agreement(mem, core, block, is_write):
-    needs = mem.needs_directory(core, block, is_write)
+    before = mem.stats.snapshot()
+    line = mem.resident(core, block, is_write)
+    assert mem.stats.snapshot() == before
+    needs = line is None
     fp = mem.fastpath
     pure_hits = fp.coherence_read_hits + fp.coherence_write_hits
     res = mem.access(core, block, is_write)
@@ -43,6 +47,7 @@ def check_agreement(mem, core, block, is_write):
         assert res.latency == mem.config.latency.l1_hit
         assert res.invalidated == ()
         assert not res.filled
+        assert res.line is line
         assert (res is res.line.hit) == interned
 
 
@@ -64,8 +69,8 @@ def test_preview_identical_across_modes(ops):
     fast = MemorySystem(small_system())
     slow = ReferenceMemorySystem(small_system())
     for core, block, is_write in ops:
-        assert (fast.needs_directory(core, block, is_write)
-                == slow.needs_directory(core, block, is_write))
+        assert ((fast.resident(core, block, is_write) is None)
+                == (slow.resident(core, block, is_write) is None))
         a = fast.access(core, block, is_write)
         b = slow.access(core, block, is_write)
         assert (a.latency, a.hit, a.invalidated, a.source) \

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from repro.common.config import SignatureConfig
 from repro.signatures import BloomSignature, PerfectSignature
-from repro.signatures.bloom import mask_cache
+from repro.signatures.bloom import mask_cache, mask_pair
 from repro.signatures.h3 import make_h3_family
 
 blocks = st.integers(0, (1 << 40) - 1)
@@ -82,3 +82,39 @@ def test_fused_masks_equal_per_hash_reference(keys, k, seed, bits):
             expected |= 1 << (bank * bank_bits + h(key))
         assert masks[key] == expected
         assert masks[key & ((1 << 48) - 1)] == expected
+
+
+#: Addresses pinned in every example: both sides of the 2**24 edge
+#: below which a fill skips the top three key bytes, the log region
+#: (``1 << 40``) and the widest key.
+EDGE_BLOCKS = (0, (1 << 24) - 1, 1 << 24, 1 << 40, (1 << 48) - 1)
+
+keys48 = st.one_of(st.integers(0, (1 << 24) - 1),
+                   st.integers(0, (1 << 48) - 1))
+
+
+@given(st.lists(keys48, max_size=60), st.sampled_from([1, 2, 4, 8]),
+       st.sampled_from([256, 2048, 8192]), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_paired_fill_equals_each_family(keys, k, bits, write_first):
+    """``mask_pair`` fills both caches from one hash of a block, bit
+    for bit as ``mask_cache`` at seeds 0 and 1 fills each alone,
+    whichever of the pair misses first."""
+    config = SignatureConfig(bits=bits, num_hashes=k)
+    read, write = mask_pair(config)
+    alone = (mask_cache(config, seed=0), mask_cache(config, seed=1))
+    bank_bits = bits // k
+    families = [make_h3_family(k, bank_bits.bit_length() - 1, seed)
+                for seed in (0, 1)]
+    for key in EDGE_BLOCKS + tuple(keys):
+        first = write if write_first else read
+        fresh = key not in first
+        first[key]
+        if fresh:
+            # One miss filled the partner too.
+            assert key in read and key in write
+        for pair, single, family in zip((read, write), alone, families):
+            expected = 0
+            for bank, h in enumerate(family):
+                expected |= 1 << (bank * bank_bits + h(key))
+            assert pair[key] == single[key] == expected

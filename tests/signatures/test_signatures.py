@@ -63,6 +63,24 @@ class TestBloom:
             sig.insert(b)
         assert all(sig.test(b) for b in blocks)
 
+    def test_insert_returns_the_mask_it_ors(self):
+        masks = mask_cache(self.cfg(k=2))
+        sig = BloomSignature(self.cfg(k=2), masks=masks)
+        first = sig.insert(42)
+        assert first == masks[42] and sig.packed == first
+        second = sig.insert(4242)
+        assert second == masks[4242] and sig.packed == first | second
+
+    def test_standalone_signature_builds_its_own_masks(self):
+        shared = BloomSignature(self.cfg(k=2), seed=1,
+                                masks=mask_cache(self.cfg(k=2), seed=1))
+        alone = BloomSignature(self.cfg(k=2), seed=1)
+        for block in (0, 7, 1 << 30, (1 << 48) - 1):
+            assert alone.insert(block) == shared.insert(block)
+        assert alone.packed == shared.packed
+        assert alone.test(7)
+        assert all(alone.test(b) == shared.test(b) for b in range(64))
+
     def test_empty_signature_matches_nothing(self):
         sig = BloomSignature(self.cfg())
         assert not any(sig.test(b) for b in range(100))
