@@ -84,8 +84,10 @@ class DirectoryEntry:
 class Directory:
     """Exact full-map directory over all blocks ever referenced.
 
-    The ``record_*`` methods apply one protocol transition each and
-    raise :class:`CoherenceError` when the current state forbids it.
+    The protocol engine writes fills, evictions and downgrades into
+    :attr:`entries` inline; :meth:`record_upgrade` applies the one
+    transition it checks here, raising :class:`CoherenceError` when
+    the current state forbids it.
     """
 
     def __init__(self) -> None:
@@ -102,42 +104,6 @@ class Directory:
         code = self.entries.get(block)
         return None if code is None else DirectoryEntry(code)
 
-    def record_shared_fill(self, block: int, core: int) -> None:
-        """A core received a shared copy."""
-        code = self.entries.get(block, UNCACHED)
-        if code >= 0:
-            raise CoherenceError(
-                f"shared fill of {block:#x} while exclusively owned"
-            )
-        self.entries[block] = code & ~(1 << core)
-
-    def record_exclusive_fill(self, block: int, core: int) -> None:
-        """A core received the exclusive copy."""
-        code = self.entries.get(block, UNCACHED)
-        if code != core if code >= 0 else ~code & ~(1 << core):
-            raise CoherenceError(
-                f"exclusive fill of {block:#x} with live holders"
-            )
-        self.entries[block] = core
-
-    def record_eviction(self, block: int, core: int) -> None:
-        """Non-silent eviction: remove a holder."""
-        code = self.entries.get(block, UNCACHED)
-        if code >= 0:
-            if code != core:
-                raise CoherenceError(
-                    f"eviction of {block:#x} by non-owner core {core}"
-                )
-            self.entries[block] = UNCACHED
-        elif code != UNCACHED:
-            if not ~code >> core & 1:
-                raise CoherenceError(
-                    f"eviction of {block:#x} by non-sharer core {core}"
-                )
-            self.entries[block] = code | 1 << core
-        else:
-            raise CoherenceError(f"eviction of uncached block {block:#x}")
-
     def record_upgrade(self, block: int, core: int) -> None:
         """A sharer gained exclusive ownership (others already removed)."""
         code = self.entries.get(block, UNCACHED)
@@ -150,13 +116,6 @@ class Directory:
                 f"upgrade of {block:#x} with other sharers still live"
             )
         self.entries[block] = core
-
-    def record_downgrade(self, block: int, requester: int) -> None:
-        """Owner demoted to sharer; requester added as sharer."""
-        code = self.entries.get(block, UNCACHED)
-        if code < 0:
-            raise CoherenceError(f"downgrade of non-exclusive block {block:#x}")
-        self.entries[block] = ~(1 << code | 1 << requester)
 
     def blocks(self) -> Iterator[Tuple[int, DirectoryEntry]]:
         """Iterate over (block, view) pairs with any history."""

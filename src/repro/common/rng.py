@@ -11,9 +11,6 @@ bit for bit.
 from __future__ import annotations
 
 import random
-from typing import Iterator, Sequence, TypeVar
-
-T = TypeVar("T")
 
 #: Mixing constant (the 64-bit golden ratio) used to decorrelate
 #: substream seeds derived from small consecutive integers.
@@ -73,58 +70,3 @@ def perturbation_seeds(seed: int, runs: int) -> list:
     confidence intervals; each run gets one of these seeds.
     """
     return [_mix(seed ^ _mix(i + 1)) for i in range(runs)]
-
-
-def bounded_sample(rng: random.Random, mean: float, maximum: int,
-                   minimum: int = 1) -> int:
-    """Draw a positive integer with the given mean, capped at ``maximum``.
-
-    Uses a geometric-like draw whose long tail is clipped to
-    ``maximum``.  Workload generators use this to reproduce the
-    paper's Table 5 average/maximum read- and write-set sizes, which
-    pair small averages with occasional very large transactions.
-    """
-    if maximum < minimum:
-        raise ValueError("maximum must be >= minimum")
-    if mean <= minimum:
-        return minimum
-    # Geometric distribution on {minimum, minimum+1, ...} with the
-    # requested mean has success probability 1/(mean - minimum + 1).
-    p = 1.0 / (mean - minimum + 1.0)
-    value = minimum
-    while rng.random() > p and value < maximum:
-        value += 1
-        # Re-draw trick keeps the tail geometric without looping
-        # unboundedly: each iteration extends by one with prob (1-p).
-    return value
-
-
-def weighted_choice(rng: random.Random, items: Sequence[T],
-                    weights: Sequence[float]) -> T:
-    """Pick one item with the given relative weights."""
-    if len(items) != len(weights):
-        raise ValueError("items and weights must have equal length")
-    total = float(sum(weights))
-    if total <= 0:
-        raise ValueError("weights must sum to a positive value")
-    target = rng.random() * total
-    acc = 0.0
-    for item, weight in zip(items, weights):
-        acc += weight
-        if target < acc:
-            return item
-    return items[-1]
-
-
-def interleave_round_robin(streams: Sequence[Iterator[T]]) -> Iterator[T]:
-    """Round-robin merge of several iterators until all are exhausted."""
-    live = list(streams)
-    while live:
-        still_live = []
-        for stream in live:
-            try:
-                yield next(stream)
-            except StopIteration:
-                continue
-            still_live.append(stream)
-        live = still_live

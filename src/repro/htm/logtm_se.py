@@ -19,9 +19,11 @@ Other hash counts ``k`` run as ``LogTM-SE_{k}xH3`` (the signature
 ablation); every Bloom variant takes its size from ``HTMConfig``.
 
 Bloom variants suffer *false positives*: conflicts flagged between
-transactions whose actual sets are disjoint.  The machine counts them
-(it also tracks exact sets purely for instrumentation) — the effect
-behind the paper's Figure 1.
+transactions whose actual sets are disjoint.  The machine counts them,
+classifying each hit against the exact read and write sets every
+``TxnRecord`` keeps — the effect behind the paper's Figure 1.  A Bloom
+signature holds only its bits; a perfect signature is an exact set, so
+on ``LogTM-SE_Perf`` it *is* the transaction's read (write) set.
 
 Modelling note: real LogTM-SE probes the cores named by the directory
 plus "sticky" ownership left behind by evictions, and falls back to
@@ -61,8 +63,8 @@ from repro.htm.base import (
     HTM,
     TxnRecord,
 )
-from repro.signatures import Signature, make_signature
 from repro.signatures.bloom import BloomSignature, mask_pair
+from repro.signatures.perfect import PerfectSignature
 
 
 class _SigTxn(TxnRecord):
@@ -70,7 +72,8 @@ class _SigTxn(TxnRecord):
 
     __slots__ = ("read_sig", "write_sig")
 
-    def __init__(self, tid: int, read_sig: Signature, write_sig: Signature):
+    def __init__(self, tid: int, read_sig: BloomSignature | PerfectSignature,
+                 write_sig: BloomSignature | PerfectSignature):
         super().__init__(tid)
         self.read_sig = read_sig
         self.write_sig = write_sig
@@ -92,7 +95,7 @@ class SigCheckStats:
         self.checks = 0
         #: Checks the machine-wide summary cleared without a scan.
         self.summary_clears = 0
-        #: Per-transaction ``Signature.test`` calls made by scans.
+        #: Per-transaction signature ``test`` calls made by scans.
         self.probes = 0
 
     def snapshot(self) -> dict:
@@ -131,12 +134,6 @@ class LogTMSE(HTM):
         else:
             self._read_masks, self._write_masks = mask_pair(self._sig_config)
 
-    def _new_signature(self, masks) -> Signature:
-        """Fresh signature over the machine-wide hash family."""
-        if masks is None:
-            return make_signature(self._sig_config)
-        return BloomSignature(self._sig_config, masks=masks)
-
     def _live_summaries(self) -> Tuple[int, int]:
         """(read, write) OR of the live transactions' packed signatures."""
         read = write = 0
@@ -161,8 +158,16 @@ class LogTMSE(HTM):
     # ------------------------------------------------------------------
 
     def _new_txn(self, tid: int) -> _SigTxn:
-        return _SigTxn(tid, self._new_signature(self._read_masks),
-                       self._new_signature(self._write_masks))
+        if self._read_masks is None:
+            # A perfect signature is an exact set: it serves as the
+            # transaction's own read (write) set.
+            txn = _SigTxn(tid, PerfectSignature(), PerfectSignature())
+            txn.read_set = txn.read_sig
+            txn.write_set = txn.write_sig
+            return txn
+        config = self._sig_config
+        return _SigTxn(tid, BloomSignature(config, masks=self._read_masks),
+                       BloomSignature(config, masks=self._write_masks))
 
     def _retire(self, tid: int) -> _SigTxn:
         """Retire ``tid``'s transaction from the live set and summaries."""
@@ -295,7 +300,6 @@ class LogTMSE(HTM):
             if self._read_masks is not None:
                 self._read_summary |= txn.read_sig.insert(block)
             else:
-                txn.read_sig.insert(block)
                 counts = self._read_counts
                 counts[block] = counts.get(block, 0) + 1
         return self._granted.get(latency) or self._grant(latency)
@@ -325,7 +329,6 @@ class LogTMSE(HTM):
             if self._write_masks is not None:
                 self._write_summary |= txn.write_sig.insert(block)
             else:
-                txn.write_sig.insert(block)
                 counts = self._write_counts
                 counts[block] = counts.get(block, 0) + 1
             latency += self._log_append(core, tid, block)
@@ -473,12 +476,3 @@ class LogTMSE(HTM):
         report["checks"] = list(report["checks"]) + checks
         report["live_txns"] = len(self._txns)
         return report
-
-    def signature_fill(self, tid: int) -> Tuple[float, float]:
-        """(read, write) signature fill ratios, for diagnostics."""
-        txn = self._txns.get(tid)
-        if txn is None:
-            return (0.0, 0.0)
-        read_fill = getattr(txn.read_sig, "fill_ratio", 0.0)
-        write_fill = getattr(txn.write_sig, "fill_ratio", 0.0)
-        return (read_fill, write_fill)

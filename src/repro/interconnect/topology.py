@@ -53,8 +53,6 @@ class _Layout(NamedTuple):
     grid_w: int
     grid_h: int
     cluster_pos: Tuple[TilePosition, ...]
-    bank_cluster: Tuple[int, ...]
-    mc_pos: Tuple[TilePosition, ...]
     core_bank_hops: Tuple[Tuple[int, ...], ...]
     core_core_hops: Tuple[Tuple[int, ...], ...]
     bank_mc_hops: Tuple[Tuple[int, ...], ...]
@@ -97,9 +95,9 @@ def _layout(config: SystemConfig) -> _Layout:
     core_bank_lat, core_core_lat, bank_mc_lat = (
         _grid([hops * hop for hops in row] for row in table)
         for table in (core_bank_hops, core_core_hops, bank_mc_hops))
-    return _Layout(grid_w, grid_h, cluster_pos, bank_cluster, mc_pos,
-                   core_bank_hops, core_core_hops, bank_mc_hops,
-                   core_bank_lat, core_core_lat, bank_mc_lat)
+    return _Layout(grid_w, grid_h, cluster_pos, core_bank_hops,
+                   core_core_hops, bank_mc_hops, core_bank_lat,
+                   core_core_lat, bank_mc_lat)
 
 
 class TiledTopology:
@@ -132,14 +130,6 @@ class TiledTopology:
     def core_position(self, core: int) -> TilePosition:
         """Tile hosting a core."""
         return self._layout.cluster_pos[self._config.cluster_of(core)]
-
-    def bank_position(self, bank: int) -> TilePosition:
-        """Tile hosting an L2 bank (and its directory slice)."""
-        return self._layout.cluster_pos[self._layout.bank_cluster[bank]]
-
-    def controller_position(self, controller: int) -> TilePosition:
-        """Tile adjacent to a memory controller."""
-        return self._layout.mc_pos[controller % len(self._layout.mc_pos)]
 
     def controller_of(self, block_addr: int) -> int:
         """Memory controller serving a block (address-interleaved)."""

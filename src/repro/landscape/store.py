@@ -41,7 +41,7 @@ import sqlite3
 import subprocess
 import time
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigError, ReproError
 from repro.landscape.schema import (
@@ -468,9 +468,6 @@ class RunRecorder:
               key: Optional[Tuple[str, str]] = None) -> None:
         work_id = self._open.get(key) if key is not None else None
         self.store.event(self.run_id, kind, detail, work_id)
-
-    def open_keys(self) -> Iterable[Tuple[str, str]]:
-        return tuple(self._open)
 
     def finish(self, status: str, metrics_snapshot: Optional[Dict] = None,
                payload: Optional[Dict] = None) -> None:

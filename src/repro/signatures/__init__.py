@@ -1,26 +1,22 @@
-"""Read-/write-set signatures (the LogTM-SE conflict-detection substrate)."""
+"""Read-/write-set signatures (the LogTM-SE conflict-detection substrate).
+
+A signature supports insertion and membership testing.  Bloom
+signatures may report false positives but never false negatives; the
+unimplementable "perfect" signature is exact.  The exact sets that
+classify a conflict as a false positive live in the transaction's
+``TxnRecord``, not here.
+"""
 
 from repro.common.config import SignatureConfig
-from repro.signatures.base import Signature
 from repro.signatures.bloom import BloomSignature
 from repro.signatures.h3 import H3Hash, hash_indices, make_h3_family
 from repro.signatures.perfect import PerfectSignature
 
-
-def make_signature(config: SignatureConfig, seed: int = 0) -> Signature:
-    """Build a signature matching ``config`` (Bloom or perfect)."""
-    if config.perfect:
-        return PerfectSignature()
-    return BloomSignature(config, seed=seed)
-
-
 __all__ = [
-    "Signature",
     "SignatureConfig",
     "BloomSignature",
     "PerfectSignature",
     "H3Hash",
     "make_h3_family",
     "hash_indices",
-    "make_signature",
 ]

@@ -19,11 +19,9 @@ an AND and compare: every bank at once, as the hardware probes them.
 from __future__ import annotations
 
 import functools
-import math
-from typing import Optional, Set, Tuple
+from typing import Optional, Tuple
 
 from repro.common.config import SignatureConfig
-from repro.signatures.base import Signature
 from repro.signatures.h3 import fused_tables, paired_tables
 
 
@@ -104,18 +102,12 @@ class MaskCache(dict):
 
 
 def _index_bits(config: SignatureConfig) -> int:
-    """log2 of ``config``'s bank size, after checking the geometry."""
+    """log2 of ``config``'s bank size (``SignatureConfig`` checks it)."""
     if config.perfect:
         raise ValueError(
             "config requests a perfect signature; use PerfectSignature"
         )
-    if config.bits % config.num_hashes != 0:
-        raise ValueError("signature bits must divide evenly into banks")
-    bank_bits = config.bits // config.num_hashes
-    index_bits = int(math.log2(bank_bits))
-    if (1 << index_bits) != bank_bits:
-        raise ValueError("per-bank size must be a power of two")
-    return index_bits
+    return config.bank_index_bits
 
 
 def mask_cache(config: SignatureConfig, seed: int = 0) -> MaskCache:
@@ -144,13 +136,17 @@ def mask_pair(config: SignatureConfig) -> Tuple[MaskCache, MaskCache]:
     return read, write
 
 
-class BloomSignature(Signature):
+class BloomSignature:
     """Parallel-banked Bloom filter over block addresses.
 
     ``masks`` shares a machine-wide :class:`MaskCache` (it must have
     been built for ``config``); without one the signature builds its
-    own over the family at ``seed``.
+    own over the family at ``seed``.  The signature holds only its
+    bits: the exact set of inserted blocks, which classifies a hit as
+    a false positive, is the transaction's to keep.
     """
+
+    __slots__ = ("_config", "_masks", "packed")
 
     def __init__(self, config: SignatureConfig, seed: int = 0,
                  masks: Optional[MaskCache] = None):
@@ -158,54 +154,33 @@ class BloomSignature(Signature):
         if masks is None:
             masks = mask_cache(config, seed)
         self._masks = masks
-        #: The bit vector, every bank packed into one int; clearing it
-        #: is a constant store, mirroring the hardware flash-clear.
+        #: The bit vector, every bank packed into one int.
         self.packed = 0
-        self._exact: Set[int] = set()
-
-    @property
-    def config(self) -> SignatureConfig:
-        return self._config
 
     def insert(self, block_addr: int) -> int:
         """Insert ``block_addr``; returns its probe mask, now ORed in."""
         mask = self._masks[block_addr]
         self.packed |= mask
-        self._exact.add(block_addr)
         return mask
 
     def test(self, block_addr: int) -> bool:
+        """True if ``block_addr`` *may* have been inserted."""
         mask = self._masks[block_addr]
         return self.packed & mask == mask
-
-    def clear(self) -> None:
-        self.packed = 0
-        self._exact.clear()
-
-    def is_empty(self) -> bool:
-        return not self._exact
-
-    @property
-    def inserted_count(self) -> int:
-        return len(self._exact)
-
-    @property
-    def exact_set(self) -> frozenset:
-        return frozenset(self._exact)
 
     @property
     def fill_ratio(self) -> float:
         """Fraction of filter bits set (diagnostic for saturation)."""
         return self.packed.bit_count() / self._config.bits
 
-    def expected_false_positive_rate(self) -> float:
-        """Analytic FP probability for a uniformly random probe.
+    def expected_false_positive_rate(self, n: int) -> float:
+        """Analytic FP probability for a uniformly random probe after
+        ``n`` distinct insertions.
 
-        For the parallel-banked design with n insertions and per-bank
-        size m/k, each bank independently has
-        ``1 - (1 - k/m)^n`` of its probed bit set.
+        For the parallel-banked design with per-bank size m/k, each
+        bank independently has ``1 - (1 - k/m)^n`` of its probed bit
+        set.
         """
-        n = len(self._exact)
         k = self._config.num_hashes
         m = self._config.bits
         per_bank = 1.0 - (1.0 - k / m) ** n

@@ -94,11 +94,6 @@ class SetSizeModel:
             if p < 1.0 else self.minimum
         return max(self.minimum, min(self.maximum, value))
 
-    def expected_mean(self) -> float:
-        """Approximate mean of the mixture (before clipping)."""
-        return ((1.0 - self.tail_prob) * self.base_mean
-                + self.tail_prob * self.tail_mean)
-
 
 @dataclass(frozen=True)
 class TxnWorkloadSpec:

@@ -1,9 +1,22 @@
-"""Unit tests for the exact MESI directory."""
+"""Unit tests for the exact MESI directory.
+
+The protocol engine writes fills, evictions and downgrades into the
+directory's codes inline, so those transitions are driven here through
+:class:`MemorySystem`; :meth:`Directory.record_upgrade` is the one
+transition the directory still checks itself.  States the protocol
+must never produce are rejected by :meth:`MemorySystem.audit`.
+"""
 
 import pytest
 
 from repro.common.errors import CoherenceError
 from repro.coherence.directory import Directory, DirState
+from repro.coherence.protocol import MemorySystem
+from tests.conftest import small_system
+
+
+def memory():
+    return MemorySystem(small_system())
 
 
 class TestFills:
@@ -13,65 +26,72 @@ class TestFills:
         assert directory.entry(0x1).holders() == set()
 
     def test_shared_fills_accumulate(self):
-        directory = Directory()
-        directory.record_shared_fill(0x1, 0)
-        directory.record_shared_fill(0x1, 2)
-        entry = directory.entry(0x1)
+        mem = memory()
+        mem.access(0, 0x1, False)
+        mem.access(2, 0x1, False)
+        entry = mem.directory.entry(0x1)
         assert entry.state is DirState.SHARED
         assert entry.holders() == {0, 2}
 
     def test_exclusive_fill(self):
-        directory = Directory()
-        directory.record_exclusive_fill(0x1, 3)
-        entry = directory.entry(0x1)
+        mem = memory()
+        mem.access(3, 0x1, True)
+        entry = mem.directory.entry(0x1)
         assert entry.state is DirState.EXCLUSIVE
         assert entry.holders() == {3}
 
     def test_exclusive_fill_with_holders_rejected(self):
-        directory = Directory()
-        directory.record_shared_fill(0x1, 0)
+        mem = memory()
+        mem.access(0, 0x1, False)
+        mem.access(1, 0x1, False)
+        mem.audit()
+        # Core 1 as sole owner while core 0 still holds a copy.
+        mem.directory.entries[0x1] = 1
         with pytest.raises(CoherenceError):
-            directory.record_exclusive_fill(0x1, 1)
+            mem.audit()
 
     def test_shared_fill_while_exclusive_rejected(self):
-        directory = Directory()
-        directory.record_exclusive_fill(0x1, 0)
+        mem = memory()
+        mem.access(0, 0x1, True)
+        mem.audit()
+        # Core 1 listed as a sharer beside the modified copy.
+        mem.directory.entries[0x1] = ~0b11
         with pytest.raises(CoherenceError):
-            directory.record_shared_fill(0x1, 1)
+            mem.audit()
 
 
 class TestEvictions:
     def test_exclusive_eviction_uncaches(self):
-        directory = Directory()
-        directory.record_exclusive_fill(0x1, 0)
-        directory.record_eviction(0x1, 0)
-        assert directory.entry(0x1).state is DirState.UNCACHED
+        mem = memory()
+        mem.access(0, 0x1, True)
+        mem.evict(0, 0x1)
+        assert mem.directory.entry(0x1).state is DirState.UNCACHED
 
     def test_last_sharer_eviction_uncaches(self):
-        directory = Directory()
-        directory.record_shared_fill(0x1, 0)
-        directory.record_shared_fill(0x1, 1)
-        directory.record_eviction(0x1, 0)
-        assert directory.entry(0x1).state is DirState.SHARED
-        directory.record_eviction(0x1, 1)
-        assert directory.entry(0x1).state is DirState.UNCACHED
+        mem = memory()
+        mem.access(0, 0x1, False)
+        mem.access(1, 0x1, False)
+        mem.evict(0, 0x1)
+        assert mem.directory.entry(0x1).state is DirState.SHARED
+        mem.evict(1, 0x1)
+        assert mem.directory.entry(0x1).state is DirState.UNCACHED
 
     def test_eviction_by_non_holder_rejected(self):
-        directory = Directory()
-        directory.record_shared_fill(0x1, 0)
+        mem = memory()
+        mem.access(0, 0x1, False)
         with pytest.raises(CoherenceError):
-            directory.record_eviction(0x1, 1)
+            mem.evict(1, 0x1)
+        assert mem.directory.entry(0x1).holders() == {0}
 
     def test_eviction_of_uncached_rejected(self):
-        directory = Directory()
         with pytest.raises(CoherenceError):
-            directory.record_eviction(0x1, 0)
+            memory().evict(0, 0x1)
 
 
 class TestUpgradeDowngrade:
     def test_upgrade_sole_sharer(self):
         directory = Directory()
-        directory.record_shared_fill(0x1, 0)
+        directory.entries[0x1] = ~0b1
         directory.record_upgrade(0x1, 0)
         entry = directory.entry(0x1)
         assert entry.state is DirState.EXCLUSIVE
@@ -79,27 +99,31 @@ class TestUpgradeDowngrade:
 
     def test_upgrade_with_other_sharers_rejected(self):
         directory = Directory()
-        directory.record_shared_fill(0x1, 0)
-        directory.record_shared_fill(0x1, 1)
+        directory.entries[0x1] = ~0b11
         with pytest.raises(CoherenceError):
             directory.record_upgrade(0x1, 0)
 
     def test_upgrade_by_non_sharer_rejected(self):
         directory = Directory()
-        directory.record_shared_fill(0x1, 0)
+        directory.entries[0x1] = ~0b1
         with pytest.raises(CoherenceError):
             directory.record_upgrade(0x1, 1)
 
     def test_downgrade_adds_requester(self):
-        directory = Directory()
-        directory.record_exclusive_fill(0x1, 0)
-        directory.record_downgrade(0x1, 2)
-        entry = directory.entry(0x1)
+        mem = memory()
+        mem.access(0, 0x1, True)
+        mem.access(2, 0x1, False)
+        entry = mem.directory.entry(0x1)
         assert entry.state is DirState.SHARED
         assert entry.holders() == {0, 2}
+        assert mem.stats.downgrades == 1
 
     def test_downgrade_of_shared_rejected(self):
-        directory = Directory()
-        directory.record_shared_fill(0x1, 0)
-        with pytest.raises(CoherenceError):
-            directory.record_downgrade(0x1, 1)
+        # A read of a shared block adds a sharer and demotes no one.
+        mem = memory()
+        mem.access(0, 0x1, False)
+        mem.access(1, 0x1, False)
+        downgrades = mem.stats.downgrades
+        mem.access(2, 0x1, False)
+        assert mem.stats.downgrades == downgrades
+        assert mem.directory.entry(0x1).holders() == {0, 1, 2}

@@ -1,14 +1,6 @@
 """Deterministic RNG helper tests."""
 
-import pytest
-
-from repro.common.rng import (
-    bounded_sample,
-    interleave_round_robin,
-    perturbation_seeds,
-    substream,
-    weighted_choice,
-)
+from repro.common.rng import perturbation_seeds, substream
 
 
 class TestSubstream:
@@ -38,46 +30,3 @@ class TestPerturbationSeeds:
     def test_reproducible(self):
         assert perturbation_seeds(42, 5) == perturbation_seeds(42, 5)
 
-
-class TestBoundedSample:
-    def test_bounds_respected(self):
-        rng = substream(3)
-        draws = [bounded_sample(rng, 5.0, 20, minimum=2)
-                 for _ in range(500)]
-        assert min(draws) >= 2
-        assert max(draws) <= 20
-
-    def test_mean_roughly_matches(self):
-        rng = substream(4)
-        draws = [bounded_sample(rng, 5.0, 100) for _ in range(3000)]
-        mean = sum(draws) / len(draws)
-        assert 3.5 < mean < 6.5
-
-    def test_bad_bounds_rejected(self):
-        rng = substream(5)
-        with pytest.raises(ValueError):
-            bounded_sample(rng, 5.0, 1, minimum=2)
-
-
-class TestWeightedChoice:
-    def test_respects_weights(self):
-        rng = substream(6)
-        picks = [weighted_choice(rng, ["a", "b"], [0.9, 0.1])
-                 for _ in range(1000)]
-        assert picks.count("a") > 700
-
-    def test_zero_total_rejected(self):
-        rng = substream(7)
-        with pytest.raises(ValueError):
-            weighted_choice(rng, ["a"], [0.0])
-
-    def test_length_mismatch_rejected(self):
-        rng = substream(8)
-        with pytest.raises(ValueError):
-            weighted_choice(rng, ["a", "b"], [1.0])
-
-
-def test_interleave_round_robin():
-    merged = list(interleave_round_robin([iter([1, 4]), iter([2, 5, 6]),
-                                          iter([3])]))
-    assert merged == [1, 2, 3, 4, 5, 6]

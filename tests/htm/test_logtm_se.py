@@ -1,5 +1,8 @@
 """Direct-drive tests of the LogTM-SE machine."""
 
+import gc
+import types
+
 import pytest
 
 from repro.common.config import (
@@ -287,9 +290,47 @@ class TestInstrumentation:
         htm.begin(0, 0)
         for i in range(50):
             htm.read(0, 0, B + i)
-        read_fill, write_fill = htm.signature_fill(0)
-        assert read_fill > 0.0
-        assert write_fill == 0.0
+        txn = htm._txns[0]
+        assert txn.read_sig.fill_ratio > 0.0
+        assert txn.write_sig.fill_ratio == 0.0
+
+
+def sets_holding(root, blocks):
+    """The set objects reachable from ``root`` that hold any of
+    ``blocks``, following ``gc.get_referents`` but not into classes,
+    modules or functions (which reach the whole program)."""
+    found, seen, stack = [], set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(
+                obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, (set, frozenset)) and obj & blocks:
+            found.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+class TestSingleExactRecord:
+    """A transaction's exact read and write sets live once, in its
+    ``TxnRecord``: signatures hold no copy of them."""
+
+    @pytest.mark.parametrize("variant", ["LogTM-SE_2xH3", "LogTM-SE_4xH3",
+                                         "LogTM-SE_Perf"])
+    def test_only_the_txn_sets_hold_its_blocks(self, variant):
+        htm = make_htm(variant, MemorySystem(small_system()), HTMConfig())
+        htm.begin(0, 0)
+        htm.read(0, 0, B)
+        htm.read(0, 0, B + 1)
+        htm.write(0, 0, B + 1)
+        htm.write(0, 0, B + 2)
+        txn = htm._txns[0]
+        assert txn.read_set == {B, B + 1}
+        assert txn.write_set == {B + 1, B + 2}
+        found = sets_holding(txn, {B, B + 1, B + 2})
+        assert sorted(map(id, found)) == sorted(
+            map(id, (txn.read_set, txn.write_set)))
 
 
 class TestSummaries:

@@ -1,107 +1,79 @@
-"""Property test: the int-coded directory against a model built on sets.
+"""Property test: the int-coded directory against the L1s it describes.
 
 ``Directory`` keeps each block's state as one int (the owner core, or
-the complement of a sharer bit mask).  The reference here keeps the
-obvious representation, an owner or a set of sharers per block, and
-applies the same transition rules.  Across random sequences of
-``record_*`` calls, each call must raise :class:`CoherenceError`
-exactly when the reference rejects it, and afterwards every block's
-view must show the reference's state, owner and holders.
+the complement of a sharer bit mask), and the protocol engine writes
+those codes inline on every fill, invalidation, downgrade, upgrade
+and eviction.  Across random sequences of ``MemorySystem.access`` and
+``evict`` calls on tiny L1s (so fills also evict), every block's
+directory view must equal a model built on sets from the lines the
+L1s actually hold: the holders are the cores with a copy, and a core
+holding the block MODIFIED or EXCLUSIVE is its sole owner.  Evicting
+a block the core does not hold must raise :class:`CoherenceError` and
+change nothing.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import CoherenceError
-from repro.coherence.directory import Directory, DirState
+from repro.coherence.cache import MESI
+from repro.coherence.directory import DirState
+from repro.coherence.protocol import MemorySystem
+from tests.conftest import small_system
 
-CORES = 6
-BLOCKS = 3
+CORES = 4
+#: More blocks than one 16-line L1 holds, so fills evict.
+BLOCKS = 24
 
-OPS = ("shared_fill", "exclusive_fill", "eviction", "upgrade", "downgrade")
+OPS = ("read", "write", "evict")
 
 ops_strategy = st.lists(
     st.tuples(st.sampled_from(OPS), st.integers(0, BLOCKS - 1),
               st.integers(0, CORES - 1)),
-    min_size=1, max_size=60,
+    min_size=1, max_size=80,
 )
 
 
-class SetDirectory:
-    """Per block: (owner or None, set of sharers); an owner excludes
-    sharers.  Each method returns False where the transition is
-    illegal, leaving the state untouched."""
-
-    def __init__(self):
-        self.owner = {}
-        self.sharers = {}
-
-    def state(self, block):
-        if self.owner.get(block) is not None:
-            return DirState.EXCLUSIVE
-        return DirState.SHARED if self.sharers.get(block) else \
-            DirState.UNCACHED
-
-    def holders(self, block):
-        owner = self.owner.get(block)
-        return {owner} if owner is not None else set(
-            self.sharers.get(block, ()))
-
-    def shared_fill(self, block, core):
-        if self.owner.get(block) is not None:
-            return False
-        self.sharers.setdefault(block, set()).add(core)
-        return True
-
-    def exclusive_fill(self, block, core):
-        if self.holders(block) - {core}:
-            return False
-        self.owner[block] = core
-        self.sharers[block] = set()
-        return True
-
-    def eviction(self, block, core):
-        if self.owner.get(block) is not None:
-            if self.owner[block] != core:
-                return False
-            self.owner[block] = None
-            return True
-        if core not in self.sharers.get(block, ()):
-            return False
-        self.sharers[block].discard(core)
-        return True
-
-    def upgrade(self, block, core):
-        if self.sharers.get(block, set()) != {core}:
-            return False
-        self.owner[block] = core
-        self.sharers[block] = set()
-        return True
-
-    def downgrade(self, block, requester):
-        owner = self.owner.get(block)
-        if owner is None:
-            return False
-        self.owner[block] = None
-        self.sharers[block] = {owner, requester}
-        return True
+def set_model(mem):
+    """Block -> (owner or None, set of holders), from the L1 lines."""
+    holders = {}
+    owner = {}
+    for core in range(CORES):
+        for line in mem.cache(core).lines():
+            holders.setdefault(line.block, set()).add(core)
+            if line.state in (MESI.MODIFIED, MESI.EXCLUSIVE):
+                owner[line.block] = core
+    return owner, holders
 
 
 @settings(max_examples=300, deadline=None)
 @given(ops=ops_strategy)
 def test_codes_match_set_model(ops):
-    directory = Directory()
-    model = SetDirectory()
+    mem = MemorySystem(small_system(cores=CORES))
+    directory = mem.directory
     for name, block, core in ops:
-        accepted = getattr(model, name)(block, core)
-        try:
-            getattr(directory, f"record_{name}")(block, core)
-        except CoherenceError:
-            assert not accepted, (name, block, core)
+        if name == "evict":
+            resident = mem.cache(core).lookup(block) is not None
+            before = dict(directory.entries)
+            try:
+                mem.evict(core, block)
+            except CoherenceError:
+                assert not resident, (core, block)
+                assert directory.entries == before
+            else:
+                assert resident, (core, block)
         else:
-            assert accepted, (name, block, core)
+            mem.access(core, block, name == "write")
+        owner, holders = set_model(mem)
         for b in range(BLOCKS):
             entry = directory.entry(b)
-            assert entry.state is model.state(b)
-            assert entry.owner == model.owner.get(b)
-            assert entry.holders() == model.holders(b)
+            expected = holders.get(b, set())
+            assert entry.holders() == expected, (b, entry.holders())
+            assert entry.owner == owner.get(b)
+            if b in owner:
+                assert expected == {owner[b]}
+                assert entry.state is DirState.EXCLUSIVE
+            elif expected:
+                assert entry.state is DirState.SHARED
+            else:
+                assert entry.state is DirState.UNCACHED

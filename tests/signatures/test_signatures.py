@@ -4,14 +4,19 @@ import random
 
 import pytest
 
-from repro.common.config import SignatureConfig
-from repro.signatures import (
-    BloomSignature,
-    PerfectSignature,
-    make_signature,
-)
+from repro.common.config import HTMConfig, SignatureConfig
+from repro.coherence.protocol import MemorySystem
+from repro.htm.logtm_se import LogTMSE
+from repro.signatures import BloomSignature, PerfectSignature
 from repro.signatures.bloom import mask_cache
 from repro.signatures.h3 import H3Hash, hash_indices, make_h3_family
+from tests.conftest import small_system
+
+
+def machine(sig):
+    """A LogTM-SE machine whose signatures have geometry ``sig``."""
+    return LogTMSE(MemorySystem(small_system()), HTMConfig(signature=sig),
+                   signature=sig)
 
 
 class TestH3:
@@ -84,41 +89,54 @@ class TestBloom:
     def test_empty_signature_matches_nothing(self):
         sig = BloomSignature(self.cfg())
         assert not any(sig.test(b) for b in range(100))
-        assert sig.is_empty()
+        assert sig.packed == 0
 
     def test_clear_resets(self):
-        sig = BloomSignature(self.cfg())
-        sig.insert(42)
-        sig.clear()
-        assert sig.is_empty()
-        assert not sig.test(42)
-        assert sig.inserted_count == 0
+        # Commit drops a transaction's signatures; the thread's next
+        # transaction starts from empty ones (the hardware flash-clear).
+        htm = machine(self.cfg())
+        htm.begin(0, 0)
+        htm.read(0, 0, 42)
+        htm.write(0, 0, 43)
+        htm.commit(0, 0)
+        htm.begin(0, 0)
+        txn = htm._txns[0]
+        assert txn.read_sig.packed == txn.write_sig.packed == 0
+        assert not txn.read_sig.test(42)
+        assert not txn.write_sig.test(43)
+        assert not txn.read_set and not txn.write_set
 
     def test_exact_set_tracks_members(self):
-        sig = BloomSignature(self.cfg())
-        sig.insert(1)
-        sig.insert(2)
-        assert sig.exact_set == frozenset({1, 2})
-        assert sig.test_exact(1)
-        assert not sig.test_exact(3)
+        # The exact set a Bloom hit is classified against is the
+        # transaction's own read set.
+        htm = machine(self.cfg())
+        htm.begin(0, 0)
+        htm.read(0, 0, 1)
+        htm.read(0, 0, 2)
+        txn = htm._txns[0]
+        assert txn.read_set == {1, 2}
+        assert txn.read_sig.test(1) and txn.read_sig.test(2)
+        assert 3 not in txn.read_set
 
     def test_false_positives_exist_when_loaded(self):
         sig = BloomSignature(self.cfg(bits=256, k=2))
-        for i in range(200):
-            sig.insert(i * 31 + 7)
+        members = {i * 31 + 7 for i in range(200)}
+        for b in members:
+            sig.insert(b)
         probes = range(100_000, 101_000)
-        fps = sum(sig.test(p) and not sig.test_exact(p) for p in probes)
+        fps = sum(sig.test(p) and p not in members for p in probes)
         assert fps > 0
 
     def test_more_hashes_reduce_fp_at_low_occupancy(self):
         fp_rates = {}
         for k in (2, 4):
             sig = BloomSignature(self.cfg(bits=2048, k=k), seed=5)
-            for i in range(60):
-                sig.insert(i * 101 + 3)
+            members = {i * 101 + 3 for i in range(60)}
+            for b in members:
+                sig.insert(b)
             probes = range(500_000, 520_000)
             fp_rates[k] = sum(
-                sig.test(p) and not sig.test_exact(p) for p in probes
+                sig.test(p) and p not in members for p in probes
             )
         assert fp_rates[4] <= fp_rates[2]
 
@@ -131,12 +149,13 @@ class TestBloom:
 
     def test_analytic_fp_rate_reasonable(self):
         sig = BloomSignature(self.cfg())
-        for i in range(100):
-            sig.insert(i * 7 + 1)
-        analytic = sig.expected_false_positive_rate()
+        members = {i * 7 + 1 for i in range(100)}
+        for b in members:
+            sig.insert(b)
+        analytic = sig.expected_false_positive_rate(len(members))
         probes = range(1_000_000, 1_040_000)
         measured = sum(
-            sig.test(p) and not sig.test_exact(p) for p in probes
+            sig.test(p) and p not in members for p in probes
         ) / 40_000
         assert abs(analytic - measured) < max(0.01, analytic)
 
@@ -159,20 +178,34 @@ class TestPerfect:
         assert not any(sig.test(i * 3 + 1) for i in range(1000))
 
     def test_clear(self):
-        sig = PerfectSignature()
-        sig.insert(7)
-        sig.clear()
-        assert sig.is_empty()
+        # As for Bloom: a retired transaction's exact signatures go
+        # with it, and the next one starts empty.
+        htm = machine(SignatureConfig(perfect=True))
+        htm.begin(0, 0)
+        htm.read(0, 0, 7)
+        htm.abort(0, 0)
+        htm.begin(0, 0)
+        txn = htm._txns[0]
+        assert not txn.read_sig and not txn.read_sig.test(7)
 
 
 class TestFactory:
+    """LogTM-SE picks each transaction's signature kind from its
+    configuration."""
+
     def test_perfect_selection(self):
-        sig = make_signature(SignatureConfig(perfect=True))
-        assert isinstance(sig, PerfectSignature)
+        htm = machine(SignatureConfig(perfect=True))
+        htm.begin(0, 0)
+        txn = htm._txns[0]
+        assert isinstance(txn.read_sig, PerfectSignature)
+        assert isinstance(txn.write_sig, PerfectSignature)
 
     def test_bloom_selection(self):
-        sig = make_signature(SignatureConfig(bits=2048, num_hashes=2))
-        assert isinstance(sig, BloomSignature)
+        htm = machine(SignatureConfig(bits=2048, num_hashes=2))
+        htm.begin(0, 0)
+        txn = htm._txns[0]
+        assert isinstance(txn.read_sig, BloomSignature)
+        assert isinstance(txn.write_sig, BloomSignature)
 
 
 class TestPacked:
@@ -204,8 +237,6 @@ class TestPacked:
             assert all(sig.test(a) for a in inserted)  # no false negatives
             assert sig.packed == sum(bank << (b * bank_bits)
                                      for b, bank in enumerate(banks))
-            sig.clear()
-            assert not any(sig.test(a) for a in probes)
 
     def test_signatures_share_a_mask_cache(self):
         cfg = SignatureConfig(bits=2048, num_hashes=2)
