@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 from repro.common.errors import ConfigError
 
@@ -247,12 +246,3 @@ class RunConfig:
     system: SystemConfig = field(default_factory=SystemConfig)
     htm: HTMConfig = field(default_factory=HTMConfig)
     seed: int = 0
-    #: Stop after this many committed transactions (None = run trace out).
-    max_commits: Optional[int] = None
-    #: Audit bookkeeping/coherence invariants during the run.  Slows
-    #: simulation; enabled by default in tests, disabled in benchmarks.
-    audit: bool = False
-
-    def __post_init__(self) -> None:
-        if self.max_commits is not None:
-            _require(self.max_commits > 0, "max_commits must be positive")

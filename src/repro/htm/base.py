@@ -14,11 +14,22 @@ live-transaction table, the logs, ``begin``, the log append and the
 newest-first undo walk; a variant adds only its conflict detection.
 
 A transactional access either *succeeds* — returning the cycles it
-took, including any logging — or reports a conflict with whatever
-owner hints the mechanism can provide.  On conflict the machine has
-performed no transactional state change for the requester (though for
-TokenTM the underlying *coherence* movement may have happened: the
-paper decouples the two).
+took, including any logging — or reports a conflict.  On conflict the
+machine has performed no transactional state change for the requester
+(though for TokenTM the underlying *coherence* movement may have
+happened: the paper decouples the two).
+
+Conflicts take one path.  Each machine names the conflictors its
+hardware can — LogTM-SE every thread whose signature hit, OneTM the
+exact holders, TokenTM the metastate TID and the TIDs piggybacked on
+invalidation acks, walking the logs itself when those cannot cover a
+reader count — and hands :meth:`HTM._conflict` the finished list,
+which counts the conflict, traces it and returns the
+:class:`ConflictInfo` the executor's contention manager resolves.
+When a stall persists with hints that name no live transaction, the
+executor traps to :meth:`HTM.software_conflictors` (Section 5.2's
+hardest case): TokenTM walks the logs, and the exact-hint machines
+have nothing more to find.
 """
 
 from __future__ import annotations
@@ -35,6 +46,7 @@ from repro.core.tmlog import (
     LOG_REGION_BLOCKS_PER_THREAD,
     TmLog,
 )
+from repro.obs.events import EventKind
 
 
 class ConflictKind(Enum):
@@ -52,18 +64,18 @@ class ConflictKind(Enum):
 class ConflictInfo:
     """Description of a detected conflict, for the contention manager.
 
-    ``hints`` lists TIDs of conflicting transactions that the hardware
-    could identify (the metastate TID, or TIDs piggybacked on
-    invalidation acks; for LogTM-SE, every thread whose signature
-    matched).  ``complete`` says whether ``hints`` provably covers all
-    conflictors; when False the contention manager must fall back to
-    walking logs (TokenTM's "hardest case").
+    ``hints`` lists the TIDs of the conflicting transactions the
+    machine named: for LogTM-SE every thread whose signature matched,
+    for OneTM the exact holders, for TokenTM the metastate TID and the
+    TIDs piggybacked on invalidation acks, or the log walk's readers
+    when those could not cover the block's reader count.  A hint may
+    have finished by the time the conflict is resolved; the executor's
+    hardware-retry trap covers hints that name no live transaction.
     """
 
     block: int
     kind: ConflictKind
     hints: Tuple[int, ...] = ()
-    complete: bool = True
     #: True when every hinted conflictor was a signature false
     #: positive (LogTM-SE only; TokenTM conflicts are always real).
     false_positive: bool = False
@@ -137,6 +149,11 @@ class HTM(ABC):
 
     #: Human-readable variant name (e.g. "TokenTM", "LogTM-SE_4xH3").
     name: str = "HTM"
+
+    #: The event a detected conflict is traced as.  Signature machines
+    #: NACK the request, and their NACKs say whether the hit was a
+    #: false positive.
+    _conflict_event: EventKind = EventKind.CONFLICT
 
     def __init__(self, mem: MemorySystem):
         self.mem = mem
@@ -319,15 +336,59 @@ class HTM(ABC):
         """The TID ``core``'s register names, or None."""
         return self._core_tid[core]
 
-    # -- conflict resolution support -------------------------------------
+    # -- conflicts -------------------------------------------------------
 
-    def identify_conflictors(self, info: ConflictInfo) -> Tuple[int, ...]:
-        """Complete the conflictor list for the contention manager.
+    def _conflict(self, tid: Optional[int], block: int, kind: ConflictKind,
+                  hints: Tuple[int, ...], core: Optional[int] = None,
+                  false_positive: bool = False, **attrs) -> ConflictInfo:
+        """Record one detected conflict and describe it.
 
-        Default: trust the hints.  TokenTM overrides this to walk the
-        software logs in the hardest case (incomplete hints).
+        The one site that counts conflicts (and false positives) and
+        traces them; ``attrs`` are the detecting site's extra event
+        fields.  Returns the :class:`ConflictInfo` for the contention
+        manager.
         """
-        return info.hints
+        stats = self.stats
+        stats.conflicts += 1
+        if false_positive:
+            stats.false_positive_conflicts += 1
+        if self.bus.enabled:
+            event = self._conflict_event
+            if event is EventKind.NACK:
+                attrs = {"false_positive": false_positive, **attrs}
+            self.bus.emit(event, tid=tid, core=core, block=block,
+                          conflict_kind=kind.value, **attrs)
+        return ConflictInfo(block, kind, hints, false_positive)
+
+    def _nack(self, core: int, block: int,
+              conflict: ConflictInfo) -> AccessOutcome:
+        """Refuse a request on a conflict: no data movement, and the
+        requester pays the round trip to the directory."""
+        return AccessOutcome(False, self.mem.request_latency(core, block),
+                             conflict)
+
+    def _walk_logs(self, block: int, exclude: Optional[int]
+                   ) -> Tuple[int, ...]:
+        """Live transactions other than ``exclude`` that hold ``block``.
+
+        The software contention manager's log walk (Section 5.2's
+        hardest case): the logs record each transaction's exact read
+        and write sets.  Counted in ``log_walk_resolutions``.
+        """
+        self.stats.log_walk_resolutions += 1
+        return tuple(tid for tid, txn in self._txns.items()
+                     if tid != exclude
+                     and (block in txn.read_set or block in txn.write_set))
+
+    def software_conflictors(self, tid: int, block: int) -> Tuple[int, ...]:
+        """The trap to software for a conflict hardware could not name.
+
+        The executor calls this when a stalled request has retried
+        ``HW_RETRIES`` times on hints that name no live transaction.
+        A machine whose hints are exact sets has nothing more to find,
+        so the default is empty; TokenTM walks the logs.
+        """
+        return ()
 
     # -- instrumentation -------------------------------------------------
 

@@ -105,6 +105,8 @@ class SigCheckStats:
 class LogTMSE(HTM):
     """LogTM-SE machine parameterized by signature geometry."""
 
+    _conflict_event = EventKind.NACK
+
     def __init__(self, mem: MemorySystem, config: HTMConfig,
                  signature: Optional[SignatureConfig] = None):
         super().__init__(mem)
@@ -244,31 +246,13 @@ class LogTMSE(HTM):
             sigcheck.probes += others
         if not writer_hits and not reader_hits:
             return None
-        self.stats.conflicts += 1
-        if not any_real:
-            self.stats.false_positive_conflicts += 1
-        if self.bus.enabled:
-            # The directory NACKed the request on a signature hit.
-            self.bus.emit(
-                EventKind.NACK, tid=tid, block=block,
-                conflict_kind="writer" if writer_hits else "readers",
-                false_positive=not any_real, write=is_write,
-            )
-        if writer_hits:
-            return ConflictInfo(block, ConflictKind.WRITER,
-                                hints=tuple(writer_hits + reader_hits),
-                                complete=True,
-                                false_positive=not any_real)
-        return ConflictInfo(block, ConflictKind.READERS,
-                            hints=tuple(reader_hits), complete=True,
-                            false_positive=not any_real)
-
-    def _nack(self, core: int, block: int,
-              conflict: ConflictInfo) -> AccessOutcome:
-        """Refuse a request on a signature hit: no data movement, and
-        the requester pays the round trip to the directory."""
-        return AccessOutcome(False, self.mem.request_latency(core, block),
-                             conflict)
+        # The directory NACKs the request on a signature hit.
+        return self._conflict(
+            tid, block,
+            ConflictKind.WRITER if writer_hits else ConflictKind.READERS,
+            tuple(writer_hits + reader_hits),
+            false_positive=not any_real, write=is_write,
+        )
 
     # ------------------------------------------------------------------
     # Transactional accesses

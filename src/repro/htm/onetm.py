@@ -123,44 +123,34 @@ class OneTM(HTM, CoherenceListener):
             elif is_write and block in other.read_set:
                 readers.append(other_tid)
         if writer:
-            self.stats.conflicts += 1
-            if self.bus.enabled:
-                self.bus.emit(EventKind.CONFLICT, tid=tid, block=block,
-                              conflict_kind="writer")
-            return ConflictInfo(block, ConflictKind.WRITER,
-                                hints=tuple(writer), complete=True)
+            return self._conflict(tid, block, ConflictKind.WRITER,
+                                  tuple(writer))
         if readers:
-            self.stats.conflicts += 1
-            if self.bus.enabled:
-                self.bus.emit(EventKind.CONFLICT, tid=tid, block=block,
-                              conflict_kind="readers")
-            return ConflictInfo(block, ConflictKind.READERS,
-                                hints=tuple(readers), complete=True)
+            return self._conflict(tid, block, ConflictKind.READERS,
+                                  tuple(readers))
         return None
 
-    def _serialization_stall(self, block: int,
-                             tid: Optional[int] = None) -> ConflictInfo:
+    def _serialization_stall(self, tid: int, block: int) -> AccessOutcome:
+        """Stall a transaction that needs the overflow token another
+        holds: not a data conflict, so it is traced but not counted."""
         holder = self._overflow_holder
         if self.bus.enabled:
             self.bus.emit(EventKind.CONFLICT, tid=tid, block=block,
                           conflict_kind="serialization",
                           holder=holder)
-        return ConflictInfo(
+        return AccessOutcome(False, self._lat.l1_hit, ConflictInfo(
             block, ConflictKind.SERIALIZATION,
-            hints=(holder,) if holder is not None else (), complete=True,
-        )
+            hints=(holder,) if holder is not None else (),
+        ))
 
     def read(self, core: int, tid: int, block: int) -> AccessOutcome:
         txn = self._txn(tid)
         self.stats.txn_reads += 1
         if self._blocked_on_token(txn):
-            return AccessOutcome(False, self.mem.config.latency.l1_hit,
-                                 self._serialization_stall(block, tid))
+            return self._serialization_stall(tid, block)
         conflict = self._check(tid, block, is_write=False)
         if conflict is not None:
-            return AccessOutcome(
-                False, self.mem.request_latency(core, block), conflict
-            )
+            return self._nack(core, block, conflict)
         latency = self.mem.access(core, block, False).latency
         txn.read_set.add(block)
         return self._granted.get(latency) or self._grant(latency)
@@ -169,13 +159,10 @@ class OneTM(HTM, CoherenceListener):
         txn = self._txn(tid)
         self.stats.txn_writes += 1
         if self._blocked_on_token(txn):
-            return AccessOutcome(False, self.mem.config.latency.l1_hit,
-                                 self._serialization_stall(block, tid))
+            return self._serialization_stall(tid, block)
         conflict = self._check(tid, block, is_write=True)
         if conflict is not None:
-            return AccessOutcome(
-                False, self.mem.request_latency(core, block), conflict
-            )
+            return self._nack(core, block, conflict)
         res = self.mem.access(core, block, True)
         latency = res.latency
         if block not in txn.write_set:
@@ -221,20 +208,17 @@ class OneTM(HTM, CoherenceListener):
     # ------------------------------------------------------------------
 
     def nontxn_read(self, core: int, tid: int, block: int) -> AccessOutcome:
-        conflict = self._check(tid, block, is_write=False)
-        if conflict is not None:
-            return AccessOutcome(
-                False, self.mem.request_latency(core, block), conflict
-            )
-        return self._grant(self.mem.access(core, block, False).latency)
+        return self._nontxn_access(core, tid, block, False)
 
     def nontxn_write(self, core: int, tid: int, block: int) -> AccessOutcome:
-        conflict = self._check(tid, block, is_write=True)
+        return self._nontxn_access(core, tid, block, True)
+
+    def _nontxn_access(self, core: int, tid: int, block: int,
+                       is_write: bool) -> AccessOutcome:
+        conflict = self._check(tid, block, is_write)
         if conflict is not None:
-            return AccessOutcome(
-                False, self.mem.request_latency(core, block), conflict
-            )
-        return self._grant(self.mem.access(core, block, True).latency)
+            return self._nack(core, block, conflict)
+        return self._grant(self.mem.access(core, block, is_write).latency)
 
     # ------------------------------------------------------------------
     # Instrumentation

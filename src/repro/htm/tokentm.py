@@ -65,11 +65,15 @@ from repro.obs.events import EventKind
 from repro.htm.base import (
     AccessOutcome,
     CommitOutcome,
-    ConflictInfo,
     ConflictKind,
     HTM,
     TxnRecord,
 )
+
+
+def _tids(tid: Optional[int]) -> Tuple[int, ...]:
+    """The hint a metastate TID gives: itself, or none if anonymous."""
+    return () if tid is None else (tid,)
 
 
 class TokenTM(HTM, CoherenceListener):
@@ -289,17 +293,9 @@ class TokenTM(HTM, CoherenceListener):
                 mb.fuse_transient()
             verdict = acquire_read(self._meta_of(line, core), tid, self._tpb)
             if not verdict.granted:
-                self.stats.conflicts += 1
-                if self.bus.enabled:
-                    self.bus.emit(EventKind.CONFLICT, tid=tid, core=core,
-                                  block=block, conflict_kind="writer",
-                                  access="read")
-                hint = verdict.owner_hint
-                info = ConflictInfo(
-                    block, ConflictKind.WRITER,
-                    hints=(hint,) if hint is not None else (),
-                    complete=hint is not None,
-                )
+                info = self._conflict(tid, block, ConflictKind.WRITER,
+                                      _tids(verdict.owner_hint), core,
+                                      access="read")
                 return AccessOutcome(False, latency, info)
             if not verdict.acquired:
                 txn.read_set.add(block)
@@ -359,62 +355,44 @@ class TokenTM(HTM, CoherenceListener):
                                owner_hint: Optional[int],
                                ack_hints: Tuple[int, ...],
                                latency: int) -> AccessOutcome:
-        """Classify a store conflict and resolve what software can.
+        """Name a store's conflictors and resolve what software can.
 
-        Always returns a complete outcome: a denial with the best
-        conflictor hints, or a grant after a software-managed
-        self-upgrade (every debited token turned out to be the
-        requester's own).  ``txn.write_set`` is updated on the grant
-        paths here because the caller must not touch the cache line
-        again (the upgrade's log append may have evicted it).
+        Always returns a complete outcome: a denial naming the
+        conflictors, or a grant after a software-managed self-upgrade
+        (every debited token turned out to be the requester's own),
+        which still counts as one conflict.  ``txn.write_set`` is
+        updated on the grant path here because the caller must not
+        touch the cache line again (the upgrade's log append may have
+        evicted it).
         """
-        self.stats.conflicts += 1
-        if self.bus.enabled:
-            self.bus.emit(
-                EventKind.CONFLICT, tid=tid, core=core, block=block,
-                conflict_kind=("writer" if meta.total == self._tpb
-                               else "readers"),
-                access="write",
-            )
         if meta.total == self._tpb:
-            info = ConflictInfo(
-                block, ConflictKind.WRITER,
-                hints=(owner_hint,) if owner_hint is not None else (),
-                complete=owner_hint is not None,
-            )
+            info = self._conflict(tid, block, ConflictKind.WRITER,
+                                  _tids(owner_hint), core, access="write")
             return AccessOutcome(False, latency, info)
         # Reader conflict.  Gather hardware hints: the metastate TID
         # (single reader) plus TIDs piggybacked on invalidation acks.
-        hints: List[int] = []
-        if owner_hint is not None:
-            hints.append(owner_hint)
+        hints = list(_tids(owner_hint))
         hints.extend(h for h in ack_hints if h not in hints)
-        foreign = [h for h in hints if h != tid]
-        complete = len(hints) >= meta.total
-        if complete and not foreign:
-            # Every token is provably our own: software-managed
-            # read-to-write upgrade (all debits belong to tid).
-            cycles = self._self_upgrade(core, tid, block, line, meta)
-            txn.write_set.add(block)
-            return self._grant(latency + cycles + self._lat.conflict_trap)
-        if not complete:
-            # Hardware hints insufficient: the contention manager must
-            # walk logs (the paper's hardest case).  Do it now so the
-            # conflict info handed out is complete.
-            readers = self._readers_from_logs(block, exclude=tid)
-            self.stats.log_walk_resolutions += 1
-            latency += self._lat.conflict_trap
-            if not readers:
-                # Logs say every debit is ours after all.
-                cycles = self._self_upgrade(core, tid, block, line, meta)
-                txn.write_set.add(block)
-                return self._grant(latency + cycles)
-            info = ConflictInfo(block, ConflictKind.READERS,
-                                hints=tuple(readers), complete=True)
+        if len(hints) >= meta.total:
+            readers = tuple(h for h in hints if h != tid)
+            # Only the self-upgrade below traps to software.
+            trap = 0 if readers else self._lat.conflict_trap
+        else:
+            # Hardware hints cannot cover the reader count: trap to
+            # the contention manager, which walks the logs (the
+            # paper's hardest case).
+            readers = self._walk_logs(block, exclude=tid)
+            trap = self._lat.conflict_trap
+        latency += trap
+        info = self._conflict(tid, block, ConflictKind.READERS, readers,
+                              core, access="write")
+        if readers:
             return AccessOutcome(False, latency, info)
-        info = ConflictInfo(block, ConflictKind.READERS,
-                            hints=tuple(foreign), complete=True)
-        return AccessOutcome(False, latency, info)
+        # Every debited token is the requester's own: software-managed
+        # read-to-write upgrade.
+        cycles = self._self_upgrade(core, tid, block, line, meta)
+        txn.write_set.add(block)
+        return self._grant(latency + cycles)
 
     def _self_upgrade(self, core: int, tid: int, block: int,
                       line: CacheLine, meta: Meta) -> int:
@@ -432,16 +410,6 @@ class TokenTM(HTM, CoherenceListener):
                           block=block, tokens=remaining, write=True,
                           self_upgrade=True)
         return self._log_append(core, tid, block, remaining, True)
-
-    def _readers_from_logs(self, block: int, exclude: int) -> List[int]:
-        """Ground-truth reader list, as the software manager derives it."""
-        readers = []
-        for other_tid, txn in self._txns.items():
-            if other_tid == exclude:
-                continue
-            if block in txn.read_set or block in txn.write_set:
-                readers.append(other_tid)
-        return readers
 
     # ------------------------------------------------------------------
     # Commit / abort
@@ -570,16 +538,8 @@ class TokenTM(HTM, CoherenceListener):
         line = self._post_access(core, block, result)
         meta = self._meta_of(line, core)
         if meta.total == self._tpb:
-            self.stats.conflicts += 1
-            if self.bus.enabled:
-                self.bus.emit(EventKind.CONFLICT, tid=tid, core=core,
-                              block=block, conflict_kind="writer",
-                              access="nontxn_read")
-            info = ConflictInfo(
-                block, ConflictKind.WRITER,
-                hints=(meta.tid,) if meta.tid is not None else (),
-                complete=meta.tid is not None,
-            )
+            info = self._conflict(tid, block, ConflictKind.WRITER,
+                                  _tids(meta.tid), core, access="nontxn_read")
             return AccessOutcome(False, result.latency, info)
         return self._grant(result.latency)
 
@@ -589,24 +549,16 @@ class TokenTM(HTM, CoherenceListener):
         ack_hints = tuple(self._pending_hints.pop((core, block), ()))
         meta = self._meta_of(line, core)
         if meta.total > 0:
-            self.stats.conflicts += 1
             kind = (ConflictKind.WRITER if meta.total == self._tpb
                     else ConflictKind.READERS)
-            if self.bus.enabled:
-                self.bus.emit(EventKind.CONFLICT, tid=tid, core=core,
-                              block=block, conflict_kind=kind.value,
-                              access="nontxn_write")
-            hints: List[int] = []
-            if meta.tid is not None:
-                hints.append(meta.tid)
+            hints = list(_tids(meta.tid))
             hints.extend(h for h in ack_hints if h not in hints)
-            if not hints:
-                hints = self._readers_from_logs(block, exclude=tid)
-                self.stats.log_walk_resolutions += 1
-            return AccessOutcome(False, result.latency,
-                                 ConflictInfo(block, kind,
-                                              hints=tuple(hints),
-                                              complete=True))
+            info = self._conflict(
+                tid, block, kind,
+                tuple(hints) or self._walk_logs(block, exclude=tid),
+                core, access="nontxn_write",
+            )
+            return AccessOutcome(False, result.latency, info)
         return self._grant(result.latency)
 
     # ------------------------------------------------------------------
@@ -634,15 +586,11 @@ class TokenTM(HTM, CoherenceListener):
         super().context_switch(core)
         return self._lat.fast_release
 
-    def identify_conflictors(self, info: ConflictInfo) -> Tuple[int, ...]:
-        if info.complete:
-            return info.hints
-        self.stats.log_walk_resolutions += 1
-        readers = set(info.hints)
-        for other_tid, txn in self._txns.items():
-            if info.block in txn.read_set or info.block in txn.write_set:
-                readers.add(other_tid)
-        return tuple(sorted(readers))
+    def software_conflictors(self, tid: int, block: int) -> Tuple[int, ...]:
+        """Walk the logs: token identity labels can go stale once
+        fission/fusion anonymizes counts, but the logs name every
+        live holder."""
+        return self._walk_logs(block, exclude=tid)
 
     # ------------------------------------------------------------------
     # Invariant audit

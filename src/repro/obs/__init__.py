@@ -38,7 +38,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    registry_from_stats,
 )
 from repro.obs.report import TraceReport
 from repro.obs.sinks import (
@@ -63,7 +62,6 @@ __all__ = [
     "NULL_BUS",
     "RingBufferSink",
     "TraceReport",
-    "registry_from_stats",
     "validate_event",
     "validate_jsonl",
 ]

@@ -4,11 +4,6 @@ All values are simulated quantities (cycles, counts); nothing here
 reads wall clocks.  Histograms use *fixed* bucket edges chosen at
 construction so two runs of the same configuration always bucket
 identically — a prerequisite for diffing traces across variants.
-
-The registry subsumes :class:`~repro.runtime.stats.RunStats`: use
-:func:`registry_from_stats` to expose every run-level aggregate (and
-the machine counters) through the same namespace the event-derived
-metrics live in.
 """
 
 from __future__ import annotations
@@ -195,46 +190,6 @@ class MetricsRegistry:
         """Flat {name: metric snapshot} dict, sorted for stable output."""
         return {name: self._metrics[name].snapshot()
                 for name in sorted(self._metrics)}
-
-
-def registry_from_stats(stats, registry: Optional[MetricsRegistry] = None,
-                        prefix: str = "run") -> MetricsRegistry:
-    """Expose a :class:`RunStats` through a metrics registry.
-
-    Every scalar the tables are built from becomes a counter or
-    gauge under ``<prefix>.``; machine counters (HTMStats snapshot)
-    land under ``<prefix>.machine.``.  This is what lets one export
-    path (the registry snapshot) carry both event-derived metrics
-    and the legacy end-of-run aggregates.
-    """
-    reg = registry if registry is not None else MetricsRegistry()
-    counters = {
-        "commits": stats.commits,
-        "aborts": stats.aborts,
-        "preemptions": stats.preemptions,
-        "stall_events": stats.stall_events,
-        "stall_cycles": stats.stall_cycles,
-        "backoff_cycles": stats.backoff_cycles,
-    }
-    for name, value in counters.items():
-        reg.counter(f"{prefix}.{name}").inc(value)
-    for cause, count in sorted(stats.abort_causes.items()):
-        reg.counter(f"{prefix}.aborts.{cause}").inc(count)
-    gauges = {
-        "makespan": stats.makespan,
-        "fast_release_fraction": stats.fast_release_fraction,
-        "avg_read_set": stats.avg_read_set,
-        "avg_write_set": stats.avg_write_set,
-        "max_read_set": stats.max_read_set,
-        "max_write_set": stats.max_write_set,
-    }
-    for name, value in gauges.items():
-        reg.gauge(f"{prefix}.{name}").set(value)
-    for name, value in sorted(stats.machine.items()):
-        if name.startswith("_") or not isinstance(value, (int, float)):
-            continue
-        reg.counter(f"{prefix}.machine.{name}").inc(int(value))
-    return reg
 
 
 #: LogTM-SE conflict-check work counters (``LogTMSE.sigcheck``),

@@ -16,14 +16,14 @@ built from.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 from repro.common.config import RunConfig
 from repro.common.errors import ConfigError, SimulationError
 from repro.faults.injector import NULL_INJECTOR
 from repro.faults.monitor import NULL_MONITOR
-from repro.htm.base import HTM, ConflictKind
+from repro.htm.base import HTM, ConflictInfo, ConflictKind
 from repro.obs.events import AbortCause, EventBus, EventKind
 from repro.runtime.contention import POLICIES, Resolution
 from repro.runtime.history import HistoryValidator
@@ -56,9 +56,10 @@ DEFAULT_TIMESLICE = 50_000
 MAX_TXN_ATTEMPTS = 50_000
 
 #: Hardware retries of a stalled request whose conflict hints name no
-#: live transaction before it traps to the software contention
-#: manager's log walk (Section 5.2: "conflicting requests may be
-#: retried in hardware").
+#: live transaction before it traps to software: one
+#: :meth:`~repro.htm.base.HTM.software_conflictors` call, which on
+#: TokenTM walks the logs (Section 5.2: "conflicting requests may be
+#: retried in hardware").  Machines with exact hints find no one more.
 HW_RETRIES = 4
 
 #: Cross-thread wait (OP_WAIT) spin parameters.  A blocked waiter
@@ -127,7 +128,6 @@ class Executor:
                  quantum: int = DEFAULT_QUANTUM,
                  validate: bool = True,
                  track_history: bool = True,
-                 preemptive: Optional[bool] = None,
                  timeslice: int = DEFAULT_TIMESLICE,
                  policy: str = "timestamp",
                  bus: Optional[EventBus] = None,
@@ -136,14 +136,8 @@ class Executor:
         if validate:
             validate_trace(trace)
         ncores = htm.mem.config.num_cores
-        if preemptive is None:
-            preemptive = trace.num_threads > ncores
-        if trace.num_threads > ncores and not preemptive:
-            raise SimulationError(
-                f"{trace.num_threads} threads exceed {ncores} cores; "
-                "run with preemptive=True to time-share"
-            )
-        self._preemptive = preemptive
+        #: More threads than cores time-share them.
+        self._preemptive = trace.num_threads > ncores
         self._timeslice = timeslice
         self._htm = htm
         self._trace = trace
@@ -178,8 +172,6 @@ class Executor:
         #: plus branch per quantum boundary, like NULL_BUS.
         self._injector = injector if injector is not None else NULL_INJECTOR
         self._monitor = monitor if monitor is not None else NULL_MONITOR
-        self._commit_budget = config.max_commits
-        self._audit = config.audit
         #: Cross-thread dependency state (recorded-trace replays):
         #: signal counters and, per signal id, the clock of each
         #: increment so a satisfied wait can release at the exact
@@ -230,8 +222,6 @@ class Executor:
         stats.machine["_trace_ops"] = sum(
             len(t.ops) for t in self._threads
         )
-        if self._audit:
-            self._htm.audit()
         if self._injector.enabled:
             stats.faults = self._injector.snapshot()
         if self._monitor.enabled:
@@ -625,18 +615,6 @@ class Executor:
                 release_cycles=outcome.software_release_cycles,
             )
         thread.pc += 1
-        if self._commit_budget is not None:
-            self._commit_budget -= 1
-            if self._commit_budget <= 0:
-                # Live transactions get to finish; threads between
-                # transactions just stop starting new work.
-                self._truncate_after_budget()
-
-    def _truncate_after_budget(self) -> None:
-        """Commit budget exhausted: threads stop at their next BEGIN."""
-        for other in self._threads:
-            if not other.in_txn:
-                other.done = True
 
     def _abort(self, thread: _Thread,
                cause: AbortCause = AbortCause.CONFLICT) -> None:
@@ -664,13 +642,7 @@ class Executor:
                            backoff=backoff)
         thread.pc = thread.begin_pc
 
-    def _resolve_conflict(self, thread: _Thread, info) -> None:
-        assert info is not None
-        if not info.complete:
-            hints = self._htm.identify_conflictors(info)
-            info = type(info)(info.block, info.kind, hints=hints,
-                              complete=True,
-                              false_positive=info.false_positive)
+    def _resolve_conflict(self, thread: _Thread, info: ConflictInfo) -> None:
         decision = self._manager.resolve(
             thread.tid, info, self._htm.active_tids()
         )
@@ -678,30 +650,21 @@ class Executor:
                 and not decision.victims
                 and info.kind is not ConflictKind.SERIALIZATION
                 and thread.stalls >= HW_RETRIES):
-            # The hardware hints name no live transaction (token
-            # identity labels can go stale once fission/fusion
-            # anonymizes counts), yet the conflict persists: trap to
-            # the software contention manager, which walks the logs
-            # for the true holders (Section 5.2's hardest case).
-            refreshed = self._htm.identify_conflictors(
-                type(info)(info.block, info.kind, hints=info.hints,
-                           complete=False)
-            )
-            if refreshed:
-                info = type(info)(info.block, info.kind,
-                                  hints=tuple(refreshed), complete=True)
+            # The hints name no live transaction (token identity
+            # labels can go stale once fission/fusion anonymizes
+            # counts), yet the conflict persists: trap to the software
+            # contention manager, which walks the logs for the true
+            # holders (Section 5.2's hardest case).
+            holders = self._htm.software_conflictors(thread.tid, info.block)
+            if holders:
+                info = replace(info, hints=holders)
                 decision = self._manager.resolve(
                     thread.tid, info, self._htm.active_tids()
                 )
         if decision.resolution is Resolution.ABORT_SELF:
             self._abort(thread, AbortCause.CONFLICT)
             return
-        winning = False
-        for victim_tid in decision.victims:
-            victim = self._by_tid.get(victim_tid)
-            if victim is not None and victim.in_txn:
-                victim.doomed = True
-                winning = True
+        winning = self._doom(decision.victims)
         thread.stalls += 1
         exempt = (winning
                   or info.kind is ConflictKind.SERIALIZATION)
@@ -717,6 +680,16 @@ class Executor:
                            tid=thread.tid, core=thread.core,
                            block=info.block, delay=delay, winning=winning,
                            victims=list(decision.victims))
+
+    def _doom(self, victims) -> bool:
+        """Doom every victim still in a transaction; True if any was."""
+        doomed = False
+        for victim_tid in victims:
+            victim = self._by_tid.get(victim_tid)
+            if victim is not None and victim.in_txn:
+                victim.doomed = True
+                doomed = True
+        return doomed
 
     def _nt_read(self, thread: _Thread, block: int) -> None:
         self._nontxn_access(thread, block, is_write=False)
@@ -735,17 +708,9 @@ class Executor:
         if outcome.granted:
             thread.pc += 1
             return
-        info = outcome.conflict
-        assert info is not None
-        if not info.complete:
-            hints = self._htm.identify_conflictors(info)
-            info = type(info)(info.block, info.kind, hints=hints,
-                              complete=True)
-        decision = self._manager.resolve(None, info, self._htm.active_tids())
-        for victim_tid in decision.victims:
-            victim = self._by_tid.get(victim_tid)
-            if victim is not None and victim.in_txn:
-                victim.doomed = True
+        decision = self._manager.resolve(None, outcome.conflict,
+                                         self._htm.active_tids())
+        self._doom(decision.victims)
         delay = self._manager.stall_delay(1)
         thread.clock += delay
         self._stats.stall_cycles += delay

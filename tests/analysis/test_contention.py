@@ -37,9 +37,10 @@ def run_instrumented():
     trace = WorkloadTrace("hotblock", threads)
     result = run_workload(
         proxy, trace,
-        RunConfig(htm=HTMConfig(tokens_per_block=SMALL_T), audit=True),
+        RunConfig(htm=HTMConfig(tokens_per_block=SMALL_T)),
         quantum=1,
     )
+    proxy.audit()
     return result, recorder
 
 

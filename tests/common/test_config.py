@@ -6,7 +6,6 @@ from repro.common.config import (
     CacheGeometry,
     HTMConfig,
     LatencyModel,
-    RunConfig,
     SignatureConfig,
     SystemConfig,
 )
@@ -83,9 +82,3 @@ class TestHTMConfig:
     def test_tiny_token_count_rejected(self):
         with pytest.raises(ConfigError):
             HTMConfig(tokens_per_block=1)
-
-
-class TestRunConfig:
-    def test_bad_max_commits_rejected(self):
-        with pytest.raises(ConfigError):
-            RunConfig(max_commits=0)

@@ -13,6 +13,7 @@ from repro.common.config import (
 from repro.coherence.cache import MESI, CacheLine
 from repro.coherence.protocol import AccessResult, MemorySystem
 from repro.htm import make_htm
+from repro.runtime.executor import run_workload
 
 #: A small token count keeps unit-test arithmetic readable.  8 is
 #: large enough for multi-reader scenarios and small enough to write
@@ -32,6 +33,15 @@ def small_system(cores: int = 4, l1_kb: int = 1) -> SystemConfig:
         memory_controllers=2,
         latency=LatencyModel(),
     )
+
+
+def run_audited(htm, trace, config, audit: bool = True, **kwargs):
+    """``run_workload``, then (unless ``audit`` is False) the machine's
+    invariant audit on the finished run."""
+    result = run_workload(htm, trace, config, **kwargs)
+    if audit:
+        htm.audit()
+    return result
 
 
 class ReferenceMemorySystem(MemorySystem):

@@ -5,7 +5,6 @@ import pytest
 from repro.common.config import HTMConfig, RunConfig
 from repro.coherence.protocol import MemorySystem
 from repro.htm import make_htm
-from repro.runtime.executor import run_workload
 from repro.workloads.trace import (
     ThreadTrace,
     WorkloadTrace,
@@ -16,7 +15,7 @@ from repro.workloads.trace import (
     read,
     write,
 )
-from tests.conftest import SMALL_T, small_system
+from tests.conftest import SMALL_T, run_audited, small_system
 
 B = 0xE000
 
@@ -28,7 +27,6 @@ def machine(variant="TokenTM", cores=4):
 
 def cfg(**kw):
     kw.setdefault("htm", HTMConfig(tokens_per_block=SMALL_T))
-    kw.setdefault("audit", True)
     return RunConfig(**kw)
 
 
@@ -45,7 +43,7 @@ class TestDoomAtCommit:
                             compute(2000), commit()]),
         ]
         trace = WorkloadTrace("doom-at-commit", threads)
-        result = run_workload(machine(), trace, cfg(), quantum=1)
+        result = run_audited(machine(), trace, cfg(), quantum=1)
         assert result.stats.commits == 2
         result.history.check_serializable()
 
@@ -57,7 +55,7 @@ class TestNontxnDooming:
             ThreadTrace(1, [compute(100), nt_write(B), compute(10)]),
         ]
         trace = WorkloadTrace("nt-doom", threads)
-        result = run_workload(machine(), trace, cfg(), quantum=1)
+        result = run_audited(machine(), trace, cfg(), quantum=1)
         # The transaction was doomed by the non-transactional write
         # and re-ran; both threads finish.
         assert result.stats.commits == 1
@@ -70,8 +68,8 @@ class TestNontxnDooming:
             ThreadTrace(1, [compute(100), nt_write(B), compute(10)]),
         ]
         trace = WorkloadTrace("nt-doom", threads)
-        result = run_workload(machine(variant), trace,
-                              cfg(audit=False), quantum=1)
+        result = run_audited(machine(variant), trace,
+                             cfg(), audit=False, quantum=1)
         assert result.stats.commits == 1
 
 
@@ -85,7 +83,7 @@ class TestRepeatedAbortRecovery:
             for t in range(4)
         ]
         trace = WorkloadTrace("churn", threads)
-        result = run_workload(htm, trace, cfg(), quantum=1)
+        result = run_audited(htm, trace, cfg(), quantum=1)
         assert result.stats.commits == 24
         htm.audit()  # all tokens home after the churn
         result.history.check_serializable()
@@ -103,7 +101,7 @@ class TestMixedTxnAndLocks:
         threads[0].ops.extend([lock(9), compute(100), unlock(9)])
         threads[1].ops.extend([lock(9), compute(100), unlock(9)])
         trace = WorkloadTrace("mixed", threads)
-        result = run_workload(machine(), trace, cfg())
+        result = run_audited(machine(), trace, cfg())
         assert result.stats.commits == 2
 
 
@@ -118,9 +116,9 @@ class TestWriteOnlyTransactions:
             for t in range(4)
         ]
         trace = WorkloadTrace("blind", threads)
-        result = run_workload(
+        result = run_audited(
             machine(variant), trace,
-            cfg(audit=variant == "TokenTM"),
+            cfg(), audit=variant == "TokenTM",
         )
         assert result.stats.commits == 4
         assert result.stats.avg_read_set == 0.0
@@ -138,7 +136,7 @@ class TestSameBlockReadWriteChains:
         ]
         trace = WorkloadTrace("upgrade-chain", threads)
         htm = machine()
-        result = run_workload(htm, trace, cfg(), quantum=1)
+        result = run_audited(htm, trace, cfg(), quantum=1)
         assert result.stats.commits == 4
         htm.audit()
         result.history.check_serializable()

@@ -44,16 +44,17 @@ class TestSerializabilityOnRealWorkloads:
         trace = barnes().generate(seed=4, scale=0.05, threads=8)
         system = SystemConfig().scaled(8)
         machine = make_htm(variant, MemorySystem(system), HTMConfig())
-        cfg = RunConfig(system=system, seed=4,
-                        audit=variant == "TokenTM")
+        cfg = RunConfig(system=system, seed=4)
         result = run_workload(machine, trace, cfg, quantum=50)
+        if variant == "TokenTM":
+            machine.audit()
         assert result.stats.commits == trace.transaction_count()
         result.history.check_serializable(skew_tolerance=2500)
 
 
 class TestTokenTMAuditOnRealWorkloads:
     def test_books_balance_after_barnes(self):
-        cell_cfg = RunConfig(audit=True, seed=5)
+        cell_cfg = RunConfig(seed=5)
         trace = barnes().generate(seed=5, scale=0.05)
         machine = make_htm("TokenTM", MemorySystem(SystemConfig()),
                            HTMConfig())
@@ -67,9 +68,9 @@ class TestTokenTMAuditOnRealWorkloads:
         machine = make_htm("TokenTM", MemorySystem(SystemConfig()),
                            HTMConfig())
         result = run_workload(machine, trace,
-                              RunConfig(audit=True, seed=6),
-                              track_history=False)
+                              RunConfig(seed=6), track_history=False)
         assert result.stats.commits == trace.transaction_count()
+        machine.audit()
 
 
 class TestExpectedShapes:

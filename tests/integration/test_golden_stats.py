@@ -101,12 +101,14 @@ def run_case(trace: WorkloadTrace, variant: str,
     injector = (FaultInjector(faults, seed=seed)
                 if faults is not None else None)
     executor = Executor(machine, trace,
-                        RunConfig(system=system, htm=htm_config, seed=seed,
-                                  audit=audit),
+                        RunConfig(system=system, htm=htm_config, seed=seed),
                         quantum=quantum, validate=False,
                         track_history=monitor is not None,
                         injector=injector, monitor=monitor)
-    return executor.run().stats, mem
+    stats = executor.run().stats
+    if audit:
+        machine.audit()
+    return stats, mem
 
 
 def digest(workload: str, variant: str, mode: str) -> str:

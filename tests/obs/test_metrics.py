@@ -11,9 +11,7 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    registry_from_stats,
 )
-from repro.runtime.stats import RunStats
 
 
 class TestCounter:
@@ -86,17 +84,3 @@ class TestRegistry:
         reg.counter("b").inc()
         reg.gauge("a").set(0.5)
         assert list(reg.snapshot()) == ["a", "b"]
-
-
-class TestRegistryFromStats:
-    def test_exposes_run_aggregates(self):
-        stats = RunStats(workload="W", variant="TokenTM")
-        stats.commits = 7
-        stats.record_abort("conflict")
-        stats.record_abort("cm_kill")
-        stats.record_abort("cm_kill")
-        reg = registry_from_stats(stats)
-        assert reg["run.commits"].value == 7
-        assert reg["run.aborts"].value == 3
-        assert reg["run.aborts.cm_kill"].value == 2
-        assert reg["run.aborts.conflict"].value == 1

@@ -6,7 +6,8 @@ multi-threaded transactional workloads over a handful of hot blocks
 
 * every transaction eventually commits (timestamp policy is live),
 * the committed history is serializable,
-* TokenTM's double-entry books balance at the end (audit), and
+* TokenTM's double-entry books balance at the end (audit) and
+  mid-run (invariant monitor), and
 * all variants commit the same transaction count on the same trace.
 """
 
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from repro.common.config import HTMConfig, RunConfig
 from repro.coherence.protocol import MemorySystem
 from repro.htm import make_htm
+from repro.faults.monitor import InvariantMonitor
 from repro.runtime.executor import run_workload
 from repro.workloads.trace import (
     ThreadTrace,
@@ -28,7 +30,7 @@ from repro.workloads.trace import (
     read,
     write,
 )
-from tests.conftest import SMALL_T, small_system
+from tests.conftest import SMALL_T, run_audited, small_system
 
 BASE = 0x9000
 HOT_BLOCKS = 6  # tiny block pool -> dense conflicts
@@ -77,16 +79,15 @@ def _machine(variant):
 
 
 def _cfg(seed):
-    return RunConfig(htm=HTMConfig(tokens_per_block=SMALL_T),
-                     seed=seed, audit=True)
+    return RunConfig(htm=HTMConfig(tokens_per_block=SMALL_T), seed=seed)
 
 
 @given(workloads(), st.integers(0, 3))
 @settings(max_examples=60, deadline=None)
 def test_tokentm_random_traces(trace, seed):
     expected = trace.transaction_count()
-    result = run_workload(_machine("TokenTM"), trace, _cfg(seed),
-                          quantum=1)
+    result = run_audited(_machine("TokenTM"), trace, _cfg(seed),
+                         quantum=1)
     assert result.stats.commits == expected
     result.history.check_serializable()
 
@@ -97,9 +98,8 @@ def test_all_variants_commit_everything(trace, seed):
     expected = trace.transaction_count()
     for variant in ("TokenTM", "TokenTM_NoFast", "LogTM-SE_Perf",
                     "LogTM-SE_2xH3", "OneTM"):
-        cfg = RunConfig(htm=HTMConfig(tokens_per_block=SMALL_T),
-                        seed=seed, audit=variant.startswith("TokenTM"))
-        result = run_workload(_machine(variant), trace, cfg, quantum=1)
+        result = run_audited(_machine(variant), trace, _cfg(seed),
+                             audit=variant.startswith("TokenTM"), quantum=1)
         assert result.stats.commits == expected, variant
         result.history.check_serializable()
 
@@ -107,12 +107,14 @@ def test_all_variants_commit_everything(trace, seed):
 @given(workloads())
 @settings(max_examples=25, deadline=None)
 def test_tokentm_books_balance_midway(trace):
-    """Audit under a commit budget: stop early, books still balance.
+    """The books balance mid-run, with transactions in flight.
 
-    The budget stops threads at transaction boundaries, so all tokens
-    must have been released by then.
+    The invariant monitor runs TokenTM's full check (coherence, token
+    books, undo-log shape) after every one-cycle quantum and halts on
+    the first imbalance.
     """
-    cfg = RunConfig(htm=HTMConfig(tokens_per_block=SMALL_T),
-                    seed=1, audit=True, max_commits=2)
-    result = run_workload(_machine("TokenTM"), trace, cfg, quantum=1)
-    assert result.stats.commits >= min(2, trace.transaction_count())
+    monitor = InvariantMonitor(cadence=1, halt=True)
+    result = run_workload(_machine("TokenTM"), trace, _cfg(1), quantum=1,
+                          monitor=monitor)
+    assert result.stats.commits == trace.transaction_count()
+    assert monitor.checks_run > 1

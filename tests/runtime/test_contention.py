@@ -10,7 +10,7 @@ def manager():
 
 
 def info(kind=ConflictKind.WRITER, hints=(1,)):
-    return ConflictInfo(0x1, kind, hints=hints, complete=True)
+    return ConflictInfo(0x1, kind, hints=hints)
 
 
 class TestTimestamps:

@@ -6,7 +6,7 @@ from repro.common.config import HTMConfig, RunConfig
 from repro.common.errors import SimulationError
 from repro.coherence.protocol import MemorySystem
 from repro.htm import make_htm
-from repro.runtime.executor import Executor, run_workload
+from repro.runtime.executor import Executor
 from repro.workloads.trace import (
     ThreadTrace,
     WorkloadTrace,
@@ -21,7 +21,7 @@ from repro.workloads.trace import (
     unlock,
     write,
 )
-from tests.conftest import SMALL_T, small_system
+from tests.conftest import SMALL_T, run_audited, small_system
 
 B = 0x7000
 
@@ -33,7 +33,6 @@ def machine(variant="TokenTM", cores=4):
 
 def run_cfg(**kw):
     kw.setdefault("htm", HTMConfig(tokens_per_block=SMALL_T))
-    kw.setdefault("audit", True)
     return RunConfig(**kw)
 
 
@@ -46,7 +45,7 @@ class TestSequential:
         trace = single_thread_trace(
             [begin(), read(B), write(B + 1), commit()]
         )
-        result = run_workload(machine(), trace, run_cfg())
+        result = run_audited(machine(), trace, run_cfg())
         assert result.stats.commits == 1
         assert result.stats.aborts == 0
         assert result.stats.makespan > 0
@@ -54,19 +53,19 @@ class TestSequential:
 
     def test_compute_advances_clock(self):
         trace = single_thread_trace([compute(1000)])
-        result = run_workload(machine(), trace, run_cfg())
+        result = run_audited(machine(), trace, run_cfg())
         assert result.stats.makespan >= 1000
 
     def test_nontxn_accesses(self):
         trace = single_thread_trace([nt_read(B), nt_write(B + 1)])
-        result = run_workload(machine(), trace, run_cfg())
+        result = run_audited(machine(), trace, run_cfg())
         assert result.stats.makespan > 0
 
     def test_set_sizes_recorded(self):
         trace = single_thread_trace(
             [begin(), read(B), read(B + 1), write(B + 2), commit()]
         )
-        result = run_workload(machine(), trace, run_cfg())
+        result = run_audited(machine(), trace, run_cfg())
         assert result.stats.avg_read_set == 2.0
         assert result.stats.avg_write_set == 1.0
         assert result.stats.max_read_set == 2
@@ -80,7 +79,7 @@ class TestConcurrent:
             for t in range(4)
         ]
         trace = WorkloadTrace("disjoint", threads)
-        result = run_workload(machine(), trace, run_cfg())
+        result = run_audited(machine(), trace, run_cfg())
         assert result.stats.commits == 4
         assert result.stats.aborts == 0
         result.history.check_serializable()
@@ -96,9 +95,9 @@ class TestConcurrent:
             for t in range(4)
         ]
         trace = WorkloadTrace("hot", threads)
-        result = run_workload(machine(variant), trace,
-                              run_cfg(audit=variant.startswith("TokenTM")),
-                              quantum=1)
+        result = run_audited(machine(variant), trace,
+                             run_cfg(), audit=variant.startswith("TokenTM"),
+                             quantum=1)
         assert result.stats.commits == 4
         result.history.check_serializable()
 
@@ -112,9 +111,9 @@ class TestConcurrent:
             ThreadTrace(2, [begin(), read(B), compute(200), commit()]),
         ]
         trace = WorkloadTrace("rw", threads)
-        result = run_workload(machine(variant), trace,
-                              run_cfg(audit=variant == "TokenTM"),
-                              quantum=1)
+        result = run_audited(machine(variant), trace,
+                             run_cfg(), audit=variant == "TokenTM",
+                             quantum=1)
         assert result.stats.commits == 3
         result.history.check_serializable()
 
@@ -126,7 +125,7 @@ class TestConcurrent:
             for t in range(4)
         ]
         trace = WorkloadTrace("loop", threads)
-        result = run_workload(machine(), trace, run_cfg())
+        result = run_audited(machine(), trace, run_cfg())
         assert result.stats.commits == 40
         result.history.check_serializable()
 
@@ -142,7 +141,7 @@ class TestAbortRestart:
                             compute(50), commit()]),
         ]
         trace = WorkloadTrace("doom", threads)
-        result = run_workload(machine(), trace, run_cfg(), quantum=1)
+        result = run_audited(machine(), trace, run_cfg(), quantum=1)
         assert result.stats.commits == 2
         result.history.check_serializable()
 
@@ -154,7 +153,7 @@ class TestAbortRestart:
             for t in range(4)
         ]
         trace = WorkloadTrace("contend", threads)
-        result = run_workload(machine(), trace, run_cfg(), quantum=1)
+        result = run_audited(machine(), trace, run_cfg(), quantum=1)
         assert result.stats.commits == 20
         # With four writers on one block, some aborts are inevitable.
         assert result.stats.aborts + result.stats.stall_events > 0
@@ -168,44 +167,28 @@ class TestLocks:
             for t in range(3)
         ]
         trace = WorkloadTrace("locks", threads)
-        result = run_workload(machine(), trace, run_cfg())
+        result = run_audited(machine(), trace, run_cfg())
         assert result.stats.makespan >= 300  # serialized critical sections
 
     def test_syscall_advances_clock(self):
         trace = single_thread_trace([lock(1), syscall(5000), unlock(1)])
-        result = run_workload(machine(), trace, run_cfg())
+        result = run_audited(machine(), trace, run_cfg())
         assert result.stats.makespan >= 5000
 
     def test_unlock_not_held_rejected(self):
         trace = WorkloadTrace("bad", [ThreadTrace(0, [unlock(1)])])
         with pytest.raises(SimulationError):
-            run_workload(machine(), trace, run_cfg(), validate=False)
+            run_audited(machine(), trace, run_cfg(), validate=False)
 
 
 class TestLimits:
-    def test_overcommit_without_preemption_rejected(self):
-        threads = [ThreadTrace(t, [compute(1)]) for t in range(8)]
-        trace = WorkloadTrace("big", threads)
-        with pytest.raises(SimulationError):
-            Executor(machine(cores=4), trace, run_cfg(),
-                     preemptive=False)
-
     def test_overcommit_defaults_to_preemption(self):
         threads = [ThreadTrace(t, [compute(10)]) for t in range(8)]
         trace = WorkloadTrace("big", threads)
-        result = Executor(machine(cores=4), trace, run_cfg()).run()
+        htm = machine(cores=4)
+        result = Executor(htm, trace, run_cfg()).run()
+        htm.audit()
         assert result.stats.makespan >= 10
-
-    def test_max_commits_truncates(self):
-        threads = [
-            ThreadTrace(t, sum(
-                [[begin(), read(B + 16 * t), commit()] for _ in range(10)],
-                []))
-            for t in range(2)
-        ]
-        trace = WorkloadTrace("budget", threads)
-        result = run_workload(machine(), trace, run_cfg(max_commits=5))
-        assert result.stats.commits <= 6  # budget plus in-flight slack
 
 
 class TestDeterminism:
@@ -218,6 +201,6 @@ class TestDeterminism:
                 for t in range(4)
             ]
             trace = WorkloadTrace("det", threads)
-            return run_workload(machine(), trace,
-                                run_cfg(seed=9)).stats.makespan
+            return run_audited(machine(), trace,
+                               run_cfg(seed=9)).stats.makespan
         assert go() == go()

@@ -6,7 +6,6 @@ from repro.common.config import HTMConfig, RunConfig
 from repro.common.errors import TraceError
 from repro.coherence.protocol import MemorySystem
 from repro.htm import make_htm
-from repro.runtime.executor import run_workload
 from repro.workloads.trace import (
     ThreadTrace,
     WorkloadTrace,
@@ -17,7 +16,7 @@ from repro.workloads.trace import (
     validate_trace,
     write,
 )
-from tests.conftest import SMALL_T, small_system
+from tests.conftest import SMALL_T, run_audited, small_system
 
 B = 0xB000
 
@@ -28,7 +27,7 @@ def machine():
 
 
 def cfg():
-    return RunConfig(htm=HTMConfig(tokens_per_block=SMALL_T), audit=True)
+    return RunConfig(htm=HTMConfig(tokens_per_block=SMALL_T))
 
 
 def nested_ops():
@@ -64,7 +63,7 @@ class TestValidation:
 class TestExecution:
     def test_nested_region_commits_once(self):
         trace = WorkloadTrace("n", [ThreadTrace(0, nested_ops())])
-        result = run_workload(machine(), trace, cfg())
+        result = run_audited(machine(), trace, cfg())
         assert result.stats.commits == 1
         # The whole region is one transaction: all four blocks in it.
         assert result.stats.avg_read_set == 2.0
@@ -81,7 +80,7 @@ class TestExecution:
                             commit()]),
         ]
         trace = WorkloadTrace("n2", threads)
-        result = run_workload(machine(), trace, cfg(), quantum=1)
+        result = run_audited(machine(), trace, cfg(), quantum=1)
         assert result.stats.commits == 2
         result.history.check_serializable()
 
@@ -95,6 +94,6 @@ class TestExecution:
             ThreadTrace(1, [compute(200), begin(), read(B),
                             commit()]),
         ])
-        result = run_workload(htm, trace, cfg(), quantum=1)
+        result = run_audited(htm, trace, cfg(), quantum=1)
         assert result.stats.commits == 2
         result.history.check_serializable()

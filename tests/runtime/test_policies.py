@@ -36,7 +36,7 @@ def policy_name(policy_cls):
 
 
 def info(hints=(1,), kind=ConflictKind.WRITER):
-    return ConflictInfo(0x1, kind, hints=hints, complete=True)
+    return ConflictInfo(0x1, kind, hints=hints)
 
 
 class TestRequesterLoses:
@@ -101,10 +101,11 @@ class TestEndToEnd:
     def test_all_commit_and_serializable(self, policy_cls):
         cfg = HTMConfig(tokens_per_block=SMALL_T)
         machine = make_htm("TokenTM", MemorySystem(small_system()), cfg)
-        run_cfg = RunConfig(htm=cfg, seed=3, audit=True)
+        run_cfg = RunConfig(htm=cfg, seed=3)
         executor = Executor(machine, self._trace(), run_cfg, quantum=1,
                             policy=policy_name(policy_cls))
         result = executor.run()
+        machine.audit()
         assert result.stats.commits == 20
         result.history.check_serializable()
 
@@ -119,8 +120,9 @@ class TestEndToEnd:
         ]
         trace = WorkloadTrace("hot", threads)
         executor = Executor(machine, trace,
-                            RunConfig(htm=cfg, seed=5, audit=True),
+                            RunConfig(htm=cfg, seed=5),
                             quantum=1, policy=policy_name(policy_cls))
         result = executor.run()
+        machine.audit()
         assert result.stats.commits == 12
         result.history.check_serializable()

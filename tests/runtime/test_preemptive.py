@@ -9,10 +9,10 @@ OneTM forces switched transactions into the serialized overflow mode.
 import pytest
 
 from repro.common.config import HTMConfig, RunConfig
-from repro.common.errors import SimulationError, TransactionError
+from repro.common.errors import TransactionError
 from repro.coherence.protocol import MemorySystem
 from repro.htm import make_htm
-from repro.runtime.executor import Executor, run_workload
+from repro.runtime.executor import Executor
 from repro.workloads.trace import (
     ThreadTrace,
     WorkloadTrace,
@@ -22,7 +22,7 @@ from repro.workloads.trace import (
     read,
     write,
 )
-from tests.conftest import SMALL_T, small_system
+from tests.conftest import SMALL_T, run_audited, small_system
 from tests.integration.test_golden_stats import digest
 
 B = 0xA000
@@ -35,7 +35,6 @@ def machine(variant="TokenTM", cores=2):
 
 def cfg(**kw):
     kw.setdefault("htm", HTMConfig(tokens_per_block=SMALL_T))
-    kw.setdefault("audit", True)
     return RunConfig(**kw)
 
 
@@ -53,14 +52,9 @@ def overcommitted_trace(nthreads=6, txns=4):
 
 
 class TestPreemptiveBasics:
-    def test_overcommit_requires_preemption(self):
-        trace = overcommitted_trace()
-        with pytest.raises(SimulationError):
-            Executor(machine(), trace, cfg(), preemptive=False)
-
     def test_all_transactions_commit(self):
         trace = overcommitted_trace()
-        result = run_workload(machine(), trace, cfg(), timeslice=1000)
+        result = run_audited(machine(), trace, cfg(), timeslice=1000)
         assert result.stats.commits == trace.transaction_count()
         assert result.stats.preemptions > 0
         result.history.check_serializable(skew_tolerance=5000)
@@ -71,9 +65,9 @@ class TestPreemptiveBasics:
     ])
     def test_variants_survive_overcommit(self, variant):
         trace = overcommitted_trace(nthreads=5, txns=3)
-        result = run_workload(
+        result = run_audited(
             machine(variant), trace,
-            cfg(audit=variant.startswith("TokenTM")),
+            cfg(), audit=variant.startswith("TokenTM"),
             timeslice=800,
         )
         assert result.stats.commits == trace.transaction_count()
@@ -88,7 +82,7 @@ class TestPreemptiveBasics:
             for t in range(5)
         ]
         trace = WorkloadTrace("hot-overcommit", threads)
-        result = run_workload(machine(), trace, cfg(), timeslice=500)
+        result = run_audited(machine(), trace, cfg(), timeslice=500)
         assert result.stats.commits == 15
         result.history.check_serializable(skew_tolerance=5000)
 
@@ -103,8 +97,8 @@ class TestSwitchSemantics:
             ThreadTrace(2, [compute(400)] * 10),
         ]
         trace = WorkloadTrace("span", threads)
-        result = run_workload(machine(cores=2), trace, cfg(),
-                              timeslice=1000, quantum=100)
+        result = run_audited(machine(cores=2), trace, cfg(),
+                             timeslice=1000, quantum=100)
         assert result.stats.commits == 2
         result.history.check_serializable(skew_tolerance=6000)
 
@@ -118,8 +112,8 @@ class TestSwitchSemantics:
             for t in range(4)
         ]
         trace = WorkloadTrace("sliced", threads)
-        result = run_workload(machine(cores=2), trace, cfg(),
-                              timeslice=700)
+        result = run_audited(machine(cores=2), trace, cfg(),
+                             timeslice=700)
         assert result.stats.commits == 4
         # Every transaction outlived its timeslice: none can use the
         # fast path.
@@ -132,17 +126,17 @@ class TestSwitchSemantics:
             for t in range(4)
         ]
         trace = WorkloadTrace("onetm-sliced", threads)
-        result = run_workload(machine("OneTM", cores=2), trace,
-                              cfg(audit=False), timeslice=700)
+        result = run_audited(machine("OneTM", cores=2), trace,
+                             cfg(), audit=False, timeslice=700)
         assert result.stats.commits == 4
         assert result.stats.machine["overflow_serializations"] > 0
 
     def test_dedicated_mode_unaffected(self):
-        # preemptive=None with threads == cores keeps the old path.
+        # Threads == cores: each thread keeps its core, no switches.
         threads = [ThreadTrace(t, [begin(), read(B + t), commit()])
                    for t in range(2)]
         trace = WorkloadTrace("plain", threads)
-        result = run_workload(machine(cores=2), trace, cfg())
+        result = run_audited(machine(cores=2), trace, cfg())
         assert result.stats.preemptions == 0
 
 
